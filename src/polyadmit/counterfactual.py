@@ -4,7 +4,7 @@ crossed with the three score table variants."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import matching, metrics, scoring
 from .errors import UnknownScenario
@@ -62,25 +62,45 @@ def extend_application_lists(panel: Panel) -> list[Application]:
                     continue
                 listed.add(app.program_key)
                 rank += 1
-                extended.append(replace(app, year=panel.base_year, listed_rank=rank))
+                if app.year != panel.base_year or app.listed_rank != rank:
+                    app = replace(app, year=panel.base_year, listed_rank=rank)
+                extended.append(app)
     return extended
+
+
+def _score_tables(
+    panel: Panel, applications: Sequence[Application], scores: Iterable[str]
+) -> dict[str, scoring.ScoreTable]:
+    """The requested score variants of one application list, all derived
+    from a single scoring pass."""
+    scores = set(scores)
+    tables = {SCORES_ORIGINAL: scoring.compute_score_table(panel, applications)}
+    if scores & {SCORES_NO_FIRST_CHOICE, SCORES_EXAM_PROPAGATED}:
+        tables[SCORES_NO_FIRST_CHOICE] = scoring.remove_first_choice_points(
+            tables[SCORES_ORIGINAL]
+        )
+    if SCORES_EXAM_PROPAGATED in scores:
+        tables[SCORES_EXAM_PROPAGATED] = scoring.propagate_entrance_exams(
+            panel, tables[SCORES_NO_FIRST_CHOICE]
+        )
+    return tables
+
+
+def _scenario(scenario_id: str) -> Scenario:
+    if scenario_id not in SCENARIOS:
+        raise UnknownScenario(f"unknown scenario {scenario_id!r}, expected one of {SCENARIO_IDS}")
+    return SCENARIOS[scenario_id]
 
 
 def build_scenario(
     panel: Panel, scenario_id: str
 ) -> tuple[list[Application], scoring.ScoreTable]:
-    if scenario_id not in SCENARIOS:
-        raise UnknownScenario(f"unknown scenario {scenario_id!r}, expected one of {SCENARIO_IDS}")
-    scenario = SCENARIOS[scenario_id]
+    scenario = _scenario(scenario_id)
     if scenario.applications == APPLICATIONS_EXTENDED:
         applications = extend_application_lists(panel)
     else:
         applications = list(panel.base_applications)
-    table = scoring.compute_score_table(panel, applications)
-    if scenario.scores in (SCORES_NO_FIRST_CHOICE, SCORES_EXAM_PROPAGATED):
-        table = scoring.remove_first_choice_points(table)
-    if scenario.scores == SCORES_EXAM_PROPAGATED:
-        table = scoring.propagate_entrance_exams(panel, table)
+    table = _score_tables(panel, applications, [scenario.scores])[scenario.scores]
     return applications, table
 
 
@@ -93,13 +113,18 @@ class ScenarioResult:
     rank_improvement: float
 
 
+def _match(
+    applications: Sequence[Application], table: scoring.ScoreTable, quotas: Mapping[str, int]
+) -> Assignment:
+    instance = matching.build_instance(applications, table, quotas)
+    return matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
+
+
 def run_scenario(
     panel: Panel, scenario_id: str, quotas: Mapping[str, int]
 ) -> tuple[list[Application], Assignment]:
     applications, table = build_scenario(panel, scenario_id)
-    instance = matching.build_instance(applications, table, quotas)
-    assignment = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
-    return applications, assignment
+    return applications, _match(applications, table, quotas)
 
 
 def run_scenario_suite(
@@ -108,21 +133,36 @@ def run_scenario_suite(
     scenario_ids: Sequence[str] = SCENARIO_IDS,
 ) -> list[ScenarioResult]:
     """Run program-proposing deferred acceptance on each scenario and
-    compare every assignment to the baseline S1."""
+    compare every assignment to the baseline S1.
+
+    Each application list is built once and scored once; the scenarios
+    on it share that table through the score transforms.
+    """
     if quotas is None:
         quotas = {p: prog.quota for p, prog in panel.programs.items()}
-    universe = sorted({a.applicant_id for a in panel.base_applications})
+    wanted = [_scenario(s) for s in sorted(set(scenario_ids) | {"S1"})]
+    base_applications = list(panel.base_applications)
+    lists = {APPLICATIONS_ORIGINAL: base_applications}
+    if any(s.applications == APPLICATIONS_EXTENDED for s in wanted):
+        lists[APPLICATIONS_EXTENDED] = extend_application_lists(panel)
+    tables = {
+        kind: _score_tables(panel, applications, [s.scores for s in wanted if s.applications == kind])
+        for kind, applications in lists.items()
+    }
+
+    universe = sorted({a.applicant_id for a in base_applications})
     rank_table = metrics.field_gpa_percentile_ranks(panel)
     program_field = {p: prog.field for p, prog in panel.programs.items()}
-
-    base_applications, baseline = run_scenario(panel, "S1", quotas)
+    assignments = {
+        s.id: _match(lists[s.applications], tables[s.applications][s.scores], quotas)
+        for s in wanted
+    }
+    baseline = assignments["S1"]
 
     results = []
     for scenario_id in sorted(scenario_ids):
-        if scenario_id == "S1":
-            applications, assignment = base_applications, baseline
-        else:
-            applications, assignment = run_scenario(panel, scenario_id, quotas)
+        scenario = SCENARIOS[scenario_id]
+        assignment = assignments[scenario_id]
         diff = matching.compare_assignments(baseline, assignment, universe)
         if baseline.seat_of and assignment.seat_of:
             improvement = metrics.mean_rank_improvement(
@@ -135,7 +175,7 @@ def run_scenario_suite(
                 scenario_id=scenario_id,
                 assignment=assignment,
                 applications_per_applicant=(
-                    len(applications) / len(universe) if universe else 0.0
+                    len(lists[scenario.applications]) / len(universe) if universe else 0.0
                 ),
                 diff_vs_baseline=diff,
                 rank_improvement=improvement,

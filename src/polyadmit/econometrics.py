@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import matching
 from .errors import EmptySample, MissingThreshold, RankDeficient
@@ -67,7 +66,11 @@ def ols(
     robust: bool = False,
 ) -> RegressionResult:
     """OLS via pivoted QR; raises on rank deficiency instead of dropping
-    columns. Classical standard errors by default, HC1 when ``robust``."""
+    columns. Classical standard errors by default, HC1 when ``robust``.
+    Raises ``EmptySample`` when no residual degrees of freedom remain
+    (n <= k), where neither standard error is defined."""
+    import scipy.linalg  # deferred: most runs fit no regression
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, k = X.shape
@@ -81,6 +84,9 @@ def ols(
     deficient = diag <= tol
     if deficient.any():
         raise RankDeficient([terms[pivot[i]] for i in np.nonzero(deficient)[0]])
+    dof = n - k
+    if dof <= 0:
+        raise EmptySample(f"{n} observations leave no residual degrees of freedom for {k} terms")
 
     beta_pivoted = scipy.linalg.solve_triangular(R, Q.T @ y)
     beta = np.empty(k)
@@ -88,12 +94,11 @@ def ols(
     residuals = y - X @ beta
 
     XtX_inv = np.linalg.inv(X.T @ X)
-    dof = n - k
     if robust:
         meat = X.T @ (X * (residuals**2)[:, None])
-        cov = XtX_inv @ meat @ XtX_inv * (n / dof if dof > 0 else np.nan)
+        cov = XtX_inv @ meat @ XtX_inv * (n / dof)
     else:
-        s2 = residuals @ residuals / dof if dof > 0 else 0.0
+        s2 = residuals @ residuals / dof
         cov = s2 * XtX_inv
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
 

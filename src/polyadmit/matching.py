@@ -4,7 +4,10 @@ brute-force enumeration oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     InfeasibleAssignment,
@@ -54,32 +57,62 @@ def build_instance(
     Preferences follow listed rank; each program orders its applicants by
     total score descending, applicant id breaking ties.
     """
-    by_applicant: dict[str, list[Application]] = {}
-    by_program: dict[str, list[str]] = {}
-    totals: dict[tuple[str, str], float] = {}
-    for app in applications:
-        key = (app.applicant_id, app.program_key, app.year)
-        if key not in scores.entries:
-            raise MissingScore(f"no score entry for {key}")
-        totals[(app.applicant_id, app.program_key)] = scores.entries[key].total
-        by_applicant.setdefault(app.applicant_id, []).append(app)
-        by_program.setdefault(app.program_key, []).append(app.applicant_id)
+    row_of = {key: row for row, key in enumerate(scores.keys)}
+    try:
+        rows = [row_of[key] for key in map(_score_key, applications)]
+    except KeyError as exc:
+        raise MissingScore(f"no score entry for {exc.args[0]}") from None
+    totals = scores.totals[np.array(rows, dtype=np.intp)]
 
-    preferences = {
-        a: tuple(x.program_key for x in sorted(apps, key=lambda x: x.listed_rank))
-        for a, apps in sorted(by_applicant.items())
-    }
-    priorities = {
-        p: tuple(sorted(applicants, key=lambda a: (-totals[(a, p)], a)))
-        for p, applicants in sorted(by_program.items())
-    }
+    applicant_of = list(map(attrgetter("applicant_id"), applications))
+    program_of = list(map(attrgetter("program_key"), applications))
+    applicant_ids, applicant_code = _codes(applicant_of)
+    program_keys, program_code = _codes(program_of)
+    listed_rank = np.fromiter(
+        map(attrgetter("listed_rank"), applications), dtype=np.int64, count=len(applications)
+    )
+
+    preferences = _grouped(
+        np.lexsort((listed_rank, applicant_code)),
+        applicant_code, applicant_ids, program_code, program_keys,
+    )
+    priorities = _grouped(
+        np.lexsort((applicant_code, -totals, program_code)),
+        program_code, program_keys, applicant_code, applicant_ids,
+    )
     instance_quotas = {p: int(quotas.get(p, 0)) for p in priorities}
     return MatchInstance(
         preferences=preferences,
         priorities=priorities,
         quotas=instance_quotas,
-        scores=totals,
+        scores=dict(zip(zip(applicant_of, program_of), totals.tolist())),
     )
+
+
+_score_key = attrgetter("applicant_id", "program_key", "year")
+
+
+def _codes(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct values, and each value's position among them."""
+    ids = sorted(set(values))
+    code_of = {x: i for i, x in enumerate(ids)}
+    return ids, np.fromiter(map(code_of.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _grouped(
+    order: np.ndarray,
+    group_code: np.ndarray,
+    group_ids: Sequence[str],
+    member_code: np.ndarray,
+    member_ids: Sequence[str],
+) -> dict[str, tuple[str, ...]]:
+    """Rows taken in ``order`` (grouped by ascending ``group_code``), split
+    into one tuple of member ids per group."""
+    members = [member_ids[c] for c in member_code[order].tolist()]
+    bounds = np.searchsorted(group_code[order], np.arange(len(group_ids) + 1)).tolist()
+    return {
+        g: tuple(members[bounds[i] : bounds[i + 1]]) for i, g in enumerate(group_ids)
+    }
 
 
 def deferred_acceptance(instance: MatchInstance, proposing: str) -> Assignment:
@@ -123,26 +156,28 @@ def _da_applicant_proposing(instance: MatchInstance) -> dict[str, str]:
 def _da_program_proposing(instance: MatchInstance) -> dict[str, str]:
     pref_rank = instance.preference_rank()
     next_offer = {p: 0 for p in instance.priorities}
+    fill = {p: 0 for p in instance.priorities}  # offers each program holds
     held_by: dict[str, str] = {}  # applicant -> program holding their best offer
     pending = sorted(instance.priorities)
+    is_pending = set(pending)
 
     while pending:
         p = pending.pop()
+        is_pending.discard(p)
         order = instance.priorities[p]
-        offers_held = sum(1 for a, q in held_by.items() if q == p)
-        vacancies = instance.quotas[p] - offers_held
-        while vacancies > 0 and next_offer[p] < len(order):
+        quota = instance.quotas[p]
+        while fill[p] < quota and next_offer[p] < len(order):
             a = order[next_offer[p]]
             next_offer[p] += 1
             current = held_by.get(a)
-            if current is None:
+            if current is None or pref_rank[a][p] < pref_rank[a][current]:
                 held_by[a] = p
-                vacancies -= 1
-            elif pref_rank[a][p] < pref_rank[a][current]:
-                held_by[a] = p
-                vacancies -= 1
-                if current not in pending:
-                    pending.append(current)
+                fill[p] += 1
+                if current is not None:
+                    fill[current] -= 1
+                    if current not in is_pending:
+                        pending.append(current)
+                        is_pending.add(current)
     return dict(held_by)
 
 

@@ -9,7 +9,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import BinMismatch, EmptyAssignment
 from .model import Assignment, Panel
-from .scoring import compute_score_table
+from .scoring import compute_score_table, weighted_gpa_matrix
 
 N_BINS = 100
 
@@ -41,10 +41,11 @@ def _midpoint_percentiles(values: Sequence[float]) -> list[float]:
 def field_gpa_percentile_ranks(panel: Panel) -> dict[tuple[str, str], float]:
     """Rank every panel applicant by field-weighted GPA, per field."""
     applicant_ids = sorted(panel.applicants)
+    fields = sorted(panel.field_weights)
+    gpa = weighted_gpa_matrix(panel, applicant_ids, fields)
     table: dict[tuple[str, str], float] = {}
-    for field_label in sorted(panel.field_weights):
-        gpas = [panel.weighted_gpa(a, field_label) for a in applicant_ids]
-        for a, pct in zip(applicant_ids, _midpoint_percentiles(gpas)):
+    for j, field_label in enumerate(fields):
+        for a, pct in zip(applicant_ids, _midpoint_percentiles(gpa[:, j].tolist())):
             table[(a, field_label)] = pct
     return table
 
@@ -73,8 +74,9 @@ def tercile_unassignment(
     for app in base:
         pools.setdefault(app.program_key, []).append(app.applicant_id)
 
-    # percentile of each applicant within each pool they applied to
-    pool_percentile: dict[tuple[str, str], float] = {}
+    # percentile of each applicant within each pool they applied to, kept
+    # in pool order so each mean adds them in a fixed order
+    pool_percentiles: dict[str, dict[str, float]] = {}
     for program_key, pool in pools.items():
         pool = sorted(pool)
         if criterion == CRITERION_MATRICULATION:
@@ -83,14 +85,11 @@ def tercile_unassignment(
         else:
             values = [scores.total((a, program_key, panel.base_year)) for a in pool]
         for a, pct in zip(pool, _midpoint_percentiles(values)):
-            pool_percentile[(a, program_key)] = pct
+            pool_percentiles.setdefault(a, {})[program_key] = pct
 
-    mean_rank: dict[str, float] = {}
-    for app in base:
-        mean_rank.setdefault(app.applicant_id, 0.0)
-    for a in mean_rank:
-        ranks = [pool_percentile[(a, p)] for p in pools if (a, p) in pool_percentile]
-        mean_rank[a] = sum(ranks) / len(ranks)
+    mean_rank = {
+        a: sum(ranks.values()) / len(ranks) for a, ranks in pool_percentiles.items()
+    }
 
     excluded = tuple(sorted(set(panel.applicants) - set(mean_rank)))
     ordered = sorted(mean_rank, key=lambda a: (-mean_rank[a], a))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import DegenerateTable, MissingFieldWeights, WrongProvenance
 from .model import Application, Panel
@@ -39,20 +43,133 @@ def adjusted_score(components: ScoreComponents) -> float:
     return components.total - components.exam_component - components.first_choice_bonus
 
 
-@dataclass(frozen=True)
 class ScoreTable:
-    """Per-application score components plus a provenance tag.
+    """Per-application score components as numpy columns, plus a
+    provenance tag.
 
-    ``own_exam`` records which applications carried their own valid exam
-    result; exam propagation only fills in the others.
+    Row ``i`` of ``gpa``, ``exam``, ``bonus``, ``other``, ``exam_taken``
+    and ``totals`` belongs to ``keys[i]``, in the order of the application
+    list the table was computed from. ``exam_taken`` records which
+    applications carried their own valid exam result; exam propagation
+    only fills in the others. The transforms share the columns they leave
+    unchanged, so columns are read-only.
+
+    ``entries`` (key -> ``ScoreComponents``) and ``own_exam`` are built
+    from the columns on first read. Tables compare equal when provenance,
+    own exams and entries are equal, whatever their row order.
     """
 
-    entries: Mapping[ScoreKey, ScoreComponents]
-    provenance: str
-    own_exam: frozenset[ScoreKey]
+    def __init__(
+        self,
+        entries: Mapping[ScoreKey, ScoreComponents],
+        provenance: str,
+        own_exam: frozenset[ScoreKey],
+    ) -> None:
+        keys = list(entries)
+        components = list(entries.values())
+        self._set_columns(
+            keys,
+            np.array([c.gpa_component for c in components], dtype=float),
+            np.array([c.exam_component for c in components], dtype=float),
+            np.array([c.first_choice_bonus for c in components], dtype=float),
+            np.array([c.other_points for c in components], dtype=float),
+            np.array([k in own_exam for k in keys], dtype=bool),
+            provenance,
+        )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        keys: Sequence[ScoreKey],
+        *,
+        gpa: np.ndarray,
+        exam: np.ndarray,
+        bonus: np.ndarray,
+        other: np.ndarray,
+        exam_taken: np.ndarray,
+        provenance: str,
+    ) -> "ScoreTable":
+        table = cls.__new__(cls)
+        table._set_columns(keys, gpa, exam, bonus, other, exam_taken, provenance)
+        return table
+
+    def _set_columns(self, keys, gpa, exam, bonus, other, exam_taken, provenance) -> None:
+        self.keys = tuple(keys)
+        self.gpa, self.exam, self.bonus, self.other = gpa, exam, bonus, other
+        self.exam_taken = exam_taken
+        self.provenance = provenance
+        # Same order as ScoreComponents.total, so every total is equal bit for bit.
+        self.totals = gpa + exam + bonus + other
+        for column in (gpa, exam, bonus, other, exam_taken, self.totals):
+            column.setflags(write=False)
+
+    def _derive(self, provenance: str, **columns: np.ndarray) -> "ScoreTable":
+        """A table over the same rows with some columns replaced."""
+        shared = dict(
+            gpa=self.gpa, exam=self.exam, bonus=self.bonus, other=self.other,
+            exam_taken=self.exam_taken,
+        )
+        return ScoreTable._from_columns(self.keys, provenance=provenance, **{**shared, **columns})
+
+    @functools.cached_property
+    def entries(self) -> Mapping[ScoreKey, ScoreComponents]:
+        return dict(
+            zip(
+                self.keys,
+                map(
+                    ScoreComponents,
+                    self.gpa.tolist(),
+                    self.exam.tolist(),
+                    self.bonus.tolist(),
+                    self.other.tolist(),
+                ),
+            )
+        )
+
+    @functools.cached_property
+    def own_exam(self) -> frozenset[ScoreKey]:
+        return frozenset(itertools.compress(self.keys, self.exam_taken.tolist()))
 
     def total(self, key: ScoreKey) -> float:
         return self.entries[key].total
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return (self.provenance, self.own_exam, self.entries) == (
+            other.provenance, other.own_exam, other.entries,
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ScoreTable(provenance={self.provenance!r}, rows={len(self.keys)})"
+
+
+def weighted_gpa_matrix(
+    panel: Panel, applicant_ids: Sequence[str], fields: Sequence[str]
+) -> np.ndarray:
+    """Field-weighted matriculation GPA, one row per applicant and one
+    column per field; missing subjects count as zero.
+
+    Each column adds ``weight * grade`` over the field's subjects in
+    ``field_weights`` order, starting from zero, so every value equals
+    ``Panel.weighted_gpa`` bit for bit.
+    """
+    subjects = sorted({s for f in fields for s in panel.field_weights[f]})
+    subject_col = {s: j for j, s in enumerate(subjects)}
+    grades = np.array(
+        [
+            [panel.applicants[a].matriculation_grades.get(s, 0.0) for s in subjects]
+            for a in applicant_ids
+        ],
+        dtype=float,
+    ).reshape(len(applicant_ids), len(subjects))
+    gpa = np.zeros((len(applicant_ids), len(fields)))
+    for j, field_label in enumerate(fields):
+        for subject, weight in panel.field_weights[field_label].items():
+            gpa[:, j] += weight * grades[:, subject_col[subject]]
+    return gpa
 
 
 def compute_score_table(panel: Panel, applications: Sequence[Application]) -> ScoreTable:
@@ -62,35 +179,44 @@ def compute_score_table(panel: Panel, applications: Sequence[Application]) -> Sc
     grades (missing subjects count as zero); the bonus applies only to the
     first listed program of each list.
     """
-    entries: dict[ScoreKey, ScoreComponents] = {}
-    own_exam: set[ScoreKey] = set()
-    for app in applications:
-        field_label = panel.field_of(app.program_key)
+    program_field = {p: prog.field for p, prog in panel.programs.items()}
+    fields = [program_field[app.program_key] for app in applications]
+    for field_label in fields:
         if field_label not in panel.field_weights:
             raise MissingFieldWeights(f"no GPA weights for field {field_label!r}")
-        key = (app.applicant_id, app.program_key, app.year)
-        entries[key] = ScoreComponents(
-            gpa_component=panel.weighted_gpa(app.applicant_id, field_label),
-            exam_component=app.exam_score if app.exam_taken else 0.0,
-            first_choice_bonus=(
-                panel.bonus_points[field_label] if app.listed_rank == 1 else 0.0
-            ),
-            other_points=app.other_points,
-        )
-        if app.exam_taken:
-            own_exam.add(key)
-    return ScoreTable(entries=entries, provenance=PROVENANCE_ORIGINAL, own_exam=frozenset(own_exam))
+
+    applicant_ids = sorted({app.applicant_id for app in applications})
+    field_ids = sorted(set(fields))
+    applicant_row = {a: i for i, a in enumerate(applicant_ids)}
+    field_col = {f: j for j, f in enumerate(field_ids)}
+    gpa = weighted_gpa_matrix(panel, applicant_ids, field_ids)[
+        np.array([applicant_row[app.applicant_id] for app in applications], dtype=np.intp),
+        np.array([field_col[f] for f in fields], dtype=np.intp),
+    ]
+    return ScoreTable._from_columns(
+        [(app.applicant_id, app.program_key, app.year) for app in applications],
+        gpa=gpa,
+        exam=np.array(
+            [app.exam_score if app.exam_taken else 0.0 for app in applications], dtype=float
+        ),
+        bonus=np.array(
+            [
+                panel.bonus_points[f] if app.listed_rank == 1 else 0.0
+                for app, f in zip(applications, fields)
+            ],
+            dtype=float,
+        ),
+        other=np.array([app.other_points for app in applications], dtype=float),
+        exam_taken=np.array([app.exam_taken for app in applications], dtype=bool),
+        provenance=PROVENANCE_ORIGINAL,
+    )
 
 
 def remove_first_choice_points(table: ScoreTable) -> ScoreTable:
     """Zero out every first-choice bonus; all other components untouched."""
     if table.provenance != PROVENANCE_ORIGINAL:
         raise WrongProvenance(f"expected {PROVENANCE_ORIGINAL!r}, got {table.provenance!r}")
-    entries = {
-        key: ScoreComponents(c.gpa_component, c.exam_component, 0.0, c.other_points)
-        for key, c in table.entries.items()
-    }
-    return ScoreTable(entries=entries, provenance=PROVENANCE_NO_FIRST_CHOICE, own_exam=table.own_exam)
+    return table._derive(PROVENANCE_NO_FIRST_CHOICE, bonus=np.zeros(len(table.keys)))
 
 
 def first_exam_by_field(panel: Panel) -> dict[tuple[str, str], float]:
@@ -123,16 +249,13 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
             f"expected {PROVENANCE_NO_FIRST_CHOICE!r}, got {table.provenance!r}"
         )
     sources = first_exam_by_field(panel)
-    entries: dict[ScoreKey, ScoreComponents] = {}
-    for key, c in table.entries.items():
-        applicant_id, program_key, _year = key
-        if key not in table.own_exam:
-            field_label = panel.field_of(program_key)
-            source = sources.get((applicant_id, field_label))
-            if source is not None:
-                c = ScoreComponents(c.gpa_component, source, c.first_choice_bonus, c.other_points)
-        entries[key] = c
-    return ScoreTable(entries=entries, provenance=PROVENANCE_EXAM_PROPAGATED, own_exam=table.own_exam)
+    exam = table.exam.copy()
+    for row in np.flatnonzero(~table.exam_taken).tolist():
+        applicant_id, program_key, _year = table.keys[row]
+        source = sources.get((applicant_id, panel.field_of(program_key)))
+        if source is not None:
+            exam[row] = source
+    return table._derive(PROVENANCE_EXAM_PROPAGATED, exam=exam)
 
 
 WEIGHT_COMPONENTS = ("gpa", "exam", "first_choice_bonus", "residual")

@@ -43,6 +43,14 @@ class TestOls:
         with pytest.raises(RankDeficient):
             ols(np.column_stack([np.ones(30), x, x]), rng.normal(size=30))
 
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_no_residual_dof_raises_empty_sample(self, robust):
+        # n == k: a full-rank 2x2 design fits exactly and leaves no degrees
+        # of freedom, so neither standard error is defined
+        X = np.array([[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(EmptySample):
+            ols(X, np.array([1.0, 3.0]), robust=robust)
+
     def test_row_order_invariance(self):
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(200), rng.normal(size=(200, 3))])

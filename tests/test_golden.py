@@ -1,0 +1,50 @@
+"""Golden report digests: every file of a ``--synth default`` run, pinned
+by SHA-256 for two seeds, so a refactor that changes any output byte fails
+here before it reaches a comparison run."""
+
+import hashlib
+
+import pytest
+
+from polyadmit import cli
+
+GOLDEN = {
+    42: {
+        "assignment_S1.csv": "a531a73190e13bd87d2bc2e557a9239d67b24023f0fb816cdf4fb4a55511df62",
+        "assignment_S2.csv": "86d6478636fd4f94a4fac8da53eea2ca78668e2de0a63b22dc2c14ab860391cf",
+        "assignment_S3.csv": "684f8758a760b83de2a93cbc130f7f9a168090b857079f6dc64a4b13e792bf2a",
+        "assignment_S4.csv": "3935879f92a90583d1dfc6dfb44dc188bd519d9a03c4fb434dba42bf5875158e",
+        "assignment_S5.csv": "ffe72014ce94887738ec2764b9a4236e1436f89bc7c2b11f06b6f7aed59493da",
+        "assignment_S6.csv": "8fd7be374d27dcf142d7615d7de60b4549049e0fd499f7fa075087cf2bdc27ba",
+        "calibration.csv": "3d68d767ff5349e6cf470630458f61c5a43f406bdf6e78166c4f3458d8bd8215",
+        "figure1.csv": "5f14ca69b87bca5ef3aa8323fe0104d7f2928926cf5e01f49d5a9d59bec2d265",
+        "table1.csv": "822d4adb0abaece54d0a5c64a6b1b28413f20adb106e72ada14e473c722dd05c",
+        "table2.csv": "0c3147c65bfbdcf76608f2e7c032027b6ff5a9bee1ea5df8f9447226c0cbc911",
+        "table3.csv": "3d6c4805e2ff5b0e08a0d166a8dc83bdb7ecb9c9115cd0d0bf267f9af64a97b4",
+        "table4.csv": "786100b1a9cbfcc1849e56d01a9719442b76fcc7a31500b6b9f061bb9d834248",
+        "table5.csv": "2497b0277e5c9d1f6e3340bca7801a9c4cb0012dbc4e8bc2869e796da21f2b76",
+    },
+    2024: {
+        "assignment_S1.csv": "9ec53bfa1f5bd2b836a0b0a9278b7f201de63ec89b2df4d49a74b5f8f6a56bdf",
+        "assignment_S2.csv": "70622f41eee31490dfa4fe9fa4f57dd75f92aea9e97f4da6047194e49ce67b52",
+        "assignment_S3.csv": "0c22247f171422c1144c0fd3fbc165c3e408ee1be5b6d4f83b542f23e457c4ba",
+        "assignment_S4.csv": "2736d63cedff4ee9711ba2cdb03169a38f7841ec8d0c90753132924d81c7df0f",
+        "assignment_S5.csv": "8467ef69c46356b785d7c455607ea597161787ab17a9ac4d283dfef2ed1f75c8",
+        "assignment_S6.csv": "e564d4e717d9f6f3085fd9d09b569a59aaa533e2790548745f90a0030278a2fe",
+        "calibration.csv": "9f2286c8a09c8d6a05edcef8c9b5543308c9eadfa9853c48aa4201cac65b0a24",
+        "figure1.csv": "97202a1b5ace61260e48042ccb7891d696812bf5acad39dcaf2082851770dd08",
+        "table1.csv": "c605b8d8a80bfd74d02465d1ed9795060773e5683fc6dda9a8da09fdf5c6c659",
+        "table2.csv": "7e94ea4efab393d2d92e8c18e8fc77733f445a4a405d548786855d6931b6a2a2",
+        "table3.csv": "348935bbbcb848c4a17fdfd16da2ee7bd955d00524b601bae3da228c3834e7f5",
+        "table4.csv": "1ebcef18b8092debbafa72a85cb75eefd5d3d5c51f8807444c2c2946ec0723c0",
+        "table5.csv": "9aa34caf4e5ee40b24a8d7bee126146d69dfa99bc8cb9dd94ff0ed3b5eefd533",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_default_synth_reports_match_golden_digests(tmp_path, seed):
+    out = tmp_path / "out"
+    assert cli.main(["--synth", "default", "--seed", str(seed), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GOLDEN[seed]
