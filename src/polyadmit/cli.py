@@ -74,7 +74,8 @@ def _wanted(config: RunConfig, report: str, available: bool) -> bool:
 def run(config: RunConfig) -> int:
     """Execute the pipeline; returns the process exit status.
 
-    On failure, all partially written outputs are removed and a
+    On failure, including an operating-system error such as an unusable
+    output path, all partially written outputs are removed and a
     machine-readable error is printed to stderr.
     """
     written: list[Path] = []
@@ -94,9 +95,10 @@ def run(config: RunConfig) -> int:
             return path
 
         _write_reports(config, panel, target)
-    except PolyadmitError as exc:
+    except (PolyadmitError, OSError) as exc:
         for path in written:
-            path.unlink(missing_ok=True)
+            if not path.is_dir():  # a directory in a report's place was never ours
+                path.unlink(missing_ok=True)
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},
             sys.stderr,

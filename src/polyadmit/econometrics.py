@@ -8,10 +8,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import matching
 from .errors import EmptySample, MissingThreshold, RankDeficient
-from .model import Assignment, Panel
-from .scoring import adjusted_score, compute_score_table
+from .model import Application, Assignment, Panel
+from .scoring import ScoreTable, compute_score_table
 
 OUTCOME_ACCEPTED = "accepted_seat"
 OUTCOME_REAPPLIED = "reapplied_later"
@@ -111,6 +110,95 @@ def ols(
     )
 
 
+@dataclass(frozen=True)
+class _AdmitColumns:
+    """One row per admitted applicant, in id order: every column any
+    design spec uses, and both outcomes."""
+
+    X: np.ndarray
+    terms: tuple[str, ...]
+    outcomes: Mapping[str, np.ndarray]
+
+
+def _admit_columns(
+    panel: Panel,
+    assignment: Assignment,
+    thresholds: Mapping[str, float],
+    applications: Sequence[Application],
+    table: ScoreTable,
+) -> _AdmitColumns:
+    """The admit-level columns; ``table`` scores ``applications`` (the
+    base-year lists) row for row."""
+    admitted = sorted(assignment.seat_of)
+    if not admitted:
+        raise EmptySample("no admitted applicants")
+
+    row_of = {key: i for i, key in enumerate(table.keys)}
+    rows = []
+    threshold = []
+    for applicant_id in admitted:
+        program_key = assignment.seat_of[applicant_id]
+        rows.append(row_of[(applicant_id, program_key, panel.base_year)])
+        if program_key not in thresholds:
+            raise MissingThreshold(f"no acceptance threshold for {program_key!r}")
+        threshold.append(thresholds[program_key])
+    threshold = np.array(threshold, dtype=float)
+    # Same operations as adjusted_score, so every value is equal bit for bit.
+    adjusted = table.totals[rows] - table.exam[rows] - table.bonus[rows]
+    rank = np.array([applications[i].listed_rank for i in rows])
+    dummy_fields = sorted(panel.field_weights)[1:]  # first field is the reference category
+    dummies = np.array(
+        [
+            [1.0 if panel.field_of(assignment.seat_of[a]) == f else 0.0 for f in dummy_fields]
+            for a in admitted
+        ]
+    ).reshape(len(admitted), len(dummy_fields))
+    X = np.column_stack(
+        [
+            np.ones(len(admitted)),
+            rank == 2,
+            rank == 3,
+            rank == 4,
+            table.exam_taken[rows],
+            adjusted,
+            threshold,
+            dummies,
+            adjusted[:, None] * dummies,
+            threshold[:, None] * dummies,
+        ]
+    )
+    terms = ("intercept", "rank2", "rank3", "rank4", "exam_taken", "adjusted_score", "threshold")
+    terms += tuple(f"field_{f}" for f in dummy_fields)
+    terms += tuple(f"adjusted_score_x_{f}" for f in dummy_fields)
+    terms += tuple(f"threshold_x_{f}" for f in dummy_fields)
+
+    later_appliers = {a.applicant_id for a in panel.applications if a.year > panel.base_year}
+    outcomes = {
+        OUTCOME_ACCEPTED: np.array(
+            [1.0 if assignment.accepted.get(a, False) else 0.0 for a in admitted]
+        ),
+        OUTCOME_REAPPLIED: np.array([1.0 if a in later_appliers else 0.0 for a in admitted]),
+    }
+    return _AdmitColumns(X=X, terms=terms, outcomes=outcomes)
+
+
+def _design(
+    columns: _AdmitColumns, spec: DesignSpec
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    if spec.outcome not in columns.outcomes:
+        raise ValueError(f"unknown outcome {spec.outcome!r}")
+    keep = list(range(5))
+    if spec.controls:
+        keep += [5, 6]
+    if spec.field_interactions:
+        keep += range(7, len(columns.terms))
+    return (
+        np.ascontiguousarray(columns.X[:, keep]),
+        columns.outcomes[spec.outcome],
+        tuple(columns.terms[i] for i in keep),
+    )
+
+
 def build_design_matrix(
     panel: Panel,
     assignment: Assignment,
@@ -118,64 +206,11 @@ def build_design_matrix(
     spec: DesignSpec,
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """One row per admitted applicant; columns per the design spec."""
-    admitted = sorted(assignment.seat_of)
-    if not admitted:
-        raise EmptySample("no admitted applicants")
-
-    base_app = {
-        (a.applicant_id, a.program_key): a for a in panel.base_applications
-    }
-    scores = compute_score_table(panel, panel.base_applications)
-    later_appliers = {
-        a.applicant_id for a in panel.applications if a.year > panel.base_year
-    }
-    fields = sorted(panel.field_weights)
-    dummy_fields = fields[1:]  # first field is the reference category
-
-    terms = ["intercept", "rank2", "rank3", "rank4", "exam_taken"]
-    if spec.controls:
-        terms += ["adjusted_score", "threshold"]
-    if spec.field_interactions:
-        terms += [f"field_{f}" for f in dummy_fields]
-        terms += [f"adjusted_score_x_{f}" for f in dummy_fields]
-        terms += [f"threshold_x_{f}" for f in dummy_fields]
-
-    rows = []
-    y = []
-    for applicant_id in admitted:
-        program_key = assignment.seat_of[applicant_id]
-        app = base_app[(applicant_id, program_key)]
-        components = scores.entries[(applicant_id, program_key, panel.base_year)]
-        if program_key not in thresholds:
-            raise MissingThreshold(f"no acceptance threshold for {program_key!r}")
-        threshold = thresholds[program_key]
-        adj = adjusted_score(components)
-        field_label = panel.field_of(program_key)
-
-        row = [
-            1.0,
-            1.0 if app.listed_rank == 2 else 0.0,
-            1.0 if app.listed_rank == 3 else 0.0,
-            1.0 if app.listed_rank == 4 else 0.0,
-            1.0 if app.exam_taken else 0.0,
-        ]
-        if spec.controls:
-            row += [adj, threshold]
-        if spec.field_interactions:
-            dummies = [1.0 if field_label == f else 0.0 for f in dummy_fields]
-            row += dummies
-            row += [adj * d for d in dummies]
-            row += [threshold * d for d in dummies]
-        rows.append(row)
-
-        if spec.outcome == OUTCOME_ACCEPTED:
-            y.append(1.0 if assignment.accepted.get(applicant_id, False) else 0.0)
-        elif spec.outcome == OUTCOME_REAPPLIED:
-            y.append(1.0 if applicant_id in later_appliers else 0.0)
-        else:
-            raise ValueError(f"unknown outcome {spec.outcome!r}")
-
-    return np.array(rows), np.array(y), tuple(terms)
+    base = panel.base_applications
+    columns = _admit_columns(
+        panel, assignment, thresholds, base, compute_score_table(panel, base)
+    )
+    return _design(columns, spec)
 
 
 def lpm_report(
@@ -184,13 +219,18 @@ def lpm_report(
     robust: bool = False,
     specs: Sequence[DesignSpec] = REPORT_SPECS,
 ) -> list[RegressionResult]:
-    """Fit the six report columns on the admitted sample."""
-    table = compute_score_table(panel, panel.base_applications)
-    quotas = {p: prog.quota for p, prog in panel.programs.items()}
-    instance = matching.build_instance(panel.base_applications, table, quotas)
-    thresholds = matching.program_thresholds(instance, assignment)
-    results = []
-    for spec in specs:
-        X, y, terms = build_design_matrix(panel, assignment, thresholds, spec)
-        results.append(ols(X, y, terms, robust=robust))
-    return results
+    """Fit the six report columns on the admitted sample.
+
+    Each program's acceptance threshold is the lowest base-year total
+    among its admits. The base table and the admit columns are built once
+    and every spec is a slice of them.
+    """
+    base = panel.base_applications
+    table = compute_score_table(panel, base)
+    total_of = dict(zip(table.keys, table.totals.tolist()))
+    thresholds = {
+        p: min(total_of[(a, p, panel.base_year)] for a in admits)
+        for p, admits in sorted(assignment.admits_of().items())
+    }
+    columns = _admit_columns(panel, assignment, thresholds, base, table)
+    return [ols(*_design(columns, spec), robust=robust) for spec in specs]

@@ -7,6 +7,7 @@ are written with six decimal digits so outputs diff cleanly.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -49,9 +50,12 @@ def _read_rows(path: Path, required: Sequence[str]) -> list[dict[str, str]]:
 
 def _parse_float(path: Path, row_number: int, column: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(f"{path} row {row_number}: bad value for {column!r}: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{path} row {row_number}: non-finite value for {column!r}: {raw!r}")
+    return value
 
 
 def _parse_int(path: Path, row_number: int, column: str, raw: str) -> int:

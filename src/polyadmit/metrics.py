@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import BinMismatch, EmptyAssignment
 from .model import Assignment, Panel
 from .scoring import compute_score_table, weighted_gpa_matrix
@@ -23,19 +25,18 @@ RankTable = Mapping[tuple[str, str], float]
 def _midpoint_percentiles(values: Sequence[float]) -> list[float]:
     """Percentile of each value by the mean-rank midpoint convention:
     100 * (mean rank - 0.5) / N, ties sharing their mean rank."""
+    values = np.asarray(values, dtype=float)
     n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2 + 1  # 1-based mean rank of the tie group
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return [100.0 * (r - 0.5) / n for r in ranks]
+    if n == 0:
+        return []
+    order = np.argsort(values, kind="stable")
+    s = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], n) - 1
+    mean_rank = (starts + ends) / 2 + 1  # 1-based mean rank of each tie group
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(mean_rank, ends - starts + 1)
+    return (100.0 * (ranks - 0.5) / n).tolist()
 
 
 def field_gpa_percentile_ranks(panel: Panel) -> dict[tuple[str, str], float]:
@@ -45,7 +46,7 @@ def field_gpa_percentile_ranks(panel: Panel) -> dict[tuple[str, str], float]:
     gpa = weighted_gpa_matrix(panel, applicant_ids, fields)
     table: dict[tuple[str, str], float] = {}
     for j, field_label in enumerate(fields):
-        for a, pct in zip(applicant_ids, _midpoint_percentiles(gpa[:, j].tolist())):
+        for a, pct in zip(applicant_ids, _midpoint_percentiles(gpa[:, j])):
             table[(a, field_label)] = pct
     return table
 
@@ -66,25 +67,31 @@ def tercile_unassignment(
     if criterion not in (CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE):
         raise ValueError(f"unknown criterion {criterion!r}")
     base = panel.base_applications
-    scores = None
-    if criterion == CRITERION_ADMISSION_SCORE:
-        scores = compute_score_table(panel, base)
+    # the criterion's value for each base-year application
+    if criterion == CRITERION_MATRICULATION:
+        applicant_ids = sorted({app.applicant_id for app in base})
+        fields = sorted(panel.field_weights)
+        applicant_row = {a: i for i, a in enumerate(applicant_ids)}
+        field_col = {f: j for j, f in enumerate(fields)}
+        values = weighted_gpa_matrix(panel, applicant_ids, fields)[
+            [applicant_row[app.applicant_id] for app in base],
+            [field_col[panel.field_of(app.program_key)] for app in base],
+        ]
+    else:
+        values = compute_score_table(panel, base).totals
 
-    pools: dict[str, list[str]] = {}
-    for app in base:
-        pools.setdefault(app.program_key, []).append(app.applicant_id)
+    # (applicant, row in base) per program, in first-application order
+    pools: dict[str, list[tuple[str, int]]] = {}
+    for i, app in enumerate(base):
+        pools.setdefault(app.program_key, []).append((app.applicant_id, i))
 
     # percentile of each applicant within each pool they applied to, kept
     # in pool order so each mean adds them in a fixed order
     pool_percentiles: dict[str, dict[str, float]] = {}
     for program_key, pool in pools.items():
-        pool = sorted(pool)
-        if criterion == CRITERION_MATRICULATION:
-            field_label = panel.field_of(program_key)
-            values = [panel.weighted_gpa(a, field_label) for a in pool]
-        else:
-            values = [scores.total((a, program_key, panel.base_year)) for a in pool]
-        for a, pct in zip(pool, _midpoint_percentiles(values)):
+        pool.sort()
+        pcts = _midpoint_percentiles(values[[i for _, i in pool]])
+        for (a, _), pct in zip(pool, pcts):
             pool_percentiles.setdefault(a, {})[program_key] = pct
 
     mean_rank = {

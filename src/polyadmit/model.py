@@ -7,7 +7,7 @@ counterfactual application lists and the re-application outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .errors import EmptyName, InfeasibleAssignment, ValidationError
@@ -211,7 +211,3 @@ def check_assignment(
     if problems:
         raise InfeasibleAssignment("; ".join(problems))
     return assignment
-
-
-def with_observed_assignment(panel: Panel, assignment: Assignment) -> Panel:
-    return replace(panel, observed_assignment=assignment)

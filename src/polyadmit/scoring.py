@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTable, MissingFieldWeights, WrongProvenance
+from .errors import DegenerateTable, WrongProvenance
 from .model import Application, Panel
 
 PROVENANCE_ORIGINAL = "original"
@@ -181,10 +181,6 @@ def compute_score_table(panel: Panel, applications: Sequence[Application]) -> Sc
     """
     program_field = {p: prog.field for p, prog in panel.programs.items()}
     fields = [program_field[app.program_key] for app in applications]
-    for field_label in fields:
-        if field_label not in panel.field_weights:
-            raise MissingFieldWeights(f"no GPA weights for field {field_label!r}")
-
     applicant_ids = sorted({app.applicant_id for app in applications})
     field_ids = sorted(set(fields))
     applicant_row = {a: i for i, a in enumerate(applicant_ids)}
@@ -276,18 +272,18 @@ class WeightReport:
 
 
 def effective_weights(table: ScoreTable) -> WeightReport:
-    components = list(table.entries.values())
-    n = len(components)
+    n = len(table.keys)
     if n < 2:
         raise DegenerateTable(f"need at least 2 score records, got {n}")
     columns = {
-        "gpa": [c.gpa_component for c in components],
-        "exam": [c.exam_component for c in components],
-        "first_choice_bonus": [c.first_choice_bonus for c in components],
-        "residual": [c.other_points for c in components],
+        "gpa": table.gpa,
+        "exam": table.exam,
+        "first_choice_bonus": table.bonus,
+        "residual": table.other,
     }
     sds = {}
-    for name, values in columns.items():
+    for name, column in columns.items():
+        values = column.tolist()
         mean = sum(values) / n
         sds[name] = math.sqrt(sum((v - mean) ** 2 for v in values) / n)
     total_sd = sum(sds.values())

@@ -6,6 +6,10 @@ the real clearinghouse), so the full pipeline runs in seconds.
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +68,11 @@ class SynthConfig:
     seed: int = 42
 
     def validate(self) -> "SynthConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if not isinstance(v, numbers.Real) or not math.isfinite(v):
+                    raise InvalidConfig(f"{f.name} must be a finite number, got {v!r}")
         probs = list(self.list_length_probs) + list(self.exam_prob_by_rank) + [
             self.accept_base,
             self.accept_no_exam_penalty,
@@ -77,6 +86,8 @@ class SynthConfig:
             raise InvalidConfig("probabilities must lie in [0, 1]")
         if abs(sum(self.list_length_probs) - 1.0) > 1e-9:
             raise InvalidConfig("list_length_probs must sum to 1")
+        if self.home_field_weight <= 0:
+            raise InvalidConfig("home_field_weight must be positive")
         if self.n_applicants <= 0 or self.n_programs <= 0 or self.n_fields <= 0:
             raise InvalidConfig("counts must be positive")
         if self.seats_total < 0 or self.seats_total > self.n_applicants:
@@ -99,24 +110,74 @@ def _draw_exam_score(rng: np.random.Generator, ability: float) -> float:
     return round(max(0.0, raw), 4)
 
 
-def _draw_list(
-    rng: np.random.Generator,
-    cfg: SynthConfig,
-    program_keys: list[str],
-    program_field: dict[str, str],
-    home_field: str,
-) -> list[str]:
-    length = int(rng.choice(len(cfg.list_length_probs), p=cfg.list_length_probs)) + 1
-    length = min(length, len(program_keys))
-    weights = np.array(
-        [
-            cfg.home_field_weight if program_field[p] == home_field else 1.0
-            for p in program_keys
-        ]
-    )
-    weights /= weights.sum()
-    chosen = rng.choice(len(program_keys), size=length, replace=False, p=weights)
-    return [program_keys[i] for i in chosen]
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Normalised cumulative sum of non-negative weights, as
+    ``Generator.choice`` builds it."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _choice(rng: np.random.Generator, cdf: list[float]) -> int:
+    """``rng.choice(len(p), p=p)`` given ``cdf = _cdf(p).tolist()``: same
+    draw, same random stream."""
+    return bisect.bisect_right(cdf, rng.random())
+
+
+def _choice_distinct(
+    rng: np.random.Generator, p: np.ndarray, cdf: list[float], k: int
+) -> list[int]:
+    """``rng.choice(len(p), size=k, replace=False, p=p)`` given
+    ``cdf = _cdf(p).tolist()``, for ``k`` no larger than the number of
+    positive weights.
+
+    Like numpy, draws the ``k - len(found)`` missing indices at once, keeps
+    the first occurrence of each new index in draw order, and redraws the
+    shortfall with the chosen entries' weights set to zero.
+    """
+    found: list[int] = []
+    while len(found) < k:
+        draws = rng.random(k - len(found)).tolist()
+        if found:
+            p = p.copy()
+            p[found] = 0.0
+            cdf = _cdf(p).tolist()
+        found.extend(dict.fromkeys(bisect.bisect_right(cdf, u) for u in draws))
+    return found
+
+
+@dataclass(frozen=True)
+class _ListSampler:
+    """Length and program distributions of one application list, built
+    once per panel: the list-length CDF, and per home field the program
+    weights and their CDF."""
+
+    program_keys: list[str]
+    length_cdf: list[float]
+    weights: dict[str, tuple[np.ndarray, list[float]]]
+
+    @classmethod
+    def build(
+        cls, cfg: SynthConfig, program_keys: list[str], program_field: dict[str, str]
+    ) -> "_ListSampler":
+        weights = {}
+        for home_field in sorted(set(program_field.values())):
+            w = np.array(
+                [
+                    cfg.home_field_weight if program_field[p] == home_field else 1.0
+                    for p in program_keys
+                ],
+                dtype=float,
+            )
+            w /= w.sum()
+            weights[home_field] = (w, _cdf(w).tolist())
+        length_cdf = _cdf(np.array(cfg.list_length_probs, dtype=float)).tolist()
+        return cls(program_keys, length_cdf, weights)
+
+    def draw(self, rng: np.random.Generator, home_field: str) -> list[str]:
+        length = min(_choice(rng, self.length_cdf) + 1, len(self.program_keys))
+        p, cdf = self.weights[home_field]
+        return [self.program_keys[i] for i in _choice_distinct(rng, p, cdf, length)]
 
 
 def _applications_for_year(
@@ -125,15 +186,12 @@ def _applications_for_year(
     applicant_id: str,
     ability: float,
     year: int,
-    program_keys: list[str],
-    program_field: dict[str, str],
+    sampler: _ListSampler,
     fields: list[str],
 ) -> list[Application]:
     home_field = fields[int(rng.integers(len(fields)))]
     apps = []
-    for rank, program_key in enumerate(
-        _draw_list(rng, cfg, program_keys, program_field, home_field), start=1
-    ):
+    for rank, program_key in enumerate(sampler.draw(rng, home_field), start=1):
         exam_prob = cfg.exam_prob_by_rank[min(rank, len(cfg.exam_prob_by_rank)) - 1]
         exam_taken = bool(rng.random() < exam_prob)
         apps.append(
@@ -178,7 +236,9 @@ def generate_panel(cfg: SynthConfig) -> Panel:
             quota=base_quota + (1 if i < extra else 0),
         )
     program_keys = sorted(programs)
-    program_field = {p: programs[p].field for p in program_keys}
+    sampler = _ListSampler.build(
+        cfg, program_keys, {p: programs[p].field for p in program_keys}
+    )
 
     applicants = {}
     abilities = {}
@@ -194,8 +254,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
         )
         applications.extend(
             _applications_for_year(
-                rng, cfg, applicant_id, ability, cfg.base_year,
-                program_keys, program_field, fields,
+                rng, cfg, applicant_id, ability, cfg.base_year, sampler, fields,
             )
         )
 
@@ -246,7 +305,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
             later_apps.extend(
                 _applications_for_year(
                     rng, cfg, applicant_id, abilities[applicant_id],
-                    cfg.base_year + 1, program_keys, program_field, fields,
+                    cfg.base_year + 1, sampler, fields,
                 )
             )
     for applicant_id in year2_appliers:
@@ -254,7 +313,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
             later_apps.extend(
                 _applications_for_year(
                     rng, cfg, applicant_id, abilities[applicant_id],
-                    cfg.base_year + 2, program_keys, program_field, fields,
+                    cfg.base_year + 2, sampler, fields,
                 )
             )
 

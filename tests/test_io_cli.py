@@ -73,6 +73,29 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=r"row 2.*quota"):
             load_panel(tmp_path)
 
+    @pytest.mark.parametrize(
+        "filename, column, raw",
+        [
+            ("applicants.csv", "grade_math", "nan"),
+            ("applications.csv", "exam_score", "inf"),
+            ("field_weights.csv", "weight", "-inf"),
+            ("bonus_points.csv", "bonus", "NaN"),
+        ],
+    )
+    def test_non_finite_number_reports_file_row_and_column(
+        self, small_panel, tmp_path, filename, column, raw
+    ):
+        save_panel(small_panel, tmp_path)
+        path = tmp_path / filename
+        lines = path.read_text().splitlines()
+        at = lines[0].split(",").index(column)
+        cells = lines[1].split(",")
+        cells[at] = raw
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"{filename} row 2.*{column}"):
+            load_panel(tmp_path)
+
 
 class TestRun:
     def test_full_synth_run_writes_all_reports(self, small_config_json, tmp_path):
@@ -144,6 +167,25 @@ class TestRun:
         assert err["error"] == "InvalidConfig"
         assert "S9" in err["message"]
         assert not out.exists() or not any(out.iterdir())
+
+    def test_output_path_is_a_file(self, small_config_json, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        status = cli.main(["--synth", str(small_config_json), "--out", str(out)])
+        assert status == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileExistsError"
+        assert str(out) in err["message"]
+        assert out.read_text() == "not a directory"
+
+    def test_write_failure_removes_partial_outputs(self, small_config_json, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "table4.csv").mkdir(parents=True)
+        status = cli.main(["--synth", str(small_config_json), "--out", str(out)])
+        assert status == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "IsADirectoryError"
+        assert [p.name for p in out.iterdir()] == ["table4.csv"]
 
     def test_bad_synth_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

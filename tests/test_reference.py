@@ -1,12 +1,18 @@
-"""The column-backed score tables and lexsort priorities against
-straight-line loop versions, bit for bit, on every scenario of the
-default synthetic panel and of its CSV round trip."""
+"""Vectorised code against straight-line loop versions, bit for bit: the
+column-backed score tables and lexsort priorities on every scenario of
+the default synthetic panel and of its CSV round trip, the regression
+design and thresholds on the same panels, and the midpoint percentiles on
+random values with ties."""
 
+import numpy as np
 import pytest
 
-from polyadmit import counterfactual, io_csv
+from polyadmit import counterfactual, econometrics, io_csv
 from polyadmit.counterfactual import SCENARIO_IDS, SCENARIOS, build_scenario
-from polyadmit.matching import build_instance
+from polyadmit.econometrics import REPORT_SPECS, build_design_matrix, lpm_report, ols
+from polyadmit.matching import build_instance, program_thresholds
+from polyadmit.metrics import _midpoint_percentiles
+from polyadmit.scoring import adjusted_score, compute_score_table
 
 
 @pytest.fixture(scope="module", params=["synth", "csv_round_trip"])
@@ -62,3 +68,83 @@ def test_columns_and_priorities_match_loop_reference(panel, scenario_id):
     quotas = {p: prog.quota for p, prog in panel.programs.items()}
     instance = build_instance(applications, table, quotas)
     assert instance.priorities == loop_priorities(applications, expected)
+
+
+def loop_midpoint_percentiles(values):
+    """100 * (mean rank - 0.5) / N per value, ties sharing their mean rank,
+    walking a stable sort of the values."""
+    n = len(values)
+    order = sorted(range(n), key=lambda i: values[i])
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        mean_rank = (i + j) / 2 + 1  # 1-based mean rank of the tie group
+        for k in range(i, j + 1):
+            ranks[order[k]] = mean_rank
+        i = j + 1
+    return [100.0 * (r - 0.5) / n for r in ranks]
+
+
+def test_midpoint_percentiles_match_loop_reference():
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        n = int(rng.integers(0, 60))
+        # few distinct values, so most inputs have ties; signed zeros tie too
+        values = rng.choice([-2.5, -0.0, 0.0, 0.1, 1.0, 3.75, 40.0], size=n)
+        if trial % 3 == 0:
+            values = values + rng.standard_normal(n)
+        values = values.tolist()
+        assert _midpoint_percentiles(values) == loop_midpoint_percentiles(values)
+
+
+def loop_design_matrix(panel, assignment, thresholds, spec):
+    """One row list per admitted applicant, from the table's entries."""
+    base_app = {(a.applicant_id, a.program_key): a for a in panel.base_applications}
+    entries = compute_score_table(panel, panel.base_applications).entries
+    later = {a.applicant_id for a in panel.applications if a.year > panel.base_year}
+    dummy_fields = sorted(panel.field_weights)[1:]
+    terms = ["intercept", "rank2", "rank3", "rank4", "exam_taken"]
+    if spec.controls:
+        terms += ["adjusted_score", "threshold"]
+    if spec.field_interactions:
+        terms += [f"field_{f}" for f in dummy_fields]
+        terms += [f"adjusted_score_x_{f}" for f in dummy_fields]
+        terms += [f"threshold_x_{f}" for f in dummy_fields]
+    rows, y = [], []
+    for a in sorted(assignment.seat_of):
+        p = assignment.seat_of[a]
+        app = base_app[(a, p)]
+        adj = adjusted_score(entries[(a, p, panel.base_year)])
+        row = [1.0] + [1.0 if app.listed_rank == r else 0.0 for r in (2, 3, 4)]
+        row.append(1.0 if app.exam_taken else 0.0)
+        if spec.controls:
+            row += [adj, thresholds[p]]
+        if spec.field_interactions:
+            dummies = [1.0 if panel.field_of(p) == f else 0.0 for f in dummy_fields]
+            row += dummies + [adj * d for d in dummies] + [thresholds[p] * d for d in dummies]
+        rows.append(row)
+        if spec.outcome == econometrics.OUTCOME_ACCEPTED:
+            y.append(1.0 if assignment.accepted.get(a, False) else 0.0)
+        else:
+            y.append(1.0 if a in later else 0.0)
+    return np.array(rows), np.array(y), tuple(terms)
+
+
+def test_design_and_lpm_report_match_loop_reference(panel):
+    assignment = panel.observed_assignment
+    table = compute_score_table(panel, panel.base_applications)
+    quotas = {p: prog.quota for p, prog in panel.programs.items()}
+    instance = build_instance(panel.base_applications, table, quotas)
+    thresholds = program_thresholds(instance, assignment)
+    expected = []
+    for spec in REPORT_SPECS:
+        X, y, terms = build_design_matrix(panel, assignment, thresholds, spec)
+        X_ref, y_ref, terms_ref = loop_design_matrix(panel, assignment, thresholds, spec)
+        assert terms == terms_ref
+        assert X.tolist() == X_ref.tolist()
+        assert y.tolist() == y_ref.tolist()
+        expected.append(ols(X_ref, y_ref, terms_ref))
+    assert lpm_report(panel, assignment) == expected

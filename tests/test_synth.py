@@ -1,3 +1,6 @@
+import bisect
+
+import numpy as np
 import pytest
 
 from polyadmit import matching, synth
@@ -76,3 +79,73 @@ class TestConfigValidation:
     def test_list_length_probs_must_sum_to_one(self):
         with pytest.raises(InvalidConfig):
             SynthConfig(list_length_probs=(0.5, 0.5, 0.5, 0.5)).validate()
+
+    def test_nan_probability(self):
+        with pytest.raises(InvalidConfig):
+            SynthConfig(accept_base=float("nan")).validate()
+
+    def test_nan_in_list_length_probs(self):
+        with pytest.raises(InvalidConfig):
+            SynthConfig(list_length_probs=(0.5, float("nan"), 0.25, 0.25)).validate()
+
+    def test_infinite_value(self):
+        with pytest.raises(InvalidConfig):
+            SynthConfig(first_choice_bonus=float("inf")).validate()
+
+    def test_negative_home_field_weight(self):
+        with pytest.raises(InvalidConfig):
+            SynthConfig(home_field_weight=-1.0).validate()
+
+    def test_zero_home_field_weight(self):
+        with pytest.raises(InvalidConfig):
+            SynthConfig(home_field_weight=0.0).validate()
+
+
+def _weight_vectors():
+    """Normalised program weights as the generator builds them: one
+    home-field weight against 1.0 for every other program."""
+    cases = [(6.0, 44, 8), (40.0, 9, 3), (1.0, 5, 1), (2.5, 12, 4), (0.1, 7, 2)]
+    vectors = []
+    for home_weight, n_programs, n_fields in cases:
+        w = np.array([home_weight if i % n_fields == 0 else 1.0 for i in range(n_programs)])
+        w /= w.sum()
+        vectors.append(w)
+    return vectors
+
+
+class TestSamplers:
+    """The CDF samplers draw exactly what Generator.choice draws and leave
+    the random stream where it leaves it."""
+
+    SEEDS = range(250)
+
+    def test_scalar_choice_matches_numpy(self):
+        probs = synth.LIST_LENGTH_PROBS
+        cdf = synth._cdf(np.array(probs, dtype=float)).tolist()
+        for seed in self.SEEDS:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                assert synth._choice(ours, cdf) == int(theirs.choice(len(probs), p=probs))
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("p", _weight_vectors(), ids=lambda p: f"{len(p)}programs")
+    def test_distinct_choice_matches_numpy(self, p):
+        cdf = synth._cdf(p).tolist()
+        for seed in self.SEEDS:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(1, min(len(p), 6) + 1):
+                got = synth._choice_distinct(ours, p, cdf, k)
+                assert got == theirs.choice(len(p), size=k, replace=False, p=p).tolist()
+            assert ours.random() == theirs.random()
+
+    def test_heavy_home_field_forces_redraws(self):
+        # Weight 40 on three of nine programs: four draws at once often
+        # repeat a program, so the shortfall redraw is exercised above.
+        p = _weight_vectors()[1]
+        cdf = synth._cdf(p).tolist()
+        repeats = 0
+        for seed in self.SEEDS:
+            draws = np.random.default_rng(seed).random(4).tolist()
+            first = [bisect.bisect_right(cdf, u) for u in draws]
+            repeats += len(set(first)) < 4
+        assert repeats > len(self.SEEDS) // 2
