@@ -50,6 +50,8 @@ def load_synth_config(spec: str, seed: Optional[int]) -> synth.SynthConfig:
             raw = json.loads(Path(spec).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidConfig(f"cannot read synth config {spec!r}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InvalidConfig(f"synth config {spec!r} must be a JSON object")
         known = {f.name for f in dataclasses.fields(synth.SynthConfig)}
         unknown = set(raw) - known
         if unknown:

@@ -1,37 +1,35 @@
 """The six counterfactual scenarios: original/extended application lists
-crossed with the three score table variants."""
+crossed with the three score rules. This module alone decides which score
+transforms a scenario applies."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import matching, metrics, scoring
 from .errors import UnknownScenario
 from .model import Application, Assignment, Panel
 
-APPLICATIONS_ORIGINAL = "original"
-APPLICATIONS_EXTENDED = "extended"
-
-SCORES_ORIGINAL = scoring.PROVENANCE_ORIGINAL
-SCORES_NO_FIRST_CHOICE = scoring.PROVENANCE_NO_FIRST_CHOICE
-SCORES_EXAM_PROPAGATED = scoring.PROVENANCE_EXAM_PROPAGATED
+SCORES_ORIGINAL = "original"
+SCORES_NO_FIRST_CHOICE = "no_first_choice"
+SCORES_EXAM_PROPAGATED = "exam_propagated"
 
 
 @dataclass(frozen=True)
 class Scenario:
     id: str
-    applications: str
+    extended: bool
     scores: str
 
 
 SCENARIOS: dict[str, Scenario] = {
-    "S1": Scenario("S1", APPLICATIONS_ORIGINAL, SCORES_ORIGINAL),
-    "S2": Scenario("S2", APPLICATIONS_EXTENDED, SCORES_ORIGINAL),
-    "S3": Scenario("S3", APPLICATIONS_ORIGINAL, SCORES_NO_FIRST_CHOICE),
-    "S4": Scenario("S4", APPLICATIONS_EXTENDED, SCORES_NO_FIRST_CHOICE),
-    "S5": Scenario("S5", APPLICATIONS_ORIGINAL, SCORES_EXAM_PROPAGATED),
-    "S6": Scenario("S6", APPLICATIONS_EXTENDED, SCORES_EXAM_PROPAGATED),
+    "S1": Scenario("S1", False, SCORES_ORIGINAL),
+    "S2": Scenario("S2", True, SCORES_ORIGINAL),
+    "S3": Scenario("S3", False, SCORES_NO_FIRST_CHOICE),
+    "S4": Scenario("S4", True, SCORES_NO_FIRST_CHOICE),
+    "S5": Scenario("S5", False, SCORES_EXAM_PROPAGATED),
+    "S6": Scenario("S6", True, SCORES_EXAM_PROPAGATED),
 }
 
 SCENARIO_IDS = tuple(sorted(SCENARIOS))
@@ -68,40 +66,46 @@ def extend_application_lists(panel: Panel) -> list[Application]:
     return extended
 
 
-def _score_tables(
-    panel: Panel, applications: Sequence[Application], scores: Iterable[str]
-) -> dict[str, scoring.ScoreTable]:
-    """The requested score variants of one application list, all derived
-    from a single scoring pass."""
-    scores = set(scores)
-    tables = {SCORES_ORIGINAL: scoring.compute_score_table(panel, applications)}
-    if scores & {SCORES_NO_FIRST_CHOICE, SCORES_EXAM_PROPAGATED}:
-        tables[SCORES_NO_FIRST_CHOICE] = scoring.remove_first_choice_points(
-            tables[SCORES_ORIGINAL]
-        )
-    if SCORES_EXAM_PROPAGATED in scores:
-        tables[SCORES_EXAM_PROPAGATED] = scoring.propagate_entrance_exams(
-            panel, tables[SCORES_NO_FIRST_CHOICE]
-        )
-    return tables
-
-
 def _scenario(scenario_id: str) -> Scenario:
     if scenario_id not in SCENARIOS:
         raise UnknownScenario(f"unknown scenario {scenario_id!r}, expected one of {SCENARIO_IDS}")
     return SCENARIOS[scenario_id]
 
 
+def _scenario_inputs(
+    panel: Panel, scenarios: Sequence[Scenario]
+) -> dict[str, tuple[list[Application], scoring.ScoreTable]]:
+    """The application list and score table of each scenario, by id.
+
+    Each list variant is built and scored once. The no-bonus table is
+    derived from that score table, and the exam-propagated one from the
+    no-bonus table, only when a scenario on the list needs them.
+    """
+    inputs = {}
+    for extended in sorted({s.extended for s in scenarios}):
+        on_list = [s for s in scenarios if s.extended == extended]
+        needed = {s.scores for s in on_list}
+        applications = (
+            extend_application_lists(panel) if extended else list(panel.base_applications)
+        )
+        tables = {SCORES_ORIGINAL: scoring.compute_score_table(panel, applications)}
+        if needed - {SCORES_ORIGINAL}:
+            tables[SCORES_NO_FIRST_CHOICE] = scoring.remove_first_choice_points(
+                tables[SCORES_ORIGINAL]
+            )
+        if SCORES_EXAM_PROPAGATED in needed:
+            tables[SCORES_EXAM_PROPAGATED] = scoring.propagate_entrance_exams(
+                panel, tables[SCORES_NO_FIRST_CHOICE]
+            )
+        for s in on_list:
+            inputs[s.id] = (applications, tables[s.scores])
+    return inputs
+
+
 def build_scenario(
     panel: Panel, scenario_id: str
 ) -> tuple[list[Application], scoring.ScoreTable]:
-    scenario = _scenario(scenario_id)
-    if scenario.applications == APPLICATIONS_EXTENDED:
-        applications = extend_application_lists(panel)
-    else:
-        applications = list(panel.base_applications)
-    table = _score_tables(panel, applications, [scenario.scores])[scenario.scores]
-    return applications, table
+    return _scenario_inputs(panel, [_scenario(scenario_id)])[scenario_id]
 
 
 @dataclass(frozen=True)
@@ -141,27 +145,17 @@ def run_scenario_suite(
     if quotas is None:
         quotas = {p: prog.quota for p, prog in panel.programs.items()}
     wanted = [_scenario(s) for s in sorted(set(scenario_ids) | {"S1"})]
-    base_applications = list(panel.base_applications)
-    lists = {APPLICATIONS_ORIGINAL: base_applications}
-    if any(s.applications == APPLICATIONS_EXTENDED for s in wanted):
-        lists[APPLICATIONS_EXTENDED] = extend_application_lists(panel)
-    tables = {
-        kind: _score_tables(panel, applications, [s.scores for s in wanted if s.applications == kind])
-        for kind, applications in lists.items()
-    }
+    inputs = _scenario_inputs(panel, wanted)
+    base_applications = inputs["S1"][0]
 
     universe = sorted({a.applicant_id for a in base_applications})
     rank_table = metrics.field_gpa_percentile_ranks(panel)
     program_field = {p: prog.field for p, prog in panel.programs.items()}
-    assignments = {
-        s.id: _match(lists[s.applications], tables[s.applications][s.scores], quotas)
-        for s in wanted
-    }
+    assignments = {s.id: _match(*inputs[s.id], quotas) for s in wanted}
     baseline = assignments["S1"]
 
     results = []
     for scenario_id in sorted(scenario_ids):
-        scenario = SCENARIOS[scenario_id]
         assignment = assignments[scenario_id]
         diff = matching.compare_assignments(baseline, assignment, universe)
         if baseline.seat_of and assignment.seat_of:
@@ -175,7 +169,7 @@ def run_scenario_suite(
                 scenario_id=scenario_id,
                 assignment=assignment,
                 applications_per_applicant=(
-                    len(lists[scenario.applications]) / len(universe) if universe else 0.0
+                    len(inputs[scenario_id][0]) / len(universe) if universe else 0.0
                 ),
                 diff_vs_baseline=diff,
                 rank_improvement=improvement,

@@ -25,10 +25,6 @@ class MissingFieldWeights(PolyadmitError):
     pass
 
 
-class WrongProvenance(PolyadmitError):
-    pass
-
-
 class DegenerateTable(PolyadmitError):
     pass
 

@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .model import (
     Applicant,
     Application,
@@ -75,8 +75,21 @@ def _parse_bool(path: Path, row_number: int, column: str, raw: str) -> bool:
 
 
 def load_panel(directory: str | Path) -> Panel:
-    """Load, canonicalize, and validate a panel from its CSV directory."""
+    """Load, canonicalize, and validate a panel from its CSV directory.
+
+    A row that repeats an earlier row's id in the same file is rejected;
+    all such rows are listed in one ``ValidationError``.
+    """
     directory = Path(directory)
+    duplicates: list[str] = []
+    first_row: dict[tuple[Path, object], int] = {}
+
+    def unique(path: Path, row_number: int, what: str, value: object) -> None:
+        first = first_row.setdefault((path, value), row_number)
+        if first != row_number:
+            duplicates.append(
+                f"DuplicateId: {path} row {row_number}: {what} {value!r} repeats row {first}"
+            )
 
     applicants: dict[str, Applicant] = {}
     path = directory / APPLICANTS_CSV
@@ -91,6 +104,7 @@ def load_panel(directory: str | Path) -> Panel:
             matriculation_grades=grades,
             cohort_year=_parse_int(path, i, "cohort_year", row["cohort_year"]),
         )
+        unique(path, i, "applicant_id", applicant.applicant_id)
         applicants[applicant.applicant_id] = applicant
 
     programs: dict[str, Program] = {}
@@ -99,6 +113,7 @@ def load_panel(directory: str | Path) -> Panel:
         _read_rows(path, ["polytechnic_name", "program_name", "field", "quota"]), start=2
     ):
         key = canonical_program_key(row["polytechnic_name"], row["program_name"])
+        unique(path, i, "program", key)
         programs[key] = Program(
             program_key=key,
             polytechnic_name=row["polytechnic_name"].strip(),
@@ -136,6 +151,7 @@ def load_panel(directory: str | Path) -> Panel:
     field_weights: dict[str, dict[str, float]] = {}
     path = directory / FIELD_WEIGHTS_CSV
     for i, row in enumerate(_read_rows(path, ["field", "subject", "weight"]), start=2):
+        unique(path, i, "(field, subject)", (row["field"], row["subject"]))
         field_weights.setdefault(row["field"], {})[row["subject"]] = _parse_float(
             path, i, "weight", row["weight"]
         )
@@ -143,6 +159,7 @@ def load_panel(directory: str | Path) -> Panel:
     bonus_points: dict[str, float] = {}
     path = directory / BONUS_POINTS_CSV
     for i, row in enumerate(_read_rows(path, ["field", "bonus"]), start=2):
+        unique(path, i, "field", row["field"])
         bonus_points[row["field"]] = _parse_float(path, i, "bonus", row["bonus"])
 
     observed: Optional[Assignment] = None
@@ -154,12 +171,15 @@ def load_panel(directory: str | Path) -> Panel:
             _read_rows(path, ["applicant_id", "polytechnic_name", "program_name", "accepted"]),
             start=2,
         ):
+            unique(path, i, "applicant_id", row["applicant_id"])
             if not row["polytechnic_name"] and not row["program_name"]:
                 continue  # unassigned applicant row
             key = canonical_program_key(row["polytechnic_name"], row["program_name"])
             seat_of[row["applicant_id"]] = key
             accepted[row["applicant_id"]] = _parse_bool(path, i, "accepted", row["accepted"])
         observed = Assignment(seat_of=seat_of, accepted=accepted)
+    if duplicates:
+        raise ValidationError(duplicates)
 
     years = sorted({a.year for a in applications})
     base_year = years[0] if years else min(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .errors import EmptyName, InfeasibleAssignment, ValidationError
+from .errors import EmptyName, ValidationError
 
 MAX_LISTED_RANK = 4
 PANEL_YEARS = 3
@@ -202,12 +202,3 @@ def assignment_violations(
         if applicant_id not in assignment.seat_of:
             problems.append(f"AcceptFlagWithoutSeat: {applicant_id!r}")
     return problems
-
-
-def check_assignment(
-    panel: Panel, applications: Sequence[Application], assignment: Assignment
-) -> Assignment:
-    problems = assignment_violations(panel, applications, assignment)
-    if problems:
-        raise InfeasibleAssignment("; ".join(problems))
-    return assignment

@@ -5,17 +5,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTable, WrongProvenance
+from .errors import DegenerateTable
 from .model import Application, Panel
-
-PROVENANCE_ORIGINAL = "original"
-PROVENANCE_NO_FIRST_CHOICE = "no_first_choice"
-PROVENANCE_EXAM_PROPAGATED = "no_first_choice_exam_propagated"
 
 # (applicant_id, program_key, year)
 ScoreKey = tuple[str, str, int]
@@ -43,73 +39,36 @@ def adjusted_score(components: ScoreComponents) -> float:
     return components.total - components.exam_component - components.first_choice_bonus
 
 
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Per-application score components as numpy columns, plus a
-    provenance tag.
+    """Per-application score components as numpy columns.
 
     Row ``i`` of ``gpa``, ``exam``, ``bonus``, ``other``, ``exam_taken``
     and ``totals`` belongs to ``keys[i]``, in the order of the application
     list the table was computed from. ``exam_taken`` records which
     applications carried their own valid exam result; exam propagation
-    only fills in the others. The transforms share the columns they leave
-    unchanged, so columns are read-only.
+    only fills in the others. ``totals`` is summed once, at construction.
+    Transforms share the columns they leave unchanged, so columns are
+    read-only.
 
     ``entries`` (key -> ``ScoreComponents``) and ``own_exam`` are built
-    from the columns on first read. Tables compare equal when provenance,
-    own exams and entries are equal, whatever their row order.
+    from the columns on first read. Tables compare equal when own exams
+    and entries are equal, whatever their row order.
     """
 
-    def __init__(
-        self,
-        entries: Mapping[ScoreKey, ScoreComponents],
-        provenance: str,
-        own_exam: frozenset[ScoreKey],
-    ) -> None:
-        keys = list(entries)
-        components = list(entries.values())
-        self._set_columns(
-            keys,
-            np.array([c.gpa_component for c in components], dtype=float),
-            np.array([c.exam_component for c in components], dtype=float),
-            np.array([c.first_choice_bonus for c in components], dtype=float),
-            np.array([c.other_points for c in components], dtype=float),
-            np.array([k in own_exam for k in keys], dtype=bool),
-            provenance,
-        )
+    keys: tuple[ScoreKey, ...] = field(repr=False)
+    gpa: np.ndarray
+    exam: np.ndarray
+    bonus: np.ndarray
+    other: np.ndarray
+    exam_taken: np.ndarray
+    totals: np.ndarray = field(init=False)
 
-    @classmethod
-    def _from_columns(
-        cls,
-        keys: Sequence[ScoreKey],
-        *,
-        gpa: np.ndarray,
-        exam: np.ndarray,
-        bonus: np.ndarray,
-        other: np.ndarray,
-        exam_taken: np.ndarray,
-        provenance: str,
-    ) -> "ScoreTable":
-        table = cls.__new__(cls)
-        table._set_columns(keys, gpa, exam, bonus, other, exam_taken, provenance)
-        return table
-
-    def _set_columns(self, keys, gpa, exam, bonus, other, exam_taken, provenance) -> None:
-        self.keys = tuple(keys)
-        self.gpa, self.exam, self.bonus, self.other = gpa, exam, bonus, other
-        self.exam_taken = exam_taken
-        self.provenance = provenance
+    def __post_init__(self) -> None:
         # Same order as ScoreComponents.total, so every total is equal bit for bit.
-        self.totals = gpa + exam + bonus + other
-        for column in (gpa, exam, bonus, other, exam_taken, self.totals):
+        object.__setattr__(self, "totals", self.gpa + self.exam + self.bonus + self.other)
+        for column in (self.gpa, self.exam, self.bonus, self.other, self.exam_taken, self.totals):
             column.setflags(write=False)
-
-    def _derive(self, provenance: str, **columns: np.ndarray) -> "ScoreTable":
-        """A table over the same rows with some columns replaced."""
-        shared = dict(
-            gpa=self.gpa, exam=self.exam, bonus=self.bonus, other=self.other,
-            exam_taken=self.exam_taken,
-        )
-        return ScoreTable._from_columns(self.keys, provenance=provenance, **{**shared, **columns})
 
     @functools.cached_property
     def entries(self) -> Mapping[ScoreKey, ScoreComponents]:
@@ -130,20 +89,12 @@ class ScoreTable:
     def own_exam(self) -> frozenset[ScoreKey]:
         return frozenset(itertools.compress(self.keys, self.exam_taken.tolist()))
 
-    def total(self, key: ScoreKey) -> float:
-        return self.entries[key].total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreTable):
             return NotImplemented
-        return (self.provenance, self.own_exam, self.entries) == (
-            other.provenance, other.own_exam, other.entries,
-        )
+        return (self.own_exam, self.entries) == (other.own_exam, other.entries)
 
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ScoreTable(provenance={self.provenance!r}, rows={len(self.keys)})"
 
 
 def weighted_gpa_matrix(
@@ -189,8 +140,8 @@ def compute_score_table(panel: Panel, applications: Sequence[Application]) -> Sc
         np.array([applicant_row[app.applicant_id] for app in applications], dtype=np.intp),
         np.array([field_col[f] for f in fields], dtype=np.intp),
     ]
-    return ScoreTable._from_columns(
-        [(app.applicant_id, app.program_key, app.year) for app in applications],
+    return ScoreTable(
+        tuple((app.applicant_id, app.program_key, app.year) for app in applications),
         gpa=gpa,
         exam=np.array(
             [app.exam_score if app.exam_taken else 0.0 for app in applications], dtype=float
@@ -204,15 +155,16 @@ def compute_score_table(panel: Panel, applications: Sequence[Application]) -> Sc
         ),
         other=np.array([app.other_points for app in applications], dtype=float),
         exam_taken=np.array([app.exam_taken for app in applications], dtype=bool),
-        provenance=PROVENANCE_ORIGINAL,
     )
 
 
 def remove_first_choice_points(table: ScoreTable) -> ScoreTable:
-    """Zero out every first-choice bonus; all other components untouched."""
-    if table.provenance != PROVENANCE_ORIGINAL:
-        raise WrongProvenance(f"expected {PROVENANCE_ORIGINAL!r}, got {table.provenance!r}")
-    return table._derive(PROVENANCE_NO_FIRST_CHOICE, bonus=np.zeros(len(table.keys)))
+    """Zero out every first-choice bonus; all other components untouched.
+
+    Idempotent, and commutes with ``propagate_entrance_exams``, which
+    never reads or writes the bonus column.
+    """
+    return replace(table, bonus=np.zeros(len(table.keys)))
 
 
 def first_exam_by_field(panel: Panel) -> dict[tuple[str, str], float]:
@@ -240,10 +192,6 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     Applications with their own exam keep it. Idempotent: re-propagating
     rewrites the same scores.
     """
-    if table.provenance not in (PROVENANCE_NO_FIRST_CHOICE, PROVENANCE_EXAM_PROPAGATED):
-        raise WrongProvenance(
-            f"expected {PROVENANCE_NO_FIRST_CHOICE!r}, got {table.provenance!r}"
-        )
     sources = first_exam_by_field(panel)
     exam = table.exam.copy()
     for row in np.flatnonzero(~table.exam_taken).tolist():
@@ -251,7 +199,7 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
         source = sources.get((applicant_id, panel.field_of(program_key)))
         if source is not None:
             exam[row] = source
-    return table._derive(PROVENANCE_EXAM_PROPAGATED, exam=exam)
+    return replace(table, exam=exam)
 
 
 WEIGHT_COMPONENTS = ("gpa", "exam", "first_choice_bonus", "residual")

@@ -70,9 +70,24 @@ class SynthConfig:
     def validate(self) -> "SynthConfig":
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, tuple) != isinstance(f.default, tuple):
+                kind = "a list of numbers" if isinstance(f.default, tuple) else "a number"
+                raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
             for v in value if isinstance(value, tuple) else (value,):
                 if not isinstance(v, numbers.Real) or not math.isfinite(v):
                     raise InvalidConfig(f"{f.name} must be a finite number, got {v!r}")
+            if isinstance(f.default, int) and (
+                not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            ):
+                raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+        if len(self.accept_rank_penalty) != 3 or len(self.reapply_rank_bonus) != 3:
+            raise InvalidConfig(
+                "accept_rank_penalty and reapply_rank_bonus need 3 entries (listed ranks 2..4)"
+            )
+        if not self.exam_prob_by_rank:
+            raise InvalidConfig("exam_prob_by_rank must not be empty")
         probs = list(self.list_length_probs) + list(self.exam_prob_by_rank) + [
             self.accept_base,
             self.accept_no_exam_penalty,

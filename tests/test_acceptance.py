@@ -6,13 +6,13 @@ import time
 import numpy as np
 import pytest
 
+from oracle import enumerate_stable_assignments
 from polyadmit import cli, counterfactual, matching, metrics, scoring, synth
 from polyadmit.econometrics import lpm_report, ols
 from polyadmit.matching import (
     MatchInstance,
     compare_assignments,
     deferred_acceptance,
-    enumerate_stable_assignments,
     find_blocking_pairs,
     replicate_assignment,
 )

@@ -11,6 +11,7 @@ from polyadmit.counterfactual import (
 from polyadmit.errors import UnknownScenario
 from polyadmit.matching import find_blocking_pairs, build_instance
 from polyadmit.model import assignment_violations
+from polyadmit.scoring import compute_score_table
 
 
 def four_programs():
@@ -86,7 +87,7 @@ class TestBuildScenario:
     def test_s1_identity(self, small_panel):
         apps, table = build_scenario(small_panel, "S1")
         assert apps == small_panel.base_applications
-        assert table.provenance == "original"
+        assert table == compute_score_table(small_panel, small_panel.base_applications)
 
     def test_unknown_scenario(self, small_panel):
         with pytest.raises(UnknownScenario):

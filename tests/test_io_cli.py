@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import polyadmit
 from polyadmit import cli
 from polyadmit.errors import ParseError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
@@ -95,6 +97,45 @@ class TestParseErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=rf"{filename} row 2.*{column}"):
             load_panel(tmp_path)
+
+    @pytest.mark.parametrize(
+        "filename, edit",
+        [
+            ("applicants.csv", {}),
+            # same canonical key under other spelling; the quota must not win silently
+            ("programs.csv", {"polytechnic_name": lambda v: f" {v.upper()} ", "quota": "999"}),
+            ("observed_assignment.csv", {}),
+            ("field_weights.csv", {"weight": "9.000000"}),
+            ("bonus_points.csv", {"bonus": "9.000000"}),
+        ],
+        ids=["applicants", "programs", "observed_assignment", "field_weights", "bonus_points"],
+    )
+    def test_duplicate_row_rejected(self, small_panel, tmp_path, filename, edit):
+        save_panel(small_panel, tmp_path)
+        path = tmp_path / filename
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[1].split(",")
+        for column, change in edit.items():
+            at = header.index(column)
+            cells[at] = change(cells[at]) if callable(change) else change
+        path.write_text("\n".join(lines + [",".join(cells)]) + "\n")
+        with pytest.raises(ValidationError) as info:
+            load_panel(tmp_path)
+        (violation,) = info.value.violations
+        assert violation.startswith(f"DuplicateId: {path} row {len(lines) + 1}: ")
+        assert violation.endswith("repeats row 2")
+
+    def test_every_duplicate_listed_at_once(self, small_panel, tmp_path):
+        save_panel(small_panel, tmp_path)
+        for filename in ("applicants.csv", "bonus_points.csv"):
+            path = tmp_path / filename
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines + lines[1:3]) + "\n")
+        with pytest.raises(ValidationError) as info:
+            load_panel(tmp_path)
+        assert len(info.value.violations) == 4
+        assert all(v.startswith("DuplicateId: ") for v in info.value.violations)
 
 
 class TestRun:
@@ -196,8 +237,42 @@ class TestRun:
         assert err["error"] == "InvalidConfig"
         assert "n_apples" in err["message"]
 
+    @pytest.mark.parametrize(
+        "text, args",
+        [
+            ("{}", ["--seed", "-1"]),
+            ('{"seed": -3}', []),
+            ('{"seed": 1.5}', []),
+            ('{"n_programs": 10.5}', []),
+            ('{"base_year": 2011.5}', []),
+            ('{"accept_rank_penalty": [0.1]}', []),
+            ('{"reapply_rank_bonus": [0.1, 0.2, 0.3, 0.4]}', []),
+            ('{"exam_prob_by_rank": []}', []),
+            ('{"exam_prob_by_rank": 0.5}', []),
+            ('{"accept_base": [0.9]}', []),
+            ("[]", []),
+            ("null", []),
+        ],
+        ids=[
+            "seed-flag-negative", "seed-negative", "seed-float", "count-float",
+            "base-year-float", "rank-penalty-short", "rank-bonus-long", "exam-probs-empty",
+            "exam-probs-scalar", "list-for-number", "not-an-object-list", "not-an-object-null",
+        ],
+    )
+    def test_bad_synth_config_value(self, tmp_path, capsys, text, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        status = cli.main(["--synth", str(cfg), *args, "--out", str(out)])
+        assert status == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+        assert not out.exists()
+
     def test_console_entry_point(self, small_config_json, tmp_path):
         out = tmp_path / "out"
+        # the child imports the same polyadmit as this process, installed or not
+        source = str(Path(polyadmit.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "polyadmit.cli",
@@ -206,6 +281,7 @@ class TestRun:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert (out / "table3.csv").exists()

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import mk_app, mk_panel, mk_program
+from oracle import enumerate_stable_assignments
 from polyadmit import matching
 from polyadmit.errors import (
     InfeasibleAssignment,
@@ -16,7 +17,6 @@ from polyadmit.matching import (
     build_instance,
     compare_assignments,
     deferred_acceptance,
-    enumerate_stable_assignments,
     find_blocking_pairs,
     program_thresholds,
     replicate_assignment,

@@ -3,14 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mk_app, mk_panel, mk_program
+from oracle import check_assignment
 from polyadmit.errors import EmptyName, InfeasibleAssignment, ValidationError
-from polyadmit.model import (
-    Assignment,
-    Panel,
-    canonical_program_key,
-    check_assignment,
-    validate_panel,
-)
+from polyadmit.model import Assignment, Panel, canonical_program_key, validate_panel
 
 
 class TestCanonicalProgramKey:

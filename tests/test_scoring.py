@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mk_app, mk_panel, mk_program
 from polyadmit import scoring
-from polyadmit.errors import DegenerateTable, WrongProvenance
+from polyadmit.errors import DegenerateTable
 from polyadmit.scoring import (
     ScoreComponents,
     adjusted_score,
@@ -122,19 +123,43 @@ class TestRemoveFirstChoicePoints:
                 c.gpa_component, c.exam_component, c.other_points,
             )
 
-    def test_wrong_provenance(self, small_panel):
+    def test_idempotent(self, small_panel):
+        once = remove_first_choice_points(
+            compute_score_table(small_panel, small_panel.base_applications)
+        )
+        twice = remove_first_choice_points(once)
+        assert once == twice
+        assert once.totals.tolist() == twice.totals.tolist()
+
+
+class TestTransformsCommute:
+    def test_propagate_remove_equals_remove_propagate(self, small_panel):
         table = compute_score_table(small_panel, small_panel.base_applications)
-        stripped = remove_first_choice_points(table)
-        with pytest.raises(WrongProvenance):
-            remove_first_choice_points(stripped)
+        a = propagate_entrance_exams(small_panel, remove_first_choice_points(table))
+        b = remove_first_choice_points(propagate_entrance_exams(small_panel, table))
+        assert a == b
+        assert a.totals.tolist() == b.totals.tolist()
+
+    def test_propagate_keeps_the_bonus(self, small_panel):
+        table = compute_score_table(small_panel, small_panel.base_applications)
+        out = propagate_entrance_exams(small_panel, table)
+        assert out.bonus.tolist() == table.bonus.tolist()
+        assert out.bonus.any()
+
+    def test_columns_read_only(self, small_panel):
+        table = propagate_entrance_exams(
+            small_panel,
+            remove_first_choice_points(
+                compute_score_table(small_panel, small_panel.base_applications)
+            ),
+        )
+        columns = (table.gpa, table.exam, table.bonus, table.other, table.exam_taken, table.totals)
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[0] = column[0]
 
 
 class TestPropagateEntranceExams:
-    def test_requires_bonus_removed_first(self, small_panel):
-        table = compute_score_table(small_panel, small_panel.base_applications)
-        with pytest.raises(WrongProvenance):
-            propagate_entrance_exams(small_panel, table)
-
     def test_no_exam_anywhere_unchanged(self):
         panel = engineering_panel([mk_app("a1", "poly::eng a", 1)])
         table = remove_first_choice_points(compute_score_table(panel, panel.base_applications))
@@ -190,7 +215,8 @@ class TestPropagateEntranceExams:
         )
         once = propagate_entrance_exams(small_panel, table)
         twice = propagate_entrance_exams(small_panel, once)
-        assert once.entries == twice.entries
+        assert once == twice
+        assert once.totals.tolist() == twice.totals.tolist()
 
     def test_only_exam_component_changes(self, small_panel):
         table = remove_first_choice_points(
@@ -224,10 +250,16 @@ class TestAdjustedScore:
 class TestEffectiveWeights:
     @staticmethod
     def table_of(components):
+        def column(name):
+            return np.array([getattr(c, name) for c in components], dtype=float)
+
         return scoring.ScoreTable(
-            entries={(f"a{i}", "p::x", 2011): c for i, c in enumerate(components)},
-            provenance=scoring.PROVENANCE_ORIGINAL,
-            own_exam=frozenset(),
+            keys=tuple((f"a{i}", "p::x", 2011) for i in range(len(components))),
+            gpa=column("gpa_component"),
+            exam=column("exam_component"),
+            bonus=column("first_choice_bonus"),
+            other=column("other_points"),
+            exam_taken=np.zeros(len(components), dtype=bool),
         )
 
     def test_only_gpa_varies(self):
