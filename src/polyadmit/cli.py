@@ -113,8 +113,10 @@ def run(config: RunConfig) -> int:
 def _write_reports(config: RunConfig, panel: Panel, target) -> None:
     scenario_ids = tuple(sorted(set(config.scenarios) | {"S1"}))
     universe = sorted({a.applicant_id for a in panel.base_applications})
-    suite = counterfactual.run_scenario_suite(panel, scenario_ids=scenario_ids)
+    rank_table = metrics.field_gpa_percentile_ranks(panel)
+    suite = counterfactual.run_scenario_suite(panel, rank_table, scenario_ids=scenario_ids)
     by_id = {r.scenario_id: r for r in suite}
+    base_table = by_id["S1"].table
 
     # Descriptive tables use the observed assignment when present; the
     # replicated baseline otherwise.
@@ -123,16 +125,13 @@ def _write_reports(config: RunConfig, panel: Panel, target) -> None:
     is_synth = config.synth_spec is not None
 
     if _wanted(config, "table1", True):
-        table = scoring.compute_score_table(panel, panel.base_applications)
-        reports.write_weight_report(target("table1.csv"), scoring.effective_weights(table))
+        reports.write_weight_report(target("table1.csv"), scoring.effective_weights(base_table))
 
     if _wanted(config, "table2", True):
+        criteria = (metrics.CRITERION_MATRICULATION, metrics.CRITERION_ADMISSION_SCORE)
         reports.write_tercile_report(
             target("table2.csv"),
-            [
-                metrics.tercile_unassignment(panel, descriptive, metrics.CRITERION_MATRICULATION),
-                metrics.tercile_unassignment(panel, descriptive, metrics.CRITERION_ADMISSION_SCORE),
-            ],
+            [metrics.tercile_unassignment(panel, base_table, descriptive, c) for c in criteria],
         )
 
     if _wanted(config, "table3", True):
@@ -145,7 +144,7 @@ def _write_reports(config: RunConfig, panel: Panel, target) -> None:
 
     if _wanted(config, "table5", has_observed):
         results = econometrics.lpm_report(
-            panel, panel.observed_assignment, robust=config.robust_se
+            panel, panel.observed_assignment, base_table, robust=config.robust_se
         )
         reports.write_lpm_report(
             target("table5.csv"),
@@ -153,7 +152,6 @@ def _write_reports(config: RunConfig, panel: Panel, target) -> None:
         )
 
     if _wanted(config, "figure1", True):
-        rank_table = metrics.field_gpa_percentile_ranks(panel)
         program_field = {p: prog.field for p, prog in panel.programs.items()}
         base_hist = metrics.assigned_rank_histogram(
             rank_table, by_id["S1"].assignment, program_field, len(universe)

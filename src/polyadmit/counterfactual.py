@@ -115,6 +115,7 @@ class ScenarioResult:
     applications_per_applicant: float
     diff_vs_baseline: matching.AssignmentDiff
     rank_improvement: float
+    table: scoring.ScoreTable  # the one it was matched on; S1's is the base-year table
 
 
 def _match(
@@ -124,15 +125,9 @@ def _match(
     return matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
 
 
-def run_scenario(
-    panel: Panel, scenario_id: str, quotas: Mapping[str, int]
-) -> tuple[list[Application], Assignment]:
-    applications, table = build_scenario(panel, scenario_id)
-    return applications, _match(applications, table, quotas)
-
-
 def run_scenario_suite(
     panel: Panel,
+    rank_table: metrics.RankTable,
     quotas: Optional[Mapping[str, int]] = None,
     scenario_ids: Sequence[str] = SCENARIO_IDS,
 ) -> list[ScenarioResult]:
@@ -140,7 +135,8 @@ def run_scenario_suite(
     compare every assignment to the baseline S1.
 
     Each application list is built once and scored once; the scenarios
-    on it share that table through the score transforms.
+    on it share that table through the score transforms. ``rank_table``
+    is ``metrics.field_gpa_percentile_ranks(panel)``.
     """
     if quotas is None:
         quotas = {p: prog.quota for p, prog in panel.programs.items()}
@@ -149,7 +145,6 @@ def run_scenario_suite(
     base_applications = inputs["S1"][0]
 
     universe = sorted({a.applicant_id for a in base_applications})
-    rank_table = metrics.field_gpa_percentile_ranks(panel)
     program_field = {p: prog.field for p, prog in panel.programs.items()}
     assignments = {s.id: _match(*inputs[s.id], quotas) for s in wanted}
     baseline = assignments["S1"]
@@ -173,6 +168,7 @@ def run_scenario_suite(
                 ),
                 diff_vs_baseline=diff,
                 rank_improvement=improvement,
+                table=inputs[scenario_id][1],
             )
         )
     return results

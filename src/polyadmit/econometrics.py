@@ -9,6 +9,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySample, MissingThreshold, RankDeficient
+from .matching import program_thresholds
 from .model import Application, Assignment, Panel
 from .scoring import ScoreTable, compute_score_table
 
@@ -64,12 +65,11 @@ def ols(
     terms: Optional[Sequence[str]] = None,
     robust: bool = False,
 ) -> RegressionResult:
-    """OLS via pivoted QR; raises on rank deficiency instead of dropping
-    columns. Classical standard errors by default, HC1 when ``robust``.
-    Raises ``EmptySample`` when no residual degrees of freedom remain
-    (n <= k), where neither standard error is defined."""
-    import scipy.linalg  # deferred: most runs fit no regression
-
+    """OLS via QR; raises on rank deficiency instead of dropping columns,
+    naming each column that adds nothing to the ones before it. Classical
+    standard errors by default, HC1 when ``robust``. Raises
+    ``EmptySample`` when no residual degrees of freedom remain (n <= k),
+    where neither standard error is defined."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, k = X.shape
@@ -77,19 +77,16 @@ def ols(
         terms = tuple(f"x{i}" for i in range(k))
     terms = tuple(terms)
 
-    Q, R, pivot = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
-    tol = max(n, k) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    deficient = diag <= tol
+    deficient = diag <= max(n, k) * np.finfo(float).eps * diag.max(initial=0.0)
     if deficient.any():
-        raise RankDeficient([terms[pivot[i]] for i in np.nonzero(deficient)[0]])
+        raise RankDeficient([terms[i] for i in np.flatnonzero(deficient)])
     dof = n - k
     if dof <= 0:
         raise EmptySample(f"{n} observations leave no residual degrees of freedom for {k} terms")
 
-    beta_pivoted = scipy.linalg.solve_triangular(R, Q.T @ y)
-    beta = np.empty(k)
-    beta[pivot] = beta_pivoted
+    beta = np.linalg.solve(R, Q.T @ y)
     residuals = y - X @ beta
 
     XtX_inv = np.linalg.inv(X.T @ X)
@@ -216,21 +213,16 @@ def build_design_matrix(
 def lpm_report(
     panel: Panel,
     assignment: Assignment,
+    table: ScoreTable,
     robust: bool = False,
     specs: Sequence[DesignSpec] = REPORT_SPECS,
 ) -> list[RegressionResult]:
     """Fit the six report columns on the admitted sample.
 
-    Each program's acceptance threshold is the lowest base-year total
-    among its admits. The base table and the admit columns are built once
-    and every spec is a slice of them.
+    ``table`` scores the base-year lists row for row; each program's
+    acceptance threshold is the lowest total among its admits. The admit
+    columns are built once and every spec is a slice of them.
     """
-    base = panel.base_applications
-    table = compute_score_table(panel, base)
-    total_of = dict(zip(table.keys, table.totals.tolist()))
-    thresholds = {
-        p: min(total_of[(a, p, panel.base_year)] for a in admits)
-        for p, admits in sorted(assignment.admits_of().items())
-    }
-    columns = _admit_columns(panel, assignment, thresholds, base, table)
+    thresholds = program_thresholds(table, assignment)
+    columns = _admit_columns(panel, assignment, thresholds, panel.base_applications, table)
     return [ols(*_design(columns, spec), robust=robust) for spec in specs]

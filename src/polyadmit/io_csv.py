@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import EmptyName, ParseError, ValidationError
 from .model import (
     Applicant,
     Application,
@@ -37,15 +37,33 @@ def fmt(value: float) -> str:
 
 
 def _read_rows(path: Path, required: Sequence[str]) -> list[dict[str, str]]:
+    """The data rows of a CSV file; each must have one cell per header
+    column, and the file must be UTF-8."""
     if not path.exists():
         raise ParseError(f"{path}: file not found")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for column in required:
-            if column not in header:
-                raise ParseError(f"{path}: missing required header {column!r}")
-        return list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            for column in required:
+                if column not in header:
+                    raise ParseError(f"{path}: missing required header {column!r}")
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    for i, row in enumerate(rows, start=2):
+        if None in row:
+            raise ParseError(f"{path} row {i}: more cells than header columns")
+        if None in row.values():
+            missing = next(column for column in header if row[column] is None)
+            raise ParseError(f"{path} row {i}: no cell for column {missing!r}")
+    return rows
+
+
+def _applicant_id(path: Path, row_number: int, raw: str) -> str:
+    if not raw.strip():
+        raise EmptyName(f"{path} row {row_number}: empty applicant_id")
+    return raw
 
 
 def _parse_float(path: Path, row_number: int, column: str, raw: str) -> float:
@@ -100,7 +118,7 @@ def load_panel(directory: str | Path) -> Panel:
             if column.startswith(GRADE_PREFIX) and raw not in (None, "")
         }
         applicant = Applicant(
-            applicant_id=row["applicant_id"],
+            applicant_id=_applicant_id(path, i, row["applicant_id"]),
             matriculation_grades=grades,
             cohort_year=_parse_int(path, i, "cohort_year", row["cohort_year"]),
         )
@@ -136,7 +154,7 @@ def load_panel(directory: str | Path) -> Panel:
     ):
         applications.append(
             Application(
-                applicant_id=row["applicant_id"],
+                applicant_id=_applicant_id(path, i, row["applicant_id"]),
                 program_key=canonical_program_key(
                     row["polytechnic_name"], row["program_name"]
                 ),
@@ -171,12 +189,13 @@ def load_panel(directory: str | Path) -> Panel:
             _read_rows(path, ["applicant_id", "polytechnic_name", "program_name", "accepted"]),
             start=2,
         ):
-            unique(path, i, "applicant_id", row["applicant_id"])
+            applicant_id = _applicant_id(path, i, row["applicant_id"])
+            unique(path, i, "applicant_id", applicant_id)
             if not row["polytechnic_name"] and not row["program_name"]:
                 continue  # unassigned applicant row
             key = canonical_program_key(row["polytechnic_name"], row["program_name"])
-            seat_of[row["applicant_id"]] = key
-            accepted[row["applicant_id"]] = _parse_bool(path, i, "accepted", row["accepted"])
+            seat_of[applicant_id] = key
+            accepted[applicant_id] = _parse_bool(path, i, "accepted", row["accepted"])
         observed = Assignment(seat_of=seat_of, accepted=accepted)
     if duplicates:
         raise ValidationError(duplicates)

@@ -32,7 +32,6 @@ class MatchInstance:
     preferences: Mapping[str, tuple[str, ...]]
     priorities: Mapping[str, tuple[str, ...]]
     quotas: Mapping[str, int]
-    scores: Mapping[tuple[str, str], float]
 
     def priority_rank(self) -> dict[str, dict[str, int]]:
         return {
@@ -79,12 +78,7 @@ def build_instance(
         program_code, program_keys, applicant_code, applicant_ids,
     )
     instance_quotas = {p: int(quotas.get(p, 0)) for p in priorities}
-    return MatchInstance(
-        preferences=preferences,
-        priorities=priorities,
-        quotas=instance_quotas,
-        scores=dict(zip(zip(applicant_of, program_of), totals.tolist())),
-    )
+    return MatchInstance(preferences=preferences, priorities=priorities, quotas=instance_quotas)
 
 
 _score_key = attrgetter("applicant_id", "program_key", "year")
@@ -255,13 +249,15 @@ def compare_assignments(
     )
 
 
-def program_thresholds(instance: MatchInstance, assignment: Assignment) -> dict[str, float]:
-    """Admission score of each program's lowest scoring admitted applicant.
+def program_thresholds(scores: ScoreTable, assignment: Assignment) -> dict[str, float]:
+    """Lowest total score among each program's admitted applicants.
 
-    Programs with no admits are omitted.
+    ``scores`` holds one row per (applicant, program), as the tables of
+    both list variants do. Programs with no admits are omitted.
     """
+    total_of = {(a, p): t for (a, p, _year), t in zip(scores.keys, scores.totals.tolist())}
     return {
-        p: min(instance.scores[(a, p)] for a in admits)
+        p: min(total_of[(a, p)] for a in admits)
         for p, admits in sorted(assignment.admits_of().items())
     }
 

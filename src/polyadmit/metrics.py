@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import BinMismatch, EmptyAssignment
 from .model import Assignment, Panel
-from .scoring import compute_score_table, weighted_gpa_matrix
+from .scoring import ScoreTable, weighted_gpa_matrix
 
 N_BINS = 100
 
@@ -60,30 +60,22 @@ class TercileReport:
 
 
 def tercile_unassignment(
-    panel: Panel, assignment: Assignment, criterion: str
+    panel: Panel, table: ScoreTable, assignment: Assignment, criterion: str
 ) -> TercileReport:
     """Fraction of applicants rejected everywhere, by tercile of their mean
-    percentile rank across the applicant pools they entered."""
+    percentile rank across the applicant pools they entered.
+
+    ``table`` scores the base-year lists: its weighted GPA column ranks by
+    matriculation, its totals by admission score.
+    """
     if criterion not in (CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE):
         raise ValueError(f"unknown criterion {criterion!r}")
-    base = panel.base_applications
-    # the criterion's value for each base-year application
-    if criterion == CRITERION_MATRICULATION:
-        applicant_ids = sorted({app.applicant_id for app in base})
-        fields = sorted(panel.field_weights)
-        applicant_row = {a: i for i, a in enumerate(applicant_ids)}
-        field_col = {f: j for j, f in enumerate(fields)}
-        values = weighted_gpa_matrix(panel, applicant_ids, fields)[
-            [applicant_row[app.applicant_id] for app in base],
-            [field_col[panel.field_of(app.program_key)] for app in base],
-        ]
-    else:
-        values = compute_score_table(panel, base).totals
+    values = table.gpa if criterion == CRITERION_MATRICULATION else table.totals
 
-    # (applicant, row in base) per program, in first-application order
+    # (applicant, table row) per program, in first-application order
     pools: dict[str, list[tuple[str, int]]] = {}
-    for i, app in enumerate(base):
-        pools.setdefault(app.program_key, []).append((app.applicant_id, i))
+    for i, (applicant_id, program_key, _year) in enumerate(table.keys):
+        pools.setdefault(program_key, []).append((applicant_id, i))
 
     # percentile of each applicant within each pool they applied to, kept
     # in pool order so each mean adds them in a fixed order

@@ -41,7 +41,7 @@ def random_instance(rng: random.Random) -> MatchInstance:
         for p in programs
     }
     quotas = {p: rng.randint(0, 2) for p in programs}
-    return MatchInstance(preferences=prefs, priorities=priorities, quotas=quotas, scores=scores)
+    return MatchInstance(preferences=prefs, priorities=priorities, quotas=quotas)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,10 @@ def instance_corpus():
 
 @pytest.fixture(scope="module")
 def suite_results(default_panel):
-    return {r.scenario_id: r for r in counterfactual.run_scenario_suite(default_panel)}
+    rank_table = metrics.field_gpa_percentile_ranks(default_panel)
+    return {
+        r.scenario_id: r for r in counterfactual.run_scenario_suite(default_panel, rank_table)
+    }
 
 
 def announce(capsys, message: str) -> None:
@@ -213,7 +216,8 @@ def test_criterion_6_ols_recovery(capsys):
 
 
 def test_criterion_7_planted_sign_recovery(default_panel, capsys):
-    results = lpm_report(default_panel, default_panel.observed_assignment)
+    table = compute_score_table(default_panel, default_panel.base_applications)
+    results = lpm_report(default_panel, default_panel.observed_assignment, table)
     accept = results[0]
     reapply = results[3]
     for term in ("rank2", "rank3", "rank4"):

@@ -1,7 +1,6 @@
 import pytest
 
 from conftest import mk_app, mk_panel, mk_program
-from polyadmit import counterfactual
 from polyadmit.counterfactual import (
     SCENARIO_IDS,
     build_scenario,
@@ -10,6 +9,7 @@ from polyadmit.counterfactual import (
 )
 from polyadmit.errors import UnknownScenario
 from polyadmit.matching import find_blocking_pairs, build_instance
+from polyadmit.metrics import field_gpa_percentile_ranks
 from polyadmit.model import assignment_violations
 from polyadmit.scoring import compute_score_table
 
@@ -102,8 +102,10 @@ class TestBuildScenario:
         ]
         panel = mk_panel(programs, apps, grades={"x": {"math": 5.0}, "y": {"math": 7.0}})
         quotas = {p.program_key: p.quota for p in programs}
-        _, s1 = counterfactual.run_scenario(panel, "S1", quotas)
-        _, s3 = counterfactual.run_scenario(panel, "S3", quotas)
+        results = run_scenario_suite(
+            panel, field_gpa_percentile_ranks(panel), quotas, scenario_ids=("S1", "S3")
+        )
+        s1, s3 = (r.assignment for r in results)
         assert s1.seat_of == s3.seat_of
 
     def test_s5_vs_s3_differ_only_in_propagated_exam_components(self, small_panel):
@@ -139,22 +141,25 @@ class TestBuildScenario:
 
 class TestScenarioSuite:
     def test_s1_row_is_zero(self, small_panel):
-        results = run_scenario_suite(small_panel)
+        results = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel))
         s1 = next(r for r in results if r.scenario_id == "S1")
         assert s1.diff_vs_baseline.differently_assigned_count == 0
         assert s1.rank_improvement == 0.0
 
     def test_every_scenario_assignment_is_stable(self, small_panel):
         quotas = {k: p.quota for k, p in small_panel.programs.items()}
-        for scenario_id in SCENARIO_IDS:
-            apps, table = build_scenario(small_panel, scenario_id)
+        results = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel), quotas)
+        assert tuple(r.scenario_id for r in results) == SCENARIO_IDS
+        for result in results:
+            apps, table = build_scenario(small_panel, result.scenario_id)
+            assert result.table == table
             instance = build_instance(apps, table, quotas)
-            _, assignment = counterfactual.run_scenario(small_panel, scenario_id, quotas)
-            assert find_blocking_pairs(instance, assignment) == []
-            assert assignment_violations(small_panel, apps, assignment) == []
+            assert find_blocking_pairs(instance, result.assignment) == []
+            assert assignment_violations(small_panel, apps, result.assignment) == []
 
     def test_extended_scenarios_report_longer_lists(self, small_panel):
-        results = {r.scenario_id: r for r in run_scenario_suite(small_panel)}
+        rank_table = field_gpa_percentile_ranks(small_panel)
+        results = {r.scenario_id: r for r in run_scenario_suite(small_panel, rank_table)}
         for orig, ext in (("S1", "S2"), ("S3", "S4"), ("S5", "S6")):
             assert results[ext].applications_per_applicant >= results[orig].applications_per_applicant
 
@@ -180,6 +185,7 @@ class TestScenarioSuite:
                 applications_per_applicant=apps,
                 diff_vs_baseline=AssignmentDiff(0, share, {}),
                 rank_improvement=imp,
+                table=compute_score_table(mk_panel([], []), []),
             )
             for sid, apps, share, imp in published
         ]

@@ -11,7 +11,7 @@ from polyadmit.econometrics import (
     ols,
 )
 from polyadmit.errors import EmptySample, RankDeficient
-from polyadmit.matching import build_instance, program_thresholds
+from polyadmit.matching import program_thresholds
 from polyadmit.model import Assignment
 from polyadmit.scoring import compute_score_table
 
@@ -40,8 +40,9 @@ class TestOls:
     def test_duplicate_column_raises(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=30)
-        with pytest.raises(RankDeficient):
-            ols(np.column_stack([np.ones(30), x, x]), rng.normal(size=30))
+        with pytest.raises(RankDeficient) as err:
+            ols(np.column_stack([np.ones(30), x, x]), rng.normal(size=30), ("one", "x", "x_copy"))
+        assert err.value.columns == ["x_copy"]  # the later of the two copies
 
     @pytest.mark.parametrize("robust", [False, True])
     def test_no_residual_dof_raises_empty_sample(self, robust):
@@ -119,9 +120,7 @@ class TestOls:
 class TestDesignMatrix:
     def thresholds_for(self, panel, assignment):
         table = compute_score_table(panel, panel.base_applications)
-        quotas = {k: p.quota for k, p in panel.programs.items()}
-        instance = build_instance(panel.base_applications, table, quotas)
-        return program_thresholds(instance, assignment)
+        return program_thresholds(table, assignment)
 
     def test_base_coding(self, small_panel):
         assignment = small_panel.observed_assignment
@@ -177,9 +176,13 @@ class TestDesignMatrix:
             )
 
 
+def base_table(panel):
+    return compute_score_table(panel, panel.base_applications)
+
+
 class TestLpmReport:
     def test_six_columns(self, small_panel):
-        results = lpm_report(small_panel, small_panel.observed_assignment)
+        results = lpm_report(small_panel, small_panel.observed_assignment, base_table(small_panel))
         assert len(results) == 6
         n_admitted = len(small_panel.observed_assignment.seat_of)
         for result in results:
@@ -189,7 +192,9 @@ class TestLpmReport:
         assert results[3].mean_y == results[4].mean_y == results[5].mean_y
 
     def test_planted_signs_recovered(self, default_panel):
-        results = lpm_report(default_panel, default_panel.observed_assignment)
+        results = lpm_report(
+            default_panel, default_panel.observed_assignment, base_table(default_panel)
+        )
         accept = results[0]
         for term in ("rank2", "rank3", "rank4"):
             assert accept.coef(term) < 0
@@ -207,11 +212,12 @@ class TestLpmReport:
                 a for a in small_panel.applications if a.year == small_panel.base_year
             ),
         )
-        results = lpm_report(base_only, base_only.observed_assignment)
+        results = lpm_report(base_only, base_only.observed_assignment, base_table(base_only))
         assert results[3].mean_y == 0.0
 
     def test_robust_flag_changes_only_ses(self, small_panel):
-        classical = lpm_report(small_panel, small_panel.observed_assignment)
-        robust = lpm_report(small_panel, small_panel.observed_assignment, robust=True)
+        table = base_table(small_panel)
+        classical = lpm_report(small_panel, small_panel.observed_assignment, table)
+        robust = lpm_report(small_panel, small_panel.observed_assignment, table, robust=True)
         for c, r in zip(classical, robust):
             assert c.estimates == pytest.approx(r.estimates)

@@ -8,12 +8,20 @@ import pytest
 
 import polyadmit
 from polyadmit import cli
-from polyadmit.errors import ParseError, ValidationError
+from polyadmit.errors import EmptyName, ParseError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
 
 
 def tree_bytes(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def child_env() -> dict[str, str]:
+    """Environment in which a child imports the same polyadmit as this
+    process, installed or not."""
+    source = str(Path(polyadmit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestRoundTrip:
@@ -125,6 +133,56 @@ class TestParseErrors:
         (violation,) = info.value.violations
         assert violation.startswith(f"DuplicateId: {path} row {len(lines) + 1}: ")
         assert violation.endswith("repeats row 2")
+
+    @pytest.mark.parametrize(
+        "filename",
+        [
+            "applicants.csv", "programs.csv", "applications.csv",
+            "observed_assignment.csv", "field_weights.csv", "bonus_points.csv",
+        ],
+    )
+    def test_short_row_names_file_row_and_column(self, small_panel, tmp_path, filename):
+        save_panel(small_panel, tmp_path)
+        path = tmp_path / filename
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].split(",")[0]
+        path.write_text("\n".join(lines) + "\n")
+        column = lines[0].split(",")[1]
+        with pytest.raises(ParseError, match=rf"{filename} row 2: no cell for column '{column}'"):
+            load_panel(tmp_path)
+
+    def test_long_row_rejected(self, small_panel, tmp_path):
+        save_panel(small_panel, tmp_path)
+        path = tmp_path / "applicants.csv"
+        lines = path.read_text().splitlines()
+        lines[1] += ",9.000000"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"applicants\.csv row 2: more cells"):
+            load_panel(tmp_path)
+
+    def test_non_utf8_file_named(self, small_panel, tmp_path):
+        save_panel(small_panel, tmp_path)
+        path = tmp_path / "applicants.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b",", b"\xe9,", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=r"applicants\.csv: not UTF-8"):
+            load_panel(tmp_path)
+
+    @pytest.mark.parametrize(
+        "filename", ["applicants.csv", "applications.csv", "observed_assignment.csv"]
+    )
+    def test_empty_applicant_id_rejected(self, small_panel, tmp_path, filename):
+        save_panel(small_panel, tmp_path)
+        path = tmp_path / filename
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[1].split(",")
+        cells[header.index("applicant_id")] = ""
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(EmptyName, match=rf"{filename} row 2: empty applicant_id"):
+            load_panel(tmp_path)
 
     def test_every_duplicate_listed_at_once(self, small_panel, tmp_path):
         save_panel(small_panel, tmp_path)
@@ -268,11 +326,19 @@ class TestRun:
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
         assert not out.exists()
 
+    def test_non_utf8_input_is_a_json_error(self, small_panel, tmp_path, capsys):
+        data = tmp_path / "data"
+        save_panel(small_panel, data)
+        path = data / "applicants.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\xe9\n", 2))
+        status = cli.main(["--input", str(data), "--out", str(tmp_path / "out")])
+        assert status == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert "applicants.csv" in err["message"]
+
     def test_console_entry_point(self, small_config_json, tmp_path):
         out = tmp_path / "out"
-        # the child imports the same polyadmit as this process, installed or not
-        source = str(Path(polyadmit.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "polyadmit.cli",
@@ -281,7 +347,22 @@ class TestRun:
             ],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert (out / "table3.csv").exists()
+
+    def test_regression_report_does_not_import_scipy(self, small_config_json, tmp_path):
+        out = tmp_path / "out"
+        code = (
+            "import sys\n"
+            "from polyadmit import cli\n"
+            f"status = cli.main(['--synth', {str(small_config_json)!r}, '--reports', 'table5',"
+            f" '--out', {str(out)!r}])\n"
+            "print(status, 'scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert (out / "table5.csv").exists()

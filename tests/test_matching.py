@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import mk_app, mk_panel, mk_program
@@ -22,7 +23,7 @@ from polyadmit.matching import (
     replicate_assignment,
 )
 from polyadmit.model import Assignment
-from polyadmit.scoring import compute_score_table
+from polyadmit.scoring import ScoreTable, compute_score_table
 
 
 def instance_of(prefs, scores, quotas):
@@ -36,7 +37,6 @@ def instance_of(prefs, scores, quotas):
         preferences={a: tuple(v) for a, v in prefs.items()},
         priorities=prios,
         quotas=dict(quotas),
-        scores=dict(scores),
     )
 
 
@@ -123,8 +123,9 @@ class TestBuildInstance:
         table = compute_score_table(small_panel, small_panel.base_applications)
         quotas = {k: p.quota for k, p in small_panel.programs.items()}
         inst = build_instance(small_panel.base_applications, table, quotas)
+        total_of = {(a, p): t for (a, p, _), t in zip(table.keys, table.totals.tolist())}
         for p, order in inst.priorities.items():
-            keys = [(-inst.scores[(a, p)], a) for a in order]
+            keys = [(-total_of[(a, p)], a) for a in order]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
 
@@ -247,28 +248,55 @@ class TestCompareAssignments:
             )
 
 
+def score_table(rows):
+    """Hand-built base-year table from (applicant, program, gpa, bonus) rows."""
+    zeros = np.zeros(len(rows))
+    return ScoreTable(
+        tuple((a, p, 2011) for a, p, _, _ in rows),
+        gpa=np.array([gpa for _, _, gpa, _ in rows]),
+        exam=zeros,
+        bonus=np.array([bonus for _, _, _, bonus in rows]),
+        other=zeros,
+        exam_taken=np.zeros(len(rows), dtype=bool),
+    )
+
+
 class TestProgramThresholds:
     def test_single_admit(self):
-        inst = instance_of({"a1": ["p1"]}, {("a1", "p1"): 47.0}, {"p1": 1})
-        assignment = deferred_acceptance(inst, "programs")
-        assert program_thresholds(inst, assignment) == {"p1": 47.0}
+        table = score_table([("a1", "p1", 47.0, 0.0)])
+        assignment = Assignment(seat_of={"a1": "p1"})
+        assert program_thresholds(table, assignment) == {"p1": 47.0}
 
     def test_empty_program_absent(self):
-        inst = instance_of(
-            {"a1": ["p1"]}, {("a1", "p1"): 47.0}, {"p1": 1, "p2": 1}
+        table = score_table([("a1", "p1", 47.0, 0.0), ("a1", "p2", 47.0, 0.0)])
+        assignment = Assignment(seat_of={"a1": "p1"})
+        assert program_thresholds(table, assignment) == {"p1": 47.0}
+
+    def test_lowest_total_among_admits(self):
+        # a2 has the lowest GPA but the bonus lifts their total above a3's;
+        # a4 scores lowest of all but is not admitted
+        table = score_table(
+            [
+                ("a1", "p1", 60.0, 0.0),
+                ("a2", "p1", 40.0, 15.0),
+                ("a3", "p1", 50.0, 0.0),
+                ("a4", "p1", 10.0, 0.0),
+                ("a4", "p2", 30.0, 0.0),
+            ]
         )
-        assignment = deferred_acceptance(inst, "programs")
-        assert "p2" not in program_thresholds(inst, assignment)
+        assignment = Assignment(seat_of={"a1": "p1", "a2": "p1", "a3": "p1", "a4": "p2"})
+        assert program_thresholds(table, assignment) == {"p1": 50.0, "p2": 30.0}
 
     def test_rejected_at_full_program_scores_below_threshold(self, small_panel):
         # The invariant only binds for applicants who prefer the full program
         # to their outcome; someone admitted to a higher-listed choice may well
         # outscore the threshold of a program they turned down.
         table = compute_score_table(small_panel, small_panel.base_applications)
+        total_of = dict(zip(table.keys, table.totals.tolist()))
         quotas = {k: p.quota for k, p in small_panel.programs.items()}
         inst = build_instance(small_panel.base_applications, table, quotas)
         assignment = deferred_acceptance(inst, "programs")
-        thresholds = program_thresholds(inst, assignment)
+        thresholds = program_thresholds(table, assignment)
         fill = {p: len(v) for p, v in assignment.admits_of().items()}
         checked = 0
         for app in small_panel.base_applications:
@@ -280,7 +308,7 @@ class TestProgramThresholds:
             if seat is not None and prefs.index(seat) < prefs.index(p):
                 continue
             if fill.get(p, 0) == quotas[p] and quotas[p] > 0:
-                assert inst.scores[(app.applicant_id, p)] <= thresholds[p]
+                assert total_of[(app.applicant_id, p, app.year)] <= thresholds[p]
                 checked += 1
         assert checked > 0
 

@@ -15,6 +15,11 @@ from polyadmit.metrics import (
     tercile_unassignment,
 )
 from polyadmit.model import Assignment
+from polyadmit.scoring import compute_score_table
+
+
+def base_table(panel):
+    return compute_score_table(panel, panel.base_applications)
 
 
 def gpa_panel(grades, n_programs=1):
@@ -70,7 +75,9 @@ class TestTercileUnassignment:
     def test_all_unassigned(self):
         grades = {f"a{i}": {"math": float(i)} for i in range(6)}
         panel = gpa_panel(grades)
-        report = tercile_unassignment(panel, Assignment(seat_of={}), CRITERION_MATRICULATION)
+        report = tercile_unassignment(
+            panel, base_table(panel), Assignment(seat_of={}), CRITERION_MATRICULATION
+        )
         assert report.unassigned_fraction == (1.0, 1.0, 1.0)
 
     def test_nine_applicant_hand_fixture(self):
@@ -81,14 +88,15 @@ class TestTercileUnassignment:
         apps = [mk_app(a, p.program_key, 1) for a in sorted(grades)]
         panel = mk_panel([p], apps, grades=grades)
         assignment = Assignment(seat_of={"a8": p.program_key, "a4": p.program_key})
-        report = tercile_unassignment(panel, assignment, CRITERION_MATRICULATION)
+        table = base_table(panel)
+        report = tercile_unassignment(panel, table, assignment, CRITERION_MATRICULATION)
         assert report.tercile_sizes == (3, 3, 3)
         assert report.unassigned_fraction == pytest.approx((2 / 3, 2 / 3, 1.0))
 
     def test_sizes_differ_by_at_most_one(self, small_panel):
         for criterion in (CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE):
             report = tercile_unassignment(
-                small_panel, small_panel.observed_assignment, criterion
+                small_panel, base_table(small_panel), small_panel.observed_assignment, criterion
             )
             assert max(report.tercile_sizes) - min(report.tercile_sizes) <= 1
             assert all(0.0 <= f <= 1.0 for f in report.unassigned_fraction)
@@ -102,8 +110,9 @@ class TestTercileUnassignment:
         ]
         panel = mk_panel([p], apps, grades={"a1": {"math": 1.0}, "a2": {"math": 9.0}})
         assignment = Assignment(seat_of={"a1": p.program_key})
-        by_gpa = tercile_unassignment(panel, assignment, CRITERION_MATRICULATION)
-        by_score = tercile_unassignment(panel, assignment, CRITERION_ADMISSION_SCORE)
+        table = base_table(panel)
+        by_gpa = tercile_unassignment(panel, table, assignment, CRITERION_MATRICULATION)
+        by_score = tercile_unassignment(panel, table, assignment, CRITERION_ADMISSION_SCORE)
         # a2 tops the GPA ranking but a1 tops the score ranking
         assert by_gpa.unassigned_fraction[0] == 1.0
         assert by_score.unassigned_fraction[0] == 0.0

@@ -1,8 +1,8 @@
 """Vectorised code against straight-line loop versions, bit for bit: the
 column-backed score tables and lexsort priorities on every scenario of
 the default synthetic panel and of its CSV round trip, the regression
-design and thresholds on the same panels, and the midpoint percentiles on
-random values with ties."""
+design, thresholds and tercile unassignment on the same panels, and the
+midpoint percentiles on random values with ties."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,13 @@ from polyadmit import counterfactual, econometrics, io_csv
 from polyadmit.counterfactual import SCENARIO_IDS, SCENARIOS, build_scenario
 from polyadmit.econometrics import REPORT_SPECS, build_design_matrix, lpm_report, ols
 from polyadmit.matching import build_instance, program_thresholds
-from polyadmit.metrics import _midpoint_percentiles
+from polyadmit.metrics import (
+    CRITERION_ADMISSION_SCORE,
+    CRITERION_MATRICULATION,
+    TercileReport,
+    _midpoint_percentiles,
+    tercile_unassignment,
+)
 from polyadmit.scoring import adjusted_score, compute_score_table
 
 
@@ -133,12 +139,21 @@ def loop_design_matrix(panel, assignment, thresholds, spec):
     return np.array(rows), np.array(y), tuple(terms)
 
 
+def loop_thresholds(panel, assignment):
+    """Lowest base-year total among each program's admits, from entries."""
+    entries = compute_score_table(panel, panel.base_applications).entries
+    thresholds = {}
+    for a, p in sorted(assignment.seat_of.items()):
+        total = entries[(a, p, panel.base_year)].total
+        thresholds[p] = min(thresholds.get(p, total), total)
+    return thresholds
+
+
 def test_design_and_lpm_report_match_loop_reference(panel):
     assignment = panel.observed_assignment
     table = compute_score_table(panel, panel.base_applications)
-    quotas = {p: prog.quota for p, prog in panel.programs.items()}
-    instance = build_instance(panel.base_applications, table, quotas)
-    thresholds = program_thresholds(instance, assignment)
+    thresholds = program_thresholds(table, assignment)
+    assert thresholds == loop_thresholds(panel, assignment)
     expected = []
     for spec in REPORT_SPECS:
         X, y, terms = build_design_matrix(panel, assignment, thresholds, spec)
@@ -147,4 +162,42 @@ def test_design_and_lpm_report_match_loop_reference(panel):
         assert X.tolist() == X_ref.tolist()
         assert y.tolist() == y_ref.tolist()
         expected.append(ols(X_ref, y_ref, terms_ref))
-    assert lpm_report(panel, assignment) == expected
+    assert lpm_report(panel, assignment, table) == expected
+
+
+def loop_tercile_unassignment(panel, assignment, criterion):
+    """Tercile report with each base-year application valued by
+    Panel.weighted_gpa (matriculation) or by the entries of a freshly
+    computed score table (admission score), pool by pool."""
+    base = panel.base_applications
+    if criterion == CRITERION_MATRICULATION:
+        value = [panel.weighted_gpa(a.applicant_id, panel.field_of(a.program_key)) for a in base]
+    else:
+        entries = compute_score_table(panel, base).entries
+        value = [entries[(a.applicant_id, a.program_key, a.year)].total for a in base]
+    pools = {}
+    for app, v in zip(base, value):
+        pools.setdefault(app.program_key, []).append((app.applicant_id, v))
+    ranks = {}
+    for pool in pools.values():
+        pool.sort()
+        for (a, _), pct in zip(pool, loop_midpoint_percentiles([v for _, v in pool])):
+            ranks.setdefault(a, []).append(pct)
+    mean = {a: sum(r) / len(r) for a, r in ranks.items()}
+    ordered = sorted(mean, key=lambda a: (-mean[a], a))
+    n = len(ordered)
+    sizes = tuple(n // 3 + (1 if i < n % 3 else 0) for i in range(3))
+    groups = [ordered[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(3)]
+    fractions = tuple(
+        sum(a not in assignment.seat_of for a in g) / len(g) if g else 0.0 for g in groups
+    )
+    excluded = tuple(sorted(set(panel.applicants) - set(mean)))
+    return TercileReport(criterion, fractions, sizes, excluded)
+
+
+@pytest.mark.parametrize("criterion", [CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE])
+def test_tercile_unassignment_matches_loop_reference(panel, criterion):
+    assignment = panel.observed_assignment
+    table = compute_score_table(panel, panel.base_applications)
+    expected = loop_tercile_unassignment(panel, assignment, criterion)
+    assert tercile_unassignment(panel, table, assignment, criterion) == expected
