@@ -112,7 +112,7 @@ def run(config: RunConfig) -> int:
 
 def _write_reports(config: RunConfig, panel: Panel, target) -> None:
     scenario_ids = tuple(sorted(set(config.scenarios) | {"S1"}))
-    universe = sorted({a.applicant_id for a in panel.base_applications})
+    universe = panel.base_applications.distinct_applicants()
     rank_table = metrics.field_gpa_percentile_ranks(panel)
     suite = counterfactual.run_scenario_suite(panel, rank_table, scenario_ids=scenario_ids)
     by_id = {r.scenario_id: r for r in suite}

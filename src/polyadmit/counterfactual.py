@@ -4,12 +4,14 @@ transforms a scenario applies."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from . import matching, metrics, scoring
 from .errors import UnknownScenario
-from .model import Application, Assignment, Panel
+from .model import Application, ApplicationBlock, Assignment, Panel
 
 SCORES_ORIGINAL = "original"
 SCORES_NO_FIRST_CHOICE = "no_first_choice"
@@ -35,7 +37,7 @@ SCENARIOS: dict[str, Scenario] = {
 SCENARIO_IDS = tuple(sorted(SCENARIOS))
 
 
-def extend_application_lists(panel: Panel) -> list[Application]:
+def extend_application_lists(panel: Panel) -> ApplicationBlock:
     """Append each applicant's later-year applications to their base-year
     list, skipping programs already listed, and renumber ranks 1..k.
 
@@ -44,26 +46,21 @@ def extend_application_lists(panel: Panel) -> list[Application]:
     appended entries keep their own exam and other-points data but are
     re-dated to the base year; the first-choice bonus stays tied to the
     original base-year first choice because that entry remains rank 1.
+    Rows come in applicant id order, each list in rank order.
     """
-    by_year: dict[int, dict[str, list[Application]]] = {y: {} for y in panel.years}
-    for app in panel.applications:
-        by_year[app.year].setdefault(app.applicant_id, []).append(app)
-
-    extended: list[Application] = []
-    for applicant_id in sorted(by_year[panel.base_year]):
-        listed: set[str] = set()
-        rank = 0
-        for year in panel.years:
-            apps = by_year[year].get(applicant_id, [])
-            for app in sorted(apps, key=lambda x: x.listed_rank):
-                if app.program_key in listed:
-                    continue
-                listed.add(app.program_key)
-                rank += 1
-                if app.year != panel.base_year or app.listed_rank != rank:
-                    app = replace(app, year=panel.base_year, listed_rank=rank)
-                extended.append(app)
-    return extended
+    apps = panel.columns
+    in_base = np.zeros(len(apps.applicant_ids), dtype=bool)
+    in_base[apps.applicant[apps.year == panel.base_year]] = True
+    rows = np.flatnonzero(in_base[apps.applicant])
+    rows = rows[np.lexsort((apps.listed_rank[rows], apps.year[rows], apps.applicant[rows]))]
+    pair = apps.applicant[rows] * len(apps.program_keys) + apps.program[rows]
+    rows = rows[np.sort(np.unique(pair, return_index=True)[1])]  # first listing of each program
+    applicant = apps.applicant[rows]
+    new_list = np.ones(len(rows), dtype=bool)
+    new_list[1:] = applicant[1:] != applicant[:-1]
+    position = np.arange(len(rows))
+    rank = position - np.maximum.accumulate(np.where(new_list, position, 0)) + 1
+    return apps.take(rows, year=np.full(len(rows), panel.base_year), listed_rank=rank)
 
 
 def _scenario(scenario_id: str) -> Scenario:
@@ -74,7 +71,7 @@ def _scenario(scenario_id: str) -> Scenario:
 
 def _scenario_inputs(
     panel: Panel, scenarios: Sequence[Scenario]
-) -> dict[str, tuple[list[Application], scoring.ScoreTable]]:
+) -> dict[str, tuple[ApplicationBlock, scoring.ScoreTable]]:
     """The application list and score table of each scenario, by id.
 
     Each list variant is built and scored once. The no-bonus table is
@@ -85,9 +82,7 @@ def _scenario_inputs(
     for extended in sorted({s.extended for s in scenarios}):
         on_list = [s for s in scenarios if s.extended == extended]
         needed = {s.scores for s in on_list}
-        applications = (
-            extend_application_lists(panel) if extended else list(panel.base_applications)
-        )
+        applications = extend_application_lists(panel) if extended else panel.base_applications
         tables = {SCORES_ORIGINAL: scoring.compute_score_table(panel, applications)}
         if needed - {SCORES_ORIGINAL}:
             tables[SCORES_NO_FIRST_CHOICE] = scoring.remove_first_choice_points(
@@ -100,12 +95,6 @@ def _scenario_inputs(
         for s in on_list:
             inputs[s.id] = (applications, tables[s.scores])
     return inputs
-
-
-def build_scenario(
-    panel: Panel, scenario_id: str
-) -> tuple[list[Application], scoring.ScoreTable]:
-    return _scenario_inputs(panel, [_scenario(scenario_id)])[scenario_id]
 
 
 @dataclass(frozen=True)
@@ -142,9 +131,7 @@ def run_scenario_suite(
         quotas = {p: prog.quota for p, prog in panel.programs.items()}
     wanted = [_scenario(s) for s in sorted(set(scenario_ids) | {"S1"})]
     inputs = _scenario_inputs(panel, wanted)
-    base_applications = inputs["S1"][0]
-
-    universe = sorted({a.applicant_id for a in base_applications})
+    universe = inputs["S1"][0].distinct_applicants()
     program_field = {p: prog.field for p, prog in panel.programs.items()}
     assignments = {s.id: _match(*inputs[s.id], quotas) for s in wanted}
     baseline = assignments["S1"]

@@ -8,9 +8,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptySample, MissingThreshold, RankDeficient
+from .errors import EmptySample, MissingScore, MissingThreshold, RankDeficient
 from .matching import program_thresholds
-from .model import Application, Assignment, Panel
+from .model import Assignment, Panel
 from .scoring import ScoreTable, compute_score_table
 
 OUTCOME_ACCEPTED = "accepted_seat"
@@ -121,35 +121,31 @@ def _admit_columns(
     panel: Panel,
     assignment: Assignment,
     thresholds: Mapping[str, float],
-    applications: Sequence[Application],
     table: ScoreTable,
 ) -> _AdmitColumns:
-    """The admit-level columns; ``table`` scores ``applications`` (the
-    base-year lists) row for row."""
+    """The admit-level columns; ``table`` scores the base-year lists."""
     admitted = sorted(assignment.seat_of)
     if not admitted:
         raise EmptySample("no admitted applicants")
 
-    row_of = {key: i for i, key in enumerate(table.keys)}
-    rows = []
-    threshold = []
-    for applicant_id in admitted:
-        program_key = assignment.seat_of[applicant_id]
-        rows.append(row_of[(applicant_id, program_key, panel.base_year)])
-        if program_key not in thresholds:
-            raise MissingThreshold(f"no acceptance threshold for {program_key!r}")
-        threshold.append(thresholds[program_key])
-    threshold = np.array(threshold, dtype=float)
+    apps = table.applications
+    rows = np.flatnonzero(apps.holds_seat(assignment) & (apps.year == panel.base_year))
+    rows = rows[np.argsort(apps.applicant[rows], kind="stable")]  # admits in id order
+    if len(rows) != len(admitted):
+        raise MissingScore("an admitted applicant has no base-year row in the score table")
+    programs = [apps.program_keys[p] for p in apps.program[rows].tolist()]
+    missing = next((p for p in programs if p not in thresholds), None)
+    if missing is not None:
+        raise MissingThreshold(f"no acceptance threshold for {missing!r}")
+    threshold = np.array([thresholds[p] for p in programs], dtype=float)
     # Same operations as adjusted_score, so every value is equal bit for bit.
     adjusted = table.totals[rows] - table.exam[rows] - table.bonus[rows]
-    rank = np.array([applications[i].listed_rank for i in rows])
+    rank = apps.listed_rank[rows]
     dummy_fields = sorted(panel.field_weights)[1:]  # first field is the reference category
-    dummies = np.array(
-        [
-            [1.0 if panel.field_of(assignment.seat_of[a]) == f else 0.0 for f in dummy_fields]
-            for a in admitted
-        ]
-    ).reshape(len(admitted), len(dummy_fields))
+    dummy_of = {f: j for j, f in enumerate(dummy_fields)}
+    program_dummy = np.array([dummy_of.get(panel.field_of(p), -1) for p in apps.program_keys])
+    dummy = program_dummy[apps.program[rows]]
+    dummies = (dummy[:, None] == np.arange(len(dummy_fields))).astype(float)
     X = np.column_stack(
         [
             np.ones(len(admitted)),
@@ -169,7 +165,8 @@ def _admit_columns(
     terms += tuple(f"adjusted_score_x_{f}" for f in dummy_fields)
     terms += tuple(f"threshold_x_{f}" for f in dummy_fields)
 
-    later_appliers = {a.applicant_id for a in panel.applications if a.year > panel.base_year}
+    later = panel.columns.take(np.flatnonzero(panel.columns.year > panel.base_year))
+    later_appliers = set(later.distinct_applicants())
     outcomes = {
         OUTCOME_ACCEPTED: np.array(
             [1.0 if assignment.accepted.get(a, False) else 0.0 for a in admitted]
@@ -203,10 +200,8 @@ def build_design_matrix(
     spec: DesignSpec,
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """One row per admitted applicant; columns per the design spec."""
-    base = panel.base_applications
-    columns = _admit_columns(
-        panel, assignment, thresholds, base, compute_score_table(panel, base)
-    )
+    table = compute_score_table(panel, panel.base_applications)
+    columns = _admit_columns(panel, assignment, thresholds, table)
     return _design(columns, spec)
 
 
@@ -224,5 +219,5 @@ def lpm_report(
     columns are built once and every spec is a slice of them.
     """
     thresholds = program_thresholds(table, assignment)
-    columns = _admit_columns(panel, assignment, thresholds, panel.base_applications, table)
+    columns = _admit_columns(panel, assignment, thresholds, table)
     return [ols(*_design(columns, spec), robust=robust) for spec in specs]

@@ -2,46 +2,94 @@
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InfeasibleAssignment,
-    MissingScore,
-    NoObservedAssignment,
-    UniverseMismatch,
-)
-from .model import Application, Assignment, Panel
+from .errors import InfeasibleAssignment, MissingScore, UniverseMismatch
+from .model import Application, ApplicationBlock, Assignment
 from .scoring import ScoreTable
 
 PROPOSING_APPLICANTS = "applicants"
 PROPOSING_PROGRAMS = "programs"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchInstance:
-    """Strict preference/priority profile for one matching run.
+    """Strict preference/priority profile for one matching run, as
+    integer arrays.
 
-    Priorities are strict by construction: score ties are broken by
-    applicant id ascending.
+    Applicants and programs are coded by their position in the sorted
+    ``applicant_ids`` and ``program_keys``. Row ``r`` is one application,
+    of ``applicant[r]`` to ``program[r]``. ``pref_order`` lists the rows
+    by applicant, each list in preference order, applicant ``a``'s list
+    being ``pref_order[pref_offsets[a]:pref_offsets[a + 1]]``;
+    ``prio_order`` and ``prio_offsets`` list them by program, highest
+    priority first. Priorities are strict by construction: score ties are
+    broken by applicant id ascending.
+
+    ``preferences``, ``priorities`` and ``quotas`` are the same profile as
+    id-keyed mappings, built on first read.
     """
 
-    preferences: Mapping[str, tuple[str, ...]]
-    priorities: Mapping[str, tuple[str, ...]]
-    quotas: Mapping[str, int]
+    applicant_ids: tuple[str, ...]
+    program_keys: tuple[str, ...]
+    applicant: np.ndarray
+    program: np.ndarray
+    pref_order: np.ndarray
+    pref_offsets: np.ndarray
+    quota: np.ndarray
+    prio_order: np.ndarray
+    prio_offsets: np.ndarray
 
-    def priority_rank(self) -> dict[str, dict[str, int]]:
-        return {
-            p: {a: i for i, a in enumerate(order)} for p, order in self.priorities.items()
-        }
+    @functools.cached_property
+    def pref_position(self) -> np.ndarray:
+        """Per row: its program's position in its applicant's list."""
+        return _positions(self.pref_order, self.pref_offsets)
 
-    def preference_rank(self) -> dict[str, dict[str, int]]:
-        return {
-            a: {p: i for i, p in enumerate(prefs)} for a, prefs in self.preferences.items()
-        }
+    @functools.cached_property
+    def prio_position(self) -> np.ndarray:
+        """Per row: its applicant's position in its program's order."""
+        return _positions(self.prio_order, self.prio_offsets)
+
+    @functools.cached_property
+    def preferences(self) -> Mapping[str, tuple[str, ...]]:
+        members = self.program[self.pref_order]
+        return _grouped(self.applicant_ids, self.pref_offsets, self.program_keys, members)
+
+    @functools.cached_property
+    def priorities(self) -> Mapping[str, tuple[str, ...]]:
+        members = self.applicant[self.prio_order]
+        return _grouped(self.program_keys, self.prio_offsets, self.applicant_ids, members)
+
+    @functools.cached_property
+    def quotas(self) -> Mapping[str, int]:
+        return dict(zip(self.program_keys, self.quota.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatchInstance):
+            return NotImplemented
+        profile = (self.preferences, self.priorities, self.quotas)
+        return profile == (other.preferences, other.priorities, other.quotas)
+
+    __hash__ = None
+
+
+def _positions(order: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order)) - np.repeat(offsets[:-1], np.diff(offsets))
+    return position
+
+
+def _grouped(
+    group_ids: Sequence[str], offsets: np.ndarray, member_ids: Sequence[str], members: np.ndarray
+) -> dict[str, tuple[str, ...]]:
+    names = [member_ids[m] for m in members.tolist()]
+    bounds = offsets.tolist()
+    return {g: tuple(names[bounds[i] : bounds[i + 1]]) for i, g in enumerate(group_ids)}
 
 
 def build_instance(
@@ -52,136 +100,132 @@ def build_instance(
     """Assemble the matching instance for one application set.
 
     Preferences follow listed rank; each program orders its applicants by
-    total score descending, applicant id breaking ties.
+    total score descending, applicant id breaking ties. The codes and the
+    preference lists of an application block are built once and shared by
+    every table that scores it; each table adds one priority sort.
     """
-    row_of = {key: row for row, key in enumerate(scores.keys)}
-    try:
-        rows = [row_of[key] for key in map(_score_key, applications)]
-    except KeyError as exc:
-        raise MissingScore(f"no score entry for {exc.args[0]}") from None
-    totals = scores.totals[np.array(rows, dtype=np.intp)]
-
-    applicant_of = list(map(attrgetter("applicant_id"), applications))
-    program_of = list(map(attrgetter("program_key"), applications))
-    applicant_ids, applicant_code = _codes(applicant_of)
-    program_keys, program_code = _codes(program_of)
-    listed_rank = np.fromiter(
-        map(attrgetter("listed_rank"), applications), dtype=np.int64, count=len(applications)
+    block = ApplicationBlock.of(applications)
+    if block is scores.applications:
+        totals = scores.totals
+    else:
+        row_of = {key: row for row, key in enumerate(scores.keys)}
+        try:
+            totals = scores.totals[np.array([row_of[key] for key in block.keys], dtype=np.intp)]
+        except KeyError as exc:
+            raise MissingScore(f"no score entry for {exc.args[0]}") from None
+    applicant_ids, program_keys, applicant, program, pref_order, pref_offsets = block.lists
+    prio_order = np.lexsort((applicant, -totals, program))
+    return MatchInstance(
+        applicant_ids, program_keys, applicant, program, pref_order, pref_offsets,
+        quota=np.array([int(quotas.get(p, 0)) for p in program_keys], dtype=np.int64),
+        prio_order=prio_order,
+        prio_offsets=np.searchsorted(program[prio_order], np.arange(len(program_keys) + 1)),
     )
-
-    preferences = _grouped(
-        np.lexsort((listed_rank, applicant_code)),
-        applicant_code, applicant_ids, program_code, program_keys,
-    )
-    priorities = _grouped(
-        np.lexsort((applicant_code, -totals, program_code)),
-        program_code, program_keys, applicant_code, applicant_ids,
-    )
-    instance_quotas = {p: int(quotas.get(p, 0)) for p in priorities}
-    return MatchInstance(preferences=preferences, priorities=priorities, quotas=instance_quotas)
-
-
-_score_key = attrgetter("applicant_id", "program_key", "year")
-
-
-def _codes(values: list[str]) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct values, and each value's position among them."""
-    ids = sorted(set(values))
-    code_of = {x: i for i, x in enumerate(ids)}
-    return ids, np.fromiter(map(code_of.__getitem__, values), dtype=np.intp, count=len(values))
-
-
-def _grouped(
-    order: np.ndarray,
-    group_code: np.ndarray,
-    group_ids: Sequence[str],
-    member_code: np.ndarray,
-    member_ids: Sequence[str],
-) -> dict[str, tuple[str, ...]]:
-    """Rows taken in ``order`` (grouped by ascending ``group_code``), split
-    into one tuple of member ids per group."""
-    members = [member_ids[c] for c in member_code[order].tolist()]
-    bounds = np.searchsorted(group_code[order], np.arange(len(group_ids) + 1)).tolist()
-    return {
-        g: tuple(members[bounds[i] : bounds[i + 1]]) for i, g in enumerate(group_ids)
-    }
 
 
 def deferred_acceptance(instance: MatchInstance, proposing: str) -> Assignment:
     if proposing == PROPOSING_APPLICANTS:
-        seat_of = _da_applicant_proposing(instance)
+        seat = _da_applicant_proposing(instance)
     elif proposing == PROPOSING_PROGRAMS:
-        seat_of = _da_program_proposing(instance)
+        seat = _da_program_proposing(instance)
     else:
         raise ValueError(f"unknown proposing side {proposing!r}")
-    return Assignment(seat_of=dict(sorted(seat_of.items())))
+    ids, keys = instance.applicant_ids, instance.program_keys
+    return Assignment(seat_of={ids[a]: keys[p] for a, p in enumerate(seat) if p >= 0})
 
 
-def _da_applicant_proposing(instance: MatchInstance) -> dict[str, str]:
-    prio_rank = instance.priority_rank()
-    next_choice = {a: 0 for a in instance.preferences}
-    held: dict[str, list[str]] = {p: [] for p in instance.priorities}
-    free = sorted(instance.preferences)
+def _da_applicant_proposing(instance: MatchInstance) -> list[int]:
+    """Seat code per applicant (-1 unassigned); each program keeps its
+    holders in a heap keyed by priority position, worst on top."""
+    program = instance.program[instance.pref_order].tolist()
+    position = instance.prio_position[instance.pref_order].tolist()
+    offsets = instance.pref_offsets.tolist()
+    members = instance.applicant[instance.prio_order].tolist()
+    starts = instance.prio_offsets.tolist()
+    quota = instance.quota.tolist()
+    next_choice = offsets[:-1]
+    held: list[list[int]] = [[] for _ in quota]  # negated priority positions
+    free = list(range(len(instance.applicant_ids)))
 
     while free:
         a = free.pop()
-        prefs = instance.preferences[a]
-        while next_choice[a] < len(prefs):
-            p = prefs[next_choice[a]]
-            next_choice[a] += 1
-            quota = instance.quotas[p]
-            if quota == 0:
-                continue
+        i, stop = next_choice[a], offsets[a + 1]
+        while i < stop:
+            p, rank = program[i], position[i]
+            i += 1
             holders = held[p]
-            if len(holders) < quota:
-                holders.append(a)
+            if len(holders) < quota[p]:
+                heapq.heappush(holders, -rank)
                 break
-            worst = max(holders, key=lambda x: prio_rank[p][x])
-            if prio_rank[p][a] < prio_rank[p][worst]:
-                holders.remove(worst)
-                holders.append(a)
-                free.append(worst)
+            if holders and rank < -holders[0]:
+                worst = -heapq.heapreplace(holders, -rank)
+                free.append(members[starts[p] + worst])
                 break
-    return {a: p for p, holders in held.items() for a in holders}
+        next_choice[a] = i
+    seat = [-1] * len(instance.applicant_ids)
+    for p, holders in enumerate(held):
+        for rank in holders:
+            seat[members[starts[p] - rank]] = p
+    return seat
 
 
-def _da_program_proposing(instance: MatchInstance) -> dict[str, str]:
-    pref_rank = instance.preference_rank()
-    next_offer = {p: 0 for p in instance.priorities}
-    fill = {p: 0 for p in instance.priorities}  # offers each program holds
-    held_by: dict[str, str] = {}  # applicant -> program holding their best offer
-    pending = sorted(instance.priorities)
-    is_pending = set(pending)
+def _da_program_proposing(instance: MatchInstance) -> list[int]:
+    """Seat code per applicant (-1 unassigned); each program offers down
+    its priority order while it has room, and an applicant keeps the
+    offer that comes highest on their list."""
+    members = instance.applicant[instance.prio_order].tolist()
+    position = instance.pref_position[instance.prio_order].tolist()
+    next_offer = instance.prio_offsets[:-1].tolist()
+    stops = instance.prio_offsets[1:].tolist()
+    quota = instance.quota.tolist()
+    fill = [0] * len(quota)  # offers each program holds
+    seat = [-1] * len(instance.applicant_ids)  # program holding each applicant's best offer
+    seat_position = [len(members)] * len(seat)  # past the end of every list
+    pending = list(range(len(quota)))
+    is_pending = [True] * len(quota)
 
     while pending:
         p = pending.pop()
-        is_pending.discard(p)
-        order = instance.priorities[p]
-        quota = instance.quotas[p]
-        while fill[p] < quota and next_offer[p] < len(order):
-            a = order[next_offer[p]]
-            next_offer[p] += 1
-            current = held_by.get(a)
-            if current is None or pref_rank[a][p] < pref_rank[a][current]:
-                held_by[a] = p
-                fill[p] += 1
-                if current is not None:
+        is_pending[p] = False
+        i, stop, room = next_offer[p], stops[p], quota[p] - fill[p]
+        while room > 0 and i < stop:
+            a, rank = members[i], position[i]
+            i += 1
+            if rank < seat_position[a]:
+                current = seat[a]
+                seat[a], seat_position[a] = p, rank
+                room -= 1
+                if current >= 0:
                     fill[current] -= 1
-                    if current not in is_pending:
+                    if not is_pending[current]:
                         pending.append(current)
-                        is_pending.add(current)
-    return dict(held_by)
+                        is_pending[current] = True
+        next_offer[p] = i
+        fill[p] = quota[p] - room
+    return seat
 
 
-def _check_feasible(instance: MatchInstance, assignment: Assignment) -> None:
-    fill: dict[str, int] = {}
+def _seats(instance: MatchInstance, assignment: Assignment) -> np.ndarray:
+    """Per applicant: the row of their seat, -1 when unassigned; raises if
+    a seat is not on the applicant's list or a program is over quota."""
+    applicant_code = {a: i for i, a in enumerate(instance.applicant_ids)}
+    program_code = {p: j for j, p in enumerate(instance.program_keys)}
+    pairs = zip(instance.applicant.tolist(), instance.program.tolist())
+    row_of = {pair: row for row, pair in enumerate(pairs)}
+    seat = np.full(len(instance.applicant_ids), -1, dtype=np.intp)
     for a, p in assignment.seat_of.items():
-        if a not in instance.preferences or p not in instance.preferences[a]:
+        row = row_of.get((applicant_code.get(a), program_code.get(p)))
+        if row is None:
             raise InfeasibleAssignment(f"applicant {a!r} assigned to unlisted program {p!r}")
-        fill[p] = fill.get(p, 0) + 1
-    for p, n in fill.items():
-        if n > instance.quotas[p]:
-            raise InfeasibleAssignment(f"program {p!r} over quota: {n} > {instance.quotas[p]}")
+        seat[applicant_code[a]] = row
+    fill = np.bincount(instance.program[seat[seat >= 0]], minlength=len(instance.program_keys))
+    over = np.flatnonzero(fill > instance.quota).tolist()
+    if over:
+        p = over[0]
+        raise InfeasibleAssignment(
+            f"program {instance.program_keys[p]!r} over quota: {fill[p]} > {instance.quota[p]}"
+        )
+    return seat
 
 
 def find_blocking_pairs(
@@ -193,25 +237,23 @@ def find_blocking_pairs(
     outcome and the program either has a free seat or holds a
     lower-priority applicant. Empty result means stable.
     """
-    _check_feasible(instance, assignment)
-    prio_rank = instance.priority_rank()
-    admits = assignment.admits_of()
-    fill = {p: len(a) for p, a in admits.items()}
-    worst_rank = {
-        p: max(prio_rank[p][a] for a in holders) for p, holders in admits.items()
-    }
-
-    blocking: list[tuple[str, str]] = []
-    for a in sorted(instance.preferences):
-        prefs = instance.preferences[a]
-        current = assignment.seat_of.get(a)
-        stop = prefs.index(current) if current is not None else len(prefs)
-        for p in prefs[:stop]:
-            if fill.get(p, 0) < instance.quotas[p]:
-                blocking.append((a, p))
-            elif p in worst_rank and prio_rank[p][a] < worst_rank[p]:
-                blocking.append((a, p))
-    return blocking
+    seat = _seats(instance, assignment)
+    held = seat[seat >= 0]
+    n_programs = len(instance.program_keys)
+    fill = np.bincount(instance.program[held], minlength=n_programs)
+    worst = np.full(n_programs, -1)
+    np.maximum.at(worst, instance.program[held], instance.prio_position[held])
+    pref, prio = instance.pref_position, instance.prio_position
+    seat_position = np.where(seat >= 0, pref[np.maximum(seat, 0)], np.iinfo(np.intp).max)
+    program = instance.program
+    blocks = (pref < seat_position[instance.applicant]) & (
+        (fill[program] < instance.quota[program]) | (prio < worst[program])
+    )
+    rows = instance.pref_order[blocks[instance.pref_order]].tolist()
+    return [
+        (instance.applicant_ids[instance.applicant[r]], instance.program_keys[program[r]])
+        for r in rows
+    ]
 
 
 @dataclass(frozen=True)
@@ -229,19 +271,17 @@ def compare_assignments(
     The share is computed over the full applicant universe, not only over
     assigned applicants.
     """
-    universe = sorted(set(universe))
     known = set(universe)
     for assignment in (base, other):
-        extra = set(assignment.seat_of) - known
+        extra = assignment.seat_of.keys() - known
         if extra:
             raise UniverseMismatch(f"assigned applicants outside universe: {sorted(extra)[:5]}")
-    transitions = {}
-    for a in universe:
-        old, new = base.seat_of.get(a), other.seat_of.get(a)
-        if old != new:
-            transitions[a] = (old, new)
+    # an applicant whose seat differs has an (applicant, seat) pair in one
+    # assignment only
+    changed = sorted({a for a, _ in base.seat_of.items() ^ other.seat_of.items()})
+    transitions = {a: (base.seat_of.get(a), other.seat_of.get(a)) for a in changed}
     count = len(transitions)
-    share = count / len(universe) if universe else 0.0
+    share = count / len(known) if known else 0.0
     return AssignmentDiff(
         differently_assigned_count=count,
         differently_assigned_share=share,
@@ -255,35 +295,9 @@ def program_thresholds(scores: ScoreTable, assignment: Assignment) -> dict[str, 
     ``scores`` holds one row per (applicant, program), as the tables of
     both list variants do. Programs with no admits are omitted.
     """
-    total_of = {(a, p): t for (a, p, _year), t in zip(scores.keys, scores.totals.tolist())}
-    return {
-        p: min(total_of[(a, p)] for a in admits)
-        for p, admits in sorted(assignment.admits_of().items())
-    }
-
-
-def infer_quotas_from_observed(panel: Panel) -> dict[str, int]:
-    """Proxy each program's quota by its observed number of admits."""
-    if panel.observed_assignment is None:
-        raise NoObservedAssignment("panel has no observed assignment")
-    counts = {p: 0 for p in panel.programs}
-    for program_key in panel.observed_assignment.seat_of.values():
-        counts[program_key] += 1
-    return counts
-
-
-def replicate_assignment(panel: Panel, computed: Assignment) -> float:
-    """Fraction of per-application admit/reject decisions the engine
-    reproduces against the observed assignment."""
-    if panel.observed_assignment is None:
-        raise NoObservedAssignment("panel has no observed assignment")
-    observed = panel.observed_assignment
-    applications = panel.base_applications
-    if not applications:
-        return 1.0
-    same = 0
-    for app in applications:
-        observed_admit = observed.seat_of.get(app.applicant_id) == app.program_key
-        computed_admit = computed.seat_of.get(app.applicant_id) == app.program_key
-        same += observed_admit == computed_admit
-    return same / len(applications)
+    block = scores.applications
+    admits = np.flatnonzero(block.holds_seat(assignment))
+    lowest = np.full(len(block.program_keys), np.inf)
+    np.minimum.at(lowest, block.program[admits], scores.totals[admits])
+    admitting = np.unique(block.program[admits]).tolist()
+    return {block.program_keys[p]: float(lowest[p]) for p in admitting}

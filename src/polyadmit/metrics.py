@@ -4,8 +4,9 @@ histograms."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,16 +40,41 @@ def _midpoint_percentiles(values: Sequence[float]) -> list[float]:
     return (100.0 * (ranks - 0.5) / n).tolist()
 
 
-def field_gpa_percentile_ranks(panel: Panel) -> dict[tuple[str, str], float]:
+class PercentileTable(Mapping):
+    """A ``RankTable`` backed by one percentile column per field: row
+    ``i`` of ``percentiles`` belongs to ``applicant_ids[i]``, column ``j``
+    to ``fields[j]``. Reads as a mapping in field-major order."""
+
+    def __init__(
+        self, applicant_ids: Sequence[str], fields: Sequence[str], percentiles: np.ndarray
+    ) -> None:
+        self.applicant_ids, self.fields, self.percentiles = applicant_ids, fields, percentiles
+        self._row = {a: i for i, a in enumerate(applicant_ids)}
+        self._col = {f: j for j, f in enumerate(fields)}
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        applicant_id, field_label = key
+        return self.percentiles[self._row[applicant_id], self._col[field_label]].item()
+
+    def __iter__(self):
+        return ((a, f) for f in self.fields for a in self.applicant_ids)
+
+    def __len__(self) -> int:
+        return len(self.applicant_ids) * len(self.fields)
+
+    def lookup(self, applicant_ids: Iterable[str], field_labels: Iterable[str]) -> list[float]:
+        rows = list(map(self._row.__getitem__, applicant_ids))
+        cols = list(map(self._col.__getitem__, field_labels))
+        return self.percentiles[rows, cols].tolist()
+
+
+def field_gpa_percentile_ranks(panel: Panel) -> PercentileTable:
     """Rank every panel applicant by field-weighted GPA, per field."""
-    applicant_ids = sorted(panel.applicants)
     fields = sorted(panel.field_weights)
-    gpa = weighted_gpa_matrix(panel, applicant_ids, fields)
-    table: dict[tuple[str, str], float] = {}
-    for j, field_label in enumerate(fields):
-        for a, pct in zip(applicant_ids, _midpoint_percentiles(gpa[:, j])):
-            table[(a, field_label)] = pct
-    return table
+    gpa = weighted_gpa_matrix(panel, fields)
+    columns = [_midpoint_percentiles(gpa[:, j]) for j in range(len(fields))]
+    percentiles = np.array(columns, dtype=float).reshape(len(fields), len(gpa)).T
+    return PercentileTable(panel.applicant_ids, fields, percentiles)
 
 
 @dataclass(frozen=True)
@@ -71,37 +97,44 @@ def tercile_unassignment(
     if criterion not in (CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE):
         raise ValueError(f"unknown criterion {criterion!r}")
     values = table.gpa if criterion == CRITERION_MATRICULATION else table.totals
+    apps = table.applications
+    n_rows = len(apps)
 
-    # (applicant, table row) per program, in first-application order
-    pools: dict[str, list[tuple[str, int]]] = {}
-    for i, (applicant_id, program_key, _year) in enumerate(table.keys):
-        pools.setdefault(program_key, []).append((applicant_id, i))
+    # each row's percentile within its program's pool
+    pct = np.empty(n_rows)
+    by_program = np.argsort(apps.program, kind="stable")
+    bounds = np.searchsorted(apps.program[by_program], np.arange(len(apps.program_keys) + 1))
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        pct[by_program[start:stop]] = _midpoint_percentiles(values[by_program[start:stop]])
 
-    # percentile of each applicant within each pool they applied to, kept
-    # in pool order so each mean adds them in a fixed order
-    pool_percentiles: dict[str, dict[str, float]] = {}
-    for program_key, pool in pools.items():
-        pool.sort()
-        pcts = _midpoint_percentiles(values[[i for _, i in pool]])
-        for (a, _), pct in zip(pool, pcts):
-            pool_percentiles.setdefault(a, {})[program_key] = pct
+    # each applicant's mean over their pools, added in order of the pools'
+    # first applications, one list position at a time
+    first_row = np.full(len(apps.program_keys), n_rows)
+    np.minimum.at(first_row, apps.program, np.arange(n_rows))
+    order = np.lexsort((first_row[apps.program], apps.applicant))
+    present, starts, counts = np.unique(
+        apps.applicant[order], return_index=True, return_counts=True
+    )
+    position = np.arange(n_rows) - np.repeat(starts, counts)
+    spread = np.zeros((len(present), counts.max(initial=0)))
+    spread[np.repeat(np.arange(len(present)), counts), position] = pct[order]
+    total = np.zeros(len(present))
+    for column in spread.T:
+        total = total + column
+    mean_rank = total / counts
 
-    mean_rank = {
-        a: sum(ranks.values()) / len(ranks) for a, ranks in pool_percentiles.items()
-    }
-
-    excluded = tuple(sorted(set(panel.applicants) - set(mean_rank)))
-    ordered = sorted(mean_rank, key=lambda a: (-mean_rank[a], a))
-    n = len(ordered)
-    q, r = divmod(n, 3)
+    ids = [apps.applicant_ids[c] for c in present.tolist()]
+    excluded = tuple(sorted(set(panel.applicants) - set(ids)))
+    ordered = np.lexsort((np.arange(len(ids)), -mean_rank))  # ids ascending break ties
+    unassigned = np.array([a not in assignment.seat_of for a in ids], dtype=bool)[ordered]
+    q, r = divmod(len(ids), 3)
     sizes = tuple(q + (1 if i < r else 0) for i in range(3))
     fractions = []
     start = 0
     for size in sizes:
-        group = ordered[start : start + size]
+        count = int(np.count_nonzero(unassigned[start : start + size]))
         start += size
-        unassigned = sum(1 for a in group if a not in assignment.seat_of)
-        fractions.append(unassigned / size if size else 0.0)
+        fractions.append(count / size if size else 0.0)
     return TercileReport(
         criterion=criterion,
         unassigned_fraction=tuple(fractions),
@@ -123,13 +156,12 @@ def application_rank_stats(panel: Panel, assignment: Assignment) -> list[RankSta
     share admitted to that program."""
     rows = []
     base = panel.base_applications
+    admitted_rows = base.holds_seat(assignment)
     for rank in range(1, 5):
-        apps = [a for a in base if a.listed_rank == rank]
-        n = len(apps)
-        exams = sum(1 for a in apps if a.exam_taken)
-        admitted = sum(
-            1 for a in apps if assignment.seat_of.get(a.applicant_id) == a.program_key
-        )
+        listed = base.listed_rank == rank
+        n = int(np.count_nonzero(listed))
+        exams = int(np.count_nonzero(base.exam_taken[listed]))
+        admitted = int(np.count_nonzero(admitted_rows[listed]))
         rows.append(
             RankStatsRow(
                 listed_rank=rank,
@@ -161,11 +193,21 @@ def assigned_rank_histogram(
 ) -> Histogram100:
     """Bin assigned applicants by their GPA rank at the assigned program's
     field."""
-    bins = [0.0] * N_BINS
-    for applicant_id, program_key in assignment.seat_of.items():
-        rank = rank_table[(applicant_id, program_field[program_key])]
-        bins[min(int(rank), N_BINS - 1)] += 1.0
-    return Histogram100(bins=tuple(bins), uniform_level=n_applicants / N_BINS)
+    ranks = np.array(_admit_ranks(rank_table, assignment, program_field), dtype=float)
+    bins = np.bincount(np.minimum(ranks.astype(np.int64), N_BINS - 1), minlength=N_BINS)
+    return Histogram100(
+        bins=tuple(bins.astype(float).tolist()), uniform_level=n_applicants / N_BINS
+    )
+
+
+def _admit_ranks(
+    rank_table: RankTable, assignment: Assignment, program_field: Mapping[str, str]
+) -> list[float]:
+    """Each admit's GPA rank at their program's field, in seat order."""
+    fields = list(map(program_field.__getitem__, assignment.seat_of.values()))
+    if isinstance(rank_table, PercentileTable):
+        return rank_table.lookup(assignment.seat_of, fields)
+    return list(map(rank_table.__getitem__, zip(assignment.seat_of, fields)))
 
 
 def net_change_histogram(base: Histogram100, cf: Histogram100) -> Histogram100:
@@ -186,9 +228,7 @@ def mean_rank_improvement(
     def mean_rank(assignment: Assignment) -> float:
         if not assignment.seat_of:
             raise EmptyAssignment("assignment has no admits")
-        ranks = [
-            rank_table[(a, program_field[p])] for a, p in assignment.seat_of.items()
-        ]
+        ranks = _admit_ranks(rank_table, assignment, program_field)
         return sum(ranks) / len(ranks)
 
     return mean_rank(cf) - mean_rank(base)

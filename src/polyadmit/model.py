@@ -7,8 +7,13 @@ counterfactual application lists and the re-application outcome.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
+
+import numpy as np
 
 from .errors import EmptyName, ValidationError
 
@@ -75,11 +80,166 @@ class Assignment:
         return by_program
 
 
+def recode(ids: Sequence[str], into: Sequence[str]) -> np.ndarray:
+    """Position in ``into`` of each of ``ids``, -1 where absent."""
+    if ids is into or ids == into:
+        return np.arange(len(ids))
+    index = {x: i for i, x in enumerate(into)}
+    return np.array([index.get(x, -1) for x in ids], dtype=np.intp)
+
+
+def encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values, and each value's position among them."""
+    ids = tuple(sorted(set(values)))
+    code = {x: i for i, x in enumerate(ids)}
+    return ids, np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+@dataclass(frozen=True, eq=False)
+class ApplicationBlock(Sequence):
+    """Applications as columns, row ``i`` being one application.
+
+    ``applicant`` and ``program`` are codes into the sorted vocabularies
+    ``applicant_ids`` and ``program_keys``; blocks cut from one another
+    with ``take`` share them. As a sequence the block reads as
+    ``Application`` records, which are built on first read: the pipeline
+    itself works on the columns.
+    """
+
+    applicant_ids: tuple[str, ...] = field(repr=False)
+    program_keys: tuple[str, ...] = field(repr=False)
+    applicant: np.ndarray
+    program: np.ndarray
+    year: np.ndarray
+    listed_rank: np.ndarray
+    exam_taken: np.ndarray
+    exam_score: np.ndarray
+    other_points: np.ndarray
+
+    @classmethod
+    def from_columns(
+        cls, applicant_id, program_key, year, listed_rank, exam_taken, exam_score, other_points
+    ) -> "ApplicationBlock":
+        """A block from one list of Python values per ``Application`` field."""
+        applicant_ids, applicant = encode(applicant_id)
+        program_keys, program = encode(program_key)
+        return cls(
+            applicant_ids, program_keys, applicant, program,
+            np.array(year, dtype=np.int64), np.array(listed_rank, dtype=np.int64),
+            np.array(exam_taken, dtype=bool), np.array(exam_score, dtype=float),
+            np.array(other_points, dtype=float),
+        )
+
+    @classmethod
+    def of(cls, applications: Sequence[Application]) -> "ApplicationBlock":
+        """``applications`` itself if it is a block, else its records as one."""
+        if isinstance(applications, ApplicationBlock):
+            return applications
+        records = list(applications)
+        return cls.from_columns(
+            *([getattr(a, f.name) for a in records] for f in dataclasses.fields(Application))
+        )
+
+    def take(self, rows: np.ndarray, **columns: np.ndarray) -> "ApplicationBlock":
+        """The block of ``rows``, with any column replaced by ``columns``."""
+        return ApplicationBlock(
+            self.applicant_ids,
+            self.program_keys,
+            **{
+                f.name: columns.get(f.name, getattr(self, f.name)[rows])
+                for f in dataclasses.fields(self)[2:]
+            },
+        )
+
+    def distinct_applicants(self) -> list[str]:
+        """The ids of the applicants with a row here, sorted."""
+        return [self.applicant_ids[c] for c in np.unique(self.applicant).tolist()]
+
+    def holds_seat(self, assignment: "Assignment") -> np.ndarray:
+        """Per row: the applicant's seat is this row's program."""
+        index = {p: i for i, p in enumerate(self.program_keys)}
+        seat = np.array(
+            [index.get(assignment.seat_of.get(a), -1) for a in self.applicant_ids], dtype=np.intp
+        )
+        return seat[self.applicant] == self.program
+
+    @functools.cached_property
+    def lists(self) -> tuple:
+        """The rows as the applicants' lists: the applicant ids and the
+        program keys the block lists, each row's applicant and program
+        coded by position among them, and the rows in list order, with
+        applicant ``a``'s list at ``order[offsets[a]:offsets[a + 1]]``.
+        Ties in listed rank keep row order."""
+        listed_applicants, applicant = np.unique(self.applicant, return_inverse=True)
+        listed_programs, program = np.unique(self.program, return_inverse=True)
+        order = np.lexsort((self.listed_rank, applicant))
+        return (
+            tuple(self.applicant_ids[c] for c in listed_applicants.tolist()),
+            tuple(self.program_keys[c] for c in listed_programs.tolist()),
+            applicant,
+            program,
+            order,
+            np.searchsorted(applicant[order], np.arange(len(listed_applicants) + 1)),
+        )
+
+    def _python_columns(self) -> list[list]:
+        """Each column as Python values, in ``Application`` field order,
+        with ids and keys spelled out."""
+        return [
+            list(map(self.applicant_ids.__getitem__, self.applicant.tolist())),
+            list(map(self.program_keys.__getitem__, self.program.tolist())),
+        ] + [getattr(self, f.name).tolist() for f in dataclasses.fields(self)[4:]]
+
+    @functools.cached_property
+    def records(self) -> tuple[Application, ...]:
+        return tuple(map(Application, *self._python_columns()))
+
+    @functools.cached_property
+    def keys(self) -> tuple[tuple[str, str, int], ...]:
+        """(applicant_id, program_key, year) of every row."""
+        return tuple(zip(*self._python_columns()[:3]))
+
+    def __len__(self) -> int:
+        return len(self.applicant)
+
+    def __getitem__(self, i):
+        return self.records[i]
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (ApplicationBlock, list, tuple)):
+            return NotImplemented
+        return self.records == tuple(other)
+
+    __hash__ = None
+
+
+class _StoredAsBlock:
+    """``Panel.applications``: accepts any sequence of ``Application``,
+    stores it as an ``ApplicationBlock`` (``Panel.columns``), and reads
+    back as a tuple of records built on first read."""
+
+    def __get__(self, panel, owner=None):
+        if panel is None:
+            raise AttributeError("applications")  # no default value
+        return panel.columns.records
+
+    def __set__(self, panel, applications) -> None:
+        panel.__dict__["columns"] = ApplicationBlock.of(applications)
+
+
 @dataclass(frozen=True)
 class Panel:
+    """One three-year panel. ``applications`` is stored as one
+    ``ApplicationBlock``, ``columns``, which the pipeline reads; read as
+    ``applications`` it is a tuple of ``Application`` records, built on
+    first read."""
+
     applicants: Mapping[str, Applicant]
     programs: Mapping[str, Program]
-    applications: Sequence[Application]
+    applications: Sequence[Application] = _StoredAsBlock()
     base_year: int
     field_weights: Mapping[str, Mapping[str, float]]
     bonus_points: Mapping[str, float]
@@ -89,11 +249,11 @@ class Panel:
     def years(self) -> tuple[int, int, int]:
         return (self.base_year, self.base_year + 1, self.base_year + 2)
 
-    def applications_for(self, year: int) -> list[Application]:
-        return [a for a in self.applications if a.year == year]
+    def applications_for(self, year: int) -> ApplicationBlock:
+        return self.columns.take(np.flatnonzero(self.columns.year == year))
 
     @property
-    def base_applications(self) -> list[Application]:
+    def base_applications(self) -> ApplicationBlock:
         return self.applications_for(self.base_year)
 
     def field_of(self, program_key: str) -> str:
@@ -105,21 +265,40 @@ class Panel:
         weights = self.field_weights[field_label]
         return sum(w * grades.get(subject, 0.0) for subject, w in weights.items())
 
+    @functools.cached_property
+    def applicant_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.applicants))
+
+    @functools.cached_property
+    def subjects(self) -> tuple[str, ...]:
+        """Every subject graded or weighted, sorted."""
+        graded = {s for a in self.applicants.values() for s in a.matriculation_grades}
+        return tuple(sorted(graded.union(*self.field_weights.values())))
+
+    @functools.cached_property
+    def grades(self) -> np.ndarray:
+        """Matriculation grades, one row per ``applicant_ids`` entry and one
+        column per ``subjects`` entry; missing grades are zero."""
+        grades = [self.applicants[a].matriculation_grades for a in self.applicant_ids]
+        by_subject = [[g.get(s, 0.0) for g in grades] for s in self.subjects]
+        return np.array(by_subject, dtype=float).reshape(len(self.subjects), len(grades)).T
+
 
 def validate_panel(panel: Panel) -> Panel:
     """Check every structural invariant; raise with all violations at once."""
     problems: list[str] = []
 
-    seen_ids: set[str] = set()
-    for applicant_id, applicant in panel.applicants.items():
-        if applicant_id != applicant.applicant_id:
-            problems.append(f"DuplicateId: applicant map key {applicant_id!r} != record id")
-        if applicant_id in seen_ids:
-            problems.append(f"DuplicateId: applicant {applicant_id!r}")
-        seen_ids.add(applicant_id)
-        for subject, grade in applicant.matriculation_grades.items():
-            if grade < 0:
-                problems.append(f"NegativeGrade: applicant {applicant_id!r} subject {subject!r}")
+    if (panel.grades < 0).any() or any(
+        key != applicant.applicant_id for key, applicant in panel.applicants.items()
+    ):
+        for applicant_id, applicant in panel.applicants.items():
+            if applicant_id != applicant.applicant_id:
+                problems.append(f"DuplicateId: applicant map key {applicant_id!r} != record id")
+            for subject, grade in applicant.matriculation_grades.items():
+                if grade < 0:
+                    problems.append(
+                        f"NegativeGrade: applicant {applicant_id!r} subject {subject!r}"
+                    )
 
     for program_key, program in panel.programs.items():
         if program_key != program.program_key:
@@ -136,33 +315,54 @@ def validate_panel(panel: Panel) -> Panel:
         if program.field not in panel.bonus_points:
             problems.append(f"MissingBonusPoints: field {program.field!r} of {program_key!r}")
 
-    valid_years = set(panel.years)
-    by_applicant_year: dict[tuple[str, int], list[Application]] = {}
-    for i, app in enumerate(panel.applications):
-        where = f"application #{i} ({app.applicant_id!r}, {app.program_key!r}, {app.year})"
-        if app.applicant_id not in panel.applicants:
-            problems.append(f"DanglingForeignKey: {where}: unknown applicant")
-        if app.program_key not in panel.programs:
-            problems.append(f"DanglingForeignKey: {where}: unknown program")
-        if app.year not in valid_years:
-            problems.append(f"YearOutOfRange: {where}: panel years are {panel.years}")
-        if app.exam_score < 0 or app.other_points < 0:
-            problems.append(f"NegativePoints: {where}")
-        if app.exam_score != 0.0 and not app.exam_taken:
-            problems.append(f"ExamScoreWithoutExam: {where}")
-        by_applicant_year.setdefault((app.applicant_id, app.year), []).append(app)
+    apps = panel.columns
+    unknown_applicant = recode(apps.applicant_ids, panel.applicant_ids) < 0
+    unknown_program = np.array([p not in panel.programs for p in apps.program_keys], dtype=bool)
+    row_checks = (
+        (unknown_applicant[apps.applicant], "DanglingForeignKey: {}: unknown applicant"),
+        (unknown_program[apps.program], "DanglingForeignKey: {}: unknown program"),
+        (~np.isin(apps.year, panel.years), f"YearOutOfRange: {{}}: panel years are {panel.years}"),
+        ((apps.exam_score < 0) | (apps.other_points < 0), "NegativePoints: {}"),
+        ((apps.exam_score != 0.0) & ~apps.exam_taken, "ExamScoreWithoutExam: {}"),
+    )
+    for i in np.flatnonzero(np.logical_or.reduce([bad for bad, _ in row_checks])).tolist():
+        where = (
+            f"application #{i} ({apps.applicant_ids[apps.applicant[i]]!r}, "
+            f"{apps.program_keys[apps.program[i]]!r}, {int(apps.year[i])})"
+        )
+        problems.extend(message.format(where) for bad, message in row_checks if bad[i])
 
-    for (applicant_id, year), apps in by_applicant_year.items():
-        ranks = sorted(a.listed_rank for a in apps)
-        if ranks != list(range(1, len(ranks) + 1)) or len(ranks) > MAX_LISTED_RANK:
+    # Each (applicant, year) list, in order of its first application.
+    years = np.unique(apps.year)
+    lists, first_row, list_of, size = np.unique(
+        apps.applicant * len(years) + np.searchsorted(years, apps.year),
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    by_rank = np.lexsort((apps.listed_rank, list_of))
+    starts = np.cumsum(size) - size
+    rank = apps.listed_rank[by_rank]
+    rank_gap = size > MAX_LISTED_RANK
+    rank_gap |= np.bincount(
+        list_of[by_rank], rank != np.arange(len(apps)) - np.repeat(starts, size) + 1, len(lists)
+    ) > 0
+    by_program = np.lexsort((apps.program, list_of))
+    later, earlier = by_program[1:], by_program[:-1]
+    twice = (list_of[later] == list_of[earlier]) & (apps.program[later] == apps.program[earlier])
+    listed_twice = np.zeros(len(lists), dtype=bool)
+    listed_twice[list_of[later][twice]] = True
+    for g in sorted(np.flatnonzero(rank_gap | listed_twice).tolist(), key=first_row.__getitem__):
+        i = first_row[g]
+        applicant_id, list_year = apps.applicant_ids[apps.applicant[i]], int(apps.year[i])
+        if rank_gap[g]:
             problems.append(
-                f"RankGap: applicant {applicant_id!r} year {year}: ranks {ranks} "
+                f"RankGap: applicant {applicant_id!r} year {list_year}: "
+                f"ranks {rank[starts[g] : starts[g] + size[g]].tolist()} "
                 f"are not a prefix 1..k with k <= {MAX_LISTED_RANK}"
             )
-        keys = [a.program_key for a in apps]
-        if len(set(keys)) != len(keys):
+        if listed_twice[g]:
             problems.append(
-                f"DuplicateProgram: applicant {applicant_id!r} year {year} lists a program twice"
+                f"DuplicateProgram: applicant {applicant_id!r} year {list_year} "
+                "lists a program twice"
             )
 
     if panel.observed_assignment is not None:
@@ -184,9 +384,14 @@ def assignment_violations(
     package produces.
     """
     problems: list[str] = []
-    applied = {(a.applicant_id, a.program_key) for a in applications}
+    apps = ApplicationBlock.of(applications)
+    applicant_code = {a: i for i, a in enumerate(apps.applicant_ids)}
+    program_code = {p: i for i, p in enumerate(apps.program_keys)}
+    n_programs = len(apps.program_keys)
+    applied = set((apps.applicant * n_programs + apps.program).tolist())
     for applicant_id, program_key in assignment.seat_of.items():
-        if (applicant_id, program_key) not in applied:
+        a, p = applicant_code.get(applicant_id), program_code.get(program_key)
+        if a is None or p is None or a * n_programs + p not in applied:
             problems.append(
                 f"SeatWithoutApplication: ({applicant_id!r}, {program_key!r})"
             )

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateTable
-from .model import Application, Panel
+from .model import Application, ApplicationBlock, Panel, recode
 
 # (applicant_id, program_key, year)
 ScoreKey = tuple[str, str, int]
@@ -44,19 +44,19 @@ class ScoreTable:
     """Per-application score components as numpy columns.
 
     Row ``i`` of ``gpa``, ``exam``, ``bonus``, ``other``, ``exam_taken``
-    and ``totals`` belongs to ``keys[i]``, in the order of the application
-    list the table was computed from. ``exam_taken`` records which
-    applications carried their own valid exam result; exam propagation
-    only fills in the others. ``totals`` is summed once, at construction.
-    Transforms share the columns they leave unchanged, so columns are
-    read-only.
+    and ``totals`` scores row ``i`` of ``applications``, the block the
+    table was computed from. ``exam_taken`` records which applications
+    carried their own valid exam result; exam propagation only fills in
+    the others. ``totals`` is summed once, at construction. Transforms
+    share the columns they leave unchanged, so columns are read-only.
 
-    ``entries`` (key -> ``ScoreComponents``) and ``own_exam`` are built
-    from the columns on first read. Tables compare equal when own exams
-    and entries are equal, whatever their row order.
+    ``keys`` ((applicant, program, year) per row), ``entries`` (key ->
+    ``ScoreComponents``) and ``own_exam`` are built on first read. Tables
+    compare equal when own exams and entries are equal, whatever their
+    row order.
     """
 
-    keys: tuple[ScoreKey, ...] = field(repr=False)
+    applications: ApplicationBlock = field(repr=False)
     gpa: np.ndarray
     exam: np.ndarray
     bonus: np.ndarray
@@ -69,6 +69,10 @@ class ScoreTable:
         object.__setattr__(self, "totals", self.gpa + self.exam + self.bonus + self.other)
         for column in (self.gpa, self.exam, self.bonus, self.other, self.exam_taken, self.totals):
             column.setflags(write=False)
+
+    @property
+    def keys(self) -> tuple[ScoreKey, ...]:
+        return self.applications.keys
 
     @functools.cached_property
     def entries(self) -> Mapping[ScoreKey, ScoreComponents]:
@@ -97,30 +101,31 @@ class ScoreTable:
     __hash__ = None
 
 
-def weighted_gpa_matrix(
-    panel: Panel, applicant_ids: Sequence[str], fields: Sequence[str]
-) -> np.ndarray:
-    """Field-weighted matriculation GPA, one row per applicant and one
-    column per field; missing subjects count as zero.
+def weighted_gpa_matrix(panel: Panel, fields: Sequence[str]) -> np.ndarray:
+    """Field-weighted matriculation GPA, one row per ``panel.applicant_ids``
+    entry and one column per field; missing subjects count as zero.
 
     Each column adds ``weight * grade`` over the field's subjects in
     ``field_weights`` order, starting from zero, so every value equals
     ``Panel.weighted_gpa`` bit for bit.
     """
-    subjects = sorted({s for f in fields for s in panel.field_weights[f]})
-    subject_col = {s: j for j, s in enumerate(subjects)}
-    grades = np.array(
-        [
-            [panel.applicants[a].matriculation_grades.get(s, 0.0) for s in subjects]
-            for a in applicant_ids
-        ],
-        dtype=float,
-    ).reshape(len(applicant_ids), len(subjects))
-    gpa = np.zeros((len(applicant_ids), len(fields)))
+    subject_col = {s: j for j, s in enumerate(panel.subjects)}
+    gpa = np.zeros((len(panel.applicant_ids), len(fields)))
     for j, field_label in enumerate(fields):
         for subject, weight in panel.field_weights[field_label].items():
-            gpa[:, j] += weight * grades[:, subject_col[subject]]
+            gpa[:, j] += weight * panel.grades[:, subject_col[subject]]
     return gpa
+
+
+def _program_fields(panel: Panel, block: ApplicationBlock) -> tuple[list[str], np.ndarray]:
+    """The sorted fields of the programs ``block`` lists, and the code of
+    each ``block.program_keys`` entry's field among them."""
+    listed = np.unique(block.program).tolist()
+    fields = sorted({panel.programs[block.program_keys[p]].field for p in listed})
+    code = {f: j for j, f in enumerate(fields)}
+    field_of = np.zeros(len(block.program_keys), dtype=np.intp)
+    field_of[listed] = [code[panel.programs[block.program_keys[p]].field] for p in listed]
+    return fields, field_of
 
 
 def compute_score_table(panel: Panel, applications: Sequence[Application]) -> ScoreTable:
@@ -130,31 +135,20 @@ def compute_score_table(panel: Panel, applications: Sequence[Application]) -> Sc
     grades (missing subjects count as zero); the bonus applies only to the
     first listed program of each list.
     """
-    program_field = {p: prog.field for p, prog in panel.programs.items()}
-    fields = [program_field[app.program_key] for app in applications]
-    applicant_ids = sorted({app.applicant_id for app in applications})
-    field_ids = sorted(set(fields))
-    applicant_row = {a: i for i, a in enumerate(applicant_ids)}
-    field_col = {f: j for j, f in enumerate(field_ids)}
-    gpa = weighted_gpa_matrix(panel, applicant_ids, field_ids)[
-        np.array([applicant_row[app.applicant_id] for app in applications], dtype=np.intp),
-        np.array([field_col[f] for f in fields], dtype=np.intp),
-    ]
+    block = ApplicationBlock.of(applications)
+    fields, field_of = _program_fields(panel, block)
+    field_code = field_of[block.program]
+    applicant_row = recode(block.applicant_ids, panel.applicant_ids)
+    if (applicant_row < 0).any():
+        raise KeyError(f"applicants not in the panel: {block.distinct_applicants()[:5]}")
+    bonus = np.array([panel.bonus_points[f] for f in fields], dtype=float)
     return ScoreTable(
-        tuple((app.applicant_id, app.program_key, app.year) for app in applications),
-        gpa=gpa,
-        exam=np.array(
-            [app.exam_score if app.exam_taken else 0.0 for app in applications], dtype=float
-        ),
-        bonus=np.array(
-            [
-                panel.bonus_points[f] if app.listed_rank == 1 else 0.0
-                for app, f in zip(applications, fields)
-            ],
-            dtype=float,
-        ),
-        other=np.array([app.other_points for app in applications], dtype=float),
-        exam_taken=np.array([app.exam_taken for app in applications], dtype=bool),
+        block,
+        gpa=weighted_gpa_matrix(panel, fields)[applicant_row[block.applicant], field_code],
+        exam=np.where(block.exam_taken, block.exam_score, 0.0),
+        bonus=np.where(block.listed_rank == 1, bonus[field_code], 0.0),
+        other=block.other_points.astype(float),
+        exam_taken=block.exam_taken.copy(),
     )
 
 
@@ -164,41 +158,41 @@ def remove_first_choice_points(table: ScoreTable) -> ScoreTable:
     Idempotent, and commutes with ``propagate_entrance_exams``, which
     never reads or writes the bonus column.
     """
-    return replace(table, bonus=np.zeros(len(table.keys)))
-
-
-def first_exam_by_field(panel: Panel) -> dict[tuple[str, str], float]:
-    """Chronologically first exam score per (applicant, field).
-
-    "First" is resolved by (year, listed_rank, program_key) so the rule is
-    deterministic even when several exams fall in the same year.
-    """
-    first: dict[tuple[str, str], tuple[tuple[int, int, str], float]] = {}
-    for app in panel.applications:
-        if not app.exam_taken:
-            continue
-        field_label = panel.field_of(app.program_key)
-        order = (app.year, app.listed_rank, app.program_key)
-        slot = (app.applicant_id, field_label)
-        if slot not in first or order < first[slot][0]:
-            first[slot] = (order, app.exam_score)
-    return {slot: score for slot, (_, score) in first.items()}
+    return replace(table, bonus=np.zeros(len(table.applications)))
 
 
 def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     """Make the first exam taken in a field valid for every exam-less
     application in that field.
 
-    Applications with their own exam keep it. Idempotent: re-propagating
-    rewrites the same scores.
+    "First" is the least (year, listed_rank, program_key) among the
+    applicant's exams in the field, across the whole panel. Applications
+    with their own exam keep it. Idempotent: re-propagating rewrites the
+    same scores.
     """
-    sources = first_exam_by_field(panel)
+    apps, block = panel.columns, table.applications
+    fields, field_of = _program_fields(panel, apps)
+    code = {f: j for j, f in enumerate(fields)}
+    # one slot per (applicant, field), applicants coded by the panel's block
+    taken = np.flatnonzero(apps.exam_taken)
+    slot = apps.applicant[taken] * len(fields) + field_of[apps.program[taken]]
+    order = np.lexsort((apps.program[taken], apps.listed_rank[taken], apps.year[taken], slot))
+    slot = slot[order]
+    first = np.ones(len(slot), dtype=bool)
+    first[1:] = slot[1:] != slot[:-1]
+    scores = apps.exam_score[taken[order[first]]]
+    slots = np.append(slot[first], np.iinfo(np.int64).max)  # the end never matches
+
+    rows = np.flatnonzero(~table.exam_taken)
+    row_field = np.array(
+        [code.get(panel.programs[p].field, -1) for p in block.program_keys], dtype=np.intp
+    )[block.program[rows]]
+    wanted = recode(block.applicant_ids, apps.applicant_ids)[block.applicant[rows]]
+    wanted = np.where((wanted < 0) | (row_field < 0), -1, wanted * len(fields) + row_field)
+    at = np.searchsorted(slots, wanted)
+    found = slots[at] == wanted
     exam = table.exam.copy()
-    for row in np.flatnonzero(~table.exam_taken).tolist():
-        applicant_id, program_key, _year = table.keys[row]
-        source = sources.get((applicant_id, panel.field_of(program_key)))
-        if source is not None:
-            exam[row] = source
+    exam[rows[found]] = scores[at[found]]
     return replace(table, exam=exam)
 
 

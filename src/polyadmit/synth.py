@@ -19,6 +19,7 @@ from .errors import InvalidConfig
 from .model import (
     Applicant,
     Application,
+    ApplicationBlock,
     Assignment,
     Panel,
     Program,
@@ -203,26 +204,19 @@ def _applications_for_year(
     year: int,
     sampler: _ListSampler,
     fields: list[str],
-) -> list[Application]:
+    columns: tuple[list, ...],
+) -> None:
+    """Draw one application list and append it to ``columns``, one list
+    per ``Application`` field."""
     home_field = fields[int(rng.integers(len(fields)))]
-    apps = []
     for rank, program_key in enumerate(sampler.draw(rng, home_field), start=1):
         exam_prob = cfg.exam_prob_by_rank[min(rank, len(cfg.exam_prob_by_rank)) - 1]
         exam_taken = bool(rng.random() < exam_prob)
-        apps.append(
-            Application(
-                applicant_id=applicant_id,
-                program_key=program_key,
-                year=year,
-                listed_rank=rank,
-                exam_taken=exam_taken,
-                exam_score=_draw_exam_score(rng, ability) if exam_taken else 0.0,
-                other_points=(
-                    cfg.other_points_value if rng.random() < cfg.other_points_prob else 0.0
-                ),
-            )
-        )
-    return apps
+        exam_score = _draw_exam_score(rng, ability) if exam_taken else 0.0
+        other_points = cfg.other_points_value if rng.random() < cfg.other_points_prob else 0.0
+        row = (applicant_id, program_key, year, rank, exam_taken, exam_score, other_points)
+        for column, value in zip(columns, row):
+            column.append(value)
 
 
 def generate_panel(cfg: SynthConfig) -> Panel:
@@ -257,7 +251,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
 
     applicants = {}
     abilities = {}
-    applications: list[Application] = []
+    columns: tuple[list, ...] = tuple([] for _ in dataclasses.fields(Application))
     for i in range(cfg.n_applicants):
         applicant_id = f"a{i:05d}"
         ability = float(rng.standard_normal())
@@ -267,16 +261,14 @@ def generate_panel(cfg: SynthConfig) -> Panel:
             matriculation_grades=_draw_grades(rng, ability),
             cohort_year=cfg.base_year,
         )
-        applications.extend(
-            _applications_for_year(
-                rng, cfg, applicant_id, ability, cfg.base_year, sampler, fields,
-            )
+        _applications_for_year(
+            rng, cfg, applicant_id, ability, cfg.base_year, sampler, fields, columns
         )
 
     panel = Panel(
         applicants=applicants,
         programs=programs,
-        applications=tuple(applications),
+        applications=ApplicationBlock.from_columns(*columns),
         base_year=cfg.base_year,
         field_weights=field_weights,
         bonus_points=bonus_points,
@@ -289,53 +281,50 @@ def generate_panel(cfg: SynthConfig) -> Panel:
     instance = matching.build_instance(base_apps, table, quotas)
     seats = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
 
-    base_app_of = {(a.applicant_id, a.program_key): a for a in base_apps}
+    # (listed rank, exam taken) of each base-year (applicant, program)
+    applicant_of, program_of, _, rank_of, exam_of = columns[:5]
+    base_app_of = dict(zip(zip(applicant_of, program_of), zip(rank_of, exam_of)))
     accepted = {}
     for applicant_id, program_key in sorted(seats.seat_of.items()):
-        app = base_app_of[(applicant_id, program_key)]
+        listed_rank, exam_taken = base_app_of[(applicant_id, program_key)]
         p_accept = cfg.accept_base
-        if app.listed_rank >= 2:
-            p_accept -= cfg.accept_rank_penalty[min(app.listed_rank, 4) - 2]
-        if not app.exam_taken:
+        if listed_rank >= 2:
+            p_accept -= cfg.accept_rank_penalty[min(listed_rank, 4) - 2]
+        if not exam_taken:
             p_accept -= cfg.accept_no_exam_penalty
         accepted[applicant_id] = bool(rng.random() < p_accept)
     observed = Assignment(seat_of=dict(seats.seat_of), accepted=accepted)
 
     # Later-year re-application behavior.
-    later_apps: list[Application] = []
     year2_appliers = []
     for applicant_id in sorted(applicants):
         seat = observed.seat_of.get(applicant_id)
         if seat is None:
             p_reapply = cfg.reapply_unassigned
         else:
-            app = base_app_of[(applicant_id, seat)]
+            listed_rank, exam_taken = base_app_of[(applicant_id, seat)]
             p_reapply = cfg.reapply_assigned_base
-            if app.listed_rank >= 2:
-                p_reapply += cfg.reapply_rank_bonus[min(app.listed_rank, 4) - 2]
-            if not app.exam_taken:
+            if listed_rank >= 2:
+                p_reapply += cfg.reapply_rank_bonus[min(listed_rank, 4) - 2]
+            if not exam_taken:
                 p_reapply += cfg.reapply_no_exam_bonus
         if rng.random() < p_reapply:
             year2_appliers.append(applicant_id)
-            later_apps.extend(
-                _applications_for_year(
-                    rng, cfg, applicant_id, abilities[applicant_id],
-                    cfg.base_year + 1, sampler, fields,
-                )
+            _applications_for_year(
+                rng, cfg, applicant_id, abilities[applicant_id],
+                cfg.base_year + 1, sampler, fields, columns,
             )
     for applicant_id in year2_appliers:
         if rng.random() < cfg.reapply_third_year:
-            later_apps.extend(
-                _applications_for_year(
-                    rng, cfg, applicant_id, abilities[applicant_id],
-                    cfg.base_year + 2, sampler, fields,
-                )
+            _applications_for_year(
+                rng, cfg, applicant_id, abilities[applicant_id],
+                cfg.base_year + 2, sampler, fields, columns,
             )
 
     panel = Panel(
         applicants=applicants,
         programs=programs,
-        applications=tuple(applications) + tuple(later_apps),
+        applications=ApplicationBlock.from_columns(*columns),
         base_year=cfg.base_year,
         field_weights=field_weights,
         bonus_points=bonus_points,
@@ -360,10 +349,11 @@ def calibration_report(panel: Panel) -> list[CalibrationRow]:
     base = panel.base_applications
     rows = []
     for rank in range(1, 5):
-        apps = [a for a in base if a.listed_rank == rank]
-        share = sum(a.exam_taken for a in apps) / len(apps) if apps else 0.0
+        listed = base.listed_rank == rank
+        n = int(np.count_nonzero(listed))
+        share = int(np.count_nonzero(base.exam_taken[listed])) / n if n else 0.0
         rows.append(CalibrationRow(f"exam_share_rank{rank}", EXAM_SHARE_BY_RANK[rank - 1], share))
-    n_applicants = len({a.applicant_id for a in base})
+    n_applicants = len(base.distinct_applicants())
     assigned = len(panel.observed_assignment.seat_of) if panel.observed_assignment else 0
     rows.append(
         CalibrationRow("assigned_share", TARGET_ASSIGNED_SHARE, assigned / n_applicants)

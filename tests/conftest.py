@@ -62,6 +62,18 @@ def mk_panel(
     return validate_panel(panel) if validate else panel
 
 
+def build_scenario(panel, scenario_id):
+    """The application block and score table one scenario is matched on,
+    read from the suite's result for it."""
+    from polyadmit.counterfactual import run_scenario_suite
+    from polyadmit.metrics import field_gpa_percentile_ranks
+
+    ranks = field_gpa_percentile_ranks(panel)
+    results = run_scenario_suite(panel, ranks, scenario_ids=[scenario_id])
+    (table,) = (r.table for r in results if r.scenario_id == scenario_id)
+    return table.applications, table
+
+
 @pytest.fixture(scope="session")
 def default_panel():
     """The default-seed desk-scale synthetic panel (5000 applicants)."""

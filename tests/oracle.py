@@ -1,13 +1,45 @@
-"""Test-only oracles: brute-force enumeration of every stable assignment
-of a small instance, and an assignment checker that raises."""
+"""Test-only oracles and helpers: brute-force enumeration of every stable
+assignment of a small instance, an assignment checker that raises, an
+instance built from id-keyed mappings, and the observed-assignment
+replication checks."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from polyadmit.errors import InfeasibleAssignment, InstanceTooLarge
+import numpy as np
+
+from polyadmit.errors import InfeasibleAssignment, InstanceTooLarge, NoObservedAssignment
 from polyadmit.matching import MatchInstance, find_blocking_pairs
 from polyadmit.model import Application, Assignment, Panel, assignment_violations
+
+
+def instance_from_mappings(
+    preferences: Mapping[str, Sequence[str]],
+    priorities: Mapping[str, Sequence[str]],
+    quotas: Mapping[str, int],
+) -> MatchInstance:
+    """An instance from id-keyed preference lists, priority orders and
+    quotas; each program's order ranks the applicants listing it."""
+    applicant_ids = tuple(sorted(preferences))
+    program_keys = tuple(sorted(priorities))
+    program_code = {p: j for j, p in enumerate(program_keys)}
+    pairs = [(a, p) for a in applicant_ids for p in preferences[a]]
+    row_of = {pair: r for r, pair in enumerate(pairs)}
+    lengths = [len(preferences[a]) for a in applicant_ids]
+    return MatchInstance(
+        applicant_ids,
+        program_keys,
+        applicant=np.repeat(np.arange(len(applicant_ids)), lengths),
+        program=np.array([program_code[p] for _, p in pairs], dtype=np.intp),
+        pref_order=np.arange(len(pairs)),
+        pref_offsets=np.cumsum([0] + lengths),
+        quota=np.array([quotas[p] for p in program_keys], dtype=np.int64),
+        prio_order=np.array(
+            [row_of[a, p] for p in program_keys for a in priorities[p]], dtype=np.intp
+        ),
+        prio_offsets=np.cumsum([0] + [len(priorities[p]) for p in program_keys]),
+    )
 
 
 def enumerate_stable_assignments(
@@ -26,8 +58,8 @@ def enumerate_stable_assignments(
         if space > limit:
             raise InstanceTooLarge(f"search space exceeds limit of {limit}")
 
-    prio_rank = instance.priority_rank()
-    pref_rank = instance.preference_rank()
+    prio_rank = {p: {a: i for i, a in enumerate(o)} for p, o in instance.priorities.items()}
+    pref_rank = {a: {p: i for i, p in enumerate(o)} for a, o in instance.preferences.items()}
     quotas = instance.quotas
 
     seat_of: dict[str, str] = {}
@@ -110,3 +142,30 @@ def check_assignment(
     if problems:
         raise InfeasibleAssignment("; ".join(problems))
     return assignment
+
+
+def infer_quotas_from_observed(panel: Panel) -> dict[str, int]:
+    """Proxy each program's quota by its observed number of admits."""
+    if panel.observed_assignment is None:
+        raise NoObservedAssignment("panel has no observed assignment")
+    counts = {p: 0 for p in panel.programs}
+    for program_key in panel.observed_assignment.seat_of.values():
+        counts[program_key] += 1
+    return counts
+
+
+def replicate_assignment(panel: Panel, computed: Assignment) -> float:
+    """Fraction of per-application admit/reject decisions the engine
+    reproduces against the observed assignment."""
+    if panel.observed_assignment is None:
+        raise NoObservedAssignment("panel has no observed assignment")
+    observed = panel.observed_assignment
+    applications = panel.base_applications
+    if not applications:
+        return 1.0
+    same = 0
+    for app in applications:
+        observed_admit = observed.seat_of.get(app.applicant_id) == app.program_key
+        computed_admit = computed.seat_of.get(app.applicant_id) == app.program_key
+        same += observed_admit == computed_admit
+    return same / len(applications)

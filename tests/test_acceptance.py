@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from oracle import enumerate_stable_assignments
+from oracle import enumerate_stable_assignments, instance_from_mappings, replicate_assignment
 from polyadmit import cli, counterfactual, matching, metrics, scoring, synth
 from polyadmit.econometrics import lpm_report, ols
 from polyadmit.matching import (
@@ -14,7 +14,6 @@ from polyadmit.matching import (
     compare_assignments,
     deferred_acceptance,
     find_blocking_pairs,
-    replicate_assignment,
 )
 from polyadmit.scoring import compute_score_table
 
@@ -41,7 +40,7 @@ def random_instance(rng: random.Random) -> MatchInstance:
         for p in programs
     }
     quotas = {p: rng.randint(0, 2) for p in programs}
-    return MatchInstance(preferences=prefs, priorities=priorities, quotas=quotas)
+    return instance_from_mappings(preferences=prefs, priorities=priorities, quotas=quotas)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,8 @@
 import pytest
 
-from conftest import mk_app, mk_panel, mk_program
+from conftest import build_scenario, mk_app, mk_panel, mk_program
 from polyadmit.counterfactual import (
     SCENARIO_IDS,
-    build_scenario,
     extend_application_lists,
     run_scenario_suite,
 )

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from polyadmit import cli
+from polyadmit import cli, io_csv, synth
 
 GOLDEN = {
     42: {
@@ -48,3 +48,61 @@ def test_default_synth_reports_match_golden_digests(tmp_path, seed):
     assert cli.main(["--synth", "default", "--seed", str(seed), "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == GOLDEN[seed]
+
+
+# A paper-shaped panel (the clearinghouse's applicant-to-seat ratio, about
+# 110 applicants per program), written by save_panel and read back through
+# --input: pins CSV ingestion and every report that path writes, table5
+# with classical and with robust standard errors.
+INPUT_CONFIG = dict(
+    n_applicants=1800, n_programs=16, n_fields=4, seats_total=round(1800 * 16655 / 50894), seed=42
+)
+INPUT_GOLDEN = {
+    "applicants.csv": "8357ec6e0e1d28ac4bc94954cd07c266d25a9b42cef8ed38ca0e595be3edf13b",
+    "applications.csv": "a36e4a017090393cb037b438c2b67f0d088aefe2289ade748492a6d78807f442",
+    "bonus_points.csv": "415b5cfd95992a3ef01896d75648b04d549cceb30cc611e40ce6e6f049bac928",
+    "field_weights.csv": "07c13b6fd93179657c2500b0edf8cf6dd4b2be338c356a23a173e7816f932010",
+    "observed_assignment.csv": "2d5ba69171897dcf0323e38cd6985274e767090eacd28d1a184c19ed4f8b9bf2",
+    "programs.csv": "a112d41271028246ae29112abaf17868a9ef2fe930811e880bcf33b3d1e6160b",
+}
+INPUT_REPORTS_GOLDEN = {
+    "assignment_S1.csv": "9fb434e60196481e6d24629048f579dd85f972062cb93422c916c6107156dd05",
+    "assignment_S2.csv": "d947290689dfd77950f113ce338d69a219f26539033210bdd1f6070385432631",
+    "assignment_S3.csv": "460971df927936e835ec36f279b7b7899ae3927506d44c114873806e39da1fa0",
+    "assignment_S4.csv": "a5a1d4f8fa0c44f0c7585856a95b15f5deafb2d4dda14bcef8f99ee03969a98d",
+    "assignment_S5.csv": "fa4bb95057b052fde1d72ac50a91477f25ab2a0085324dbeae97f779b7c37aab",
+    "assignment_S6.csv": "731293d9f3b71c0a08815d0ec9be9a22e67f0b684bbe2117d0f500b0b9d86f12",
+    "figure1.csv": "4692f5f4bbafb72088c9047f15dac91b5b714b7917818c3dc486b3bdc50afebe",
+    "table1.csv": "2aa05df48ea23b3dae6b108cd5c7d436c4ea8e3e336f5fad49a319d40b1ca327",
+    "table2.csv": "b3477a1e25c388de8aa58a34c16694dd119f49ecdd1d97f350fea9a932a42f7d",
+    "table3.csv": "2e91d75597ecd40a2f6b462c7594bee6472cc7905e5f62026c50023e37427ef9",
+    "table4.csv": "8d47abf566e6aaec1c307823b1b9063bd5db87ed950df90340f77bf8ffa15d87",
+    "table5.csv": "4b460b5a2d2628207f2fc40b23a0988abb4e0519291a0ec069c5daef025964af",
+}
+INPUT_ROBUST_TABLE5 = "2228462ca79a6d20ecc7c55b6da9f48736b8110595816f98eeafde5cfb7f57f1"
+
+
+def tree_digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def paper_shaped_input(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("input")
+    io_csv.save_panel(synth.generate_panel(synth.SynthConfig(**INPUT_CONFIG)), directory)
+    return directory
+
+
+def test_paper_shaped_input_matches_golden_digests(paper_shaped_input):
+    assert tree_digests(paper_shaped_input) == INPUT_GOLDEN
+
+
+@pytest.mark.parametrize("robust", [False, True], ids=["classical", "robust_se"])
+def test_input_reports_match_golden_digests(paper_shaped_input, tmp_path, robust):
+    out = tmp_path / "out"
+    args = ["--input", str(paper_shaped_input), "--out", str(out)]
+    assert cli.main(args + (["--robust-se"] if robust else [])) == 0
+    expected = dict(INPUT_REPORTS_GOLDEN)
+    if robust:
+        expected["table5.csv"] = INPUT_ROBUST_TABLE5
+    assert tree_digests(out) == expected

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import enumerate_stable_assignments
+from oracle import enumerate_stable_assignments, instance_from_mappings, replicate_assignment
 from polyadmit import matching
 from polyadmit.errors import (
     InfeasibleAssignment,
@@ -14,15 +14,13 @@ from polyadmit.errors import (
     UniverseMismatch,
 )
 from polyadmit.matching import (
-    MatchInstance,
     build_instance,
     compare_assignments,
     deferred_acceptance,
     find_blocking_pairs,
     program_thresholds,
-    replicate_assignment,
 )
-from polyadmit.model import Assignment
+from polyadmit.model import ApplicationBlock, Assignment
 from polyadmit.scoring import ScoreTable, compute_score_table
 
 
@@ -33,7 +31,7 @@ def instance_of(prefs, scores, quotas):
     for p in programs:
         pool = [a for a in prefs if p in prefs[a]]
         prios[p] = tuple(sorted(pool, key=lambda a: (-scores[(a, p)], a)))
-    return MatchInstance(
+    return instance_from_mappings(
         preferences={a: tuple(v) for a, v in prefs.items()},
         priorities=prios,
         quotas=dict(quotas),
@@ -252,7 +250,7 @@ def score_table(rows):
     """Hand-built base-year table from (applicant, program, gpa, bonus) rows."""
     zeros = np.zeros(len(rows))
     return ScoreTable(
-        tuple((a, p, 2011) for a, p, _, _ in rows),
+        ApplicationBlock.of([mk_app(a, p, 1) for a, p, _, _ in rows]),
         gpa=np.array([gpa for _, _, gpa, _ in rows]),
         exam=zeros,
         bonus=np.array([bonus for _, _, _, bonus in rows]),

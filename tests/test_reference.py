@@ -1,14 +1,20 @@
 """Vectorised code against straight-line loop versions, bit for bit: the
 column-backed score tables and lexsort priorities on every scenario of
-the default synthetic panel and of its CSV round trip, the regression
-design, thresholds and tercile unassignment on the same panels, and the
-midpoint percentiles on random values with ties."""
+the default synthetic panel and of its CSV round trip, the extended
+application lists, the regression design, thresholds and tercile
+unassignment on the same panels, and the midpoint percentiles on random
+values with ties."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polyadmit import counterfactual, econometrics, io_csv
-from polyadmit.counterfactual import SCENARIO_IDS, SCENARIOS, build_scenario
+from polyadmit.errors import ValidationError
+from polyadmit.model import Applicant, Panel, validate_panel
+from conftest import build_scenario, mk_app, mk_program
+from polyadmit.counterfactual import SCENARIO_IDS, SCENARIOS
 from polyadmit.econometrics import REPORT_SPECS, build_design_matrix, lpm_report, ols
 from polyadmit.matching import build_instance, program_thresholds
 from polyadmit.metrics import (
@@ -74,6 +80,35 @@ def test_columns_and_priorities_match_loop_reference(panel, scenario_id):
     quotas = {p: prog.quota for p, prog in panel.programs.items()}
     instance = build_instance(applications, table, quotas)
     assert instance.priorities == loop_priorities(applications, expected)
+
+
+def loop_extend_application_lists(panel):
+    """Each base-year applicant's lists of all three years, in year then
+    listed-rank order, first listing of each program kept, re-dated to the
+    base year and renumbered 1..k, one record at a time."""
+    by_year = {y: {} for y in panel.years}
+    for app in panel.applications:
+        by_year[app.year].setdefault(app.applicant_id, []).append(app)
+    extended = []
+    for applicant_id in sorted(by_year[panel.base_year]):
+        listed = set()
+        rank = 0
+        for year in panel.years:
+            for app in sorted(by_year[year].get(applicant_id, []), key=lambda x: x.listed_rank):
+                if app.program_key in listed:
+                    continue
+                listed.add(app.program_key)
+                rank += 1
+                extended.append(replace(app, year=panel.base_year, listed_rank=rank))
+    return extended
+
+
+def test_extended_lists_match_loop_reference(panel):
+    extended = counterfactual.extend_application_lists(panel)
+    expected = loop_extend_application_lists(panel)
+    assert len(extended) == len(expected)
+    for got, want in zip(extended, expected):
+        assert got == want
 
 
 def loop_midpoint_percentiles(values):
@@ -201,3 +236,88 @@ def test_tercile_unassignment_matches_loop_reference(panel, criterion):
     table = compute_score_table(panel, panel.base_applications)
     expected = loop_tercile_unassignment(panel, assignment, criterion)
     assert tercile_unassignment(panel, table, assignment, criterion) == expected
+
+
+def loop_violations(panel):
+    """validate_panel's messages, one record at a time."""
+    problems = []
+    for applicant_id, applicant in panel.applicants.items():
+        if applicant_id != applicant.applicant_id:
+            problems.append(f"DuplicateId: applicant map key {applicant_id!r} != record id")
+        for subject, grade in applicant.matriculation_grades.items():
+            if grade < 0:
+                problems.append(f"NegativeGrade: applicant {applicant_id!r} subject {subject!r}")
+    for program_key, program in panel.programs.items():
+        if program.quota < 0:
+            problems.append(f"QuotaNegative: program {program_key!r} quota {program.quota}")
+        if program.field not in panel.field_weights:
+            problems.append(f"MissingFieldWeights: field {program.field!r} of {program_key!r}")
+        if program.field not in panel.bonus_points:
+            problems.append(f"MissingBonusPoints: field {program.field!r} of {program_key!r}")
+    by_list = {}
+    for i, app in enumerate(panel.applications):
+        where = f"application #{i} ({app.applicant_id!r}, {app.program_key!r}, {app.year})"
+        if app.applicant_id not in panel.applicants:
+            problems.append(f"DanglingForeignKey: {where}: unknown applicant")
+        if app.program_key not in panel.programs:
+            problems.append(f"DanglingForeignKey: {where}: unknown program")
+        if app.year not in panel.years:
+            problems.append(f"YearOutOfRange: {where}: panel years are {panel.years}")
+        if app.exam_score < 0 or app.other_points < 0:
+            problems.append(f"NegativePoints: {where}")
+        if app.exam_score != 0.0 and not app.exam_taken:
+            problems.append(f"ExamScoreWithoutExam: {where}")
+        by_list.setdefault((app.applicant_id, app.year), []).append(app)
+    for (applicant_id, year), apps in by_list.items():
+        ranks = sorted(a.listed_rank for a in apps)
+        if ranks != list(range(1, len(ranks) + 1)) or len(ranks) > 4:
+            problems.append(
+                f"RankGap: applicant {applicant_id!r} year {year}: ranks {ranks} "
+                f"are not a prefix 1..k with k <= 4"
+            )
+        if len({a.program_key for a in apps}) != len(apps):
+            problems.append(
+                f"DuplicateProgram: applicant {applicant_id!r} year {year} lists a program twice"
+            )
+    return problems
+
+
+def test_validation_matches_loop_reference():
+    rng = np.random.default_rng(6)
+    programs = [
+        mk_program(("P", name), field=f"field{i % 3}", quota=i - 2) for i, name in enumerate("abcd")
+    ]
+    seen = set()
+    for _ in range(300):
+        apps = [
+            mk_app(
+                f"a{rng.integers(6)}",
+                programs[rng.integers(4)].program_key if rng.random() < 0.9 else "ghost::p",
+                int(rng.integers(0, 6)),
+                year=2011 + int(rng.integers(0, 4)) if rng.random() < 0.9 else 2011,
+                exam=bool(rng.random() < 0.5),
+                exam_score=float(rng.choice([-1.0, 0.0, 5.0])),
+                other=float(rng.choice([-1.0, 0.0, 0.0, 2.0])),
+            )
+            for _ in range(int(rng.integers(0, 14)))
+        ]
+        listed = programs[: int(rng.integers(1, 5))]
+        panel = Panel(
+            applicants={  # some applicants are missing
+                f"a{i}": Applicant(f"a{i}", {"math": float(rng.choice([-1.0, 3.0]))}, 2011)
+                for i in range(int(rng.integers(6)))
+            },
+            programs={p.program_key: p for p in listed},
+            applications=tuple(apps),
+            base_year=2011,
+            field_weights={"field0": {"math": 1.0}, "field1": {"math": 1.0}},
+            bonus_points={"field0": 0.0, "field2": 0.0},
+        )
+        try:
+            validate_panel(panel)
+            problems = []
+        except ValidationError as exc:
+            problems = exc.violations
+        assert problems == loop_violations(panel)
+        seen.update(p.split(":")[0] for p in problems)
+    assert len(seen) == 10  # every class above occurred

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import mk_app, mk_panel, mk_program
 from polyadmit import scoring
 from polyadmit.errors import DegenerateTable
+from polyadmit.model import ApplicationBlock
 from polyadmit.scoring import (
     ScoreComponents,
     adjusted_score,
@@ -254,7 +255,9 @@ class TestEffectiveWeights:
             return np.array([getattr(c, name) for c in components], dtype=float)
 
         return scoring.ScoreTable(
-            keys=tuple((f"a{i}", "p::x", 2011) for i in range(len(components))),
+            applications=ApplicationBlock.of(
+                [mk_app(f"a{i}", "p::x", 1) for i in range(len(components))]
+            ),
             gpa=column("gpa_component"),
             exam=column("exam_component"),
             bonus=column("first_choice_bonus"),

@@ -3,6 +3,7 @@ import bisect
 import numpy as np
 import pytest
 
+from oracle import infer_quotas_from_observed, replicate_assignment
 from polyadmit import matching, synth
 from polyadmit.errors import InvalidConfig
 from polyadmit.model import validate_panel
@@ -37,10 +38,10 @@ class TestValidity:
             small_panel.base_applications, table, table_quotas
         )
         computed = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
-        assert matching.replicate_assignment(small_panel, computed) == 1.0
+        assert replicate_assignment(small_panel, computed) == 1.0
 
     def test_quota_proxy_matches_generator_quotas_for_filled_programs(self, small_panel):
-        inferred = matching.infer_quotas_from_observed(small_panel)
+        inferred = infer_quotas_from_observed(small_panel)
         for key, program in small_panel.programs.items():
             assert inferred[key] <= program.quota
 
