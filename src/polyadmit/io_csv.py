@@ -76,52 +76,27 @@ class _Table:
         raise AssertionError(f"{self.path}: a column failed but no cell did")
 
 
-def _split(text: str, required: Sequence[str]) -> Optional[tuple[list[str], list[list[str]]]]:
-    """Header and columns of a CSV text that needs no CSV parser: no
-    quotes, carriage returns, NULs or blank lines, every ``required``
-    column, and as many cells in every line as in the header. None for
-    any other text."""
-    if not text or any(c in text for c in '"\r\0') or "\n\n" in text or text[0] == "\n":
-        return None
-    lines = text[:-1].split("\n") if text.endswith("\n") else text.split("\n")
-    header = lines[0].split(",")
-    if set(required) - set(header):
-        return None
-    if set(map(str.count, lines, [","] * len(lines))) != {len(header) - 1}:
-        return None
-    if len(lines) == 1:
-        return header, [[] for _ in header]
-    cells = ",".join(lines[1:]).split(",")
-    return header, [cells[j :: len(header)] for j in range(len(header))]
-
-
 def _read_table(path: Path, required: Sequence[str]) -> _Table:
     """Read a UTF-8 CSV file whose header names every ``required`` column."""
     if not path.exists():
         raise ParseError(f"{path}: file not found")
     try:
-        split = _split(path.read_bytes().decode("utf-8"), required)
-    except UnicodeDecodeError:
-        split = None  # the reader below names the bad byte
-    if split is None:
-        try:
-            with open(path, newline="", encoding="utf-8") as handle:
-                reader = csv.reader(handle)
-                header = next(reader, [])
-                for column in required:
-                    if column not in header:
-                        raise ParseError(f"{path}: missing required header {column!r}")
-                rows = [row for row in reader if row]
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-        if set(map(len, rows)) - {len(header)}:
-            for row, line in zip(rows, _Table(path, header, []).lines):
-                if len(row) > len(header):
-                    raise ParseError(f"{path} row {line}: more cells than header columns")
-                if len(row) < len(header):
-                    raise ParseError(f"{path} row {line}: no cell for column {header[len(row)]!r}")
-        split = header, [[row[j] for row in rows] for j in range(len(header))]
-    return _Table(path, *split)
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            for column in required:
+                if column not in header:
+                    raise ParseError(f"{path}: missing required header {column!r}")
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    if set(map(len, rows)) - {len(header)}:
+        for row, line in zip(rows, _Table(path, header, []).lines):
+            if len(row) > len(header):
+                raise ParseError(f"{path} row {line}: more cells than header columns")
+            if len(row) < len(header):
+                raise ParseError(f"{path} row {line}: no cell for column {header[len(row)]!r}")
+    return _Table(path, header, [[row[j] for row in rows] for j in range(len(header))])
 
 
 def _cell(parse, column: str):
@@ -169,11 +144,18 @@ def _seat(path: Path, row_number: int, cells: dict[str, str]) -> None:
         _parse_bool(path, row_number, "accepted", cells["accepted"])
 
 
+INT64 = np.iinfo(np.int64)
+
+
 def _parse_int(path: Path, row_number: int, column: str, raw: str) -> int:
+    """An integer cell; the columns hold 64-bit integers."""
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ParseError(f"{path} row {row_number}: bad value for {column!r}: {raw!r}") from None
+    if not INT64.min <= value <= INT64.max:
+        raise ParseError(f"{path} row {row_number}: value out of range for {column!r}: {raw!r}")
+    return value
 
 
 BOOLEANS = {"true": True, "1": True, "yes": True}

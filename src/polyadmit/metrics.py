@@ -4,7 +4,8 @@ histograms."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,41 +41,15 @@ def _midpoint_percentiles(values: Sequence[float]) -> list[float]:
     return (100.0 * (ranks - 0.5) / n).tolist()
 
 
-class PercentileTable(Mapping):
-    """A ``RankTable`` backed by one percentile column per field: row
-    ``i`` of ``percentiles`` belongs to ``applicant_ids[i]``, column ``j``
-    to ``fields[j]``. Reads as a mapping in field-major order."""
-
-    def __init__(
-        self, applicant_ids: Sequence[str], fields: Sequence[str], percentiles: np.ndarray
-    ) -> None:
-        self.applicant_ids, self.fields, self.percentiles = applicant_ids, fields, percentiles
-        self._row = {a: i for i, a in enumerate(applicant_ids)}
-        self._col = {f: j for j, f in enumerate(fields)}
-
-    def __getitem__(self, key: tuple[str, str]) -> float:
-        applicant_id, field_label = key
-        return self.percentiles[self._row[applicant_id], self._col[field_label]].item()
-
-    def __iter__(self):
-        return ((a, f) for f in self.fields for a in self.applicant_ids)
-
-    def __len__(self) -> int:
-        return len(self.applicant_ids) * len(self.fields)
-
-    def lookup(self, applicant_ids: Iterable[str], field_labels: Iterable[str]) -> list[float]:
-        rows = list(map(self._row.__getitem__, applicant_ids))
-        cols = list(map(self._col.__getitem__, field_labels))
-        return self.percentiles[rows, cols].tolist()
-
-
-def field_gpa_percentile_ranks(panel: Panel) -> PercentileTable:
+def field_gpa_percentile_ranks(panel: Panel) -> dict[tuple[str, str], float]:
     """Rank every panel applicant by field-weighted GPA, per field."""
     fields = sorted(panel.field_weights)
     gpa = weighted_gpa_matrix(panel, fields)
-    columns = [_midpoint_percentiles(gpa[:, j]) for j in range(len(fields))]
-    percentiles = np.array(columns, dtype=float).reshape(len(fields), len(gpa)).T
-    return PercentileTable(panel.applicant_ids, fields, percentiles)
+    table: dict[tuple[str, str], float] = {}
+    for j, field_label in enumerate(fields):
+        keys = zip(panel.applicant_ids, itertools.repeat(field_label))
+        table.update(zip(keys, _midpoint_percentiles(gpa[:, j])))
+    return table
 
 
 @dataclass(frozen=True)
@@ -204,9 +179,7 @@ def _admit_ranks(
     rank_table: RankTable, assignment: Assignment, program_field: Mapping[str, str]
 ) -> list[float]:
     """Each admit's GPA rank at their program's field, in seat order."""
-    fields = list(map(program_field.__getitem__, assignment.seat_of.values()))
-    if isinstance(rank_table, PercentileTable):
-        return rank_table.lookup(assignment.seat_of, fields)
+    fields = map(program_field.__getitem__, assignment.seat_of.values())
     return list(map(rank_table.__getitem__, zip(assignment.seat_of, fields)))
 
 

@@ -214,7 +214,7 @@ class WeightReport:
 
 
 def effective_weights(table: ScoreTable) -> WeightReport:
-    n = len(table.keys)
+    n = len(table.applications)
     if n < 2:
         raise DegenerateTable(f"need at least 2 score records, got {n}")
     columns = {

@@ -1,11 +1,13 @@
 """CSV ingestion: the exact ValidationError text for a panel that breaks
-every structural rule at once, file-line numbering across blank lines, and
-the canonical rule for field labels."""
+every structural rule at once, file-line numbering across blank lines, the
+canonical rule for field labels, and integers beyond 64 bits."""
 
+import json
 from pathlib import Path
 
 import pytest
 
+from polyadmit import cli
 from polyadmit.errors import EmptyName, ParseError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
 from polyadmit.model import Applicant, Assignment, Panel, Program, validate_panel
@@ -221,3 +223,33 @@ def test_files_that_need_a_csv_parser_load_the_same(tmp_path, newline):
     assert loaded.programs == panel.programs
     assert loaded.applications == panel.applications
     assert loaded.applicants == panel.applicants
+
+
+HUGE = str(2**64 + 1)
+
+
+@pytest.mark.parametrize(
+    "filename, column, row",
+    [
+        ("applicants.csv", "cohort_year", 2),
+        ("applications.csv", "year", 3),
+        ("applications.csv", "listed_rank", 3),
+        ("applications.csv", "listed_rank", 1),
+        ("programs.csv", "quota", 2),
+    ],
+)
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_integer_beyond_64_bits_is_a_parse_error(
+    small_panel, tmp_path, capsys, filename, column, row, sign
+):
+    data, out = tmp_path / "data", tmp_path / "out"
+    save_panel(small_panel, data)
+    edit_cells(data / filename, row, **{column: sign + HUGE})
+    status = cli.main(["--input", str(data), "--out", str(out)])
+    assert status == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error == {
+        "error": "ParseError",
+        "message": f"{data / filename} row {row + 1}: value out of range for {column!r}: "
+        f"{sign + HUGE!r}",
+    }
