@@ -63,14 +63,19 @@ def load_synth_config(spec: str, seed: Optional[int]) -> synth.SynthConfig:
     return cfg.validate()
 
 
-def _wanted(config: RunConfig, report: str, available: bool) -> bool:
+def _wanted(config: RunConfig, panel: Panel) -> set[str]:
+    """The reports to write; one asked for that this panel cannot make
+    raises here, before anything is written."""
+    sources = {"table5": panel.observed_assignment, "calibration": config.synth_spec}
+    unavailable = [report for report, source in sources.items() if source is None]
     if config.reports is None:
-        return available
-    if report in config.reports and not available:
-        raise NoObservedAssignment(
-            f"report {report!r} requires an observed assignment with accept flags"
-        )
-    return report in config.reports
+        return set(ALL_REPORTS).difference(unavailable)
+    for report in unavailable:
+        if report in config.reports:
+            raise NoObservedAssignment(
+                f"report {report!r} requires an observed assignment with accept flags"
+            )
+    return set(config.reports)
 
 
 def run(config: RunConfig) -> int:
@@ -87,6 +92,7 @@ def run(config: RunConfig) -> int:
             panel = synth.generate_panel(load_synth_config(config.synth_spec, config.seed))
         else:
             panel = load_panel(config.input_dir)
+        wanted = _wanted(config, panel)
 
         out = config.out_dir
         out.mkdir(parents=True, exist_ok=True)
@@ -96,7 +102,7 @@ def run(config: RunConfig) -> int:
             written.append(path)
             return path
 
-        _write_reports(config, panel, target)
+        _write_reports(config, panel, wanted, target)
     except (PolyadmitError, OSError) as exc:
         for path in written:
             if not path.is_dir():  # a directory in a report's place was never ours
@@ -110,7 +116,7 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _write_reports(config: RunConfig, panel: Panel, target) -> None:
+def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], target) -> None:
     scenario_ids = tuple(sorted(set(config.scenarios) | {"S1"}))
     universe = panel.base_applications.distinct_applicants()
     rank_table = metrics.field_gpa_percentile_ranks(panel)
@@ -121,28 +127,26 @@ def _write_reports(config: RunConfig, panel: Panel, target) -> None:
     # Descriptive tables use the observed assignment when present; the
     # replicated baseline otherwise.
     descriptive = panel.observed_assignment or by_id["S1"].assignment
-    has_observed = panel.observed_assignment is not None
-    is_synth = config.synth_spec is not None
 
-    if _wanted(config, "table1", True):
+    if "table1" in wanted:
         reports.write_weight_report(target("table1.csv"), scoring.effective_weights(base_table))
 
-    if _wanted(config, "table2", True):
+    if "table2" in wanted:
         criteria = (metrics.CRITERION_MATRICULATION, metrics.CRITERION_ADMISSION_SCORE)
         reports.write_tercile_report(
             target("table2.csv"),
             [metrics.tercile_unassignment(panel, base_table, descriptive, c) for c in criteria],
         )
 
-    if _wanted(config, "table3", True):
+    if "table3" in wanted:
         reports.write_rank_stats(
             target("table3.csv"), metrics.application_rank_stats(panel, descriptive)
         )
 
-    if _wanted(config, "table4", True):
+    if "table4" in wanted:
         reports.write_scenario_suite(target("table4.csv"), suite)
 
-    if _wanted(config, "table5", has_observed):
+    if "table5" in wanted:
         results = econometrics.lpm_report(
             panel, panel.observed_assignment, base_table, robust=config.robust_se
         )
@@ -151,7 +155,7 @@ def _write_reports(config: RunConfig, panel: Panel, target) -> None:
             {f"({i})": r for i, r in enumerate(results, start=1)},
         )
 
-    if _wanted(config, "figure1", True):
+    if "figure1" in wanted:
         program_field = {p: prog.field for p, prog in panel.programs.items()}
         base_hist = metrics.assigned_rank_histogram(
             rank_table, by_id["S1"].assignment, program_field, len(universe)
@@ -166,7 +170,7 @@ def _write_reports(config: RunConfig, panel: Panel, target) -> None:
             panels[scenario_id[1]] = metrics.net_change_histogram(base_hist, cf_hist)
         reports.write_figure_data(target("figure1.csv"), panels)
 
-    if _wanted(config, "assignments", True):
+    if "assignments" in wanted:
         for scenario_id in scenario_ids:
             write_assignment_csv(
                 target(f"assignment_{scenario_id}.csv"),
@@ -175,7 +179,7 @@ def _write_reports(config: RunConfig, panel: Panel, target) -> None:
                 universe,
             )
 
-    if _wanted(config, "calibration", is_synth):
+    if "calibration" in wanted:
         reports.write_calibration_report(
             target("calibration.csv"), synth.calibration_report(panel)
         )

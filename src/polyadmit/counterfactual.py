@@ -5,7 +5,7 @@ transforms a scenario applies."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def extend_application_lists(panel: Panel) -> ApplicationBlock:
     original base-year first choice because that entry remains rank 1.
     Rows come in applicant id order, each list in rank order.
     """
-    apps = panel.columns
+    apps = panel.applications
     in_base = np.zeros(len(apps.applicant_ids), dtype=bool)
     in_base[apps.applicant[apps.year == panel.base_year]] = True
     rows = np.flatnonzero(in_base[apps.applicant])
@@ -117,18 +117,17 @@ def _match(
 def run_scenario_suite(
     panel: Panel,
     rank_table: metrics.RankTable,
-    quotas: Optional[Mapping[str, int]] = None,
     scenario_ids: Sequence[str] = SCENARIO_IDS,
 ) -> list[ScenarioResult]:
     """Run program-proposing deferred acceptance on each scenario and
     compare every assignment to the baseline S1.
 
     Each application list is built once and scored once; the scenarios
-    on it share that table through the score transforms. ``rank_table``
-    is ``metrics.field_gpa_percentile_ranks(panel)``.
+    on it share that table through the score transforms. Every program
+    admits up to its own quota. ``rank_table`` is
+    ``metrics.field_gpa_percentile_ranks(panel)``.
     """
-    if quotas is None:
-        quotas = {p: prog.quota for p, prog in panel.programs.items()}
+    quotas = {p: prog.quota for p, prog in panel.programs.items()}
     wanted = [_scenario(s) for s in sorted(set(scenario_ids) | {"S1"})]
     inputs = _scenario_inputs(panel, wanted)
     universe = inputs["S1"][0].distinct_applicants()

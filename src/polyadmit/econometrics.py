@@ -165,7 +165,7 @@ def _admit_columns(
     terms += tuple(f"adjusted_score_x_{f}" for f in dummy_fields)
     terms += tuple(f"threshold_x_{f}" for f in dummy_fields)
 
-    later = panel.columns.take(np.flatnonzero(panel.columns.year > panel.base_year))
+    later = panel.applications.take(np.flatnonzero(panel.applications.year > panel.base_year))
     later_appliers = set(later.distinct_applicants())
     outcomes = {
         OUTCOME_ACCEPTED: np.array(
@@ -210,7 +210,6 @@ def lpm_report(
     assignment: Assignment,
     table: ScoreTable,
     robust: bool = False,
-    specs: Sequence[DesignSpec] = REPORT_SPECS,
 ) -> list[RegressionResult]:
     """Fit the six report columns on the admitted sample.
 
@@ -220,4 +219,4 @@ def lpm_report(
     """
     thresholds = program_thresholds(table, assignment)
     columns = _admit_columns(panel, assignment, thresholds, table)
-    return [ols(*_design(columns, spec), robust=robust) for spec in specs]
+    return [ols(*_design(columns, spec), robust=robust) for spec in REPORT_SPECS]

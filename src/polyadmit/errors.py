@@ -21,10 +21,6 @@ class EmptyName(PolyadmitError):
     pass
 
 
-class MissingFieldWeights(PolyadmitError):
-    pass
-
-
 class DegenerateTable(PolyadmitError):
     pass
 
@@ -34,10 +30,6 @@ class MissingScore(PolyadmitError):
 
 
 class InfeasibleAssignment(PolyadmitError):
-    pass
-
-
-class InstanceTooLarge(PolyadmitError):
     pass
 
 

@@ -1,7 +1,8 @@
 """CSV ingestion and serialization for panels and assignments.
 
 All files are UTF-8, comma-delimited, with a mandatory header row; floats
-are written with six decimal digits so outputs diff cleanly.
+are written with six decimal digits so outputs diff cleanly. Every file is
+read by one column pass, ``_Table.parse``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NoReturn, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +34,19 @@ APPLICATIONS_CSV = "applications.csv"
 OBSERVED_ASSIGNMENT_CSV = "observed_assignment.csv"
 FIELD_WEIGHTS_CSV = "field_weights.csv"
 BONUS_POINTS_CSV = "bonus_points.csv"
+
+# The columns each file must have, in the order they are written.
+REQUIRED_COLUMNS = {
+    APPLICANTS_CSV: ("applicant_id", "cohort_year"),
+    PROGRAMS_CSV: ("polytechnic_name", "program_name", "field", "quota"),
+    APPLICATIONS_CSV: (
+        "year", "applicant_id", "polytechnic_name", "program_name",
+        "listed_rank", "exam_taken", "exam_score", "other_points",
+    ),
+    OBSERVED_ASSIGNMENT_CSV: ("applicant_id", "polytechnic_name", "program_name", "accepted"),
+    FIELD_WEIGHTS_CSV: ("field", "subject", "weight"),
+    BONUS_POINTS_CSV: ("field", "bonus"),
+}
 
 GRADE_PREFIX = "grade_"
 
@@ -63,28 +77,80 @@ class _Table:
             next(reader)
             return [reader.line_num for row in reader if row]
 
-    def cells(self):
-        """(file line, cells by column) of every row."""
-        return zip(self.lines, (dict(zip(self.header, row)) for row in zip(*self.columns)))
+    def cell(self, names, row: int):
+        """The cell of column ``names`` in ``row``; for a tuple of column
+        names, the tuple of their cells."""
+        if isinstance(names, str):
+            return self.column(names)[row]
+        return tuple(self.column(n)[row] for n in names)
 
-    def first_error(self, *checks) -> NoReturn:
-        """Run the per-cell ``checks`` row by row, in the order a row is
-        read, so the first bad cell of the file raises its own error."""
-        for line, cells in self.cells():
-            for check in checks:
-                check(self.path, line, cells)
-        raise AssertionError(f"{self.path}: a column failed but no cell did")
+    def parse(self, *checks) -> list[list]:
+        """Each check's cells parsed, a check being a per-cell parser and
+        a column name or a tuple of them.
+
+        A parser runs once per distinct value; float and grade columns are
+        read in bulk. If a cell fails, the first bad cell in reading order
+        (by row, then by check) is parsed again with its file line, so it
+        raises its own error.
+        """
+        parsed = [self._parse(*check) for check in checks]
+        bad = [(row, k) for k, (_, row) in enumerate(parsed) if row is not None]
+        if bad:
+            row, k = min(bad)
+            parse, names = checks[k]
+            parse(self.path, self.lines[row], names, self.cell(names, row))
+            raise AssertionError(f"{self.path}: a value failed but its cell did not")
+        return [values for values, _ in parsed]
+
+    def _parse(self, parse, names) -> tuple[Optional[list], Optional[int]]:
+        """One check's parsed cells, or None and the first bad row."""
+        if isinstance(names, str):
+            keys = self.column(names)
+            if parse in _BULK and (values := _BULK[parse](keys)) is not None:
+                return values, None
+            distinct = ((raw, raw) for raw in set(keys))
+        else:  # tuples coded by their cells' codes, each read from its first row
+            code = encode(self.column(names[0]))[1]
+            for ids, column_code in map(encode, map(self.column, names[1:])):
+                # recoded at each step, so no code outgrows the row count
+                _, first, code = np.unique(
+                    code * len(ids) + column_code, return_index=True, return_inverse=True
+                )
+            keys = code.tolist()
+            distinct = ((k, self.cell(names, i)) for k, i in enumerate(first.tolist()))
+        value, bad = {}, set()
+        for key, raw in distinct:
+            try:
+                value[key] = parse(self.path, 0, names, raw)
+            except PolyadmitError:
+                bad.add(key)
+        if bad:
+            return None, next(i for i, key in enumerate(keys) if key in bad)
+        return list(map(value.__getitem__, keys)), None
+
+    def repeats(self, what: str, values: Sequence[object]) -> list[str]:
+        """A ``DuplicateId`` line for each row that repeats an earlier
+        row's value."""
+        if len(set(values)) == len(values):
+            return []
+        first_line: dict[object, int] = {}
+        return [
+            f"DuplicateId: {self.path} row {line}: {what} {value!r} repeats row {first}"
+            for line, value in zip(self.lines, values)
+            if (first := first_line.setdefault(value, line)) != line
+        ]
 
 
-def _read_table(path: Path, required: Sequence[str]) -> _Table:
-    """Read a UTF-8 CSV file whose header names every ``required`` column."""
+def _read_table(directory: Path, name: str) -> _Table:
+    """Read a UTF-8 CSV file whose header names every required column."""
+    path = directory / name
     if not path.exists():
         raise ParseError(f"{path}: file not found")
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, [])
-            for column in required:
+            for column in REQUIRED_COLUMNS[name]:
                 if column not in header:
                     raise ParseError(f"{path}: missing required header {column!r}")
             rows = [row for row in reader if row]
@@ -99,9 +165,8 @@ def _read_table(path: Path, required: Sequence[str]) -> _Table:
     return _Table(path, header, [[row[j] for row in rows] for j in range(len(header))])
 
 
-def _cell(parse, column: str):
-    """A per-cell check: ``parse`` applied to one row's ``column``."""
-    return lambda path, line, cells: parse(path, line, column, cells[column])
+# Per-cell parsers: parse(path, file line, column, cell), or for a tuple
+# of columns parse(path, file line, columns, tuple of cells).
 
 
 def _applicant_id(path: Path, row_number: int, column: str, raw: str) -> str:
@@ -118,8 +183,8 @@ def _field_label(path: Path, row_number: int, column: str, raw: str) -> str:
     return label
 
 
-def _program_key(path: Path, row_number: int, cells: dict[str, str]) -> str:
-    return canonical_program_key(cells["polytechnic_name"], cells["program_name"])
+def _program_key(path: Path, row_number: int, columns, names: tuple[str, str]) -> str:
+    return canonical_program_key(*names)
 
 
 def _parse_float(path: Path, row_number: int, column: str, raw: str) -> float:
@@ -135,13 +200,6 @@ def _parse_float(path: Path, row_number: int, column: str, raw: str) -> float:
 def _grade(path: Path, row_number: int, column: str, raw: str) -> Optional[float]:
     """A grade cell; empty when the applicant has no grade in the subject."""
     return None if raw == "" else _parse_float(path, row_number, column, raw)
-
-
-def _seat(path: Path, row_number: int, cells: dict[str, str]) -> None:
-    """An observed-assignment row: unassigned when both names are empty."""
-    if cells["polytechnic_name"] or cells["program_name"]:
-        _program_key(path, row_number, cells)
-        _parse_bool(path, row_number, "accepted", cells["accepted"])
 
 
 INT64 = np.iinfo(np.int64)
@@ -169,6 +227,16 @@ def _parse_bool(path: Path, row_number: int, column: str, raw: str) -> bool:
     return value
 
 
+def _observed_seat(path: Path, row_number: int, columns, cells) -> Optional[tuple[str, bool]]:
+    """An observed seat and its accept flag; None (unassigned) when both
+    names are empty."""
+    polytechnic, program, accepted = cells
+    if not (polytechnic or program):
+        return None
+    key = canonical_program_key(polytechnic, program)
+    return key, _parse_bool(path, row_number, columns[2], accepted)
+
+
 def _floats(cells: list[str], grades: bool = False) -> Optional[list]:
     """Every cell as a finite float, or None if any is not one; with
     ``grades``, empty cells are allowed and read as None."""
@@ -185,154 +253,83 @@ def _floats(cells: list[str], grades: bool = False) -> Optional[list]:
     return [None if raw == "" else next(found) for raw in cells]
 
 
-def _keys(polytechnics: list[str], programs: list[str]) -> Optional[list[str]]:
-    """The canonical program key of every (polytechnic, program) pair, or
-    None if a name is empty; each distinct pair is canonicalized once."""
-    polytechnic_ids, polytechnic = encode(polytechnics)
-    program_ids, program = encode(programs)
-    n = len(program_ids)
-    pairs, pair = np.unique(polytechnic * n + program, return_inverse=True)
-    try:
-        keys = [
-            canonical_program_key(polytechnic_ids[c // n], program_ids[c % n])
-            for c in pairs.tolist()
-        ]
-    except EmptyName:
-        return None
-    return list(map(keys.__getitem__, pair.tolist()))
+# Parsers whose columns are first read in bulk, with the same result.
+_BULK = {_parse_float: _floats, _grade: functools.partial(_floats, grades=True)}
 
 
-def _each(table: _Table, column: str, parse, cells: Optional[list[str]] = None) -> Optional[list]:
-    """The per-cell parser ``parse`` run once per distinct cell of
-    ``column`` (or of ``cells``), or None when a cell fails."""
-    cells = table.column(column) if cells is None else cells
-    try:
-        value = {raw: parse(table.path, 0, column, raw) for raw in set(cells)}
-    except PolyadmitError:
-        return None
-    return list(map(value.__getitem__, cells))
+PROGRAM_NAMES = ("polytechnic_name", "program_name")
 
 
 def load_panel(directory: str | Path) -> Panel:
     """Load, canonicalize, and validate a panel from its CSV directory.
 
-    Each file is parsed a column at a time; when a column fails, its rows
-    are re-read cell by cell, so the error names the same first bad cell
-    (file, file line and column) a row-by-row reader would. A row that
-    repeats an earlier row's id in the same file is rejected; all such
-    rows are listed in one ``ValidationError``.
+    Each file is parsed a column at a time; a bad cell raises the error
+    of the first bad cell in reading order, naming its file, file line
+    and column. A row that repeats an earlier row's id in the same file
+    is rejected; all such rows are listed in one ``ValidationError``.
     """
     directory = Path(directory)
     duplicates: list[str] = []
 
-    def unique(table: _Table, what: str, values: Sequence[object]) -> None:
-        if len(set(values)) == len(values):
-            return
-        first_line: dict[object, int] = {}
-        for line, value in zip(table.lines, values):
-            first = first_line.setdefault(value, line)
-            if first != line:
-                duplicates.append(
-                    f"DuplicateId: {table.path} row {line}: {what} {value!r} repeats row {first}"
-                )
-
-    table = _read_table(directory / APPLICANTS_CSV, ["applicant_id", "cohort_year"])
+    table = _read_table(directory, APPLICANTS_CSV)
     grade_columns = list(dict.fromkeys(c for c in table.header if c.startswith(GRADE_PREFIX)))
+    *grades, applicant_ids, cohort_years = table.parse(
+        *((_grade, c) for c in grade_columns),
+        (_applicant_id, "applicant_id"),
+        (_parse_int, "cohort_year"),
+    )
+    duplicates += table.repeats("applicant_id", applicant_ids)
     subjects = [c[len(GRADE_PREFIX):] for c in grade_columns]
-    grades = [_floats(table.column(c), grades=True) for c in grade_columns]
-    applicant_ids = _each(table, "applicant_id", _applicant_id)
-    cohort_years = _each(table, "cohort_year", _parse_int)
-    if applicant_ids is None or cohort_years is None or None in grades:
-        table.first_error(
-            *(_cell(_grade, c) for c in grade_columns),
-            _cell(_applicant_id, "applicant_id"),
-            _cell(_parse_int, "cohort_year"),
+    applicants = {
+        a: Applicant(a, {s: g for s, g in zip(subjects, row) if g is not None}, year)
+        for a, year, *row in zip(applicant_ids, cohort_years, *grades)
+    }
+
+    table = _read_table(directory, PROGRAMS_CSV)
+    keys, fields, quotas = table.parse(
+        (_program_key, PROGRAM_NAMES), (_field_label, "field"), (_parse_int, "quota")
+    )
+    duplicates += table.repeats("program", keys)
+    programs = {
+        key: Program(key, polytechnic.strip(), program.strip(), field_label, quota)
+        for key, polytechnic, program, field_label, quota in zip(
+            keys, *map(table.column, PROGRAM_NAMES), fields, quotas
         )
-    unique(table, "applicant_id", applicant_ids)
-    grade_dicts = [
-        {s: v for s, v in zip(subjects, values) if v is not None} for values in zip(*grades)
-    ] if grades else [{} for _ in applicant_ids]
-    applicants = dict(
-        zip(applicant_ids, map(Applicant, applicant_ids, grade_dicts, cohort_years))
+    }
+
+    table = _read_table(directory, APPLICATIONS_CSV)
+    applications = ApplicationBlock.from_columns(
+        *table.parse(
+            (_applicant_id, "applicant_id"), (_program_key, PROGRAM_NAMES),
+            (_parse_int, "year"), (_parse_int, "listed_rank"), (_parse_bool, "exam_taken"),
+            (_parse_float, "exam_score"), (_parse_float, "other_points"),
+        )
     )
 
-    programs: dict[str, Program] = {}
-    table = _read_table(
-        directory / PROGRAMS_CSV, ["polytechnic_name", "program_name", "field", "quota"]
-    )
-    keys = []
-    for line, cells in table.cells():
-        keys.append(_program_key(table.path, line, cells))
-        programs[keys[-1]] = Program(
-            program_key=keys[-1],
-            polytechnic_name=cells["polytechnic_name"].strip(),
-            program_name=cells["program_name"].strip(),
-            field=_field_label(table.path, line, "field", cells["field"]),
-            quota=_parse_int(table.path, line, "quota", cells["quota"]),
-        )
-    unique(table, "program", keys)
-
-    table = _read_table(
-        directory / APPLICATIONS_CSV,
-        [
-            "year", "applicant_id", "polytechnic_name", "program_name",
-            "listed_rank", "exam_taken", "exam_score", "other_points",
-        ],
-    )
-    columns = (
-        _each(table, "applicant_id", _applicant_id),
-        _keys(table.column("polytechnic_name"), table.column("program_name")),
-        _each(table, "year", _parse_int),
-        _each(table, "listed_rank", _parse_int),
-        _each(table, "exam_taken", _parse_bool),
-        _floats(table.column("exam_score")),
-        _floats(table.column("other_points")),
-    )
-    if None in columns:
-        table.first_error(
-            _cell(_applicant_id, "applicant_id"), _program_key, _cell(_parse_int, "year"),
-            _cell(_parse_int, "listed_rank"), _cell(_parse_bool, "exam_taken"),
-            _cell(_parse_float, "exam_score"), _cell(_parse_float, "other_points"),
-        )
-    applications = ApplicationBlock.from_columns(*columns)
-
+    table = _read_table(directory, FIELD_WEIGHTS_CSV)
+    fields, weights = table.parse((_field_label, "field"), (_parse_float, "weight"))
+    pairs = list(zip(fields, table.column("subject")))
+    duplicates += table.repeats("(field, subject)", pairs)
     field_weights: dict[str, dict[str, float]] = {}
-    table = _read_table(directory / FIELD_WEIGHTS_CSV, ["field", "subject", "weight"])
-    pairs = []
-    for line, cells in table.cells():
-        pairs.append((_field_label(table.path, line, "field", cells["field"]), cells["subject"]))
-        field_weights.setdefault(pairs[-1][0], {})[cells["subject"]] = _parse_float(
-            table.path, line, "weight", cells["weight"]
-        )
-    unique(table, "(field, subject)", pairs)
+    for (field_label, subject), weight in zip(pairs, weights):
+        field_weights.setdefault(field_label, {})[subject] = weight
 
-    bonus_points: dict[str, float] = {}
-    table = _read_table(directory / BONUS_POINTS_CSV, ["field", "bonus"])
-    labels = []
-    for line, cells in table.cells():
-        labels.append(_field_label(table.path, line, "field", cells["field"]))
-        bonus_points[labels[-1]] = _parse_float(table.path, line, "bonus", cells["bonus"])
-    unique(table, "field", labels)
+    table = _read_table(directory, BONUS_POINTS_CSV)
+    labels, bonuses = table.parse((_field_label, "field"), (_parse_float, "bonus"))
+    duplicates += table.repeats("field", labels)
+    bonus_points = dict(zip(labels, bonuses))
 
     observed: Optional[Assignment] = None
-    path = directory / OBSERVED_ASSIGNMENT_CSV
-    if path.exists():
-        table = _read_table(
-            path, ["applicant_id", "polytechnic_name", "program_name", "accepted"]
+    if (directory / OBSERVED_ASSIGNMENT_CSV).exists():
+        table = _read_table(directory, OBSERVED_ASSIGNMENT_CSV)
+        ids, seats = table.parse(
+            (_applicant_id, "applicant_id"), (_observed_seat, PROGRAM_NAMES + ("accepted",))
         )
-        ids = _each(table, "applicant_id", _applicant_id)
-        polytechnics, names, flags = map(
-            table.column, ("polytechnic_name", "program_name", "accepted")
-        )
-        seated = [i for i, pair in enumerate(zip(polytechnics, names)) if any(pair)]
-        keys = _keys([polytechnics[i] for i in seated], [names[i] for i in seated])
-        accepted = _each(table, "accepted", _parse_bool, [flags[i] for i in seated])
-        if ids is None or keys is None or accepted is None:
-            table.first_error(_cell(_applicant_id, "applicant_id"), _seat)
-        unique(table, "applicant_id", ids)
-        seated_ids = [ids[i] for i in seated]
+        duplicates += table.repeats("applicant_id", ids)
+        seated = [(a, seat) for a, seat in zip(ids, seats) if seat is not None]
         observed = Assignment(
-            seat_of=dict(zip(seated_ids, keys)), accepted=dict(zip(seated_ids, accepted))
+            seat_of={a: key for a, (key, _) in seated},
+            accepted={a: flag for a, (_, flag) in seated},
         )
     if duplicates:
         raise ValidationError(duplicates)
@@ -340,16 +337,9 @@ def load_panel(directory: str | Path) -> Panel:
     base_year = int(applications.year.min()) if len(applications) else min(
         (a.cohort_year for a in applicants.values()), default=0
     )
-    panel = Panel(
-        applicants=applicants,
-        programs=programs,
-        applications=applications,
-        base_year=base_year,
-        field_weights=field_weights,
-        bonus_points=bonus_points,
-        observed_assignment=observed,
+    return validate_panel(
+        Panel(applicants, programs, applications, base_year, field_weights, bonus_points, observed)
     )
-    return validate_panel(panel)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -367,7 +357,7 @@ def save_panel(panel: Panel, directory: str | Path) -> None:
     subjects = sorted({s for a in panel.applicants.values() for s in a.matriculation_grades})
     _write_csv(
         directory / APPLICANTS_CSV,
-        ["applicant_id", "cohort_year"] + [GRADE_PREFIX + s for s in subjects],
+        REQUIRED_COLUMNS[APPLICANTS_CSV] + tuple(GRADE_PREFIX + s for s in subjects),
         (
             [a.applicant_id, str(a.cohort_year)]
             + [fmt(a.matriculation_grades.get(s, 0.0)) for s in subjects]
@@ -376,37 +366,26 @@ def save_panel(panel: Panel, directory: str | Path) -> None:
     )
     _write_csv(
         directory / PROGRAMS_CSV,
-        ["polytechnic_name", "program_name", "field", "quota"],
+        REQUIRED_COLUMNS[PROGRAMS_CSV],
         (
             [p.polytechnic_name, p.program_name, p.field, str(p.quota)]
             for p in (panel.programs[k] for k in sorted(panel.programs))
         ),
     )
+    apps = panel.applications
+    names = {key: (p.polytechnic_name, p.program_name) for key, p in panel.programs.items()}
+    order = np.lexsort((apps.listed_rank, apps.applicant, apps.year))  # codes sort as ids do
     _write_csv(
         directory / APPLICATIONS_CSV,
-        [
-            "year", "applicant_id", "polytechnic_name", "program_name",
-            "listed_rank", "exam_taken", "exam_score", "other_points",
-        ],
+        REQUIRED_COLUMNS[APPLICATIONS_CSV],
         (
-            [
-                str(a.year),
-                a.applicant_id,
-                panel.programs[a.program_key].polytechnic_name,
-                panel.programs[a.program_key].program_name,
-                str(a.listed_rank),
-                "true" if a.exam_taken else "false",
-                fmt(a.exam_score),
-                fmt(a.other_points),
-            ]
-            for a in sorted(
-                panel.applications, key=lambda x: (x.year, x.applicant_id, x.listed_rank)
-            )
+            [str(year), a, *names[p], str(rank), str(taken).lower(), fmt(score), fmt(other)]
+            for a, p, year, rank, taken, score, other in zip(*apps.take(order).python_columns())
         ),
     )
     _write_csv(
         directory / FIELD_WEIGHTS_CSV,
-        ["field", "subject", "weight"],
+        REQUIRED_COLUMNS[FIELD_WEIGHTS_CSV],
         (
             [field_label, subject, fmt(weight)]
             for field_label in sorted(panel.field_weights)
@@ -415,18 +394,15 @@ def save_panel(panel: Panel, directory: str | Path) -> None:
     )
     _write_csv(
         directory / BONUS_POINTS_CSV,
-        ["field", "bonus"],
-        (
-            [field_label, fmt(bonus)]
-            for field_label, bonus in sorted(panel.bonus_points.items())
-        ),
+        REQUIRED_COLUMNS[BONUS_POINTS_CSV],
+        ([field_label, fmt(bonus)] for field_label, bonus in sorted(panel.bonus_points.items())),
     )
     if panel.observed_assignment is not None:
         write_assignment_csv(
             directory / OBSERVED_ASSIGNMENT_CSV,
             panel,
             panel.observed_assignment,
-            universe=sorted({a.applicant_id for a in panel.base_applications}),
+            universe=panel.base_applications.distinct_applicants(),
         )
 
 
@@ -436,7 +412,8 @@ def write_assignment_csv(
     assignment: Assignment,
     universe: Sequence[str],
 ) -> None:
-    """One row per applicant in the universe; program columns empty for the
+    """One row per applicant of ``universe``, in the order given (sorted
+    ids, as every caller passes them); program columns empty for the
     unassigned, accepted flag empty when unknown."""
 
     names = {key: (p.polytechnic_name, p.program_name) for key, p in panel.programs.items()}
@@ -444,9 +421,9 @@ def write_assignment_csv(
     seat_of, accepted = assignment.seat_of, assignment.accepted
     _write_csv(
         Path(path),
-        ["applicant_id", "polytechnic_name", "program_name", "accepted"],
+        REQUIRED_COLUMNS[OBSERVED_ASSIGNMENT_CSV],
         (
             (a, *names[p], flag[accepted.get(a)]) if (p := seat_of.get(a)) else (a, "", "", "")
-            for a in sorted(universe)
+            for a in universe
         ),
     )

@@ -2,7 +2,8 @@
 
 A panel covers exactly three consecutive application years: the base year
 whose assignment is simulated, plus two later years that feed the
-counterfactual application lists and the re-application outcome.
+counterfactual application lists and the re-application outcome. A
+panel holds its applications as one ``ApplicationBlock`` of columns.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class ApplicationBlock(Sequence):
             np.searchsorted(applicant[order], np.arange(len(listed_applicants) + 1)),
         )
 
-    def _python_columns(self) -> list[list]:
+    def python_columns(self) -> list[list]:
         """Each column as Python values, in ``Application`` field order,
         with ids and keys spelled out."""
         return [
@@ -192,12 +193,12 @@ class ApplicationBlock(Sequence):
 
     @functools.cached_property
     def records(self) -> tuple[Application, ...]:
-        return tuple(map(Application, *self._python_columns()))
+        return tuple(map(Application, *self.python_columns()))
 
     @functools.cached_property
     def keys(self) -> tuple[tuple[str, str, int], ...]:
         """(applicant_id, program_key, year) of every row."""
-        return tuple(zip(*self._python_columns()[:3]))
+        return tuple(zip(*self.python_columns()[:3]))
 
     def __len__(self) -> int:
         return len(self.applicant)
@@ -216,45 +217,31 @@ class ApplicationBlock(Sequence):
     __hash__ = None
 
 
-class _StoredAsBlock:
-    """``Panel.applications``: accepts any sequence of ``Application``,
-    stores it as an ``ApplicationBlock`` (``Panel.columns``), and reads
-    back as a tuple of records built on first read."""
-
-    def __get__(self, panel, owner=None):
-        if panel is None:
-            raise AttributeError("applications")  # no default value
-        return panel.columns.records
-
-    def __set__(self, panel, applications) -> None:
-        panel.__dict__["columns"] = ApplicationBlock.of(applications)
-
-
 @dataclass(frozen=True)
 class Panel:
-    """One three-year panel. ``applications`` is stored as one
-    ``ApplicationBlock``, ``columns``, which the pipeline reads; read as
-    ``applications`` it is a tuple of ``Application`` records, built on
-    first read."""
+    """One three-year panel. ``applications`` is one ``ApplicationBlock``;
+    a sequence of ``Application`` records given in its place is converted
+    once, at construction."""
 
     applicants: Mapping[str, Applicant]
     programs: Mapping[str, Program]
-    applications: Sequence[Application] = _StoredAsBlock()
+    applications: ApplicationBlock
     base_year: int
     field_weights: Mapping[str, Mapping[str, float]]
     bonus_points: Mapping[str, float]
     observed_assignment: Optional[Assignment] = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "applications", ApplicationBlock.of(self.applications))
+
     @property
     def years(self) -> tuple[int, int, int]:
         return (self.base_year, self.base_year + 1, self.base_year + 2)
 
-    def applications_for(self, year: int) -> ApplicationBlock:
-        return self.columns.take(np.flatnonzero(self.columns.year == year))
-
     @property
     def base_applications(self) -> ApplicationBlock:
-        return self.applications_for(self.base_year)
+        apps = self.applications
+        return apps.take(np.flatnonzero(apps.year == self.base_year))
 
     def field_of(self, program_key: str) -> str:
         return self.programs[program_key].field
@@ -315,7 +302,7 @@ def validate_panel(panel: Panel) -> Panel:
         if program.field not in panel.bonus_points:
             problems.append(f"MissingBonusPoints: field {program.field!r} of {program_key!r}")
 
-    apps = panel.columns
+    apps = panel.applications
     unknown_applicant = recode(apps.applicant_ids, panel.applicant_ids) < 0
     unknown_program = np.array([p not in panel.programs for p in apps.program_keys], dtype=bool)
     row_checks = (

@@ -170,7 +170,7 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     with their own exam keep it. Idempotent: re-propagating rewrites the
     same scores.
     """
-    apps, block = panel.columns, table.applications
+    apps, block = panel.applications, table.applications
     fields, field_of = _program_fields(panel, apps)
     code = {f: j for j, f in enumerate(fields)}
     # one slot per (applicant, field), applicants coded by the panel's block

@@ -9,9 +9,13 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from polyadmit.errors import InfeasibleAssignment, InstanceTooLarge, NoObservedAssignment
+from polyadmit.errors import InfeasibleAssignment, NoObservedAssignment, PolyadmitError
 from polyadmit.matching import MatchInstance, find_blocking_pairs
 from polyadmit.model import Application, Assignment, Panel, assignment_violations
+
+
+class InstanceTooLarge(PolyadmitError):
+    """The brute-force search space is over its limit."""
 
 
 def instance_from_mappings(

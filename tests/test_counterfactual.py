@@ -100,9 +100,8 @@ class TestBuildScenario:
             mk_app("y", "p::b", 2),
         ]
         panel = mk_panel(programs, apps, grades={"x": {"math": 5.0}, "y": {"math": 7.0}})
-        quotas = {p.program_key: p.quota for p in programs}
         results = run_scenario_suite(
-            panel, field_gpa_percentile_ranks(panel), quotas, scenario_ids=("S1", "S3")
+            panel, field_gpa_percentile_ranks(panel), scenario_ids=("S1", "S3")
         )
         s1, s3 = (r.assignment for r in results)
         assert s1.seat_of == s3.seat_of
@@ -147,7 +146,7 @@ class TestScenarioSuite:
 
     def test_every_scenario_assignment_is_stable(self, small_panel):
         quotas = {k: p.quota for k, p in small_panel.programs.items()}
-        results = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel), quotas)
+        results = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel))
         assert tuple(r.scenario_id for r in results) == SCENARIO_IDS
         for result in results:
             apps, table = build_scenario(small_panel, result.scenario_id)

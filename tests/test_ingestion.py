@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from polyadmit import cli
-from polyadmit.errors import EmptyName, ParseError, ValidationError
+from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
 from polyadmit.model import Applicant, Assignment, Panel, Program, validate_panel
 
@@ -253,3 +253,113 @@ def test_integer_beyond_64_bits_is_a_parse_error(
         "message": f"{data / filename} row {row + 1}: value out of range for {column!r}: "
         f"{sign + HUGE!r}",
     }
+
+
+# Bad cells in several rows and columns of one file: the error is the
+# first bad cell in reading order, by row and then by the order in which
+# a row's cells are checked (which need not be the header order).
+FIRST_BAD_CELL = {
+    "applicants.csv, later check in an earlier row": (
+        "applicants.csv",
+        [(3, {"cohort_year": "x"}), (5, {"grade_arts": "oops"}), (7, {"applicant_id": " "})],
+        ParseError,
+        "{path} row 4: bad value for 'cohort_year': 'x'",
+    ),
+    "applicants.csv, two in one row": (
+        "applicants.csv",
+        [(4, {"applicant_id": " ", "grade_science": "inf"})],
+        ParseError,
+        "{path} row 5: non-finite value for 'grade_science': 'inf'",
+    ),
+    "programs.csv, later check in an earlier row": (
+        "programs.csv",
+        [(2, {"quota": "many"}), (4, {"field": " "}), (6, {"polytechnic_name": ""})],
+        ParseError,
+        "{path} row 3: bad value for 'quota': 'many'",
+    ),
+    "programs.csv, two in one row": (
+        "programs.csv",
+        [(2, {"field": " ", "quota": "x"})],
+        EmptyName,
+        "{path} row 3: empty field",
+    ),
+    "programs.csv, key before field": (
+        "programs.csv",
+        [(5, {"field": "", "program_name": " "}), (7, {"quota": "1.5"})],
+        EmptyName,
+        "empty name in program key: ('Polytechnic 2', ' ')",
+    ),
+    "applications.csv, later check in an earlier row": (
+        "applications.csv",
+        [(4, {"other_points": "nan"}), (6, {"exam_taken": "maybe"}), (9, {"year": "20x1"})],
+        ParseError,
+        "{path} row 5: non-finite value for 'other_points': 'nan'",
+    ),
+    "applications.csv, two in one row": (
+        "applications.csv",
+        [(3, {"year": "y", "applicant_id": " "})],
+        EmptyName,
+        "{path} row 4: empty applicant_id",
+    ),
+    "field_weights.csv, later check in an earlier row": (
+        "field_weights.csv",
+        [(2, {"weight": "w"}), (5, {"field": " "})],
+        ParseError,
+        "{path} row 3: bad value for 'weight': 'w'",
+    ),
+    "field_weights.csv, two in one row": (
+        "field_weights.csv",
+        [(3, {"weight": "inf", "field": ""})],
+        EmptyName,
+        "{path} row 4: empty field",
+    ),
+    "bonus_points.csv, later check in an earlier row": (
+        "bonus_points.csv",
+        [(2, {"bonus": "-inf"}), (4, {"field": " "})],
+        ParseError,
+        "{path} row 3: non-finite value for 'bonus': '-inf'",
+    ),
+    "bonus_points.csv, two in one row": (
+        "bonus_points.csv",
+        [(1, {"bonus": "b", "field": " "})],
+        EmptyName,
+        "{path} row 2: empty field",
+    ),
+    "observed_assignment.csv, later check in an earlier row": (
+        "observed_assignment.csv",
+        [
+            (1, {"accepted": "maybe"}),  # no seat, so the flag is never read
+            (3, {"accepted": "perhaps"}),
+            (4, {"polytechnic_name": "X"}),
+            (6, {"applicant_id": " "}),
+        ],
+        ParseError,
+        "{path} row 4: bad boolean for 'accepted': 'perhaps'",
+    ),
+    "observed_assignment.csv, two in one row": (
+        "observed_assignment.csv",
+        [(3, {"accepted": "perhaps", "program_name": " "})],
+        EmptyName,
+        "empty name in program key: ('Polytechnic 9', ' ')",
+    ),
+    "observed_assignment.csv, id before seat": (
+        "observed_assignment.csv",
+        [(3, {"accepted": "perhaps", "applicant_id": ""})],
+        EmptyName,
+        "{path} row 4: empty applicant_id",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "filename, edits, error, message", FIRST_BAD_CELL.values(), ids=FIRST_BAD_CELL
+)
+def test_first_bad_cell_in_reading_order(small_panel, tmp_path, filename, edits, error, message):
+    save_panel(small_panel, tmp_path)
+    path = tmp_path / filename
+    for row, cells in edits:
+        edit_cells(path, row, **cells)
+    with pytest.raises(PolyadmitError) as info:
+        load_panel(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(path=path)

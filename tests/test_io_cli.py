@@ -286,6 +286,20 @@ class TestRun:
         assert err["error"] == "IsADirectoryError"
         assert [p.name for p in out.iterdir()] == ["table4.csv"]
 
+    def test_unavailable_report_keeps_earlier_outputs(
+        self, small_config_json, small_panel, tmp_path, capsys
+    ):
+        out, data = tmp_path / "out", tmp_path / "data"
+        args = ["--reports", "table1,table4", "--out", str(out)]
+        assert cli.main(["--synth", str(small_config_json), *args]) == 0
+        before = tree_bytes(out)
+        save_panel(small_panel, data)
+        (data / "observed_assignment.csv").unlink()
+        status = cli.main(["--input", str(data), "--reports", "table1,table5", "--out", str(out)])
+        assert status == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "NoObservedAssignment"
+        assert tree_bytes(out) == before
+
     def test_bad_synth_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n_apples": 3}')

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import enumerate_stable_assignments, instance_from_mappings, replicate_assignment
+from oracle import (
+    InstanceTooLarge,
+    enumerate_stable_assignments,
+    instance_from_mappings,
+    replicate_assignment,
+)
 from polyadmit import matching
 from polyadmit.errors import (
     InfeasibleAssignment,
-    InstanceTooLarge,
     MissingScore,
     NoObservedAssignment,
     UniverseMismatch,
