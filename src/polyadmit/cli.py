@@ -5,14 +5,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import counterfactual, econometrics, metrics, reports, scoring, synth
-from .errors import InvalidConfig, NoObservedAssignment, PolyadmitError
+from .errors import InvalidConfig, NoObservedAssignment
 from .io_csv import load_panel, write_assignment_csv
 from .model import Panel
 
@@ -39,6 +43,8 @@ class RunConfig:
             for r in self.reports:
                 if r not in ALL_REPORTS:
                     raise InvalidConfig(f"unknown report {r!r}")
+            if "calibration" in self.reports and self.synth_spec is None:
+                raise InvalidConfig("report 'calibration' needs a synthetic panel (--synth)")
         return self
 
 
@@ -64,28 +70,27 @@ def load_synth_config(spec: str, seed: Optional[int]) -> synth.SynthConfig:
 
 
 def _wanted(config: RunConfig, panel: Panel) -> set[str]:
-    """The reports to write; one asked for that this panel cannot make
-    raises here, before anything is written."""
-    sources = {"table5": panel.observed_assignment, "calibration": config.synth_spec}
-    unavailable = [report for report, source in sources.items() if source is None]
-    if config.reports is None:
-        return set(ALL_REPORTS).difference(unavailable)
-    for report in unavailable:
-        if report in config.reports:
+    """The reports to write; table5 asked for on a panel without an
+    observed assignment raises here, before anything is written."""
+    if config.reports is not None:
+        if "table5" in config.reports and panel.observed_assignment is None:
             raise NoObservedAssignment(
-                f"report {report!r} requires an observed assignment with accept flags"
+                "report 'table5' requires an observed assignment with accept flags"
             )
-    return set(config.reports)
+        return set(config.reports)
+    sources = {"table5": panel.observed_assignment, "calibration": config.synth_spec}
+    return set(ALL_REPORTS).difference(r for r, source in sources.items() if source is None)
 
 
 def run(config: RunConfig) -> int:
     """Execute the pipeline; returns the process exit status.
 
-    On failure, including an operating-system error such as an unusable
-    output path, all partially written outputs are removed and a
-    machine-readable error is printed to stderr.
+    Every report is written into a staging directory beside ``--out`` and
+    moved into ``--out`` only after the last one is written, so a run that
+    fails for any reason leaves ``--out`` as it was and prints a
+    machine-readable error to stderr.
     """
-    written: list[Path] = []
+    staging = None
     try:
         config.validate()
         if config.synth_spec is not None:
@@ -95,30 +100,28 @@ def run(config: RunConfig) -> int:
         wanted = _wanted(config, panel)
 
         out = config.out_dir
-        out.mkdir(parents=True, exist_ok=True)
-
-        def target(name: str) -> Path:
-            path = out / name
-            written.append(path)
-            return path
-
-        _write_reports(config, panel, wanted, target)
-    except (PolyadmitError, OSError) as exc:
-        for path in written:
-            if not path.is_dir():  # a directory in a report's place was never ours
-                path.unlink(missing_ok=True)
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sys.stderr,
-        )
+        out.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+        _write_reports(config, panel, wanted, staging)
+        names = sorted(p.name for p in staging.iterdir())
+        taken = [out / name for name in names if (out / name).is_dir()]
+        if taken:
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(taken[0]))
+        out.mkdir(exist_ok=True)
+        for name in names:
+            os.replace(staging / name, out / name)
+    except Exception as exc:
+        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 
-def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], target) -> None:
+def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory: Path) -> None:
     scenario_ids = tuple(sorted(set(config.scenarios) | {"S1"}))
-    universe = panel.base_applications.distinct_applicants()
     rank_table = metrics.field_gpa_percentile_ranks(panel)
     suite = counterfactual.run_scenario_suite(panel, rank_table, scenario_ids=scenario_ids)
     by_id = {r.scenario_id: r for r in suite}
@@ -129,51 +132,49 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], target) ->
     descriptive = panel.observed_assignment or by_id["S1"].assignment
 
     if "table1" in wanted:
-        reports.write_weight_report(target("table1.csv"), scoring.effective_weights(base_table))
+        reports.write_weight_report(directory / "table1.csv", scoring.effective_weights(base_table))
 
     if "table2" in wanted:
         criteria = (metrics.CRITERION_MATRICULATION, metrics.CRITERION_ADMISSION_SCORE)
         reports.write_tercile_report(
-            target("table2.csv"),
-            [metrics.tercile_unassignment(panel, base_table, descriptive, c) for c in criteria],
+            directory / "table2.csv",
+            [metrics.tercile_unassignment(base_table, descriptive, c) for c in criteria],
         )
 
     if "table3" in wanted:
         reports.write_rank_stats(
-            target("table3.csv"), metrics.application_rank_stats(panel, descriptive)
+            directory / "table3.csv", metrics.application_rank_stats(panel, descriptive)
         )
 
     if "table4" in wanted:
-        reports.write_scenario_suite(target("table4.csv"), suite)
+        reports.write_scenario_suite(directory / "table4.csv", suite)
 
     if "table5" in wanted:
         results = econometrics.lpm_report(
             panel, panel.observed_assignment, base_table, robust=config.robust_se
         )
         reports.write_lpm_report(
-            target("table5.csv"),
+            directory / "table5.csv",
             {f"({i})": r for i, r in enumerate(results, start=1)},
         )
 
     if "figure1" in wanted:
         program_field = {p: prog.field for p, prog in panel.programs.items()}
-        base_hist = metrics.assigned_rank_histogram(
-            rank_table, by_id["S1"].assignment, program_field, len(universe)
-        )
+        base_hist = metrics.assigned_rank_histogram(rank_table, by_id["S1"].assignment, program_field)
         panels = {"1": base_hist}
         for scenario_id in scenario_ids:
             if scenario_id == "S1":
                 continue
-            cf_hist = metrics.assigned_rank_histogram(
-                rank_table, by_id[scenario_id].assignment, program_field, len(universe)
-            )
+            assignment = by_id[scenario_id].assignment
+            cf_hist = metrics.assigned_rank_histogram(rank_table, assignment, program_field)
             panels[scenario_id[1]] = metrics.net_change_histogram(base_hist, cf_hist)
-        reports.write_figure_data(target("figure1.csv"), panels)
+        reports.write_figure_data(directory / "figure1.csv", panels)
 
     if "assignments" in wanted:
+        universe = panel.base_applications.distinct_applicants()
         for scenario_id in scenario_ids:
             write_assignment_csv(
-                target(f"assignment_{scenario_id}.csv"),
+                directory / f"assignment_{scenario_id}.csv",
                 panel,
                 by_id[scenario_id].assignment,
                 universe,
@@ -181,7 +182,7 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], target) ->
 
     if "calibration" in wanted:
         reports.write_calibration_report(
-            target("calibration.csv"), synth.calibration_report(panel)
+            directory / "calibration.csv", synth.calibration_report(panel)
         )
 
 

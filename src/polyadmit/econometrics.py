@@ -11,7 +11,7 @@ import numpy as np
 from .errors import EmptySample, MissingScore, MissingThreshold, RankDeficient
 from .matching import program_thresholds
 from .model import Assignment, Panel
-from .scoring import ScoreTable, compute_score_table
+from .scoring import ScoreTable
 
 OUTCOME_ACCEPTED = "accepted_seat"
 OUTCOME_REAPPLIED = "reapplied_later"
@@ -51,12 +51,6 @@ class RegressionResult:
     standard_errors: tuple[float, ...]
     n: int
     mean_y: float
-
-    def coef(self, term: str) -> float:
-        return self.estimates[self.terms.index(term)]
-
-    def se(self, term: str) -> float:
-        return self.standard_errors[self.terms.index(term)]
 
 
 def ols(
@@ -138,7 +132,7 @@ def _admit_columns(
     if missing is not None:
         raise MissingThreshold(f"no acceptance threshold for {missing!r}")
     threshold = np.array([thresholds[p] for p in programs], dtype=float)
-    # Same operations as adjusted_score, so every value is equal bit for bit.
+    # The total less the exam, then less the bonus: the adjusted score.
     adjusted = table.totals[rows] - table.exam[rows] - table.bonus[rows]
     rank = apps.listed_rank[rows]
     dummy_fields = sorted(panel.field_weights)[1:]  # first field is the reference category
@@ -191,18 +185,6 @@ def _design(
         columns.outcomes[spec.outcome],
         tuple(columns.terms[i] for i in keep),
     )
-
-
-def build_design_matrix(
-    panel: Panel,
-    assignment: Assignment,
-    thresholds: Mapping[str, float],
-    spec: DesignSpec,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """One row per admitted applicant; columns per the design spec."""
-    table = compute_score_table(panel, panel.base_applications)
-    columns = _admit_columns(panel, assignment, thresholds, table)
-    return _design(columns, spec)
 
 
 def lpm_report(

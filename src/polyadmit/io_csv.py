@@ -227,14 +227,16 @@ def _parse_bool(path: Path, row_number: int, column: str, raw: str) -> bool:
     return value
 
 
-def _observed_seat(path: Path, row_number: int, columns, cells) -> Optional[tuple[str, bool]]:
-    """An observed seat and its accept flag; None (unassigned) when both
-    names are empty."""
+def _observed_seat(
+    path: Path, row_number: int, columns, cells
+) -> Optional[tuple[str, Optional[bool]]]:
+    """An observed seat and its accept flag, the flag None (unknown) when
+    its cell is empty; None (unassigned) when both names are empty."""
     polytechnic, program, accepted = cells
     if not (polytechnic or program):
         return None
     key = canonical_program_key(polytechnic, program)
-    return key, _parse_bool(path, row_number, columns[2], accepted)
+    return key, (_parse_bool(path, row_number, columns[2], accepted) if accepted else None)
 
 
 def _floats(cells: list[str], grades: bool = False) -> Optional[list]:
@@ -329,7 +331,7 @@ def load_panel(directory: str | Path) -> Panel:
         seated = [(a, seat) for a, seat in zip(ids, seats) if seat is not None]
         observed = Assignment(
             seat_of={a: key for a, (key, _) in seated},
-            accepted={a: flag for a, (_, flag) in seated},
+            accepted={a: flag for a, (_, flag) in seated if flag is not None},
         )
     if duplicates:
         raise ValidationError(duplicates)
@@ -360,7 +362,7 @@ def save_panel(panel: Panel, directory: str | Path) -> None:
         REQUIRED_COLUMNS[APPLICANTS_CSV] + tuple(GRADE_PREFIX + s for s in subjects),
         (
             [a.applicant_id, str(a.cohort_year)]
-            + [fmt(a.matriculation_grades.get(s, 0.0)) for s in subjects]
+            + [fmt(g) if (g := a.matriculation_grades.get(s)) is not None else "" for s in subjects]
             for a in (panel.applicants[k] for k in sorted(panel.applicants))
         ),
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,8 +31,8 @@ class MatchInstance:
     priority first. Priorities are strict by construction: score ties are
     broken by applicant id ascending.
 
-    ``preferences``, ``priorities`` and ``quotas`` are the same profile as
-    id-keyed mappings, built on first read.
+    ``preferences`` and ``quotas`` are the applicants' lists and the
+    quotas as id-keyed mappings, built on first read.
     """
 
     applicant_ids: tuple[str, ...]
@@ -61,21 +61,8 @@ class MatchInstance:
         return _grouped(self.applicant_ids, self.pref_offsets, self.program_keys, members)
 
     @functools.cached_property
-    def priorities(self) -> Mapping[str, tuple[str, ...]]:
-        members = self.applicant[self.prio_order]
-        return _grouped(self.program_keys, self.prio_offsets, self.applicant_ids, members)
-
-    @functools.cached_property
     def quotas(self) -> Mapping[str, int]:
         return dict(zip(self.program_keys, self.quota.tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatchInstance):
-            return NotImplemented
-        profile = (self.preferences, self.priorities, self.quotas)
-        return profile == (other.preferences, other.priorities, other.quotas)
-
-    __hash__ = None
 
 
 def _positions(order: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -260,7 +247,6 @@ def find_blocking_pairs(
 class AssignmentDiff:
     differently_assigned_count: int
     differently_assigned_share: float
-    transitions: Mapping[str, tuple[Optional[str], Optional[str]]]
 
 
 def compare_assignments(
@@ -278,14 +264,10 @@ def compare_assignments(
             raise UniverseMismatch(f"assigned applicants outside universe: {sorted(extra)[:5]}")
     # an applicant whose seat differs has an (applicant, seat) pair in one
     # assignment only
-    changed = sorted({a for a, _ in base.seat_of.items() ^ other.seat_of.items()})
-    transitions = {a: (base.seat_of.get(a), other.seat_of.get(a)) for a in changed}
-    count = len(transitions)
-    share = count / len(known) if known else 0.0
+    count = len({a for a, _ in base.seat_of.items() ^ other.seat_of.items()})
     return AssignmentDiff(
         differently_assigned_count=count,
-        differently_assigned_share=share,
-        transitions=transitions,
+        differently_assigned_share=count / len(known) if known else 0.0,
     )
 
 

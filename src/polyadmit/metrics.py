@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -57,12 +56,9 @@ class TercileReport:
     criterion: str
     unassigned_fraction: tuple[float, float, float]  # top, middle, bottom third
     tercile_sizes: tuple[int, int, int]
-    excluded_applicants: tuple[str, ...]  # no base-year applications
 
 
-def tercile_unassignment(
-    panel: Panel, table: ScoreTable, assignment: Assignment, criterion: str
-) -> TercileReport:
+def tercile_unassignment(table: ScoreTable, assignment: Assignment, criterion: str) -> TercileReport:
     """Fraction of applicants rejected everywhere, by tercile of their mean
     percentile rank across the applicant pools they entered.
 
@@ -99,7 +95,6 @@ def tercile_unassignment(
     mean_rank = total / counts
 
     ids = [apps.applicant_ids[c] for c in present.tolist()]
-    excluded = tuple(sorted(set(panel.applicants) - set(ids)))
     ordered = np.lexsort((np.arange(len(ids)), -mean_rank))  # ids ascending break ties
     unassigned = np.array([a not in assignment.seat_of for a in ids], dtype=bool)[ordered]
     q, r = divmod(len(ids), 3)
@@ -114,7 +109,6 @@ def tercile_unassignment(
         criterion=criterion,
         unassigned_fraction=tuple(fractions),
         tercile_sizes=sizes,
-        excluded_applicants=excluded,
     )
 
 
@@ -151,28 +145,19 @@ def application_rank_stats(panel: Panel, assignment: Assignment) -> list[RankSta
 @dataclass(frozen=True)
 class Histogram100:
     """100 unit-percentile bins ([k, k+1) for k < 99, [99, 100] for the
-    last); ``uniform_level`` is the reference line |applicants| / 100."""
+    last)."""
 
     bins: tuple[float, ...]
-    uniform_level: Optional[float] = None
-
-    def total(self) -> float:
-        return sum(self.bins)
 
 
 def assigned_rank_histogram(
-    rank_table: RankTable,
-    assignment: Assignment,
-    program_field: Mapping[str, str],
-    n_applicants: int,
+    rank_table: RankTable, assignment: Assignment, program_field: Mapping[str, str]
 ) -> Histogram100:
     """Bin assigned applicants by their GPA rank at the assigned program's
     field."""
     ranks = np.array(_admit_ranks(rank_table, assignment, program_field), dtype=float)
     bins = np.bincount(np.minimum(ranks.astype(np.int64), N_BINS - 1), minlength=N_BINS)
-    return Histogram100(
-        bins=tuple(bins.astype(float).tolist()), uniform_level=n_applicants / N_BINS
-    )
+    return Histogram100(bins=tuple(bins.astype(float).tolist()))
 
 
 def _admit_ranks(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -34,11 +33,6 @@ class ScoreComponents:
         )
 
 
-def adjusted_score(components: ScoreComponents) -> float:
-    """Score with the exam result and the first-choice bonus subtracted."""
-    return components.total - components.exam_component - components.first_choice_bonus
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Per-application score components as numpy columns.
@@ -50,10 +44,8 @@ class ScoreTable:
     the others. ``totals`` is summed once, at construction. Transforms
     share the columns they leave unchanged, so columns are read-only.
 
-    ``keys`` ((applicant, program, year) per row), ``entries`` (key ->
-    ``ScoreComponents``) and ``own_exam`` are built on first read. Tables
-    compare equal when own exams and entries are equal, whatever their
-    row order.
+    ``keys`` ((applicant, program, year) per row) and ``entries`` (key ->
+    ``ScoreComponents``) are built on first read.
     """
 
     applications: ApplicationBlock = field(repr=False)
@@ -88,17 +80,6 @@ class ScoreTable:
                 ),
             )
         )
-
-    @functools.cached_property
-    def own_exam(self) -> frozenset[ScoreKey]:
-        return frozenset(itertools.compress(self.keys, self.exam_taken.tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScoreTable):
-            return NotImplemented
-        return (self.own_exam, self.entries) == (other.own_exam, other.entries)
-
-    __hash__ = None
 
 
 def weighted_gpa_matrix(panel: Panel, fields: Sequence[str]) -> np.ndarray:
@@ -209,7 +190,6 @@ class WeightReport:
     component, which is all the unmodeled variation the table carries.
     """
 
-    sds: Mapping[str, float]
     weights: Mapping[str, float]
 
 
@@ -231,5 +211,4 @@ def effective_weights(table: ScoreTable) -> WeightReport:
     total_sd = sum(sds.values())
     if total_sd == 0.0:
         raise DegenerateTable("all score components are constant")
-    weights = {name: sd / total_sd for name, sd in sds.items()}
-    return WeightReport(sds=sds, weights=weights)
+    return WeightReport(weights={name: sd / total_sd for name, sd in sds.items()})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matching, scoring
+from . import matching, metrics, scoring
 from .errors import InvalidConfig
 from .model import (
     Applicant,
@@ -345,20 +345,17 @@ class CalibrationRow:
 
 
 def calibration_report(panel: Panel) -> list[CalibrationRow]:
-    """Generated marginals against their published targets."""
-    base = panel.base_applications
-    rows = []
-    for rank in range(1, 5):
-        listed = base.listed_rank == rank
-        n = int(np.count_nonzero(listed))
-        share = int(np.count_nonzero(base.exam_taken[listed])) / n if n else 0.0
-        rows.append(CalibrationRow(f"exam_share_rank{rank}", EXAM_SHARE_BY_RANK[rank - 1], share))
-    n_applicants = len(base.distinct_applicants())
-    assigned = len(panel.observed_assignment.seat_of) if panel.observed_assignment else 0
-    rows.append(
-        CalibrationRow("assigned_share", TARGET_ASSIGNED_SHARE, assigned / n_applicants)
-    )
-    rows.append(
-        CalibrationRow("mean_list_length", TARGET_MEAN_LIST_LENGTH, len(base) / n_applicants)
-    )
-    return rows
+    """Generated marginals against their published targets, read from the
+    base-year rank statistics. Every base-year list starts at rank 1, so
+    the rank-1 count is the number of applicants."""
+    observed = panel.observed_assignment or Assignment(seat_of={})
+    stats = metrics.application_rank_stats(panel, observed)
+    n_applicants = stats[0].n_applications
+    assigned, listed = len(observed.seat_of), sum(r.n_applications for r in stats)
+    return [
+        CalibrationRow(f"exam_share_rank{r.listed_rank}", target, r.exam_taken_share)
+        for r, target in zip(stats, EXAM_SHARE_BY_RANK)
+    ] + [
+        CalibrationRow("assigned_share", TARGET_ASSIGNED_SHARE, assigned / n_applicants),
+        CalibrationRow("mean_list_length", TARGET_MEAN_LIST_LENGTH, listed / n_applicants),
+    ]

@@ -1,7 +1,9 @@
 """Test-only oracles and helpers: brute-force enumeration of every stable
 assignment of a small instance, an assignment checker that raises, an
-instance built from id-keyed mappings, and the observed-assignment
-replication checks."""
+instance built from id-keyed mappings and its priorities read back by id,
+the observed-assignment replication checks, the reference adjusted score
+and regression design, a regression coefficient by term, and a score
+table keyed by id."""
 
 from __future__ import annotations
 
@@ -9,9 +11,12 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from polyadmit import econometrics
+from polyadmit.econometrics import DesignSpec, RegressionResult
 from polyadmit.errors import InfeasibleAssignment, NoObservedAssignment, PolyadmitError
-from polyadmit.matching import MatchInstance, find_blocking_pairs
+from polyadmit.matching import MatchInstance, _grouped, find_blocking_pairs
 from polyadmit.model import Application, Assignment, Panel, assignment_violations
+from polyadmit.scoring import ScoreComponents, ScoreTable, compute_score_table
 
 
 class InstanceTooLarge(PolyadmitError):
@@ -46,6 +51,12 @@ def instance_from_mappings(
     )
 
 
+def priorities(instance: MatchInstance) -> dict[str, tuple[str, ...]]:
+    """Each program's applicants by id, highest priority first."""
+    members = instance.applicant[instance.prio_order]
+    return _grouped(instance.program_keys, instance.prio_offsets, instance.applicant_ids, members)
+
+
 def enumerate_stable_assignments(
     instance: MatchInstance, limit: int = 5_000_000
 ) -> list[Assignment]:
@@ -62,12 +73,12 @@ def enumerate_stable_assignments(
         if space > limit:
             raise InstanceTooLarge(f"search space exceeds limit of {limit}")
 
-    prio_rank = {p: {a: i for i, a in enumerate(o)} for p, o in instance.priorities.items()}
+    prio_rank = {p: {a: i for i, a in enumerate(o)} for p, o in priorities(instance).items()}
     pref_rank = {a: {p: i for i, p in enumerate(o)} for a, o in instance.preferences.items()}
     quotas = instance.quotas
 
     seat_of: dict[str, str] = {}
-    fill: dict[str, int] = {p: 0 for p in instance.priorities}
+    fill: dict[str, int] = {p: 0 for p in instance.program_keys}
     worst: dict[str, int] = {}  # lowest priority rank currently admitted, per full program
     results: list[Assignment] = []
 
@@ -173,3 +184,33 @@ def replicate_assignment(panel: Panel, computed: Assignment) -> float:
         computed_admit = computed.seat_of.get(app.applicant_id) == app.program_key
         same += observed_admit == computed_admit
     return same / len(applications)
+
+
+def adjusted_score(components: ScoreComponents) -> float:
+    """Score with the exam result and the first-choice bonus subtracted; the
+    reference for the adjusted-score column of the regression design."""
+    return components.total - components.exam_component - components.first_choice_bonus
+
+
+def build_design_matrix(
+    panel: Panel,
+    assignment: Assignment,
+    thresholds: Mapping[str, float],
+    spec: DesignSpec,
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """One row per admitted applicant, columns per the design spec, from a
+    score table of the base-year lists built here."""
+    table = compute_score_table(panel, panel.base_applications)
+    columns = econometrics._admit_columns(panel, assignment, thresholds, table)
+    return econometrics._design(columns, spec)
+
+
+def coef(result: RegressionResult, term: str) -> float:
+    return result.estimates[result.terms.index(term)]
+
+
+def score_rows(table: ScoreTable) -> dict[tuple[str, str, int], tuple]:
+    """Key -> (gpa, exam, bonus, other, exam taken): the table whatever its
+    row order."""
+    columns = (table.gpa, table.exam, table.bonus, table.other, table.exam_taken)
+    return dict(zip(table.keys, zip(*(c.tolist() for c in columns))))

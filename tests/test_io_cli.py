@@ -1,15 +1,23 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyadmit
-from polyadmit import cli
+from conftest import BASE_YEAR, mk_app, mk_panel, mk_program
+from polyadmit import cli, reports
 from polyadmit.errors import EmptyName, ParseError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
+from polyadmit.model import Assignment
 
 
 def tree_bytes(directory: Path) -> dict[str, bytes]:
@@ -22,6 +30,46 @@ def child_env() -> dict[str, str]:
     source = str(Path(polyadmit.__file__).parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+@st.composite
+def panels(draw):
+    """Small valid panels: grades with up to four decimals and sometimes
+    missing, lists in the base and the next year, and an observed
+    assignment whose accept flags may be unknown."""
+    points = st.integers(0, 10_000).map(lambda k: k / 100)
+    grade = st.none() | st.integers(0, 100_000).map(lambda k: k / 10_000)
+    programs = [
+        mk_program(("P", name), field=f"f{i % 2}", quota=draw(st.integers(0, 2)))
+        for i, name in enumerate("abc")
+    ]
+    keys = [p.program_key for p in programs]
+    grades, apps = {}, []
+    for i in range(draw(st.integers(1, 4))):
+        a = f"a{i}"
+        grades[a] = {s: g for s in ("art", "math") if (g := draw(grade)) is not None}
+        for year in range(BASE_YEAR, BASE_YEAR + draw(st.integers(1, 2))):
+            listed = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+            for rank, key in enumerate(listed, start=1):
+                exam = draw(st.booleans())
+                score = draw(points) if exam else 0.0
+                apps.append(mk_app(a, key, rank, year, exam, score, draw(points)))
+    apps.sort(key=lambda app: (app.year, app.applicant_id, app.listed_rank))
+    observed = None
+    if draw(st.booleans()):
+        quota = {p.program_key: p.quota for p in programs}
+        seat_of, accepted = {}, {}
+        for app in apps:
+            free = app.applicant_id not in seat_of and quota[app.program_key] > 0
+            if app.year == BASE_YEAR and free and draw(st.booleans()):
+                quota[app.program_key] -= 1
+                seat_of[app.applicant_id] = app.program_key
+                flag = draw(st.none() | st.booleans())
+                if flag is not None:
+                    accepted[app.applicant_id] = flag
+        observed = Assignment(seat_of, accepted)
+    weights = {"f0": {"art": 1.5, "math": 2.0}, "f1": {"math": 1.0}}
+    return mk_panel(programs, apps, grades, weights, {"f0": 4.0, "f1": 0.0}, observed)
 
 
 class TestRoundTrip:
@@ -51,6 +99,13 @@ class TestRoundTrip:
         save_panel(small_panel, first)
         save_panel(load_panel(first), second)
         assert tree_bytes(first) == tree_bytes(second)
+
+    @settings(max_examples=60, deadline=None)
+    @given(panels())
+    def test_load_of_save_is_the_same_panel(self, panel):
+        with tempfile.TemporaryDirectory() as directory:
+            save_panel(panel, directory)
+            assert load_panel(directory) == panel
 
 
 class TestParseErrors:
@@ -300,6 +355,58 @@ class TestRun:
         assert json.loads(capsys.readouterr().err)["error"] == "NoObservedAssignment"
         assert tree_bytes(out) == before
 
+    def test_failed_run_keeps_earlier_reports(self, small_config_json, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["--synth", str(small_config_json), "--out", str(out)]) == 0
+        before = tree_bytes(out)
+        short = tmp_path / "short.json"  # lists of 1-2 programs: no rank3/rank4 admits
+        short.write_text(
+            '{"list_length_probs": [0.5, 0.5, 0.0, 0.0], "n_applicants": 400,'
+            ' "n_programs": 12, "n_fields": 4, "seats_total": 130}'
+        )
+        assert cli.main(["--synth", str(short), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "RankDeficient"
+        assert tree_bytes(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "short.json"]
+
+    def test_any_exception_is_a_json_error(self, small_config_json, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(reports, "write_figure_data", fail)
+        out = tmp_path / "out"
+        assert cli.main(["--synth", str(small_config_json), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "RuntimeError", "message": "disk on fire"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_calibration_needs_a_synthetic_panel(self, small_panel, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "out"
+        save_panel(small_panel, data)
+        status = cli.main(["--input", str(data), "--reports", "calibration", "--out", str(out)])
+        assert status == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig"
+        assert "--synth" in err["message"]
+        assert not out.exists()
+
+    def test_row_order_of_input_files_does_not_change_reports(self, small_panel, tmp_path):
+        data = tmp_path / "data"
+        save_panel(small_panel, data)
+        assert cli.main(["--input", str(data), "--out", str(tmp_path / "out")]) == 0
+        expected = tree_bytes(tmp_path / "out")
+        rng = random.Random(5)
+        for trial in range(3):
+            shuffled = tmp_path / f"shuffled{trial}"
+            shuffled.mkdir()
+            for path in data.iterdir():
+                header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                rng.shuffle(rows)
+                (shuffled / path.name).write_text(header + "".join(rows), encoding="utf-8")
+            out = tmp_path / f"out{trial}"
+            assert cli.main(["--input", str(shuffled), "--out", str(out)]) == 0
+            assert tree_bytes(out) == expected
+
     def test_bad_synth_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n_apples": 3}')
@@ -380,3 +487,31 @@ class TestRun:
         )
         assert proc.stdout.split() == ["0", "False"], proc.stderr
         assert (out / "table5.csv").exists()
+
+
+class TestTracedHarness:
+    def test_traced_run_audits_and_matches_untraced_reports(self, small_config_json, tmp_path):
+        """perfbench/traced.py patches and observes functions by name; a
+        rename or deletion it depends on fails here."""
+        traced = Path(__file__).parents[1] / "perfbench" / "traced.py"
+        result, out = tmp_path / "result.json", tmp_path / "traced"
+        proc = subprocess.run(
+            [
+                sys.executable, str(traced), "--spawned-at", repr(time.perf_counter()),
+                "--result", str(result), "--spans", str(tmp_path / "spans.json"),
+                "--out", str(out), "--", "--synth", str(small_config_json),
+            ],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        run = json.loads(result.read_text())
+        assert run["status"] == 0
+        audit = run["audit"]
+        assert (audit["assignments_audited"], audit["blocking_pairs"], audit["n_violations"]) == (
+            7, 0, 0,
+        )
+        untraced = tmp_path / "untraced"
+        assert cli.main(["--synth", str(small_config_json), "--out", str(untraced)]) == 0
+        assert run["digests"] == {
+            name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(untraced).items()
+        }

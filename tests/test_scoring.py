@@ -6,12 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mk_app, mk_panel, mk_program
+from oracle import adjusted_score, score_rows
 from polyadmit import scoring
 from polyadmit.errors import DegenerateTable
 from polyadmit.model import ApplicationBlock
 from polyadmit.scoring import (
     ScoreComponents,
-    adjusted_score,
     compute_score_table,
     effective_weights,
     propagate_entrance_exams,
@@ -77,7 +77,7 @@ class TestComputeScoreTable:
         apps = small_panel.base_applications
         t1 = compute_score_table(small_panel, apps)
         t2 = compute_score_table(small_panel, list(reversed(apps)))
-        assert t1 == t2
+        assert score_rows(t1) == score_rows(t2)
 
 
 def table_entry(panel, applicant_id, program_key):
@@ -129,7 +129,7 @@ class TestRemoveFirstChoicePoints:
             compute_score_table(small_panel, small_panel.base_applications)
         )
         twice = remove_first_choice_points(once)
-        assert once == twice
+        assert score_rows(once) == score_rows(twice)
         assert once.totals.tolist() == twice.totals.tolist()
 
 
@@ -138,7 +138,7 @@ class TestTransformsCommute:
         table = compute_score_table(small_panel, small_panel.base_applications)
         a = propagate_entrance_exams(small_panel, remove_first_choice_points(table))
         b = remove_first_choice_points(propagate_entrance_exams(small_panel, table))
-        assert a == b
+        assert score_rows(a) == score_rows(b)
         assert a.totals.tolist() == b.totals.tolist()
 
     def test_propagate_keeps_the_bonus(self, small_panel):
@@ -216,7 +216,7 @@ class TestPropagateEntranceExams:
         )
         once = propagate_entrance_exams(small_panel, table)
         twice = propagate_entrance_exams(small_panel, once)
-        assert once == twice
+        assert score_rows(once) == score_rows(twice)
         assert once.totals.tolist() == twice.totals.tolist()
 
     def test_only_exam_component_changes(self, small_panel):
@@ -300,7 +300,6 @@ class TestEffectiveWeights:
         from polyadmit.reports import write_weight_report
 
         report = scoring.WeightReport(
-            sds={"gpa": 0.28, "exam": 0.43, "first_choice_bonus": 0.05, "residual": 0.23},
             weights={"gpa": 0.28, "exam": 0.43, "first_choice_bonus": 0.05, "residual": 0.23},
         )
         path = tmp_path / "table1.csv"
