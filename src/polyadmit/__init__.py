@@ -4,7 +4,6 @@ suites, selection-quality diagnostics, and linear probability models."""
 
 from .model import (
     Applicant,
-    Application,
     Assignment,
     Panel,
     Program,
@@ -14,7 +13,6 @@ from .model import (
 
 __all__ = [
     "Applicant",
-    "Application",
     "Assignment",
     "Panel",
     "Program",

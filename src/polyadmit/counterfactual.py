@@ -11,7 +11,7 @@ import numpy as np
 
 from . import matching, metrics, scoring
 from .errors import UnknownScenario
-from .model import Application, ApplicationBlock, Assignment, Panel
+from .model import ApplicationBlock, Assignment, Panel
 
 SCORES_ORIGINAL = "original"
 SCORES_NO_FIRST_CHOICE = "no_first_choice"
@@ -69,10 +69,9 @@ def _scenario(scenario_id: str) -> Scenario:
     return SCENARIOS[scenario_id]
 
 
-def _scenario_inputs(
-    panel: Panel, scenarios: Sequence[Scenario]
-) -> dict[str, tuple[ApplicationBlock, scoring.ScoreTable]]:
-    """The application list and score table of each scenario, by id.
+def _scenario_inputs(panel: Panel, scenarios: Sequence[Scenario]) -> dict[str, scoring.ScoreTable]:
+    """The score table of each scenario, by id; each table holds the
+    application block it scores.
 
     Each list variant is built and scored once. The no-bonus table is
     derived from that score table, and the exam-propagated one from the
@@ -93,7 +92,7 @@ def _scenario_inputs(
                 panel, tables[SCORES_NO_FIRST_CHOICE]
             )
         for s in on_list:
-            inputs[s.id] = (applications, tables[s.scores])
+            inputs[s.id] = tables[s.scores]
     return inputs
 
 
@@ -107,10 +106,8 @@ class ScenarioResult:
     table: scoring.ScoreTable  # the one it was matched on; S1's is the base-year table
 
 
-def _match(
-    applications: Sequence[Application], table: scoring.ScoreTable, quotas: Mapping[str, int]
-) -> Assignment:
-    instance = matching.build_instance(applications, table, quotas)
+def _match(table: scoring.ScoreTable, quotas: Mapping[str, int]) -> Assignment:
+    instance = matching.build_instance(table.applications, table, quotas)
     return matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
 
 
@@ -129,10 +126,10 @@ def run_scenario_suite(
     """
     quotas = {p: prog.quota for p, prog in panel.programs.items()}
     wanted = [_scenario(s) for s in sorted(set(scenario_ids) | {"S1"})]
-    inputs = _scenario_inputs(panel, wanted)
-    universe = inputs["S1"][0].distinct_applicants()
+    tables = _scenario_inputs(panel, wanted)
     program_field = {p: prog.field for p, prog in panel.programs.items()}
-    assignments = {s.id: _match(*inputs[s.id], quotas) for s in wanted}
+    assignments = {s.id: _match(tables[s.id], quotas) for s in wanted}
+    universe = set(tables["S1"].applications.distinct_applicants())
     baseline = assignments["S1"]
 
     results = []
@@ -150,11 +147,11 @@ def run_scenario_suite(
                 scenario_id=scenario_id,
                 assignment=assignment,
                 applications_per_applicant=(
-                    len(inputs[scenario_id][0]) / len(universe) if universe else 0.0
+                    len(tables[scenario_id].applications) / len(universe) if universe else 0.0
                 ),
                 diff_vs_baseline=diff,
                 rank_improvement=improvement,
-                table=inputs[scenario_id][1],
+                table=tables[scenario_id],
             )
         )
     return results

@@ -8,7 +8,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptySample, MissingScore, MissingThreshold, RankDeficient
+from .errors import EmptySample, MissingScore, RankDeficient
 from .matching import program_thresholds
 from .model import Assignment, Panel
 from .scoring import ScoreTable
@@ -128,9 +128,6 @@ def _admit_columns(
     if len(rows) != len(admitted):
         raise MissingScore("an admitted applicant has no base-year row in the score table")
     programs = [apps.program_keys[p] for p in apps.program[rows].tolist()]
-    missing = next((p for p in programs if p not in thresholds), None)
-    if missing is not None:
-        raise MissingThreshold(f"no acceptance threshold for {missing!r}")
     threshold = np.array([thresholds[p] for p in programs], dtype=float)
     # The total less the exam, then less the bonus: the adjusted score.
     adjusted = table.totals[rows] - table.exam[rows] - table.bonus[rows]

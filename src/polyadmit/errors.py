@@ -64,10 +64,6 @@ class RankDeficient(PolyadmitError):
         super().__init__(f"rank-deficient design matrix, offending columns: {self.columns}")
 
 
-class MissingThreshold(PolyadmitError):
-    pass
-
-
 class EmptySample(PolyadmitError):
     pass
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleAssignment, MissingScore, UniverseMismatch
-from .model import Application, ApplicationBlock, Assignment
+from .model import ApplicationBlock, Assignment
 from .scoring import ScoreTable
 
 PROPOSING_APPLICANTS = "applicants"
@@ -80,28 +80,22 @@ def _grouped(
 
 
 def build_instance(
-    applications: Sequence[Application],
+    applications: ApplicationBlock,
     scores: ScoreTable,
     quotas: Mapping[str, int],
 ) -> MatchInstance:
-    """Assemble the matching instance for one application set.
+    """Assemble the matching instance for one application block, the one
+    ``scores`` was computed from.
 
     Preferences follow listed rank; each program orders its applicants by
     total score descending, applicant id breaking ties. The codes and the
-    preference lists of an application block are built once and shared by
-    every table that scores it; each table adds one priority sort.
+    preference lists of a block are built once and shared by every table
+    that scores it; each table adds one priority sort.
     """
-    block = ApplicationBlock.of(applications)
-    if block is scores.applications:
-        totals = scores.totals
-    else:
-        row_of = {key: row for row, key in enumerate(scores.keys)}
-        try:
-            totals = scores.totals[np.array([row_of[key] for key in block.keys], dtype=np.intp)]
-        except KeyError as exc:
-            raise MissingScore(f"no score entry for {exc.args[0]}") from None
-    applicant_ids, program_keys, applicant, program, pref_order, pref_offsets = block.lists
-    prio_order = np.lexsort((applicant, -totals, program))
+    if applications is not scores.applications:
+        raise MissingScore("the score table was computed from another application block")
+    applicant_ids, program_keys, applicant, program, pref_order, pref_offsets = applications.lists
+    prio_order = np.lexsort((applicant, -scores.totals, program))
     return MatchInstance(
         applicant_ids, program_keys, applicant, program, pref_order, pref_offsets,
         quota=np.array([int(quotas.get(p, 0)) for p in program_keys], dtype=np.int64),
@@ -250,16 +244,15 @@ class AssignmentDiff:
 
 
 def compare_assignments(
-    base: Assignment, other: Assignment, universe: Iterable[str]
+    base: Assignment, other: Assignment, universe: AbstractSet[str]
 ) -> AssignmentDiff:
     """Count applicants whose seat (or unassigned status) differs.
 
     The share is computed over the full applicant universe, not only over
     assigned applicants.
     """
-    known = set(universe)
     for assignment in (base, other):
-        extra = assignment.seat_of.keys() - known
+        extra = assignment.seat_of.keys() - universe
         if extra:
             raise UniverseMismatch(f"assigned applicants outside universe: {sorted(extra)[:5]}")
     # an applicant whose seat differs has an (applicant, seat) pair in one
@@ -267,7 +260,7 @@ def compare_assignments(
     count = len({a for a, _ in base.seat_of.items() ^ other.seat_of.items()})
     return AssignmentDiff(
         differently_assigned_count=count,
-        differently_assigned_share=count / len(known) if known else 0.0,
+        differently_assigned_share=count / len(universe) if universe else 0.0,
     )
 
 

@@ -2,8 +2,8 @@
 
 A panel covers exactly three consecutive application years: the base year
 whose assignment is simulated, plus two later years that feed the
-counterfactual application lists and the re-application outcome. A
-panel holds its applications as one ``ApplicationBlock`` of columns.
+counterfactual application lists and the re-application outcome. An
+``ApplicationBlock`` of columns is the only form applications take.
 """
 
 from __future__ import annotations
@@ -52,17 +52,6 @@ class Program:
 
 
 @dataclass(frozen=True)
-class Application:
-    applicant_id: str
-    program_key: str
-    year: int
-    listed_rank: int
-    exam_taken: bool
-    exam_score: float = 0.0
-    other_points: float = 0.0
-
-
-@dataclass(frozen=True)
 class Assignment:
     """A many-to-one matching: each applicant holds at most one seat.
 
@@ -97,14 +86,13 @@ def encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class ApplicationBlock(Sequence):
+class ApplicationBlock:
     """Applications as columns, row ``i`` being one application.
 
     ``applicant`` and ``program`` are codes into the sorted vocabularies
     ``applicant_ids`` and ``program_keys``; blocks cut from one another
-    with ``take`` share them. As a sequence the block reads as
-    ``Application`` records, which are built on first read: the pipeline
-    itself works on the columns.
+    with ``take`` share them. Blocks compare by identity: a score table
+    scores the very block it was computed from.
     """
 
     applicant_ids: tuple[str, ...] = field(repr=False)
@@ -121,7 +109,7 @@ class ApplicationBlock(Sequence):
     def from_columns(
         cls, applicant_id, program_key, year, listed_rank, exam_taken, exam_score, other_points
     ) -> "ApplicationBlock":
-        """A block from one list of Python values per ``Application`` field."""
+        """A block from one list of Python values per column."""
         applicant_ids, applicant = encode(applicant_id)
         program_keys, program = encode(program_key)
         return cls(
@@ -129,16 +117,6 @@ class ApplicationBlock(Sequence):
             np.array(year, dtype=np.int64), np.array(listed_rank, dtype=np.int64),
             np.array(exam_taken, dtype=bool), np.array(exam_score, dtype=float),
             np.array(other_points, dtype=float),
-        )
-
-    @classmethod
-    def of(cls, applications: Sequence[Application]) -> "ApplicationBlock":
-        """``applications`` itself if it is a block, else its records as one."""
-        if isinstance(applications, ApplicationBlock):
-            return applications
-        records = list(applications)
-        return cls.from_columns(
-            *([getattr(a, f.name) for a in records] for f in dataclasses.fields(Application))
         )
 
     def take(self, rows: np.ndarray, **columns: np.ndarray) -> "ApplicationBlock":
@@ -184,16 +162,12 @@ class ApplicationBlock(Sequence):
         )
 
     def python_columns(self) -> list[list]:
-        """Each column as Python values, in ``Application`` field order,
-        with ids and keys spelled out."""
+        """Each column as Python values, in ``from_columns`` order, with ids
+        and keys spelled out."""
         return [
             list(map(self.applicant_ids.__getitem__, self.applicant.tolist())),
             list(map(self.program_keys.__getitem__, self.program.tolist())),
         ] + [getattr(self, f.name).tolist() for f in dataclasses.fields(self)[4:]]
-
-    @functools.cached_property
-    def records(self) -> tuple[Application, ...]:
-        return tuple(map(Application, *self.python_columns()))
 
     @functools.cached_property
     def keys(self) -> tuple[tuple[str, str, int], ...]:
@@ -203,25 +177,11 @@ class ApplicationBlock(Sequence):
     def __len__(self) -> int:
         return len(self.applicant)
 
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (ApplicationBlock, list, tuple)):
-            return NotImplemented
-        return self.records == tuple(other)
-
-    __hash__ = None
-
 
 @dataclass(frozen=True)
 class Panel:
-    """One three-year panel. ``applications`` is one ``ApplicationBlock``;
-    a sequence of ``Application`` records given in its place is converted
-    once, at construction."""
+    """One three-year panel; ``applications`` holds the applications of
+    all three years as one ``ApplicationBlock``."""
 
     applicants: Mapping[str, Applicant]
     programs: Mapping[str, Program]
@@ -230,9 +190,6 @@ class Panel:
     field_weights: Mapping[str, Mapping[str, float]]
     bonus_points: Mapping[str, float]
     observed_assignment: Optional[Assignment] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "applications", ApplicationBlock.of(self.applications))
 
     @property
     def years(self) -> tuple[int, int, int]:
@@ -363,7 +320,7 @@ def validate_panel(panel: Panel) -> Panel:
 
 
 def assignment_violations(
-    panel: Panel, applications: Sequence[Application], assignment: Assignment
+    panel: Panel, applications: ApplicationBlock, assignment: Assignment
 ) -> list[str]:
     """Structural problems of an assignment against an application set.
 
@@ -371,11 +328,10 @@ def assignment_violations(
     package produces.
     """
     problems: list[str] = []
-    apps = ApplicationBlock.of(applications)
-    applicant_code = {a: i for i, a in enumerate(apps.applicant_ids)}
-    program_code = {p: i for i, p in enumerate(apps.program_keys)}
-    n_programs = len(apps.program_keys)
-    applied = set((apps.applicant * n_programs + apps.program).tolist())
+    applicant_code = {a: i for i, a in enumerate(applications.applicant_ids)}
+    program_code = {p: i for i, p in enumerate(applications.program_keys)}
+    n_programs = len(applications.program_keys)
+    applied = set((applications.applicant * n_programs + applications.program).tolist())
     for applicant_id, program_key in assignment.seat_of.items():
         a, p = applicant_code.get(applicant_id), program_code.get(program_key)
         if a is None or p is None or a * n_programs + p not in applied:

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateTable
-from .model import Application, ApplicationBlock, Panel, recode
+from .model import ApplicationBlock, Panel, recode
 
 # (applicant_id, program_key, year)
 ScoreKey = tuple[str, str, int]
@@ -109,27 +109,26 @@ def _program_fields(panel: Panel, block: ApplicationBlock) -> tuple[list[str], n
     return fields, field_of
 
 
-def compute_score_table(panel: Panel, applications: Sequence[Application]) -> ScoreTable:
-    """Build the original score table for an application set.
+def compute_score_table(panel: Panel, applications: ApplicationBlock) -> ScoreTable:
+    """Build the original score table for an application block.
 
     The GPA component is the field-weighted dot product over matriculation
     grades (missing subjects count as zero); the bonus applies only to the
     first listed program of each list.
     """
-    block = ApplicationBlock.of(applications)
-    fields, field_of = _program_fields(panel, block)
-    field_code = field_of[block.program]
-    applicant_row = recode(block.applicant_ids, panel.applicant_ids)
+    fields, field_of = _program_fields(panel, applications)
+    field_code = field_of[applications.program]
+    applicant_row = recode(applications.applicant_ids, panel.applicant_ids)
     if (applicant_row < 0).any():
-        raise KeyError(f"applicants not in the panel: {block.distinct_applicants()[:5]}")
+        raise KeyError(f"applicants not in the panel: {applications.distinct_applicants()[:5]}")
     bonus = np.array([panel.bonus_points[f] for f in fields], dtype=float)
     return ScoreTable(
-        block,
-        gpa=weighted_gpa_matrix(panel, fields)[applicant_row[block.applicant], field_code],
-        exam=np.where(block.exam_taken, block.exam_score, 0.0),
-        bonus=np.where(block.listed_rank == 1, bonus[field_code], 0.0),
-        other=block.other_points.astype(float),
-        exam_taken=block.exam_taken.copy(),
+        applications,
+        gpa=weighted_gpa_matrix(panel, fields)[applicant_row[applications.applicant], field_code],
+        exam=np.where(applications.exam_taken, applications.exam_score, 0.0),
+        bonus=np.where(applications.listed_rank == 1, bonus[field_code], 0.0),
+        other=applications.other_points.astype(float),
+        exam_taken=applications.exam_taken.copy(),
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from . import matching, metrics, scoring
 from .errors import InvalidConfig
 from .model import (
     Applicant,
-    Application,
     ApplicationBlock,
     Assignment,
     Panel,
@@ -207,7 +207,7 @@ def _applications_for_year(
     columns: tuple[list, ...],
 ) -> None:
     """Draw one application list and append it to ``columns``, one list
-    per ``Application`` field."""
+    per ``ApplicationBlock.from_columns`` argument."""
     home_field = fields[int(rng.integers(len(fields)))]
     for rank, program_key in enumerate(sampler.draw(rng, home_field), start=1):
         exam_prob = cfg.exam_prob_by_rank[min(rank, len(cfg.exam_prob_by_rank)) - 1]
@@ -251,7 +251,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
 
     applicants = {}
     abilities = {}
-    columns: tuple[list, ...] = tuple([] for _ in dataclasses.fields(Application))
+    columns = tuple([] for _ in inspect.signature(ApplicationBlock.from_columns).parameters)
     for i in range(cfg.n_applicants):
         applicant_id = f"a{i:05d}"
         ability = float(rng.standard_normal())

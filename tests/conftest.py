@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from oracle import Application, block_of
 from polyadmit import synth
-from polyadmit.model import Applicant, Application, Assignment, Panel, Program, validate_panel
+from polyadmit.model import Applicant, Panel, Program, validate_panel
 
 BASE_YEAR = 2011
 
@@ -53,7 +54,7 @@ def mk_panel(
     panel = Panel(
         applicants=applicants,
         programs={p.program_key: p for p in programs},
-        applications=tuple(applications),
+        applications=block_of(applications),
         base_year=BASE_YEAR,
         field_weights=weights if weights is not None else {f: {"math": 1.0} for f in fields},
         bonus_points=bonus if bonus is not None else {f: 0.0 for f in fields},

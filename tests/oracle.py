@@ -1,12 +1,16 @@
-"""Test-only oracles and helpers: brute-force enumeration of every stable
-assignment of a small instance, an assignment checker that raises, an
-instance built from id-keyed mappings and its priorities read back by id,
-the observed-assignment replication checks, the reference adjusted score
-and regression design, a regression coefficient by term, and a score
-table keyed by id."""
+"""Test-only oracles and helpers: application records, their conversion
+to and from a block, and panel equality row by row; brute-force
+enumeration of every stable assignment of a small instance, an assignment
+checker that raises, an instance built from id-keyed mappings and its
+priorities read back by id, the observed-assignment replication checks,
+the reference adjusted score and regression design, a regression
+coefficient by term, and a score table keyed by id."""
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -15,8 +19,47 @@ from polyadmit import econometrics
 from polyadmit.econometrics import DesignSpec, RegressionResult
 from polyadmit.errors import InfeasibleAssignment, NoObservedAssignment, PolyadmitError
 from polyadmit.matching import MatchInstance, _grouped, find_blocking_pairs
-from polyadmit.model import Application, Assignment, Panel, assignment_violations
+from polyadmit.model import ApplicationBlock, Assignment, Panel, assignment_violations
 from polyadmit.scoring import ScoreComponents, ScoreTable, compute_score_table
+
+
+@dataclass(frozen=True)
+class Application:
+    """One application as a record: one row of an ``ApplicationBlock``."""
+
+    applicant_id: str
+    program_key: str
+    year: int
+    listed_rank: int
+    exam_taken: bool
+    exam_score: float = 0.0
+    other_points: float = 0.0
+
+
+def block_of(applications: Sequence[Application]) -> ApplicationBlock:
+    """The records as one block, row for row; an empty list gives an
+    empty block."""
+    return ApplicationBlock.from_columns(
+        *([getattr(a, f.name) for a in applications] for f in dataclasses.fields(Application))
+    )
+
+
+_records_of: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def records(block: ApplicationBlock) -> tuple[Application, ...]:
+    """The block's rows as records, in row order; built once per block,
+    as the loop references read the same blocks many times."""
+    if block not in _records_of:
+        _records_of[block] = tuple(map(Application, *block.python_columns()))
+    return _records_of[block]
+
+
+def same_panel(panel: Panel, other: Panel) -> bool:
+    """Equal fields, the application blocks compared row by row."""
+    return records(panel.applications) == records(other.applications) and (
+        dataclasses.replace(other, applications=panel.applications) == panel
+    )
 
 
 class InstanceTooLarge(PolyadmitError):
@@ -151,7 +194,7 @@ def enumerate_stable_assignments(
 
 
 def check_assignment(
-    panel: Panel, applications: Sequence[Application], assignment: Assignment
+    panel: Panel, applications: ApplicationBlock, assignment: Assignment
 ) -> Assignment:
     problems = assignment_violations(panel, applications, assignment)
     if problems:
@@ -179,7 +222,7 @@ def replicate_assignment(panel: Panel, computed: Assignment) -> float:
     if not applications:
         return 1.0
     same = 0
-    for app in applications:
+    for app in records(applications):
         observed_admit = observed.seat_of.get(app.applicant_id) == app.program_key
         computed_admit = computed.seat_of.get(app.applicant_id) == app.program_key
         same += observed_admit == computed_admit

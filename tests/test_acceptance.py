@@ -10,6 +10,7 @@ from oracle import (
     coef,
     enumerate_stable_assignments,
     instance_from_mappings,
+    records,
     replicate_assignment,
 )
 from polyadmit import cli, counterfactual, matching, metrics, scoring, synth
@@ -139,7 +140,7 @@ def test_criterion_3_uniqueness_replication(default_panel, capsys):
     inst = matching.build_instance(apps, table, quotas)
     applicant_side = deferred_acceptance(inst, "applicants")
     program_side = deferred_acceptance(inst, "programs")
-    universe = sorted({a.applicant_id for a in apps})
+    universe = {a.applicant_id for a in records(apps)}
     diff = compare_assignments(program_side, applicant_side, universe)
     assert diff.differently_assigned_share <= 0.005
     announce(

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import build_scenario, mk_app, mk_panel, mk_program
-from oracle import score_rows
+from oracle import block_of, records, score_rows
 from polyadmit.counterfactual import (
     SCENARIO_IDS,
     extend_application_lists,
@@ -23,7 +23,7 @@ class TestExtendApplicationLists:
         programs = four_programs()
         apps = [mk_app("x", "p::a", 1), mk_app("x", "p::b", 2)]
         panel = mk_panel(programs, apps)
-        assert extend_application_lists(panel) == apps
+        assert records(extend_application_lists(panel)) == tuple(apps)
 
     def test_later_years_appended_in_order(self):
         programs = four_programs()
@@ -37,17 +37,17 @@ class TestExtendApplicationLists:
         ]
         panel = mk_panel(programs, apps)
         extended = extend_application_lists(panel)
-        assert [(a.program_key, a.listed_rank) for a in extended] == [
+        assert [(a.program_key, a.listed_rank) for a in records(extended)] == [
             ("p::a", 1), ("p::b", 2), ("p::c", 3), ("p::d", 4),
         ]
-        assert all(a.year == panel.base_year for a in extended)
+        assert all(a.year == panel.base_year for a in records(extended))
 
     def test_base_prefix_preserved(self, small_panel):
         base_lists = {}
-        for app in small_panel.base_applications:
+        for app in records(small_panel.base_applications):
             base_lists.setdefault(app.applicant_id, []).append(app)
         extended_lists = {}
-        for app in extend_application_lists(small_panel):
+        for app in records(extend_application_lists(small_panel)):
             extended_lists.setdefault(app.applicant_id, []).append(app)
         for applicant_id, base in base_lists.items():
             base = sorted(base, key=lambda a: a.listed_rank)
@@ -56,7 +56,7 @@ class TestExtendApplicationLists:
 
     def test_duplicate_free_and_renumbered(self, small_panel):
         per_applicant = {}
-        for app in extend_application_lists(small_panel):
+        for app in records(extend_application_lists(small_panel)):
             per_applicant.setdefault(app.applicant_id, []).append(app)
         for apps in per_applicant.values():
             keys = [a.program_key for a in apps]
@@ -68,7 +68,7 @@ class TestExtendApplicationLists:
         apps = [mk_app("x", "p::a", 1), mk_app("y", "p::b", 1, year=2012)]
         panel = mk_panel(programs, apps)
         extended = extend_application_lists(panel)
-        assert {a.applicant_id for a in extended} == {"x"}
+        assert {a.applicant_id for a in records(extended)} == {"x"}
 
     def test_appended_entry_keeps_own_exam_data(self):
         programs = four_programs()
@@ -77,7 +77,7 @@ class TestExtendApplicationLists:
             mk_app("x", "p::b", 1, year=2012, exam=True, exam_score=33.0, other=2.0),
         ]
         panel = mk_panel(programs, apps)
-        appended = extend_application_lists(panel)[1]
+        appended = records(extend_application_lists(panel))[1]
         assert appended.program_key == "p::b"
         assert appended.exam_taken and appended.exam_score == 33.0
         assert appended.other_points == 2.0
@@ -86,7 +86,7 @@ class TestExtendApplicationLists:
 class TestBuildScenario:
     def test_s1_identity(self, small_panel):
         apps, table = build_scenario(small_panel, "S1")
-        assert apps == small_panel.base_applications
+        assert records(apps) == records(small_panel.base_applications)
         expected = compute_score_table(small_panel, small_panel.base_applications)
         assert score_rows(table) == score_rows(expected)
 
@@ -138,7 +138,7 @@ class TestBuildScenario:
 
     def test_pure_construction(self, small_panel):
         (apps1, table1), (apps2, table2) = (build_scenario(small_panel, "S4") for _ in range(2))
-        assert apps1 == apps2
+        assert records(apps1) == records(apps2)
         assert score_rows(table1) == score_rows(table2)
 
 
@@ -188,7 +188,7 @@ class TestScenarioSuite:
                 applications_per_applicant=apps,
                 diff_vs_baseline=AssignmentDiff(0, share),
                 rank_improvement=imp,
-                table=compute_score_table(mk_panel([], []), []),
+                table=compute_score_table(mk_panel([], []), block_of([])),
             )
             for sid, apps, share, imp in published
         ]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracle import build_design_matrix, coef
+from oracle import build_design_matrix, coef, records
 from polyadmit.econometrics import (
     OUTCOME_ACCEPTED,
     OUTCOME_REAPPLIED,
@@ -132,7 +132,9 @@ class TestDesignMatrix:
         assert set(np.unique(X)) <= {0.0, 1.0}
         assert (X[:, 0] == 1.0).all()
         # cross-tabulation oracle for the column means
-        base_app = {(a.applicant_id, a.program_key): a for a in small_panel.base_applications}
+        base_app = {
+            (a.applicant_id, a.program_key): a for a in records(small_panel.base_applications)
+        }
         admitted = sorted(assignment.seat_of)
         apps = [base_app[(a, assignment.seat_of[a])] for a in admitted]
         for column, rank in (("rank2", 2), ("rank3", 3), ("rank4", 4)):
@@ -208,8 +210,8 @@ class TestLpmReport:
 
         base_only = dataclasses.replace(
             small_panel,
-            applications=tuple(
-                a for a in small_panel.applications if a.year == small_panel.base_year
+            applications=small_panel.applications.take(
+                np.flatnonzero(small_panel.applications.year == small_panel.base_year)
             ),
         )
         results = lpm_report(base_only, base_only.observed_assignment, base_table(base_only))

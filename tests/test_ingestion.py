@@ -13,6 +13,7 @@ from polyadmit.io_csv import load_panel, save_panel
 from polyadmit.model import Applicant, Assignment, Panel, Program, validate_panel
 
 from conftest import mk_app, mk_panel, mk_program
+from oracle import block_of, records
 
 # At least one violation of every class validate_panel can see in a CSV
 # panel (the loader canonicalizes keys, so map-key and key-spelling
@@ -123,7 +124,7 @@ def code_built_panel() -> Panel:
             "a9": Applicant("a2", {"math": 1.0}, 2011),
         },
         programs={"poly::alpha": program, "poly::gamma": odd},
-        applications=(mk_app("a1", "poly::alpha", 1), mk_app("a9", "poly::alpha", 1)),
+        applications=block_of([mk_app("a1", "poly::alpha", 1), mk_app("a9", "poly::alpha", 1)]),
         base_year=2011,
         field_weights={"field0": {"math": 1.0}},
         bonus_points={"field0": 0.0},
@@ -221,7 +222,7 @@ def test_files_that_need_a_csv_parser_load_the_same(tmp_path, newline):
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
     loaded = load_panel(tmp_path)
     assert loaded.programs == panel.programs
-    assert loaded.applications == panel.applications
+    assert records(loaded.applications) == records(panel.applications)
     assert loaded.applicants == panel.applicants
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -14,8 +17,9 @@ from hypothesis import strategies as st
 
 import polyadmit
 from conftest import BASE_YEAR, mk_app, mk_panel, mk_program
-from polyadmit import cli, reports
-from polyadmit.errors import EmptyName, ParseError, ValidationError
+from oracle import records, same_panel
+from polyadmit import cli, errors, reports
+from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
 from polyadmit.model import Assignment
 
@@ -83,10 +87,10 @@ class TestRoundTrip:
         assert loaded.observed_assignment.accepted == small_panel.observed_assignment.accepted
         assert {
             (a.applicant_id, a.program_key, a.year, a.listed_rank, a.exam_taken)
-            for a in loaded.applications
+            for a in records(loaded.applications)
         } == {
             (a.applicant_id, a.program_key, a.year, a.listed_rank, a.exam_taken)
-            for a in small_panel.applications
+            for a in records(small_panel.applications)
         }
         for a_id, applicant in loaded.applicants.items():
             original = small_panel.applicants[a_id].matriculation_grades
@@ -105,7 +109,7 @@ class TestRoundTrip:
     def test_load_of_save_is_the_same_panel(self, panel):
         with tempfile.TemporaryDirectory() as directory:
             save_panel(panel, directory)
-            assert load_panel(directory) == panel
+            assert same_panel(load_panel(directory), panel)
 
 
 class TestParseErrors:
@@ -487,6 +491,58 @@ class TestRun:
         )
         assert proc.stdout.split() == ["0", "False"], proc.stderr
         assert (out / "table5.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def saved_cells(small_panel, tmp_path_factory):
+    """The rows of each CSV file of the saved 400-applicant panel."""
+    directory = tmp_path_factory.mktemp("saved")
+    save_panel(small_panel, directory)
+    cells = {}
+    for path in sorted(directory.iterdir()):
+        with open(path, newline="", encoding="utf-8") as handle:
+            cells[path.name] = list(csv.reader(handle))
+    return cells
+
+
+# Bad numbers, booleans, years, names and CSV syntax, and short random text.
+CELL_VALUES = st.sampled_from(
+    ["", " ", "x", "-1", "0", "nan", "inf", "1e999", "9" * 20, "true", "2010", "2014",
+     "a00001", "Polytechnic 0", "field0", ",", '"', "\n", "\r", "\x00", "\ufeff"]
+) | st.text(max_size=4)
+
+
+class TestCorruptedCells:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_run_succeeds_or_fails_by_the_contract(self, saved_cells, data):
+        """1-3 cells of the saved panel rewritten: the run exits 0, or exits
+        1 with one JSON line naming a PolyadmitError and leaves --out as it
+        was, with nothing written beside it."""
+        files = {name: [list(row) for row in rows] for name, rows in saved_cells.items()}
+        for _ in range(data.draw(st.integers(1, 3))):
+            rows = files[data.draw(st.sampled_from(sorted(files)))]
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(CELL_VALUES)
+        with tempfile.TemporaryDirectory() as directory:
+            panel_dir, out = Path(directory, "panel"), Path(directory, "out")
+            panel_dir.mkdir()
+            for name, rows in files.items():
+                with open(panel_dir / name, "w", newline="", encoding="utf-8") as handle:
+                    csv.writer(handle, lineterminator="\n").writerows(rows)
+            out.mkdir()
+            (out / "earlier.csv").write_text("kept\n")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                status = cli.main(["--input", str(panel_dir), "--out", str(out)])
+            assert sorted(os.listdir(directory)) == ["out", "panel"]
+            if status == 0:
+                return
+            assert status == 1
+            (line,) = stderr.getvalue().splitlines()
+            error = getattr(errors, json.loads(line)["error"], None)
+            assert isinstance(error, type) and issubclass(error, PolyadmitError), line
+            assert tree_bytes(out) == {"earlier.csv": b"kept\n"}
 
 
 class TestTracedHarness:

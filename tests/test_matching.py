@@ -6,9 +6,11 @@ import pytest
 from conftest import mk_app, mk_panel, mk_program
 from oracle import (
     InstanceTooLarge,
+    block_of,
     enumerate_stable_assignments,
     instance_from_mappings,
     priorities,
+    records,
     replicate_assignment,
 )
 from polyadmit import matching
@@ -25,7 +27,7 @@ from polyadmit.matching import (
     find_blocking_pairs,
     program_thresholds,
 )
-from polyadmit.model import ApplicationBlock, Assignment
+from polyadmit.model import Assignment
 from polyadmit.scoring import ScoreTable, compute_score_table
 
 
@@ -102,30 +104,33 @@ class TestBuildInstance:
         p = mk_program(("P", "x"), quota=1)
         apps = [mk_app("b", p.program_key, 1), mk_app("a", p.program_key, 1)]
         panel = mk_panel([p], apps)
-        table = compute_score_table(panel, apps)
-        inst = build_instance(apps, table, {p.program_key: 1})
+        table = compute_score_table(panel, panel.applications)
+        inst = build_instance(table.applications, table, {p.program_key: 1})
         assert priorities(inst)[p.program_key] == ("a", "b")
 
     def test_preferences_by_listed_rank(self):
         p1, p2 = mk_program(("P", "x")), mk_program(("P", "y"))
         apps = [mk_app("a", p2.program_key, 2), mk_app("a", p1.program_key, 1)]
         panel = mk_panel([p1, p2], apps)
-        table = compute_score_table(panel, apps)
-        inst = build_instance(apps, table, {p1.program_key: 1, p2.program_key: 1})
+        table = compute_score_table(panel, panel.applications)
+        inst = build_instance(table.applications, table, {p1.program_key: 1, p2.program_key: 1})
         assert inst.preferences["a"] == (p1.program_key, p2.program_key)
 
     def test_missing_score(self):
+        # a table scores only the block it was computed from, even one
+        # holding the same rows
         p = mk_program(("P", "x"))
         apps = [mk_app("a", p.program_key, 1)]
         panel = mk_panel([p], apps)
-        table = compute_score_table(panel, [])
-        with pytest.raises(MissingScore):
-            build_instance(apps, table, {p.program_key: 1})
+        for scored in ([], apps):
+            table = compute_score_table(panel, block_of(scored))
+            with pytest.raises(MissingScore):
+                build_instance(panel.applications, table, {p.program_key: 1})
 
     def test_priorities_strictly_sorted(self, small_panel):
         table = compute_score_table(small_panel, small_panel.base_applications)
         quotas = {k: p.quota for k, p in small_panel.programs.items()}
-        inst = build_instance(small_panel.base_applications, table, quotas)
+        inst = build_instance(table.applications, table, quotas)
         total_of = {(a, p): t for (a, p, _), t in zip(table.keys, table.totals.tolist())}
         for p, order in priorities(inst).items():
             keys = [(-total_of[(a, p)], a) for a in order]
@@ -232,21 +237,21 @@ class TestEnumeration:
 class TestCompareAssignments:
     def test_identical(self):
         a = Assignment(seat_of={"a1": "p1"})
-        diff = compare_assignments(a, a, ["a1", "a2"])
+        diff = compare_assignments(a, a, {"a1", "a2"})
         assert diff.differently_assigned_count == 0
         assert diff.differently_assigned_share == 0.0
 
     def test_hand_counted(self):
         base = Assignment(seat_of={"a1": "p1", "a2": "p2", "a3": "p1"})
         other = Assignment(seat_of={"a1": "p2", "a2": "p2"})
-        diff = compare_assignments(base, other, [f"a{i}" for i in range(1, 6)])
+        diff = compare_assignments(base, other, {f"a{i}" for i in range(1, 6)})
         assert diff.differently_assigned_count == 2
         assert diff.differently_assigned_share == pytest.approx(0.4)
 
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatch):
             compare_assignments(
-                Assignment(seat_of={"zz": "p1"}), Assignment(seat_of={}), ["a1"]
+                Assignment(seat_of={"zz": "p1"}), Assignment(seat_of={}), {"a1"}
             )
 
 
@@ -254,7 +259,7 @@ def score_table(rows):
     """Hand-built base-year table from (applicant, program, gpa, bonus) rows."""
     zeros = np.zeros(len(rows))
     return ScoreTable(
-        ApplicationBlock.of([mk_app(a, p, 1) for a, p, _, _ in rows]),
+        block_of([mk_app(a, p, 1) for a, p, _, _ in rows]),
         gpa=np.array([gpa for _, _, gpa, _ in rows]),
         exam=zeros,
         bonus=np.array([bonus for _, _, _, bonus in rows]),
@@ -296,12 +301,12 @@ class TestProgramThresholds:
         table = compute_score_table(small_panel, small_panel.base_applications)
         total_of = dict(zip(table.keys, table.totals.tolist()))
         quotas = {k: p.quota for k, p in small_panel.programs.items()}
-        inst = build_instance(small_panel.base_applications, table, quotas)
+        inst = build_instance(table.applications, table, quotas)
         assignment = deferred_acceptance(inst, "programs")
         thresholds = program_thresholds(table, assignment)
         fill = {p: len(v) for p, v in assignment.admits_of().items()}
         checked = 0
-        for app in small_panel.base_applications:
+        for app in records(table.applications):
             p = app.program_key
             seat = assignment.seat_of.get(app.applicant_id)
             if seat == p:
@@ -338,14 +343,54 @@ class TestReplication:
 
 class TestDeterminism:
     def test_record_order_invariance(self, small_panel):
+        # the same rows reversed, scored on their own
         apps = small_panel.base_applications
-        table = compute_score_table(small_panel, apps)
+        reversed_apps = apps.take(np.arange(len(apps))[::-1])
         quotas = {k: p.quota for k, p in small_panel.programs.items()}
-        inst1 = build_instance(apps, table, quotas)
-        inst2 = build_instance(list(reversed(apps)), table, quotas)
+        inst1, inst2 = (
+            build_instance(block, compute_score_table(small_panel, block), quotas)
+            for block in (apps, reversed_apps)
+        )
         assert (inst1.preferences, priorities(inst1), inst1.quotas) == (
             inst2.preferences, priorities(inst2), inst2.quotas,
         )
         a1 = deferred_acceptance(inst1, "programs")
         a2 = deferred_acceptance(inst2, "programs")
         assert a1 == a2
+
+
+class TestComparativeStatics:
+    """Metamorphic checks of DA on the 400-applicant panel's base-year
+    lists with edited quotas (Crawford, "Comparative statics in matching
+    markets", JET 1991)."""
+
+    @staticmethod
+    def instance(panel, quotas):
+        table = compute_score_table(panel, panel.base_applications)
+        return build_instance(table.applications, table, quotas)
+
+    def test_ample_quotas_seat_everyone_at_their_first_choice(self, small_panel):
+        n = len(small_panel.applicants)
+        inst = self.instance(small_panel, {p: n for p in small_panel.programs})
+        first = {a: prefs[0] for a, prefs in inst.preferences.items()}
+        assert len(first) == n
+        for side in ("applicants", "programs"):
+            assert seats(deferred_acceptance(inst, side)) == first
+
+    def test_one_more_seat_leaves_no_applicant_worse_off(self, small_panel):
+        quotas = {k: p.quota for k, p in small_panel.programs.items()}
+        inst = self.instance(small_panel, quotas)
+        before = deferred_acceptance(inst, "applicants").seat_of
+
+        def position(prefs, seat):  # past the end of the list when unassigned
+            return prefs.index(seat) if seat is not None else len(prefs)
+
+        improved = 0
+        for program in sorted(quotas):
+            raised = self.instance(small_panel, {**quotas, program: quotas[program] + 1})
+            after = deferred_acceptance(raised, "applicants").seat_of
+            for a, prefs in inst.preferences.items():
+                old, new = position(prefs, before.get(a)), position(prefs, after.get(a))
+                assert new <= old, (program, a)
+                improved += new < old
+        assert improved > 0

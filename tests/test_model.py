@@ -1,17 +1,11 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import check_assignment
+from oracle import block_of, check_assignment
 from polyadmit.errors import EmptyName, InfeasibleAssignment, ValidationError
-from polyadmit import model
-from polyadmit.io_csv import load_panel, save_panel
-from polyadmit.model import (
-    ApplicationBlock, Assignment, Panel, canonical_program_key, validate_panel,
-)
+from polyadmit.model import Assignment, Panel, canonical_program_key, validate_panel
 
 
 class TestCanonicalProgramKey:
@@ -44,7 +38,7 @@ class TestValidatePanel:
         panel = Panel(
             applicants={},
             programs={},
-            applications=(),
+            applications=block_of([]),
             base_year=2011,
             field_weights={},
             bonus_points={},
@@ -124,22 +118,3 @@ class TestAssignmentChecker:
         good = Assignment(seat_of={"a1": p1.program_key}, accepted={"a1": True})
         assert check_assignment(panel, panel.base_applications, good) is good
 
-
-class TestApplicationStore:
-    def test_panel_from_records_equals_panel_from_their_block(self, small_panel):
-        records = tuple(small_panel.applications)
-        from_records = dataclasses.replace(small_panel, applications=records)
-        from_block = dataclasses.replace(small_panel, applications=ApplicationBlock.of(records))
-        assert from_records == from_block
-        assert tuple(from_block.applications) == records
-
-    def test_length_builds_no_records(self, small_panel, tmp_path, monkeypatch):
-        save_panel(small_panel, tmp_path)
-        rows = len((tmp_path / "applications.csv").read_text().splitlines()) - 1
-        panel = load_panel(tmp_path)
-
-        def no_records(*args, **kwargs):
-            raise AssertionError("an Application record was built")
-
-        monkeypatch.setattr(model, "Application", no_records)
-        assert len(panel.applications) == rows

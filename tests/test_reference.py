@@ -14,7 +14,7 @@ from polyadmit import counterfactual, econometrics, io_csv
 from polyadmit.errors import ValidationError
 from polyadmit.model import Applicant, Panel, validate_panel
 from conftest import build_scenario, mk_app, mk_program
-from oracle import adjusted_score, build_design_matrix, priorities
+from oracle import adjusted_score, block_of, build_design_matrix, priorities, records
 from polyadmit.counterfactual import SCENARIO_IDS, SCENARIOS
 from polyadmit.econometrics import REPORT_SPECS, lpm_report, ols
 from polyadmit.matching import build_instance, program_thresholds
@@ -41,11 +41,12 @@ def loop_totals(panel, applications, scores):
     """Total score of each application, one Panel.weighted_gpa call per
     record, following the scenario's scoring rule."""
     first_exam = {}
-    for app in sorted(panel.applications, key=lambda x: (x.year, x.listed_rank, x.program_key)):
+    rows = records(panel.applications)
+    for app in sorted(rows, key=lambda x: (x.year, x.listed_rank, x.program_key)):
         if app.exam_taken:
             first_exam.setdefault((app.applicant_id, panel.field_of(app.program_key)), app.exam_score)
     totals = []
-    for app in applications:
+    for app in records(applications):
         field = panel.field_of(app.program_key)
         gpa = panel.weighted_gpa(app.applicant_id, field)
         exam = app.exam_score if app.exam_taken else 0.0
@@ -61,7 +62,7 @@ def loop_totals(panel, applications, scores):
 def loop_priorities(applications, totals):
     by_program = {}
     score = {}
-    for app, total in zip(applications, totals):
+    for app, total in zip(records(applications), totals):
         by_program.setdefault(app.program_key, []).append(app.applicant_id)
         score[(app.applicant_id, app.program_key)] = total
     return {
@@ -74,7 +75,8 @@ def loop_priorities(applications, totals):
 def test_columns_and_priorities_match_loop_reference(panel, scenario_id):
     applications, table = build_scenario(panel, scenario_id)
     expected = loop_totals(panel, applications, SCENARIOS[scenario_id].scores)
-    assert table.keys == tuple((a.applicant_id, a.program_key, a.year) for a in applications)
+    rows = records(applications)
+    assert table.keys == tuple((a.applicant_id, a.program_key, a.year) for a in rows)
     assert table.totals.tolist() == expected
     assert [table.entries[k].total for k in table.keys] == expected
 
@@ -88,7 +90,7 @@ def loop_extend_application_lists(panel):
     listed-rank order, first listing of each program kept, re-dated to the
     base year and renumbered 1..k, one record at a time."""
     by_year = {y: {} for y in panel.years}
-    for app in panel.applications:
+    for app in records(panel.applications):
         by_year[app.year].setdefault(app.applicant_id, []).append(app)
     extended = []
     for applicant_id in sorted(by_year[panel.base_year]):
@@ -108,7 +110,7 @@ def test_extended_lists_match_loop_reference(panel):
     extended = counterfactual.extend_application_lists(panel)
     expected = loop_extend_application_lists(panel)
     assert len(extended) == len(expected)
-    for got, want in zip(extended, expected):
+    for got, want in zip(records(extended), expected):
         assert got == want
 
 
@@ -144,9 +146,9 @@ def test_midpoint_percentiles_match_loop_reference():
 
 def loop_design_matrix(panel, assignment, thresholds, spec):
     """One row list per admitted applicant, from the table's entries."""
-    base_app = {(a.applicant_id, a.program_key): a for a in panel.base_applications}
+    base_app = {(a.applicant_id, a.program_key): a for a in records(panel.base_applications)}
     entries = compute_score_table(panel, panel.base_applications).entries
-    later = {a.applicant_id for a in panel.applications if a.year > panel.base_year}
+    later = {a.applicant_id for a in records(panel.applications) if a.year > panel.base_year}
     dummy_fields = sorted(panel.field_weights)[1:]
     terms = ["intercept", "rank2", "rank3", "rank4", "exam_taken"]
     if spec.controls:
@@ -205,11 +207,12 @@ def loop_tercile_unassignment(panel, assignment, criterion):
     """Tercile report with each base-year application valued by
     Panel.weighted_gpa (matriculation) or by the entries of a freshly
     computed score table (admission score), pool by pool."""
-    base = panel.base_applications
+    block = panel.base_applications
+    base = records(block)
     if criterion == CRITERION_MATRICULATION:
         value = [panel.weighted_gpa(a.applicant_id, panel.field_of(a.program_key)) for a in base]
     else:
-        entries = compute_score_table(panel, base).entries
+        entries = compute_score_table(panel, block).entries
         value = [entries[(a.applicant_id, a.program_key, a.year)].total for a in base]
     pools = {}
     for app, v in zip(base, value):
@@ -255,7 +258,7 @@ def loop_violations(panel):
         if program.field not in panel.bonus_points:
             problems.append(f"MissingBonusPoints: field {program.field!r} of {program_key!r}")
     by_list = {}
-    for i, app in enumerate(panel.applications):
+    for i, app in enumerate(records(panel.applications)):
         where = f"application #{i} ({app.applicant_id!r}, {app.program_key!r}, {app.year})"
         if app.applicant_id not in panel.applicants:
             problems.append(f"DanglingForeignKey: {where}: unknown applicant")
@@ -308,7 +311,7 @@ def test_validation_matches_loop_reference():
                 for i in range(int(rng.integers(6)))
             },
             programs={p.program_key: p for p in listed},
-            applications=tuple(apps),
+            applications=block_of(apps),
             base_year=2011,
             field_weights={"field0": {"math": 1.0}, "field1": {"math": 1.0}},
             bonus_points={"field0": 0.0, "field2": 0.0},

@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import adjusted_score, score_rows
+from oracle import adjusted_score, block_of, records, score_rows
 from polyadmit import scoring
 from polyadmit.errors import DegenerateTable
-from polyadmit.model import ApplicationBlock
 from polyadmit.scoring import (
     ScoreComponents,
     compute_score_table,
@@ -62,7 +61,7 @@ class TestComputeScoreTable:
     def test_matches_straight_line_oracle(self, small_panel):
         # independent naive recomputation per record
         table = compute_score_table(small_panel, small_panel.base_applications)
-        for app in small_panel.base_applications:
+        for app in records(table.applications):
             field = small_panel.programs[app.program_key].field
             gpa = 0.0
             for subject, w in small_panel.field_weights[field].items():
@@ -76,7 +75,7 @@ class TestComputeScoreTable:
     def test_order_independent(self, small_panel):
         apps = small_panel.base_applications
         t1 = compute_score_table(small_panel, apps)
-        t2 = compute_score_table(small_panel, list(reversed(apps)))
+        t2 = compute_score_table(small_panel, apps.take(np.arange(len(apps))[::-1]))
         assert score_rows(t1) == score_rows(t2)
 
 
@@ -255,9 +254,7 @@ class TestEffectiveWeights:
             return np.array([getattr(c, name) for c in components], dtype=float)
 
         return scoring.ScoreTable(
-            applications=ApplicationBlock.of(
-                [mk_app(f"a{i}", "p::x", 1) for i in range(len(components))]
-            ),
+            applications=block_of([mk_app(f"a{i}", "p::x", 1) for i in range(len(components))]),
             gpa=column("gpa_component"),
             exam=column("exam_component"),
             bonus=column("first_choice_bonus"),

@@ -3,7 +3,7 @@ import bisect
 import numpy as np
 import pytest
 
-from oracle import infer_quotas_from_observed, replicate_assignment
+from oracle import infer_quotas_from_observed, records, replicate_assignment, same_panel
 from polyadmit import matching, synth
 from polyadmit.errors import InvalidConfig
 from polyadmit.model import validate_panel
@@ -13,12 +13,12 @@ from polyadmit.synth import SynthConfig, calibration_report, generate_panel
 class TestDeterminism:
     def test_same_seed_identical(self):
         cfg = SynthConfig(n_applicants=200, n_programs=8, n_fields=4, seats_total=60, seed=5)
-        assert generate_panel(cfg) == generate_panel(cfg)
+        assert same_panel(generate_panel(cfg), generate_panel(cfg))
 
     def test_different_seeds_differ(self):
         cfg1 = SynthConfig(n_applicants=200, n_programs=8, n_fields=4, seats_total=60, seed=5)
         cfg2 = SynthConfig(n_applicants=200, n_programs=8, n_fields=4, seats_total=60, seed=6)
-        assert generate_panel(cfg1) != generate_panel(cfg2)
+        assert not same_panel(generate_panel(cfg1), generate_panel(cfg2))
 
 
 class TestValidity:
@@ -26,7 +26,7 @@ class TestValidity:
         assert validate_panel(small_panel) == small_panel
 
     def test_three_years_present(self, small_panel):
-        years = {a.year for a in small_panel.applications}
+        years = {a.year for a in records(small_panel.applications)}
         assert years == set(small_panel.years)
 
     def test_self_replication_exact(self, small_panel):
@@ -34,9 +34,7 @@ class TestValidity:
         from polyadmit.scoring import compute_score_table
 
         table = compute_score_table(small_panel, small_panel.base_applications)
-        instance = matching.build_instance(
-            small_panel.base_applications, table, table_quotas
-        )
+        instance = matching.build_instance(table.applications, table, table_quotas)
         computed = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
         assert replicate_assignment(small_panel, computed) == 1.0
 
