@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -141,8 +142,16 @@ class _Table:
         ]
 
 
+# Rows read and transposed at a time; a smaller chunk costs more calls,
+# a larger one holds more row lists at once.
+CHUNK_ROWS = 4096
+
+
 def _read_table(directory: Path, name: str) -> _Table:
-    """Read a UTF-8 CSV file whose header names every required column."""
+    """Read a UTF-8 CSV file whose header names every required column.
+
+    Cells with equal text share one ``str`` object within the file.
+    """
     path = directory / name
     if not path.exists():
         raise ParseError(f"{path}: file not found")
@@ -153,16 +162,33 @@ def _read_table(directory: Path, name: str) -> _Table:
             for column in REQUIRED_COLUMNS[name]:
                 if column not in header:
                     raise ParseError(f"{path}: missing required header {column!r}")
-            rows = [row for row in reader if row]
+            rows = filter(None, reader)  # blank lines skipped
+            columns: list[list[str]] = [[] for _ in header]
+            cells: dict[str, str] = {}
+            while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+                if any(len(row) != len(header) for row in chunk):
+                    _raise_width_error(path, header)
+                for column, values in zip(columns, zip(*chunk)):
+                    column.extend(map(cells.setdefault, values, values))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    if set(map(len, rows)) - {len(header)}:
-        for row, line in zip(rows, _Table(path, header, []).lines):
-            if len(row) > len(header):
-                raise ParseError(f"{path} row {line}: more cells than header columns")
-            if len(row) < len(header):
-                raise ParseError(f"{path} row {line}: no cell for column {header[len(row)]!r}")
-    return _Table(path, header, [[row[j] for row in rows] for j in range(len(header))])
+    return _Table(path, header, columns)
+
+
+def _raise_width_error(path: Path, header: list[str]) -> NoReturn:
+    """Raise the error of the first row whose cell count is not the
+    header's, reading the whole file first so that an encoding error
+    anywhere in it still comes first."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        rows = [(row, reader.line_num) for row in reader if row]
+    for row, line in rows:
+        if len(row) > len(header):
+            raise ParseError(f"{path} row {line}: more cells than header columns")
+        if len(row) < len(header):
+            raise ParseError(f"{path} row {line}: no cell for column {header[len(row)]!r}")
+    raise ParseError(f"{path}: changed while it was read")
 
 
 # Per-cell parsers: parse(path, file line, column, cell), or for a tuple

@@ -4,7 +4,7 @@ histograms."""
 
 from __future__ import annotations
 
-import itertools
+import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -18,9 +18,6 @@ N_BINS = 100
 
 CRITERION_MATRICULATION = "matriculation"
 CRITERION_ADMISSION_SCORE = "admission_score"
-
-# (applicant_id, field) -> percentile rank in [0, 100], higher = better GPA
-RankTable = Mapping[tuple[str, str], float]
 
 
 def _midpoint_percentiles(values: Sequence[float]) -> list[float]:
@@ -40,15 +37,39 @@ def _midpoint_percentiles(values: Sequence[float]) -> list[float]:
     return (100.0 * (ranks - 0.5) / n).tolist()
 
 
-def field_gpa_percentile_ranks(panel: Panel) -> dict[tuple[str, str], float]:
+@dataclass(frozen=True, eq=False)
+class RankTable:
+    """GPA percentile ranks in [0, 100], higher = better GPA: one row per
+    ``applicant_ids`` entry and one column per ``fields`` entry."""
+
+    applicant_ids: tuple[str, ...]
+    fields: tuple[str, ...]
+    ranks: np.ndarray
+
+    @functools.cached_property
+    def row_of(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.applicant_ids)}
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        """The rank of ``(applicant_id, field)``."""
+        applicant_id, field_label = key
+        if field_label not in self.fields:
+            raise KeyError(key)
+        return float(self.ranks[self.row_of[applicant_id], self.fields.index(field_label)])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The rank matrix, so that ``np.asarray(table)`` reads it."""
+        return np.array(self.ranks, dtype=dtype, copy=copy)
+
+
+def field_gpa_percentile_ranks(panel: Panel) -> RankTable:
     """Rank every panel applicant by field-weighted GPA, per field."""
-    fields = sorted(panel.field_weights)
+    fields = tuple(sorted(panel.field_weights))
     gpa = weighted_gpa_matrix(panel, fields)
-    table: dict[tuple[str, str], float] = {}
-    for j, field_label in enumerate(fields):
-        keys = zip(panel.applicant_ids, itertools.repeat(field_label))
-        table.update(zip(keys, _midpoint_percentiles(gpa[:, j])))
-    return table
+    ranks = np.empty_like(gpa)
+    for j in range(len(fields)):
+        ranks[:, j] = _midpoint_percentiles(gpa[:, j])
+    return RankTable(panel.applicant_ids, fields, ranks)
 
 
 @dataclass(frozen=True)
@@ -155,17 +176,21 @@ def assigned_rank_histogram(
 ) -> Histogram100:
     """Bin assigned applicants by their GPA rank at the assigned program's
     field."""
-    ranks = np.array(_admit_ranks(rank_table, assignment, program_field), dtype=float)
+    ranks = _admit_ranks(rank_table, assignment, program_field)
     bins = np.bincount(np.minimum(ranks.astype(np.int64), N_BINS - 1), minlength=N_BINS)
     return Histogram100(bins=tuple(bins.astype(float).tolist()))
 
 
 def _admit_ranks(
     rank_table: RankTable, assignment: Assignment, program_field: Mapping[str, str]
-) -> list[float]:
+) -> np.ndarray:
     """Each admit's GPA rank at their program's field, in seat order."""
-    fields = map(program_field.__getitem__, assignment.seat_of.values())
-    return list(map(rank_table.__getitem__, zip(assignment.seat_of, fields)))
+    seat_of, n = assignment.seat_of, len(assignment.seat_of)
+    column = {f: j for j, f in enumerate(rank_table.fields)}
+    rows = np.fromiter(map(rank_table.row_of.__getitem__, seat_of), dtype=np.intp, count=n)
+    fields = map(program_field.__getitem__, seat_of.values())
+    columns = np.fromiter(map(column.__getitem__, fields), dtype=np.intp, count=n)
+    return rank_table.ranks[rows, columns]
 
 
 def net_change_histogram(base: Histogram100, cf: Histogram100) -> Histogram100:
@@ -187,6 +212,6 @@ def mean_rank_improvement(
         if not assignment.seat_of:
             raise EmptyAssignment("assignment has no admits")
         ranks = _admit_ranks(rank_table, assignment, program_field)
-        return sum(ranks) / len(ranks)
+        return float(np.cumsum(ranks)[-1]) / len(ranks)  # added one by one, in seat order
 
     return mean_rank(cf) - mean_rank(base)

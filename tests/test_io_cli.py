@@ -505,25 +505,57 @@ def saved_cells(small_panel, tmp_path_factory):
     return cells
 
 
-# Bad numbers, booleans, years, names and CSV syntax, and short random text.
-CELL_VALUES = st.sampled_from(
-    ["", " ", "x", "-1", "0", "nan", "inf", "1e999", "9" * 20, "true", "2010", "2014",
-     "a00001", "Polytechnic 0", "field0", ",", '"', "\n", "\r", "\x00", "\ufeff"]
-) | st.text(max_size=4)
+# CSV syntax and short random text, which any cell may hold.
+ANY_CELL = st.sampled_from(["", " ", ",", '"', "\n", "\r", "\x00", "\ufeff"]) | st.text(max_size=4)
+
+# Replacement cells by the kind of the column hit: bad and edge values of
+# that kind, and values of the kind that break the panel's rules.
+CELL_VALUES = {
+    "integer": st.sampled_from(["-1", "0", "5", "2010", "2014", "1.5", "1e3", " 7", "x", "nan"])
+    | st.integers(-5, 2020).map(str)
+    | st.integers(2**63 - 2, 2**66).map(str)  # 64-bit edge and beyond
+    | st.integers(-(2**66), -(2**63) + 1).map(str),
+    "float": st.sampled_from(
+        ["-1", "0", "-0.0", "1e-320", "1e999", "nan", "inf", "-inf", "1,5", "x", "0x10"]
+    ) | st.floats().map(repr),
+    "boolean": st.sampled_from(
+        ["true", "false", "TRUE", " yes", "no", "1", "0", "2", "x", "tru", "none"]
+    ),
+    "name": st.sampled_from(["Polytechnic 0", "program 1", "field0", "field9", "math", "FIELD0"]),
+    "id": st.sampled_from(["a00001", "a00399", "a99999", "A00001", " a00001"]),
+}
+INTEGER_COLUMNS = {"cohort_year", "quota", "year", "listed_rank"}
+FLOAT_COLUMNS = {"exam_score", "other_points", "weight", "bonus"}
+
+
+def column_kind(column: str) -> str:
+    if column in INTEGER_COLUMNS:
+        return "integer"
+    if column in FLOAT_COLUMNS or column.startswith("grade_"):
+        return "float"
+    if column in ("exam_taken", "accepted"):
+        return "boolean"
+    return "id" if column == "applicant_id" else "name"
 
 
 class TestCorruptedCells:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_run_succeeds_or_fails_by_the_contract(self, saved_cells, data):
-        """1-3 cells of the saved panel rewritten: the run exits 0, or exits
-        1 with one JSON line naming a PolyadmitError and leaves --out as it
-        was, with nothing written beside it."""
+        """1-3 cells of the saved panel rewritten, each in a column drawn by
+        kind and with a value of that kind or CSV syntax: the run exits 0,
+        or exits 1 with one JSON line naming a PolyadmitError and leaves
+        --out as it was, with nothing written beside it."""
         files = {name: [list(row) for row in rows] for name, rows in saved_cells.items()}
+        columns = {kind: [] for kind in CELL_VALUES}
+        for name, rows in sorted(files.items()):
+            for j, column in enumerate(rows[0]):
+                columns[column_kind(column)].append((name, j))
         for _ in range(data.draw(st.integers(1, 3))):
-            rows = files[data.draw(st.sampled_from(sorted(files)))]
-            row = rows[data.draw(st.integers(0, len(rows) - 1))]
-            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(CELL_VALUES)
+            kind = data.draw(st.sampled_from(sorted(columns)))
+            name, column = data.draw(st.sampled_from(columns[kind]))
+            row = files[name][data.draw(st.integers(0, len(files[name]) - 1))]
+            row[column] = data.draw(CELL_VALUES[kind] | ANY_CELL)
         with tempfile.TemporaryDirectory() as directory:
             panel_dir, out = Path(directory, "panel"), Path(directory, "out")
             panel_dir.mkdir()

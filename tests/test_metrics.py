@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import mk_app, mk_panel, mk_program
@@ -7,6 +8,7 @@ from polyadmit.metrics import (
     CRITERION_ADMISSION_SCORE,
     CRITERION_MATRICULATION,
     Histogram100,
+    RankTable,
     application_rank_stats,
     assigned_rank_histogram,
     field_gpa_percentile_ranks,
@@ -20,6 +22,12 @@ from polyadmit.scoring import compute_score_table
 
 def base_table(panel):
     return compute_score_table(panel, panel.base_applications)
+
+
+def rank_table(ranks, fields=("f",)):
+    """A rank table from each applicant id's row of ranks, one per field."""
+    matrix = np.array(list(ranks.values()), dtype=float).reshape(len(ranks), len(fields))
+    return RankTable(tuple(ranks), fields, matrix)
 
 
 def gpa_panel(grades, n_programs=1):
@@ -151,7 +159,7 @@ class TestApplicationRankStats:
 
 class TestHistograms:
     def test_nobody_assigned(self):
-        hist = assigned_rank_histogram({}, Assignment(seat_of={}), {})
+        hist = assigned_rank_histogram(rank_table({}), Assignment(seat_of={}), {})
         assert hist.bins == (0.0,) * 100
 
     def test_uniform_when_everyone_assigned_distinct(self):
@@ -192,12 +200,12 @@ class TestHistograms:
 
 class TestMeanRankImprovement:
     def test_identical_assignments(self):
-        ranks = {("a1", "f"): 60.0}
+        ranks = rank_table({"a1": [60.0]})
         a = Assignment(seat_of={"a1": "p1"})
         assert mean_rank_improvement(ranks, a, a, {"p1": "f"}) == 0.0
 
     def test_two_admit_hand_fixture(self):
-        ranks = {("a1", "f"): 20.0, ("a2", "f"): 40.0, ("a3", "f"): 90.0}
+        ranks = rank_table({"a1": [20.0], "a2": [40.0], "a3": [90.0]})
         fields = {"p1": "f", "p2": "f"}
         base = Assignment(seat_of={"a1": "p1", "a2": "p2"})  # mean 30
         cf = Assignment(seat_of={"a3": "p1", "a2": "p2"})  # mean 65
@@ -205,4 +213,6 @@ class TestMeanRankImprovement:
 
     def test_empty_assignment(self):
         with pytest.raises(EmptyAssignment):
-            mean_rank_improvement({}, Assignment(seat_of={}), Assignment(seat_of={}), {})
+            mean_rank_improvement(
+                rank_table({}), Assignment(seat_of={}), Assignment(seat_of={}), {}
+            )

@@ -1,17 +1,21 @@
 """Vectorised code against straight-line loop versions, bit for bit: the
 column-backed score tables and lexsort priorities on every scenario of
 the default synthetic panel and of its CSV round trip, the extended
-application lists, the regression design, thresholds and tercile
-unassignment on the same panels, and the midpoint percentiles on random
-values with ties."""
+application lists, the regression design, thresholds, tercile
+unassignment, the GPA rank matrix and the scenarios' rank improvements
+on the same panels, the midpoint percentiles on random values with ties,
+and the chunked CSV reader against a rows-then-transpose reader."""
 
+import csv
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from polyadmit import counterfactual, econometrics, io_csv
-from polyadmit.errors import ValidationError
+from polyadmit import counterfactual, econometrics, io_csv, metrics
+from polyadmit.errors import ParseError, ValidationError
 from polyadmit.model import Applicant, Panel, validate_panel
 from conftest import build_scenario, mk_app, mk_program
 from oracle import adjusted_score, block_of, build_design_matrix, priorities, records
@@ -25,7 +29,7 @@ from polyadmit.metrics import (
     _midpoint_percentiles,
     tercile_unassignment,
 )
-from polyadmit.scoring import compute_score_table
+from polyadmit.scoring import compute_score_table, weighted_gpa_matrix
 
 
 @pytest.fixture(scope="module", params=["synth", "csv_round_trip"])
@@ -324,3 +328,164 @@ def test_validation_matches_loop_reference():
         assert problems == loop_violations(panel)
         seen.update(p.split(":")[0] for p in problems)
     assert len(seen) == 10  # every class above occurred
+
+
+def dict_rank_table(panel):
+    """The rank table as the (applicant_id, field) -> rank dict it was
+    before it became a matrix."""
+    fields = sorted(panel.field_weights)
+    gpa = weighted_gpa_matrix(panel, fields)
+    table = {}
+    for j, field_label in enumerate(fields):
+        keys = zip(panel.applicant_ids, itertools.repeat(field_label))
+        table.update(zip(keys, _midpoint_percentiles(gpa[:, j])))
+    return table
+
+
+@pytest.mark.parametrize("which", ["small_panel", "default_panel"])
+def test_rank_matrix_matches_dict_reference(request, which):
+    panel = request.getfixturevalue(which)
+    table = metrics.field_gpa_percentile_ranks(panel)
+    expected = dict_rank_table(panel)
+    fields = tuple(sorted(panel.field_weights))
+    assert (table.applicant_ids, table.fields) == (panel.applicant_ids, fields)
+    assert table.ranks.shape == (len(table.applicant_ids), len(table.fields))
+    got = {(a, f): table[(a, f)] for a in table.applicant_ids for f in table.fields}
+    assert got == expected
+
+
+def loop_mean_rank(ranks, assignment, program_field):
+    """Mean rank of the admits at their programs' fields, added left to
+    right in seat order."""
+    total = 0.0
+    for applicant_id, program_key in assignment.seat_of.items():
+        total += ranks[(applicant_id, program_field[program_key])]
+    return total / len(assignment.seat_of)
+
+
+def test_rank_improvement_adds_ranks_in_seat_order(panel, monkeypatch):
+    """CPython 3.12 made the builtin ``sum`` of floats compensated, so a
+    mean taken with it depends on the interpreter. With ``math.fsum``
+    standing in for ``sum``, every unrounded improvement still equals the
+    left-to-right loop."""
+    monkeypatch.setattr(metrics, "sum", math.fsum, raising=False)
+    ranks = dict_rank_table(panel)
+    program_field = {p: prog.field for p, prog in panel.programs.items()}
+    suite = counterfactual.run_scenario_suite(panel, metrics.field_gpa_percentile_ranks(panel))
+    base = loop_mean_rank(ranks, suite[0].assignment, program_field)
+    assert suite[0].scenario_id == "S1"
+    for result in suite:
+        expected = loop_mean_rank(ranks, result.assignment, program_field) - base
+        assert (result.scenario_id, result.rank_improvement) == (result.scenario_id, expected)
+
+
+def rows_then_transpose(directory, name):
+    """A file's header and columns, read as every row first and then
+    transposed, with the reader's errors."""
+    path = directory / name
+    if not path.exists():
+        raise ParseError(f"{path}: file not found")
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            for column in io_csv.REQUIRED_COLUMNS[name]:
+                if column not in header:
+                    raise ParseError(f"{path}: missing required header {column!r}")
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        lines = [reader.line_num for row in reader if row]
+    for row, line in zip(rows, lines):
+        if len(row) > len(header):
+            raise ParseError(f"{path} row {line}: more cells than header columns")
+        if len(row) < len(header):
+            raise ParseError(f"{path} row {line}: no cell for column {header[len(row)]!r}")
+    return header, [[row[j] for row in rows] for j in range(len(header))]
+
+
+def read_or_error(read, directory, name):
+    try:
+        return read(directory, name)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def saved_rows(small_panel, tmp_path_factory):
+    """The rows of each CSV file of the saved 400-applicant panel."""
+    directory = tmp_path_factory.mktemp("saved")
+    io_csv.save_panel(small_panel, directory)
+    rows = {}
+    for path in sorted(directory.iterdir()):
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows[path.name] = list(csv.reader(handle))
+    return rows
+
+
+def write_rows(directory, rows, style):
+    """Each file's rows in one of the CSV spellings the reader accepts."""
+    directory.mkdir()
+    for name, file_rows in rows.items():
+        with open(directory / name, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(
+                handle,
+                lineterminator="\r\n" if style == "crlf" else "\n",
+                quoting=csv.QUOTE_ALL if style == "quoted" else csv.QUOTE_MINIMAL,
+            )
+            for i, row in enumerate(file_rows):
+                writer.writerow(row)
+                if style == "blank_lines" and i % 3 == 1:
+                    handle.write("\n" * (i % 2 + 1))
+
+
+@pytest.mark.parametrize("chunk_rows", [7, None])  # None: the reader's own chunk size
+@pytest.mark.parametrize("style", ["saved", "quoted", "crlf", "blank_lines"])
+def test_reader_matches_rows_then_transpose(saved_rows, tmp_path, monkeypatch, style, chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr(io_csv, "CHUNK_ROWS", chunk_rows)
+    write_rows(tmp_path / "panel", saved_rows, style)
+    for name in saved_rows:
+        table = io_csv._read_table(tmp_path / "panel", name)
+        assert (table.header, table.columns) == rows_then_transpose(tmp_path / "panel", name)
+
+
+def test_reader_errors_match_rows_then_transpose(saved_rows, tmp_path, monkeypatch):
+    """Width errors in the first and in later chunks, an encoding error
+    after a width error, a missing header and an empty file."""
+    monkeypatch.setattr(io_csv, "CHUNK_ROWS", 7)
+    rows = saved_rows[io_csv.APPLICATIONS_CSV]
+    cases = {
+        "long_row_late": {len(rows) - 2: rows[-2] + ["x"]},
+        "short_row_early": {3: rows[3][:4]},
+        "empty_row_cell_late": {20: [""]},
+        "two_bad_rows": {40: rows[40][:-1], 9: rows[9] + ["", ""]},
+    }
+    for i, (case, edits) in enumerate(cases.items()):
+        edited = {io_csv.APPLICATIONS_CSV: [edits.get(j, row) for j, row in enumerate(rows)]}
+        write_rows(tmp_path / case, edited, "blank_lines" if i % 2 else "saved")
+        expected = read_or_error(rows_then_transpose, tmp_path / case, io_csv.APPLICATIONS_CSV)
+        assert isinstance(expected, str)
+        got = read_or_error(io_csv._read_table, tmp_path / case, io_csv.APPLICATIONS_CSV)
+        assert got == expected
+
+    path = tmp_path / "short_row_early" / io_csv.APPLICATIONS_CSV
+    path.write_bytes(path.read_bytes() + b"2011,a1,\xff\n")  # not UTF-8, after the short row
+    path.parent.joinpath(io_csv.BONUS_POINTS_CSV).write_text("field,weight\nf,1\n")
+    path.parent.joinpath(io_csv.FIELD_WEIGHTS_CSV).write_text("")
+    for name in (io_csv.APPLICATIONS_CSV, io_csv.BONUS_POINTS_CSV, io_csv.FIELD_WEIGHTS_CSV):
+        expected = read_or_error(rows_then_transpose, path.parent, name)
+        assert isinstance(expected, str)
+        assert read_or_error(io_csv._read_table, path.parent, name) == expected
+    assert "not UTF-8" in read_or_error(io_csv._read_table, path.parent, io_csv.APPLICATIONS_CSV)
+
+
+def test_equal_cells_of_a_file_are_one_object(saved_rows, tmp_path):
+    write_rows(tmp_path / "panel", saved_rows, "saved")
+    for name in saved_rows:
+        columns = io_csv._read_table(tmp_path / "panel", name).columns
+        cells = [cell for column in columns for cell in column]
+        assert len({id(cell) for cell in cells}) == len(set(cells)), name
