@@ -160,14 +160,13 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory:
 
     if "figure1" in wanted:
         program_field = {p: prog.field for p, prog in panel.programs.items()}
-        base_hist = metrics.assigned_rank_histogram(rank_table, by_id["S1"].assignment, program_field)
-        panels = {"1": base_hist}
-        for scenario_id in scenario_ids:
-            if scenario_id == "S1":
-                continue
-            assignment = by_id[scenario_id].assignment
-            cf_hist = metrics.assigned_rank_histogram(rank_table, assignment, program_field)
-            panels[scenario_id[1]] = metrics.net_change_histogram(base_hist, cf_hist)
+        hist = {
+            s: metrics.assigned_rank_histogram(rank_table, by_id[s].assignment, program_field)
+            for s in scenario_ids
+        }
+        panels = {"1": hist["S1"]}  # then each other scenario's net change, S2 as "2"
+        for s in scenario_ids[1:]:
+            panels[s[1]] = metrics.net_change_histogram(hist["S1"], hist[s])
         reports.write_figure_data(directory / "figure1.csv", panels)
 
     if "assignments" in wanted:

@@ -136,7 +136,7 @@ def run_scenario_suite(
     for scenario_id in sorted(scenario_ids):
         assignment = assignments[scenario_id]
         diff = matching.compare_assignments(baseline, assignment, universe)
-        if baseline.seat_of and assignment.seat_of:
+        if len(baseline.holders) and len(assignment.holders):
             improvement = metrics.mean_rank_improvement(
                 rank_table, baseline, assignment, program_field
             )

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import EmptySample, MissingScore, RankDeficient
 from .matching import program_thresholds
-from .model import Assignment, Panel
+from .model import Assignment, Panel, recode
 from .scoring import ScoreTable
 
 OUTCOME_ACCEPTED = "accepted_seat"
@@ -118,17 +118,16 @@ def _admit_columns(
     table: ScoreTable,
 ) -> _AdmitColumns:
     """The admit-level columns; ``table`` scores the base-year lists."""
-    admitted = sorted(assignment.seat_of)
-    if not admitted:
+    n_admitted = len(assignment.holders)
+    if not n_admitted:
         raise EmptySample("no admitted applicants")
 
     apps = table.applications
     rows = np.flatnonzero(apps.holds_seat(assignment) & (apps.year == panel.base_year))
     rows = rows[np.argsort(apps.applicant[rows], kind="stable")]  # admits in id order
-    if len(rows) != len(admitted):
+    if len(rows) != n_admitted:
         raise MissingScore("an admitted applicant has no base-year row in the score table")
-    programs = [apps.program_keys[p] for p in apps.program[rows].tolist()]
-    threshold = np.array([thresholds[p] for p in programs], dtype=float)
+    threshold = np.array([thresholds.get(p, np.nan) for p in apps.program_keys])[apps.program[rows]]
     # The total less the exam, then less the bonus: the adjusted score.
     adjusted = table.totals[rows] - table.exam[rows] - table.bonus[rows]
     rank = apps.listed_rank[rows]
@@ -139,7 +138,7 @@ def _admit_columns(
     dummies = (dummy[:, None] == np.arange(len(dummy_fields))).astype(float)
     X = np.column_stack(
         [
-            np.ones(len(admitted)),
+            np.ones(n_admitted),
             rank == 2,
             rank == 3,
             rank == 4,
@@ -156,13 +155,11 @@ def _admit_columns(
     terms += tuple(f"adjusted_score_x_{f}" for f in dummy_fields)
     terms += tuple(f"threshold_x_{f}" for f in dummy_fields)
 
-    later = panel.applications.take(np.flatnonzero(panel.applications.year > panel.base_year))
-    later_appliers = set(later.distinct_applicants())
+    admits, later = apps.applicant[rows], panel.applications
+    in_panel = recode(apps.applicant_ids, later.applicant_ids)[admits]
     outcomes = {
-        OUTCOME_ACCEPTED: np.array(
-            [1.0 if assignment.accepted.get(a, False) else 0.0 for a in admitted]
-        ),
-        OUTCOME_REAPPLIED: np.array([1.0 if a in later_appliers else 0.0 for a in admitted]),
+        OUTCOME_ACCEPTED: (assignment.recoded(apps.applicant_ids).accept[admits] == 1) * 1.0,
+        OUTCOME_REAPPLIED: np.isin(in_panel, later.applicant[later.year > panel.base_year]) * 1.0,
     }
     return _AdmitColumns(X=X, terms=terms, outcomes=outcomes)
 

@@ -26,6 +26,7 @@ from .model import (
     Program,
     encode,
     canonical_program_key,
+    recode,
     validate_panel,
 )
 
@@ -253,16 +254,15 @@ def _parse_bool(path: Path, row_number: int, column: str, raw: str) -> bool:
     return value
 
 
-def _observed_seat(
-    path: Path, row_number: int, columns, cells
-) -> Optional[tuple[str, Optional[bool]]]:
-    """An observed seat and its accept flag, the flag None (unknown) when
-    its cell is empty; None (unassigned) when both names are empty."""
+def _observed_seat(path: Path, row_number: int, columns, cells) -> tuple[str, int]:
+    """An observed seat's program key and its accept flag: 1 accepted, 0
+    declined, -1 unknown (an empty cell). An unassigned row, both names
+    empty, reads as ("", -1)."""
     polytechnic, program, accepted = cells
     if not (polytechnic or program):
-        return None
+        return "", -1
     key = canonical_program_key(polytechnic, program)
-    return key, (_parse_bool(path, row_number, columns[2], accepted) if accepted else None)
+    return key, (int(_parse_bool(path, row_number, columns[2], accepted)) if accepted else -1)
 
 
 def _floats(cells: list[str], grades: bool = False) -> Optional[list]:
@@ -354,10 +354,12 @@ def load_panel(directory: str | Path) -> Panel:
             (_applicant_id, "applicant_id"), (_observed_seat, PROGRAM_NAMES + ("accepted",))
         )
         duplicates += table.repeats("applicant_id", ids)
-        seated = [(a, seat) for a, seat in zip(ids, seats) if seat is not None]
+        keys, flags = zip(*seats) if seats else ((), ())
+        program_keys = tuple(sorted(set(keys) - {""}))  # "" marks no seat, and reads as -1
+        # the block's ids when equal, as save_panel writes them: one copy, and no recoding
+        ids = applications.applicant_ids if tuple(ids) == applications.applicant_ids else tuple(ids)
         observed = Assignment(
-            seat_of={a: key for a, (key, _) in seated},
-            accepted={a: flag for a, (_, flag) in seated if flag is not None},
+            ids, program_keys, recode(keys, program_keys), np.array(flags, dtype=np.int8)
         )
     if duplicates:
         raise ValidationError(duplicates)
@@ -444,14 +446,9 @@ def write_assignment_csv(
     ids, as every caller passes them); program columns empty for the
     unassigned, accepted flag empty when unknown."""
 
-    names = {key: (p.polytechnic_name, p.program_name) for key, p in panel.programs.items()}
-    flag = {None: "", True: "true", False: "false"}
-    seat_of, accepted = assignment.seat_of, assignment.accepted
-    _write_csv(
-        Path(path),
-        REQUIRED_COLUMNS[OBSERVED_ASSIGNMENT_CSV],
-        (
-            (a, *names[p], flag[accepted.get(a)]) if (p := seat_of.get(a)) else (a, "", "", "")
-            for a in universe
-        ),
-    )
+    held = assignment.recoded(universe)
+    programs = (panel.programs[p] for p in assignment.program_keys)
+    names = [(p.polytechnic_name, p.program_name) for p in programs] + [("", "")]  # -1 last
+    flag = np.array(["false", "true", ""])[np.where(held.seat >= 0, held.accept, -1)]
+    columns = np.array(names, dtype=object)[held.seat].T.tolist() + [flag.tolist()]
+    _write_csv(Path(path), REQUIRED_COLUMNS[OBSERVED_ASSIGNMENT_CSV], zip(universe, *columns))

@@ -10,7 +10,7 @@ from typing import AbstractSet, Mapping, Sequence
 import numpy as np
 
 from .errors import InfeasibleAssignment, MissingScore, UniverseMismatch
-from .model import ApplicationBlock, Assignment
+from .model import ApplicationBlock, Assignment, recode, seat_rows
 from .scoring import ScoreTable
 
 PROPOSING_APPLICANTS = "applicants"
@@ -111,8 +111,9 @@ def deferred_acceptance(instance: MatchInstance, proposing: str) -> Assignment:
         seat = _da_program_proposing(instance)
     else:
         raise ValueError(f"unknown proposing side {proposing!r}")
-    ids, keys = instance.applicant_ids, instance.program_keys
-    return Assignment(seat_of={ids[a]: keys[p] for a, p in enumerate(seat) if p >= 0})
+    seat = np.array(seat, dtype=np.intp)
+    unknown = np.full(len(seat), -1, dtype=np.int8)
+    return Assignment(instance.applicant_ids, instance.program_keys, seat, unknown)
 
 
 def _da_applicant_proposing(instance: MatchInstance) -> list[int]:
@@ -186,29 +187,6 @@ def _da_program_proposing(instance: MatchInstance) -> list[int]:
     return seat
 
 
-def _seats(instance: MatchInstance, assignment: Assignment) -> np.ndarray:
-    """Per applicant: the row of their seat, -1 when unassigned; raises if
-    a seat is not on the applicant's list or a program is over quota."""
-    applicant_code = {a: i for i, a in enumerate(instance.applicant_ids)}
-    program_code = {p: j for j, p in enumerate(instance.program_keys)}
-    pairs = zip(instance.applicant.tolist(), instance.program.tolist())
-    row_of = {pair: row for row, pair in enumerate(pairs)}
-    seat = np.full(len(instance.applicant_ids), -1, dtype=np.intp)
-    for a, p in assignment.seat_of.items():
-        row = row_of.get((applicant_code.get(a), program_code.get(p)))
-        if row is None:
-            raise InfeasibleAssignment(f"applicant {a!r} assigned to unlisted program {p!r}")
-        seat[applicant_code[a]] = row
-    fill = np.bincount(instance.program[seat[seat >= 0]], minlength=len(instance.program_keys))
-    over = np.flatnonzero(fill > instance.quota).tolist()
-    if over:
-        p = over[0]
-        raise InfeasibleAssignment(
-            f"program {instance.program_keys[p]!r} over quota: {fill[p]} > {instance.quota[p]}"
-        )
-    return seat
-
-
 def find_blocking_pairs(
     instance: MatchInstance, assignment: Assignment
 ) -> list[tuple[str, str]]:
@@ -216,12 +194,24 @@ def find_blocking_pairs(
 
     A pair blocks when the applicant prefers the program to their current
     outcome and the program either has a free seat or holds a
-    lower-priority applicant. Empty result means stable.
+    lower-priority applicant. Empty result means stable. Raises if a seat
+    is not on the applicant's list or a program is over quota.
     """
-    seat = _seats(instance, assignment)
-    held = seat[seat >= 0]
+    seat_row = seat_rows(assignment, instance)
+    if (seat_row == -2).any():
+        a = assignment.applicant_ids[np.argmax(seat_row == -2)]
+        p = assignment.seat_of[a]
+        raise InfeasibleAssignment(f"applicant {a!r} assigned to unlisted program {p!r}")
+    held = seat_row[seat_row >= 0]
     n_programs = len(instance.program_keys)
     fill = np.bincount(instance.program[held], minlength=n_programs)
+    if (fill > instance.quota).any():
+        p = np.argmax(fill > instance.quota)
+        raise InfeasibleAssignment(
+            f"program {instance.program_keys[p]!r} over quota: {fill[p]} > {instance.quota[p]}"
+        )
+    seat = np.full(len(instance.applicant_ids), -1, dtype=np.intp)
+    seat[instance.applicant[held]] = held
     worst = np.full(n_programs, -1)
     np.maximum.at(worst, instance.program[held], instance.prio_position[held])
     pref, prio = instance.pref_position, instance.prio_position
@@ -251,13 +241,16 @@ def compare_assignments(
     The share is computed over the full applicant universe, not only over
     assigned applicants.
     """
-    for assignment in (base, other):
-        extra = assignment.seat_of.keys() - universe
+    for side in (base, other):
+        extra = set(map(side.applicant_ids.__getitem__, side.holders.tolist())) - universe
         if extra:
             raise UniverseMismatch(f"assigned applicants outside universe: {sorted(extra)[:5]}")
-    # an applicant whose seat differs has an (applicant, seat) pair in one
-    # assignment only
-    count = len({a for a, _ in base.seat_of.items() ^ other.seat_of.items()})
+    # seats over the base's applicants, then the other side's holders the base lacks
+    keys = tuple(sorted({*base.program_keys, *other.program_keys}))
+    mine = base.recoded(base.applicant_ids, keys).seat
+    theirs = other.recoded(base.applicant_ids, keys).seat
+    outside = recode(other.applicant_ids, base.applicant_ids) < 0
+    count = int(np.count_nonzero(mine != theirs) + np.count_nonzero(other.seat[outside] >= 0))
     return AssignmentDiff(
         differently_assigned_count=count,
         differently_assigned_share=count / len(universe) if universe else 0.0,

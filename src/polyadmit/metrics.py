@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BinMismatch, EmptyAssignment
-from .model import Assignment, Panel
+from .model import Assignment, Panel, recode
 from .scoring import ScoreTable, weighted_gpa_matrix
 
 N_BINS = 100
@@ -115,21 +115,13 @@ def tercile_unassignment(table: ScoreTable, assignment: Assignment, criterion: s
         total = total + column
     mean_rank = total / counts
 
-    ids = [apps.applicant_ids[c] for c in present.tolist()]
-    ordered = np.lexsort((np.arange(len(ids)), -mean_rank))  # ids ascending break ties
-    unassigned = np.array([a not in assignment.seat_of for a in ids], dtype=bool)[ordered]
-    q, r = divmod(len(ids), 3)
-    sizes = tuple(q + (1 if i < r else 0) for i in range(3))
-    fractions = []
-    start = 0
-    for size in sizes:
-        count = int(np.count_nonzero(unassigned[start : start + size]))
-        start += size
-        fractions.append(count / size if size else 0.0)
+    ordered = np.lexsort((np.arange(len(present)), -mean_rank))  # ids ascending break ties
+    unassigned = assignment.recoded(apps.applicant_ids).seat[present[ordered]] < 0
+    thirds = np.array_split(unassigned, 3)  # the first len % 3 thirds one longer
     return TercileReport(
         criterion=criterion,
-        unassigned_fraction=tuple(fractions),
-        tercile_sizes=sizes,
+        unassigned_fraction=tuple(np.count_nonzero(t) / len(t) if len(t) else 0.0 for t in thirds),
+        tercile_sizes=tuple(len(t) for t in thirds),
     )
 
 
@@ -185,12 +177,13 @@ def _admit_ranks(
     rank_table: RankTable, assignment: Assignment, program_field: Mapping[str, str]
 ) -> np.ndarray:
     """Each admit's GPA rank at their program's field, in seat order."""
-    seat_of, n = assignment.seat_of, len(assignment.seat_of)
+    holders = assignment.holders
+    rows = recode(assignment.applicant_ids, rank_table.applicant_ids)[holders]
+    if (rows < 0).any():
+        raise KeyError("an admit has no row in the rank table")
     column = {f: j for j, f in enumerate(rank_table.fields)}
-    rows = np.fromiter(map(rank_table.row_of.__getitem__, seat_of), dtype=np.intp, count=n)
-    fields = map(program_field.__getitem__, seat_of.values())
-    columns = np.fromiter(map(column.__getitem__, fields), dtype=np.intp, count=n)
-    return rank_table.ranks[rows, columns]
+    columns = [column[program_field[p]] for p in assignment.program_keys]
+    return rank_table.ranks[rows, np.array(columns, dtype=np.intp)[assignment.seat[holders]]]
 
 
 def net_change_histogram(base: Histogram100, cf: Histogram100) -> Histogram100:
@@ -209,7 +202,7 @@ def mean_rank_improvement(
     baseline admits, in percentile points."""
 
     def mean_rank(assignment: Assignment) -> float:
-        if not assignment.seat_of:
+        if not len(assignment.holders):
             raise EmptyAssignment("assignment has no admits")
         ranks = _admit_ranks(rank_table, assignment, program_field)
         return float(np.cumsum(ranks)[-1]) / len(ranks)  # added one by one, in seat order

@@ -51,31 +51,48 @@ class Program:
     quota: int
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A many-to-one matching: each applicant holds at most one seat.
-
-    ``accepted`` carries the observed accept/reject flag and is only
-    populated for assigned applicants (and only when the flag is known).
-    """
-
-    seat_of: Mapping[str, str]
-    accepted: Mapping[str, bool] = field(default_factory=dict)
-
-    def admits_of(self) -> dict[str, list[str]]:
-        """Applicants grouped by program, each group sorted by id."""
-        by_program: dict[str, list[str]] = {}
-        for applicant_id in sorted(self.seat_of):
-            by_program.setdefault(self.seat_of[applicant_id], []).append(applicant_id)
-        return by_program
-
-
 def recode(ids: Sequence[str], into: Sequence[str]) -> np.ndarray:
     """Position in ``into`` of each of ``ids``, -1 where absent."""
-    if ids is into or ids == into:
+    if ids is into or tuple(ids) == tuple(into):
         return np.arange(len(ids))
     index = {x: i for i, x in enumerate(into)}
     return np.array([index.get(x, -1) for x in ids], dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class Assignment:
+    """Who holds which seat, as columns: applicant ``i`` of ``applicant_ids``
+    holds seat ``seat[i]`` of ``program_keys`` (-1: none) with the observed
+    accept flag ``accept[i]`` (1 accepted, 0 declined, -1 unknown)."""
+
+    applicant_ids: tuple[str, ...]
+    program_keys: tuple[str, ...]
+    seat: np.ndarray
+    accept: np.ndarray
+
+    @functools.cached_property
+    def holders(self) -> np.ndarray:
+        """The codes of the seat holders, in order."""
+        return np.flatnonzero(self.seat >= 0)
+
+    @functools.cached_property
+    def seat_of(self) -> Mapping[str, str]:
+        """Applicant id -> program key of every holder, built on first read."""
+        pairs = zip(self.holders.tolist(), self.seat[self.holders].tolist())
+        return {self.applicant_ids[a]: self.program_keys[p] for a, p in pairs}
+
+    def recoded(
+        self, applicant_ids: Sequence[str], program_keys: Optional[Sequence[str]] = None
+    ) -> "Assignment":
+        """The assignment over other vocabularies (``program_keys`` this
+        one's when None): an applicant outside it holds no seat and no
+        flag, and a seat outside ``program_keys`` reads as none."""
+        keys = self.program_keys if program_keys is None else tuple(program_keys)
+        seat = np.append(recode(self.program_keys, keys), -1)[self.seat]
+        row = recode(applicant_ids, self.applicant_ids)
+        return Assignment(
+            tuple(applicant_ids), keys, np.append(seat, -1)[row], np.append(self.accept, -1)[row]
+        )
 
 
 def encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -136,10 +153,7 @@ class ApplicationBlock:
 
     def holds_seat(self, assignment: "Assignment") -> np.ndarray:
         """Per row: the applicant's seat is this row's program."""
-        index = {p: i for i, p in enumerate(self.program_keys)}
-        seat = np.array(
-            [index.get(assignment.seat_of.get(a), -1) for a in self.applicant_ids], dtype=np.intp
-        )
+        seat = assignment.recoded(self.applicant_ids, self.program_keys).seat
         return seat[self.applicant] == self.program
 
     @functools.cached_property
@@ -319,6 +333,18 @@ def validate_panel(panel: Panel) -> Panel:
     return panel
 
 
+def seat_rows(assignment: Assignment, rows) -> np.ndarray:
+    """Per applicant of ``assignment``: the row of ``rows`` (an
+    ``ApplicationBlock`` or a ``MatchInstance``) that lists their seat; -1
+    when they hold none, -2 when no row lists it."""
+    seat = assignment.recoded(rows.applicant_ids, rows.program_keys).seat
+    listed = np.flatnonzero(seat[rows.applicant] == rows.program)
+    row = np.full(len(rows.applicant_ids) + 1, -2)  # the last entry: applicants not in rows
+    row[rows.applicant[listed]] = listed
+    found = row[recode(assignment.applicant_ids, rows.applicant_ids)]
+    return np.where(assignment.seat < 0, -1, found)
+
+
 def assignment_violations(
     panel: Panel, applications: ApplicationBlock, assignment: Assignment
 ) -> list[str]:
@@ -328,25 +354,23 @@ def assignment_violations(
     package produces.
     """
     problems: list[str] = []
-    applicant_code = {a: i for i, a in enumerate(applications.applicant_ids)}
-    program_code = {p: i for i, p in enumerate(applications.program_keys)}
-    n_programs = len(applications.program_keys)
-    applied = set((applications.applicant * n_programs + applications.program).tolist())
-    for applicant_id, program_key in assignment.seat_of.items():
-        a, p = applicant_code.get(applicant_id), program_code.get(program_key)
-        if a is None or p is None or a * n_programs + p not in applied:
+    ids, keys, seat = assignment.applicant_ids, assignment.program_keys, assignment.seat
+    for i in np.flatnonzero(seat_rows(assignment, applications) == -2).tolist():
+        problems.append(f"SeatWithoutApplication: ({ids[i]!r}, {keys[seat[i]]!r})")
+    fill = np.bincount(seat[assignment.holders], minlength=len(keys)).tolist()
+    programs = [panel.programs.get(p) for p in keys]
+    flagged = [
+        j for j, n in enumerate(fill) if n and (programs[j] is None or n > programs[j].quota)
+    ]
+    # programs in the order of their first holder by id
+    first = {j: min(map(ids.__getitem__, np.flatnonzero(seat == j).tolist())) for j in flagged}
+    for j in sorted(flagged, key=first.__getitem__):
+        if programs[j] is None:
+            problems.append(f"DanglingForeignKey: assigned program {keys[j]!r}")
+        else:
             problems.append(
-                f"SeatWithoutApplication: ({applicant_id!r}, {program_key!r})"
+                f"QuotaExceeded: program {keys[j]!r} holds {fill[j]} > {programs[j].quota}"
             )
-    for program_key, admits in assignment.admits_of().items():
-        program = panel.programs.get(program_key)
-        if program is None:
-            problems.append(f"DanglingForeignKey: assigned program {program_key!r}")
-        elif len(admits) > program.quota:
-            problems.append(
-                f"QuotaExceeded: program {program_key!r} holds {len(admits)} > {program.quota}"
-            )
-    for applicant_id in assignment.accepted:
-        if applicant_id not in assignment.seat_of:
-            problems.append(f"AcceptFlagWithoutSeat: {applicant_id!r}")
+    for i in np.flatnonzero((assignment.accept >= 0) & (seat < 0)).tolist():
+        problems.append(f"AcceptFlagWithoutSeat: {ids[i]!r}")
     return problems

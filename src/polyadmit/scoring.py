@@ -202,12 +202,14 @@ def effective_weights(table: ScoreTable) -> WeightReport:
         "first_choice_bonus": table.bonus,
         "residual": table.other,
     }
+    # Sums run left to right (``np.cumsum``), as the builtin ``sum`` did
+    # before CPython 3.12; ``float_power`` squares with libm ``pow``, as
+    # ``** 2`` on a float does, where ``x * x`` differs on some rows.
     sds = {}
     for name, column in columns.items():
-        values = column.tolist()
-        mean = sum(values) / n
-        sds[name] = math.sqrt(sum((v - mean) ** 2 for v in values) / n)
-    total_sd = sum(sds.values())
+        mean = float(np.cumsum(column)[-1]) / n
+        sds[name] = math.sqrt(float(np.cumsum(np.float_power(column - mean, 2))[-1]) / n)
+    total_sd = float(np.cumsum(list(sds.values()))[-1])
     if total_sd == 0.0:
         raise DegenerateTable("all score components are constant")
     return WeightReport(weights={name: sd / total_sd for name, sd in sds.items()})

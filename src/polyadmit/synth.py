@@ -24,6 +24,7 @@ from .model import (
     Panel,
     Program,
     canonical_program_key,
+    seat_rows,
     validate_panel,
 )
 
@@ -281,34 +282,25 @@ def generate_panel(cfg: SynthConfig) -> Panel:
     instance = matching.build_instance(base_apps, table, quotas)
     seats = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
 
-    # (listed rank, exam taken) of each base-year (applicant, program)
-    applicant_of, program_of, _, rank_of, exam_of = columns[:5]
-    base_app_of = dict(zip(zip(applicant_of, program_of), zip(rank_of, exam_of)))
-    accepted = {}
-    for applicant_id, program_key in sorted(seats.seat_of.items()):
-        listed_rank, exam_taken = base_app_of[(applicant_id, program_key)]
-        p_accept = cfg.accept_base
-        if listed_rank >= 2:
-            p_accept -= cfg.accept_rank_penalty[min(listed_rank, 4) - 2]
-        if not exam_taken:
-            p_accept -= cfg.accept_no_exam_penalty
-        accepted[applicant_id] = bool(rng.random() < p_accept)
-    observed = Assignment(seat_of=dict(seats.seat_of), accepted=accepted)
+    # Each applicant's seat, by id, with the listed rank and exam of its
+    # row (read only where there is a seat); accept flags are drawn for
+    # the holders in id order.
+    held = seats.recoded(panel.applicant_ids)
+    rows = seat_rows(held, base_apps)
+    rank, exam = np.minimum(base_apps.listed_rank[rows], 4), base_apps.exam_taken[rows]
+    p_accept = cfg.accept_base - np.array((0.0, *cfg.accept_rank_penalty))[rank - 1]
+    p_accept = p_accept - np.where(exam, 0.0, cfg.accept_no_exam_penalty)
+    accept = np.full(len(rows), -1, dtype=np.int8)
+    accept[held.holders] = rng.random(len(held.holders)) < p_accept[held.holders]
+    observed = Assignment(held.applicant_ids, held.program_keys, held.seat, accept)
 
     # Later-year re-application behavior.
+    p_seated = cfg.reapply_assigned_base + np.array((0.0, *cfg.reapply_rank_bonus))[rank - 1]
+    p_seated = p_seated + np.where(exam, 0.0, cfg.reapply_no_exam_bonus)
+    p_reapply = np.where(held.seat < 0, cfg.reapply_unassigned, p_seated)
     year2_appliers = []
-    for applicant_id in sorted(applicants):
-        seat = observed.seat_of.get(applicant_id)
-        if seat is None:
-            p_reapply = cfg.reapply_unassigned
-        else:
-            listed_rank, exam_taken = base_app_of[(applicant_id, seat)]
-            p_reapply = cfg.reapply_assigned_base
-            if listed_rank >= 2:
-                p_reapply += cfg.reapply_rank_bonus[min(listed_rank, 4) - 2]
-            if not exam_taken:
-                p_reapply += cfg.reapply_no_exam_bonus
-        if rng.random() < p_reapply:
+    for applicant_id, p in zip(panel.applicant_ids, p_reapply.tolist()):
+        if rng.random() < p:
             year2_appliers.append(applicant_id)
             _applications_for_year(
                 rng, cfg, applicant_id, abilities[applicant_id],
@@ -348,10 +340,10 @@ def calibration_report(panel: Panel) -> list[CalibrationRow]:
     """Generated marginals against their published targets, read from the
     base-year rank statistics. Every base-year list starts at rank 1, so
     the rank-1 count is the number of applicants."""
-    observed = panel.observed_assignment or Assignment(seat_of={})
+    observed = panel.observed_assignment or Assignment((), (), np.empty(0, int), np.empty(0, int))
     stats = metrics.application_rank_stats(panel, observed)
     n_applicants = stats[0].n_applications
-    assigned, listed = len(observed.seat_of), sum(r.n_applications for r in stats)
+    assigned, listed = len(observed.holders), sum(r.n_applications for r in stats)
     return [
         CalibrationRow(f"exam_share_rank{r.listed_rank}", target, r.exam_taken_share)
         for r, target in zip(stats, EXAM_SHARE_BY_RANK)

@@ -1,5 +1,6 @@
 """Test-only oracles and helpers: application records, their conversion
-to and from a block, and panel equality row by row; brute-force
+to and from a block, assignments built from and read as id-keyed
+mappings, and panel equality row by row; brute-force
 enumeration of every stable assignment of a small instance, an assignment
 checker that raises, an instance built from id-keyed mappings and its
 priorities read back by id, the observed-assignment replication checks,
@@ -36,6 +37,37 @@ class Application:
     other_points: float = 0.0
 
 
+def assignment_of(
+    seat_of: Mapping[str, str], accepted: Mapping[str, bool] = {}
+) -> Assignment:
+    """An assignment from id-keyed seats and accept flags: the holders in
+    the order given, then the flagged applicants without a seat, and the
+    programs sorted."""
+    applicant_ids = tuple(dict.fromkeys([*seat_of, *accepted]))
+    program_keys = tuple(sorted(set(seat_of.values())))
+    code = {p: j for j, p in enumerate(program_keys)}
+    seat = [code[seat_of[a]] if a in seat_of else -1 for a in applicant_ids]
+    accept = [int(accepted[a]) if a in accepted else -1 for a in applicant_ids]
+    return Assignment(
+        applicant_ids, program_keys, np.array(seat, dtype=np.intp), np.array(accept, dtype=np.int8)
+    )
+
+
+def accepted_of(assignment: Assignment) -> dict[str, bool]:
+    """Applicant id -> accept flag, for every applicant whose flag is known."""
+    return {
+        assignment.applicant_ids[i]: bool(assignment.accept[i])
+        for i in np.flatnonzero(assignment.accept >= 0).tolist()
+    }
+
+
+def same_assignment(assignment: Optional[Assignment], other: Optional[Assignment]) -> bool:
+    """The same seats and accept flags, whatever the vocabularies."""
+    if assignment is None or other is None:
+        return assignment is other
+    return (assignment.seat_of, accepted_of(assignment)) == (other.seat_of, accepted_of(other))
+
+
 def block_of(applications: Sequence[Application]) -> ApplicationBlock:
     """The records as one block, row for row; an empty list gives an
     empty block."""
@@ -56,9 +88,17 @@ def records(block: ApplicationBlock) -> tuple[Application, ...]:
 
 
 def same_panel(panel: Panel, other: Panel) -> bool:
-    """Equal fields, the application blocks compared row by row."""
-    return records(panel.applications) == records(other.applications) and (
-        dataclasses.replace(other, applications=panel.applications) == panel
+    """Equal fields, the application blocks compared row by row and the
+    observed assignments seat by seat."""
+    return (
+        records(panel.applications) == records(other.applications)
+        and same_assignment(panel.observed_assignment, other.observed_assignment)
+        and dataclasses.replace(
+            other,
+            applications=panel.applications,
+            observed_assignment=panel.observed_assignment,
+        )
+        == panel
     )
 
 
@@ -154,7 +194,7 @@ def enumerate_stable_assignments(
 
     def recurse(i: int) -> None:
         if i == len(applicants):
-            candidate = Assignment(seat_of=dict(sorted(seat_of.items())))
+            candidate = assignment_of(dict(sorted(seat_of.items())))
             if not find_blocking_pairs(instance, candidate):
                 results.append(candidate)
             return

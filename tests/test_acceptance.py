@@ -118,7 +118,8 @@ def test_criterion_2_rural_hospitals_and_lattice(instance_corpus, capsys):
     for inst, da_a, da_p, stable in corpus:
         matched_sets = {frozenset(s.seat_of) for s in stable}
         fills = {
-            tuple(sorted((p, len(v)) for p, v in s.admits_of().items())) for s in stable
+            tuple(sorted(zip(s.program_keys, np.bincount(s.seat[s.holders]).tolist())))
+            for s in stable
         }
         if len(matched_sets) != 1 or len(fills) != 1:
             violations += 1

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import build_scenario, mk_app, mk_panel, mk_program
-from oracle import block_of, records, score_rows
+from oracle import assignment_of, block_of, records, score_rows
 from polyadmit.counterfactual import (
     SCENARIO_IDS,
     extend_application_lists,
@@ -170,7 +170,6 @@ class TestScenarioSuite:
         # report-format fixture using the published six-row suite
         from polyadmit.matching import AssignmentDiff
         from polyadmit.counterfactual import ScenarioResult
-        from polyadmit.model import Assignment
         from polyadmit.reports import write_scenario_suite
 
         published = [
@@ -184,7 +183,7 @@ class TestScenarioSuite:
         results = [
             ScenarioResult(
                 scenario_id=sid,
-                assignment=Assignment(seat_of={}),
+                assignment=assignment_of({}),
                 applications_per_applicant=apps,
                 diff_vs_baseline=AssignmentDiff(0, share),
                 rank_improvement=imp,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracle import build_design_matrix, coef, records
+from oracle import accepted_of, assignment_of, build_design_matrix, coef, records
 from polyadmit.econometrics import (
     OUTCOME_ACCEPTED,
     OUTCOME_REAPPLIED,
@@ -12,7 +12,6 @@ from polyadmit.econometrics import (
 )
 from polyadmit.errors import EmptySample, RankDeficient
 from polyadmit.matching import program_thresholds
-from polyadmit.model import Assignment
 from polyadmit.scoring import compute_score_table
 
 
@@ -142,7 +141,8 @@ class TestDesignMatrix:
             assert X[:, terms.index(column)].mean() == pytest.approx(share)
         exam_share = sum(a.exam_taken for a in apps) / len(apps)
         assert X[:, terms.index("exam_taken")].mean() == pytest.approx(exam_share)
-        accepted_share = sum(assignment.accepted[a] for a in admitted) / len(admitted)
+        accepted = accepted_of(assignment)
+        accepted_share = sum(accepted[a] for a in admitted) / len(admitted)
         assert y.mean() == pytest.approx(accepted_share)
 
     def test_single_row_rank3_no_exam(self):
@@ -155,7 +155,7 @@ class TestDesignMatrix:
             mk_app("x", "p::c", 3),
         ]
         panel = mk_panel(programs, apps, grades={"x": {"math": 2.0}})
-        assignment = Assignment(seat_of={"x": "p::c"}, accepted={"x": True})
+        assignment = assignment_of({"x": "p::c"}, {"x": True})
         X, y, terms = build_design_matrix(
             panel, assignment, {"p::c": 2.0}, DesignSpec(OUTCOME_ACCEPTED)
         )
@@ -174,7 +174,7 @@ class TestDesignMatrix:
     def test_empty_sample(self, small_panel):
         with pytest.raises(EmptySample):
             build_design_matrix(
-                small_panel, Assignment(seat_of={}), {}, DesignSpec(OUTCOME_ACCEPTED)
+                small_panel, assignment_of({}), {}, DesignSpec(OUTCOME_ACCEPTED)
             )
 
 

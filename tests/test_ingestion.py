@@ -3,6 +3,7 @@ every structural rule at once, file-line numbering across blank lines, the
 canonical rule for field labels, and integers beyond 64 bits."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,12 @@ import pytest
 from polyadmit import cli
 from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
-from polyadmit.model import Applicant, Assignment, Panel, Program, validate_panel
+from polyadmit.model import (
+    Applicant, Panel, Program, assignment_violations, validate_panel,
+)
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import block_of, records
+from oracle import assignment_of, block_of, records
 
 # At least one violation of every class validate_panel can see in a CSV
 # panel (the loader canonicalizes keys, so map-key and key-spelling
@@ -128,7 +131,7 @@ def code_built_panel() -> Panel:
         base_year=2011,
         field_weights={"field0": {"math": 1.0}},
         bonus_points={"field0": 0.0},
-        observed_assignment=Assignment(seat_of={"a1": "poly::alpha"}, accepted={"a9": True}),
+        observed_assignment=assignment_of({"a1": "poly::alpha"}, {"a9": True}),
     )
 
 
@@ -364,3 +367,83 @@ def test_first_bad_cell_in_reading_order(small_panel, tmp_path, filename, edits,
         load_panel(tmp_path)
     assert type(info.value) is error
     assert str(info.value) == message.format(path=path)
+
+
+# A panel whose observed rows are not in id order: the seat-without-
+# application lines follow the file, not the ids.
+UNSORTED_OBSERVED = {
+    "applicants.csv": """\
+applicant_id,cohort_year,grade_math
+a1,2011,5.0
+a2,2011,4.0
+a3,2011,3.0
+a4,2011,2.0
+a5,2011,1.0
+""",
+    "programs.csv": """\
+polytechnic_name,program_name,field,quota
+Poly,Alpha,field0,1
+Poly,Beta,field0,2
+""",
+    "field_weights.csv": "field,subject,weight\nfield0,math,1.0\n",
+    "bonus_points.csv": "field,bonus\nfield0,0.0\n",
+    "applications.csv": """\
+year,applicant_id,polytechnic_name,program_name,listed_rank,exam_taken,exam_score,other_points
+2011,a1,Poly,Alpha,1,false,0.0,0.0
+2011,a2,Poly,Alpha,1,false,0.0,0.0
+2011,a3,Poly,Beta,1,false,0.0,0.0
+2011,a4,Poly,Beta,1,false,0.0,0.0
+2011,a5,Poly,Alpha,1,false,0.0,0.0
+""",
+    "observed_assignment.csv": """\
+applicant_id,polytechnic_name,program_name,accepted
+a5,Poly,Beta,true
+a4,,,
+a2,Poly,Alpha,false
+a3,Poly,Alpha,
+a1,Poly,Alpha,true
+""",
+}
+
+UNSORTED_OBSERVED_VIOLATIONS = [
+    "SeatWithoutApplication: ('a5', 'poly::beta')",
+    "SeatWithoutApplication: ('a3', 'poly::alpha')",
+    "QuotaExceeded: program 'poly::alpha' holds 3 > 1",
+]
+
+
+def test_observed_rows_keep_file_order_in_violations(tmp_path):
+    with pytest.raises(ValidationError) as info:
+        load_panel(write_panel(tmp_path, UNSORTED_OBSERVED))
+    assert info.value.violations == UNSORTED_OBSERVED_VIOLATIONS
+
+
+def test_code_built_assignment_keeps_its_order_in_violations(tmp_path):
+    files = dict(UNSORTED_OBSERVED)
+    files["observed_assignment.csv"] = "applicant_id,polytechnic_name,program_name,accepted\n"
+    panel = load_panel(write_panel(tmp_path, files))
+    assignment = assignment_of(
+        {"a5": "poly::beta", "a2": "poly::alpha", "a3": "poly::alpha", "a1": "poly::alpha"},
+        {"a5": True, "a4": True, "a2": False, "a1": True},
+    )
+    assert assignment_violations(panel, panel.base_applications, assignment) == (
+        UNSORTED_OBSERVED_VIOLATIONS + ["AcceptFlagWithoutSeat: 'a4'"]
+    )
+
+
+def test_shuffled_observed_rows_give_the_same_reports(small_panel, tmp_path):
+    sorted_dir, shuffled_dir = tmp_path / "sorted", tmp_path / "shuffled"
+    save_panel(small_panel, sorted_dir)
+    save_panel(small_panel, shuffled_dir)
+    path = shuffled_dir / "observed_assignment.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    random.Random(0).shuffle(rows)
+    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    wanted = {"table2", "table3", "table5", "calibration"}
+    for directory in (sorted_dir, shuffled_dir):
+        config = cli.RunConfig(out_dir=directory / "out", input_dir=directory)
+        (directory / "out").mkdir()
+        cli._write_reports(config, load_panel(directory), wanted, directory / "out")
+    for name in sorted(f"{w}.csv" for w in wanted):
+        expected = (sorted_dir / "out" / name).read_bytes()
+        assert (shuffled_dir / "out" / name).read_bytes() == expected

@@ -6,12 +6,14 @@ import pytest
 from conftest import mk_app, mk_panel, mk_program
 from oracle import (
     InstanceTooLarge,
+    assignment_of,
     block_of,
     enumerate_stable_assignments,
     instance_from_mappings,
     priorities,
     records,
     replicate_assignment,
+    same_assignment,
 )
 from polyadmit import matching
 from polyadmit.errors import (
@@ -27,7 +29,6 @@ from polyadmit.matching import (
     find_blocking_pairs,
     program_thresholds,
 )
-from polyadmit.model import Assignment
 from polyadmit.scoring import ScoreTable, compute_score_table
 
 
@@ -167,13 +168,13 @@ class TestBlockingPairs:
 
     def test_mutually_acceptable_unmatched_pair(self):
         inst = instance_of({"a1": ["p1"]}, {("a1", "p1"): 1.0}, {"p1": 1})
-        empty = Assignment(seat_of={})
+        empty = assignment_of({})
         assert find_blocking_pairs(inst, empty) == [("a1", "p1")]
 
     def test_infeasible_rejected(self):
         inst = instance_of({"a1": ["p1"]}, {("a1", "p1"): 1.0}, {"p1": 1})
         with pytest.raises(InfeasibleAssignment):
-            find_blocking_pairs(inst, Assignment(seat_of={"a1": "p2"}))
+            find_blocking_pairs(inst, assignment_of({"a1": "p2"}))
 
     def test_matches_naive_oracle_on_random_assignments(self):
         rng = random.Random(3)
@@ -197,7 +198,7 @@ class TestBlockingPairs:
                 if choice:
                     seat_of[a] = choice
                     fill[choice] += 1
-            assignment = Assignment(seat_of=seat_of)
+            assignment = assignment_of(seat_of)
             assert sorted(find_blocking_pairs(inst, assignment)) == sorted(
                 naive_blocking_pairs(inst, assignment)
             )
@@ -236,14 +237,14 @@ class TestEnumeration:
 
 class TestCompareAssignments:
     def test_identical(self):
-        a = Assignment(seat_of={"a1": "p1"})
+        a = assignment_of({"a1": "p1"})
         diff = compare_assignments(a, a, {"a1", "a2"})
         assert diff.differently_assigned_count == 0
         assert diff.differently_assigned_share == 0.0
 
     def test_hand_counted(self):
-        base = Assignment(seat_of={"a1": "p1", "a2": "p2", "a3": "p1"})
-        other = Assignment(seat_of={"a1": "p2", "a2": "p2"})
+        base = assignment_of({"a1": "p1", "a2": "p2", "a3": "p1"})
+        other = assignment_of({"a1": "p2", "a2": "p2"})
         diff = compare_assignments(base, other, {f"a{i}" for i in range(1, 6)})
         assert diff.differently_assigned_count == 2
         assert diff.differently_assigned_share == pytest.approx(0.4)
@@ -251,7 +252,7 @@ class TestCompareAssignments:
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatch):
             compare_assignments(
-                Assignment(seat_of={"zz": "p1"}), Assignment(seat_of={}), {"a1"}
+                assignment_of({"zz": "p1"}), assignment_of({}), {"a1"}
             )
 
 
@@ -271,12 +272,12 @@ def score_table(rows):
 class TestProgramThresholds:
     def test_single_admit(self):
         table = score_table([("a1", "p1", 47.0, 0.0)])
-        assignment = Assignment(seat_of={"a1": "p1"})
+        assignment = assignment_of({"a1": "p1"})
         assert program_thresholds(table, assignment) == {"p1": 47.0}
 
     def test_empty_program_absent(self):
         table = score_table([("a1", "p1", 47.0, 0.0), ("a1", "p2", 47.0, 0.0)])
-        assignment = Assignment(seat_of={"a1": "p1"})
+        assignment = assignment_of({"a1": "p1"})
         assert program_thresholds(table, assignment) == {"p1": 47.0}
 
     def test_lowest_total_among_admits(self):
@@ -291,7 +292,7 @@ class TestProgramThresholds:
                 ("a4", "p2", 30.0, 0.0),
             ]
         )
-        assignment = Assignment(seat_of={"a1": "p1", "a2": "p1", "a3": "p1", "a4": "p2"})
+        assignment = assignment_of({"a1": "p1", "a2": "p1", "a3": "p1", "a4": "p2"})
         assert program_thresholds(table, assignment) == {"p1": 50.0, "p2": 30.0}
 
     def test_rejected_at_full_program_scores_below_threshold(self, small_panel):
@@ -304,7 +305,7 @@ class TestProgramThresholds:
         inst = build_instance(table.applications, table, quotas)
         assignment = deferred_acceptance(inst, "programs")
         thresholds = program_thresholds(table, assignment)
-        fill = {p: len(v) for p, v in assignment.admits_of().items()}
+        fill = dict(zip(assignment.program_keys, np.bincount(assignment.seat[assignment.holders])))
         checked = 0
         for app in records(table.applications):
             p = app.program_key
@@ -328,14 +329,14 @@ class TestReplication:
         p = mk_program(("P", "x"))
         panel = mk_panel([p], [mk_app("a1", p.program_key, 1)])
         with pytest.raises(NoObservedAssignment):
-            replicate_assignment(panel, Assignment(seat_of={}))
+            replicate_assignment(panel, assignment_of({}))
 
     def test_partial_match_counted_per_application(self):
         p1, p2 = mk_program(("P", "x")), mk_program(("P", "y"))
         apps = [mk_app("a1", p1.program_key, 1), mk_app("a1", p2.program_key, 2)]
-        observed = Assignment(seat_of={"a1": p1.program_key}, accepted={"a1": True})
+        observed = assignment_of({"a1": p1.program_key}, {"a1": True})
         panel = mk_panel([p1, p2], apps, observed=observed)
-        computed = Assignment(seat_of={"a1": p2.program_key})
+        computed = assignment_of({"a1": p2.program_key})
         # both per-application decisions flip: admit->reject and reject->admit
         assert replicate_assignment(panel, computed) == 0.0
         assert replicate_assignment(panel, observed) == 1.0
@@ -356,7 +357,7 @@ class TestDeterminism:
         )
         a1 = deferred_acceptance(inst1, "programs")
         a2 = deferred_acceptance(inst2, "programs")
-        assert a1 == a2
+        assert same_assignment(a1, a2)
 
 
 class TestComparativeStatics:

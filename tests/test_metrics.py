@@ -16,7 +16,7 @@ from polyadmit.metrics import (
     net_change_histogram,
     tercile_unassignment,
 )
-from polyadmit.model import Assignment
+from oracle import assignment_of
 from polyadmit.scoring import compute_score_table
 
 
@@ -84,7 +84,7 @@ class TestTercileUnassignment:
         grades = {f"a{i}": {"math": float(i)} for i in range(6)}
         panel = gpa_panel(grades)
         report = tercile_unassignment(
-            base_table(panel), Assignment(seat_of={}), CRITERION_MATRICULATION
+            base_table(panel), assignment_of({}), CRITERION_MATRICULATION
         )
         assert report.unassigned_fraction == (1.0, 1.0, 1.0)
 
@@ -95,7 +95,7 @@ class TestTercileUnassignment:
         p = mk_program(("P", "x"), quota=2)
         apps = [mk_app(a, p.program_key, 1) for a in sorted(grades)]
         panel = mk_panel([p], apps, grades=grades)
-        assignment = Assignment(seat_of={"a8": p.program_key, "a4": p.program_key})
+        assignment = assignment_of({"a8": p.program_key, "a4": p.program_key})
         table = base_table(panel)
         report = tercile_unassignment(table, assignment, CRITERION_MATRICULATION)
         assert report.tercile_sizes == (3, 3, 3)
@@ -117,7 +117,7 @@ class TestTercileUnassignment:
             mk_app("a2", p.program_key, 1),
         ]
         panel = mk_panel([p], apps, grades={"a1": {"math": 1.0}, "a2": {"math": 9.0}})
-        assignment = Assignment(seat_of={"a1": p.program_key})
+        assignment = assignment_of({"a1": p.program_key})
         table = base_table(panel)
         by_gpa = tercile_unassignment(table, assignment, CRITERION_MATRICULATION)
         by_score = tercile_unassignment(table, assignment, CRITERION_ADMISSION_SCORE)
@@ -145,7 +145,7 @@ class TestApplicationRankStats:
         p = mk_program(("P", "x"), quota=1)
         apps = [mk_app("a1", p.program_key, 1, exam=True, exam_score=1.0)]
         panel = mk_panel([p], apps)
-        rows = application_rank_stats(panel, Assignment(seat_of={"a1": p.program_key}))
+        rows = application_rank_stats(panel, assignment_of({"a1": p.program_key}))
         assert rows[0].n_applications == 1
         assert rows[0].exam_taken_share == 1.0
         assert rows[0].admitted_share == 1.0
@@ -159,7 +159,7 @@ class TestApplicationRankStats:
 
 class TestHistograms:
     def test_nobody_assigned(self):
-        hist = assigned_rank_histogram(rank_table({}), Assignment(seat_of={}), {})
+        hist = assigned_rank_histogram(rank_table({}), assignment_of({}), {})
         assert hist.bins == (0.0,) * 100
 
     def test_uniform_when_everyone_assigned_distinct(self):
@@ -169,7 +169,7 @@ class TestHistograms:
         apps = [mk_app(a, p.program_key, 1) for a in sorted(grades)]
         panel = mk_panel([p], apps, grades=grades)
         ranks = field_gpa_percentile_ranks(panel)
-        assignment = Assignment(seat_of={a: p.program_key for a in grades})
+        assignment = assignment_of({a: p.program_key for a in grades})
         hist = assigned_rank_histogram(ranks, assignment, {p.program_key: "field0"})
         assert set(hist.bins) == {n / 100}
 
@@ -201,18 +201,18 @@ class TestHistograms:
 class TestMeanRankImprovement:
     def test_identical_assignments(self):
         ranks = rank_table({"a1": [60.0]})
-        a = Assignment(seat_of={"a1": "p1"})
+        a = assignment_of({"a1": "p1"})
         assert mean_rank_improvement(ranks, a, a, {"p1": "f"}) == 0.0
 
     def test_two_admit_hand_fixture(self):
         ranks = rank_table({"a1": [20.0], "a2": [40.0], "a3": [90.0]})
         fields = {"p1": "f", "p2": "f"}
-        base = Assignment(seat_of={"a1": "p1", "a2": "p2"})  # mean 30
-        cf = Assignment(seat_of={"a3": "p1", "a2": "p2"})  # mean 65
+        base = assignment_of({"a1": "p1", "a2": "p2"})  # mean 30
+        cf = assignment_of({"a3": "p1", "a2": "p2"})  # mean 65
         assert mean_rank_improvement(ranks, base, cf, fields) == pytest.approx(35.0)
 
     def test_empty_assignment(self):
         with pytest.raises(EmptyAssignment):
             mean_rank_improvement(
-                rank_table({}), Assignment(seat_of={}), Assignment(seat_of={}), {}
+                rank_table({}), assignment_of({}), assignment_of({}), {}
             )

@@ -3,9 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import block_of, check_assignment
+from oracle import assignment_of, block_of, check_assignment
 from polyadmit.errors import EmptyName, InfeasibleAssignment, ValidationError
-from polyadmit.model import Assignment, Panel, canonical_program_key, validate_panel
+from polyadmit.model import Panel, canonical_program_key, validate_panel
 
 
 class TestCanonicalProgramKey:
@@ -100,7 +100,7 @@ class TestAssignmentChecker:
     def test_seat_without_application(self):
         p1 = mk_program(("P", "x"))
         panel = mk_panel([p1], [mk_app("a1", p1.program_key, 1)])
-        bad = Assignment(seat_of={"a2": p1.program_key})
+        bad = assignment_of({"a2": p1.program_key})
         with pytest.raises(InfeasibleAssignment, match="SeatWithoutApplication"):
             check_assignment(panel, panel.base_applications, bad)
 
@@ -108,13 +108,13 @@ class TestAssignmentChecker:
         p1 = mk_program(("P", "x"), quota=1)
         apps = [mk_app("a1", p1.program_key, 1), mk_app("a2", p1.program_key, 1)]
         panel = mk_panel([p1], apps)
-        bad = Assignment(seat_of={"a1": p1.program_key, "a2": p1.program_key})
+        bad = assignment_of({"a1": p1.program_key, "a2": p1.program_key})
         with pytest.raises(InfeasibleAssignment, match="QuotaExceeded"):
             check_assignment(panel, panel.base_applications, bad)
 
     def test_valid_assignment_passes(self):
         p1 = mk_program(("P", "x"), quota=1)
         panel = mk_panel([p1], [mk_app("a1", p1.program_key, 1)])
-        good = Assignment(seat_of={"a1": p1.program_key}, accepted={"a1": True})
+        good = assignment_of({"a1": p1.program_key}, {"a1": True})
         assert check_assignment(panel, panel.base_applications, good) is good
 

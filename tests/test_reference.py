@@ -3,8 +3,10 @@ column-backed score tables and lexsort priorities on every scenario of
 the default synthetic panel and of its CSV round trip, the extended
 application lists, the regression design, thresholds, tercile
 unassignment, the GPA rank matrix and the scenarios' rank improvements
-on the same panels, the midpoint percentiles on random values with ties,
-and the chunked CSV reader against a rows-then-transpose reader."""
+on the same panels, the effective weights under a compensated ``sum``,
+the midpoint percentiles on random values with ties, the chunked CSV
+reader against a rows-then-transpose reader, and the seat-code readers
+of an assignment against the id-keyed readers it had before."""
 
 import csv
 import itertools
@@ -14,14 +16,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polyadmit import counterfactual, econometrics, io_csv, metrics
-from polyadmit.errors import ParseError, ValidationError
+from polyadmit import counterfactual, econometrics, io_csv, metrics, scoring, synth
+from polyadmit.errors import MissingScore, ParseError, UniverseMismatch, ValidationError
 from polyadmit.model import Applicant, Panel, validate_panel
 from conftest import build_scenario, mk_app, mk_program
-from oracle import adjusted_score, block_of, build_design_matrix, priorities, records
+from oracle import (
+    accepted_of, adjusted_score, assignment_of, block_of, build_design_matrix, priorities, records,
+)
 from polyadmit.counterfactual import SCENARIO_IDS, SCENARIOS
 from polyadmit.econometrics import REPORT_SPECS, lpm_report, ols
-from polyadmit.matching import build_instance, program_thresholds
+from polyadmit.matching import (
+    AssignmentDiff, build_instance, compare_assignments, program_thresholds,
+)
 from polyadmit.metrics import (
     CRITERION_ADMISSION_SCORE,
     CRITERION_MATRICULATION,
@@ -161,7 +167,7 @@ def loop_design_matrix(panel, assignment, thresholds, spec):
         terms += [f"field_{f}" for f in dummy_fields]
         terms += [f"adjusted_score_x_{f}" for f in dummy_fields]
         terms += [f"threshold_x_{f}" for f in dummy_fields]
-    rows, y = [], []
+    rows, y, accepted = [], [], accepted_of(assignment)
     for a in sorted(assignment.seat_of):
         p = assignment.seat_of[a]
         app = base_app[(a, p)]
@@ -175,7 +181,7 @@ def loop_design_matrix(panel, assignment, thresholds, spec):
             row += dummies + [adj * d for d in dummies] + [thresholds[p] * d for d in dummies]
         rows.append(row)
         if spec.outcome == econometrics.OUTCOME_ACCEPTED:
-            y.append(1.0 if assignment.accepted.get(a, False) else 0.0)
+            y.append(1.0 if accepted.get(a, False) else 0.0)
         else:
             y.append(1.0 if a in later else 0.0)
     return np.array(rows), np.array(y), tuple(terms)
@@ -489,3 +495,180 @@ def test_equal_cells_of_a_file_are_one_object(saved_rows, tmp_path):
         columns = io_csv._read_table(tmp_path / "panel", name).columns
         cells = [cell for column in columns for cell in column]
         assert len({id(cell) for cell in cells}) == len(set(cells)), name
+
+
+def loop_effective_weights(table):
+    """Each component's population SD over the sum of the four, every
+    sum taken left to right and every square with ``** 2``."""
+    sds = {}
+    for name, column in (
+        ("gpa", table.gpa), ("exam", table.exam),
+        ("first_choice_bonus", table.bonus), ("residual", table.other),
+    ):
+        values = column.tolist()
+        total = 0.0
+        for v in values:
+            total += v
+        mean = total / len(values)
+        squares = 0.0
+        for v in values:
+            squares += (v - mean) ** 2
+        sds[name] = math.sqrt(squares / len(values))
+    total_sd = 0.0
+    for sd in sds.values():
+        total_sd += sd
+    return {name: sd / total_sd for name, sd in sds.items()}
+
+
+def test_effective_weights_add_left_to_right(panel, monkeypatch):
+    """With ``math.fsum`` standing in for the builtin ``sum`` (compensated,
+    as ``sum`` of floats is from CPython 3.12), the unrounded weights
+    still equal the left-to-right loop."""
+    monkeypatch.setattr(scoring, "sum", math.fsum, raising=False)
+    table = compute_score_table(panel, panel.base_applications)
+    assert scoring.effective_weights(table).weights == loop_effective_weights(table)
+
+
+# The id-keyed readers an assignment had before it became seat-code
+# columns, each reading ``seat_of`` as the dict it then was.
+
+
+def dict_holds_seat(block, assignment):
+    index = {p: i for i, p in enumerate(block.program_keys)}
+    seat = np.array(
+        [index.get(assignment.seat_of.get(a), -1) for a in block.applicant_ids], dtype=np.intp
+    )
+    return seat[block.applicant] == block.program
+
+
+def dict_compare_assignments(base, other, universe):
+    for assignment in (base, other):
+        extra = assignment.seat_of.keys() - universe
+        if extra:
+            raise UniverseMismatch(f"assigned applicants outside universe: {sorted(extra)[:5]}")
+    count = len({a for a, _ in base.seat_of.items() ^ other.seat_of.items()})
+    return AssignmentDiff(count, count / len(universe) if universe else 0.0)
+
+
+def dict_admit_ranks(rank_table, assignment, program_field):
+    seat_of, n = assignment.seat_of, len(assignment.seat_of)
+    column = {f: j for j, f in enumerate(rank_table.fields)}
+    rows = np.fromiter(map(rank_table.row_of.__getitem__, seat_of), dtype=np.intp, count=n)
+    fields = map(program_field.__getitem__, seat_of.values())
+    columns = np.fromiter(map(column.__getitem__, fields), dtype=np.intp, count=n)
+    return rank_table.ranks[rows, columns]
+
+
+def dict_write_assignment_csv(path, panel, assignment, universe):
+    names = {key: (p.polytechnic_name, p.program_name) for key, p in panel.programs.items()}
+    flag = {None: "", True: "true", False: "false"}
+    seat_of, accepted = assignment.seat_of, accepted_of(assignment)
+    io_csv._write_csv(
+        path,
+        io_csv.REQUIRED_COLUMNS[io_csv.OBSERVED_ASSIGNMENT_CSV],
+        (
+            (a, *names[p], flag[accepted.get(a)]) if (p := seat_of.get(a)) else (a, "", "", "")
+            for a in universe
+        ),
+    )
+
+
+def dict_admit_outcomes(panel, assignment):
+    admitted = sorted(assignment.seat_of)
+    later = panel.applications.take(np.flatnonzero(panel.applications.year > panel.base_year))
+    later_appliers = set(later.distinct_applicants())
+    accepted = accepted_of(assignment)
+    return {
+        econometrics.OUTCOME_ACCEPTED: [1.0 if accepted.get(a, False) else 0.0 for a in admitted],
+        econometrics.OUTCOME_REAPPLIED: [1.0 if a in later_appliers else 0.0 for a in admitted],
+    }
+
+
+PAPER_MATCH = dict(n_applicants=6362, n_programs=55, seats_total=2082, seed=42)
+
+
+@pytest.fixture(scope="module", params=["small_panel", "default_panel", "paper_match"])
+def assignments(request, tmp_path_factory):
+    """A panel and the assignments its readers see: the observed one and
+    the six scenarios'. The paper-match panel (the benchmark's input, an
+    eighth of the paper's counts) is read back from CSV, so its observed
+    assignment carries the file's codes."""
+    if request.param == "paper_match":
+        directory = tmp_path_factory.mktemp("paper_match")
+        io_csv.save_panel(synth.generate_panel(synth.SynthConfig(**PAPER_MATCH)), directory)
+        panel = io_csv.load_panel(directory)
+    else:
+        panel = request.getfixturevalue(request.param)
+    ranks = metrics.field_gpa_percentile_ranks(panel)
+    suite = counterfactual.run_scenario_suite(panel, ranks)
+    return panel, ranks, panel.observed_assignment, [r.assignment for r in suite]
+
+
+def shuffled(assignment, seed, outsider=True):
+    """The same seats built by hand in a shuffled order with every third
+    accept flag unknown, and with ``outsider`` one more holder, outside the
+    panel and at a program outside it, so that no vocabulary matches the
+    readers'."""
+    seat_of = list(assignment.seat_of.items())
+    np.random.default_rng(seed).shuffle(seat_of)
+    accepted = {a: flag for i, (a, flag) in enumerate(accepted_of(assignment).items()) if i % 3}
+    if outsider:
+        seat_of.append(("zz", "ghost::program"))
+        accepted["zz"] = True
+    return assignment_of(dict(seat_of), accepted)
+
+
+def test_holds_seat_and_unassigned_mask_match_dict_readers(assignments):
+    panel, _, observed, suite = assignments
+    block = panel.base_applications
+    for assignment in [observed, *suite, shuffled(suite[1], 0)]:
+        assert block.holds_seat(assignment).tolist() == dict_holds_seat(block, assignment).tolist()
+        unassigned = assignment.recoded(block.applicant_ids).seat < 0
+        assert unassigned.tolist() == [a not in assignment.seat_of for a in block.applicant_ids]
+
+
+def test_compare_assignments_matches_dict_reader(assignments):
+    panel, _, observed, suite = assignments
+    universe = set(panel.base_applications.distinct_applicants())
+    others = [observed, *suite, shuffled(suite[0], 1)]
+    for base, other in itertools.product([suite[0], others[-1]], others):
+        if "zz" in base.seat_of or "zz" in other.seat_of:
+            with pytest.raises(UniverseMismatch):
+                compare_assignments(base, other, universe)
+            wide = universe | {"zz"}
+            assert compare_assignments(base, other, wide) == dict_compare_assignments(
+                base, other, wide
+            )
+        else:
+            assert compare_assignments(base, other, universe) == dict_compare_assignments(
+                base, other, universe
+            )
+
+
+def test_admit_ranks_match_dict_reader_value_for_value(assignments):
+    panel, ranks, observed, suite = assignments
+    program_field = {p: prog.field for p, prog in panel.programs.items()}
+    for assignment in [observed, *suite]:
+        got = metrics._admit_ranks(ranks, assignment, program_field)
+        assert got.tolist() == dict_admit_ranks(ranks, assignment, program_field).tolist()
+
+
+def test_assignment_files_match_dict_writer(assignments, tmp_path):
+    panel, _, observed, suite = assignments
+    universe = panel.base_applications.distinct_applicants()
+    for i, assignment in enumerate([observed, *suite, shuffled(observed, 3, outsider=False)]):
+        io_csv.write_assignment_csv(tmp_path / f"{i}.csv", panel, assignment, universe)
+        dict_write_assignment_csv(tmp_path / f"{i}.dict.csv", panel, assignment, universe)
+        assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / f"{i}.dict.csv").read_bytes()
+
+
+def test_admit_outcomes_match_dict_reader(assignments):
+    panel, _, observed, _ = assignments
+    table = compute_score_table(panel, panel.base_applications)
+    for assignment in (observed, shuffled(observed, 2, outsider=False)):
+        thresholds = program_thresholds(table, assignment)
+        columns = econometrics._admit_columns(panel, assignment, thresholds, table)
+        outcomes = {name: y.tolist() for name, y in columns.outcomes.items()}
+        assert outcomes == dict_admit_outcomes(panel, assignment)
+    with pytest.raises(MissingScore):  # a holder outside the panel has no score row
+        econometrics._admit_columns(panel, shuffled(observed, 2), {}, table)
