@@ -3,7 +3,6 @@ clearinghouses: deferred acceptance matching, counterfactual scenario
 suites, selection-quality diagnostics, and linear probability models."""
 
 from .model import (
-    Applicant,
     Assignment,
     Panel,
     Program,
@@ -12,7 +11,6 @@ from .model import (
 )
 
 __all__ = [
-    "Applicant",
     "Assignment",
     "Panel",
     "Program",

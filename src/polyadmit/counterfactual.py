@@ -129,7 +129,7 @@ def run_scenario_suite(
     tables = _scenario_inputs(panel, wanted)
     program_field = {p: prog.field for p, prog in panel.programs.items()}
     assignments = {s.id: _match(tables[s.id], quotas) for s in wanted}
-    universe = set(tables["S1"].applications.distinct_applicants())
+    universe = tables["S1"].applications.distinct_applicants()
     baseline = assignments["S1"]
 
     results = []

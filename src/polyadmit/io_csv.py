@@ -2,24 +2,21 @@
 
 All files are UTF-8, comma-delimited, with a mandatory header row; floats
 are written with six decimal digits so outputs diff cleanly. Every file is
-read by one column pass, ``_Table.parse``.
+read by ``_read``, one chunk of rows at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NoReturn, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from .model import (
-    Applicant,
     ApplicationBlock,
     Assignment,
     Panel,
@@ -57,101 +54,118 @@ def fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-@dataclass(frozen=True)
-class _Table:
-    """The data of one CSV file, blank lines skipped, as one list of cells
-    per header column."""
+# Rows read at a time. Each chunk goes straight into its columns' final
+# form, so no column of a whole file is held as text; a smaller chunk
+# costs more calls, a larger one holds more row lists at once.
+CHUNK_ROWS = 1024
 
-    path: Path
-    header: list[str]
-    columns: list[list[str]]
 
-    def column(self, name: str) -> list[str]:
-        last = len(self.header) - 1 - self.header[::-1].index(name)  # as in a dict of the row
-        return self.columns[last]
+def _rows(path: Path) -> list[tuple[list[str], int]]:
+    """Each row and the file line it ends on; only errors need them, so
+    the file is read again for them."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        return [(row, reader.line_num) for row in reader if row]
 
-    @functools.cached_property
-    def lines(self) -> list[int]:
-        """The file line each row ends on; only errors name one, so the
-        file is read again to count them."""
-        with open(self.path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            next(reader)
-            return [reader.line_num for row in reader if row]
 
-    def cell(self, names, row: int):
-        """The cell of column ``names`` in ``row``; for a tuple of column
-        names, the tuple of their cells."""
-        if isinstance(names, str):
-            return self.column(names)[row]
-        return tuple(self.column(n)[row] for n in names)
+def _repeats(path: Path, what: str, vocabulary: Sequence, codes: np.ndarray) -> list[str]:
+    """A ``DuplicateId`` line for each row whose ``vocabulary[code]`` an earlier row has."""
+    if len(np.unique(codes)) == len(codes):
+        return []
+    lines, first_row = [line for _, line in _rows(path)], {}
+    return [
+        f"DuplicateId: {path} row {lines[row]}: {what} {vocabulary[code]!r} "
+        f"repeats row {lines[first]}"
+        for row, code in enumerate(codes.tolist())
+        if (first := first_row.setdefault(code, row)) != row
+    ]
 
-    def parse(self, *checks) -> list[list]:
-        """Each check's cells parsed, a check being a per-cell parser and
-        a column name or a tuple of them.
 
-        A parser runs once per distinct value; float and grade columns are
-        read in bulk. If a cell fails, the first bad cell in reading order
-        (by row, then by check) is parsed again with its file line, so it
-        raises its own error.
-        """
-        parsed = [self._parse(*check) for check in checks]
-        bad = [(row, k) for k, (_, row) in enumerate(parsed) if row is not None]
-        if bad:
-            row, k = min(bad)
-            parse, names = checks[k]
-            parse(self.path, self.lines[row], names, self.cell(names, row))
-            raise AssertionError(f"{self.path}: a value failed but its cell did not")
-        return [values for values, _ in parsed]
+class _Coded:
+    """One check's cells coded by first-seen text (a tuple of texts for a
+    tuple of columns): row ``i`` holds ``texts[codes[i]]``, parsed as
+    ``values[codes[i]]``. The parser runs once per distinct text, after
+    the whole file has been read."""
 
-    def _parse(self, parse, names) -> tuple[Optional[list], Optional[int]]:
-        """One check's parsed cells, or None and the first bad row."""
-        if isinstance(names, str):
-            keys = self.column(names)
-            if parse in _BULK and (values := _BULK[parse](keys)) is not None:
-                return values, None
-            distinct = ((raw, raw) for raw in set(keys))
-        else:  # tuples coded by their cells' codes, each read from its first row
-            code = encode(self.column(names[0]))[1]
-            for ids, column_code in map(encode, map(self.column, names[1:])):
-                # recoded at each step, so no code outgrows the row count
-                _, first, code = np.unique(
-                    code * len(ids) + column_code, return_index=True, return_inverse=True
-                )
-            keys = code.tolist()
-            distinct = ((k, self.cell(names, i)) for k, i in enumerate(first.tolist()))
-        value, bad = {}, set()
-        for key, raw in distinct:
+    def __init__(self, parse, names, at: dict[str, int]) -> None:
+        self.parse, self.names = parse, names
+        self.at = at[names] if isinstance(names, str) else [at[n] for n in names]
+        self.first_row: dict = {}  # each text, and the row it is first seen in
+        self.chunks = [np.empty(0, dtype=np.intp)]
+
+    def add(self, path: Path, cells: list[tuple], start: int) -> None:
+        texts = cells[self.at] if isinstance(self.at, int) else zip(*(cells[j] for j in self.at))
+        first = map(self.first_row.setdefault, texts, itertools.count(start))
+        self.chunks.append(np.fromiter(first, dtype=np.intp, count=len(cells[0])))
+
+    def finish(self, path: Path) -> Optional[tuple[int, object]]:
+        """Parse each distinct text; the first row and text of the first that fails."""
+        self.texts = list(self.first_row)
+        first = np.fromiter(self.first_row.values(), dtype=np.intp, count=len(self.texts))
+        self.codes = np.searchsorted(first, np.concatenate(self.chunks))
+        del self.first_row, self.chunks
+        self.values = []
+        for text, row in zip(self.texts, first.tolist()):
             try:
-                value[key] = parse(self.path, 0, names, raw)
+                self.values.append(self.parse(path, 0, self.names, text))
             except PolyadmitError:
-                bad.add(key)
-        if bad:
-            return None, next(i for i, key in enumerate(keys) if key in bad)
-        return list(map(value.__getitem__, keys)), None
+                return row, text
+        return None
 
-    def repeats(self, what: str, values: Sequence[object]) -> list[str]:
-        """A ``DuplicateId`` line for each row that repeats an earlier
-        row's value."""
-        if len(set(values)) == len(values):
-            return []
-        first_line: dict[object, int] = {}
-        return [
-            f"DuplicateId: {self.path} row {line}: {what} {value!r} repeats row {first}"
-            for line, value in zip(self.lines, values)
-            if (first := first_line.setdefault(value, line)) != line
-        ]
+    def rows(self) -> list:
+        return list(map(self.values.__getitem__, self.codes.tolist()))
+
+    def column(self, dtype) -> np.ndarray:
+        return np.array(self.values, dtype=dtype)[self.codes]
+
+    def encoded(self) -> tuple[tuple, np.ndarray]:
+        """The sorted distinct values, and each row's position among them."""
+        vocabulary, position = encode(self.values)
+        return vocabulary, position[self.codes]
 
 
-# Rows read and transposed at a time; a smaller chunk costs more calls,
-# a larger one holds more row lists at once.
-CHUNK_ROWS = 4096
+class _Floats:
+    """One check's cells as finite floats, read a chunk at a time; an
+    empty grade cell reads as NaN, the missing mark."""
+
+    def __init__(self, parse, name: str, at: dict[str, int]) -> None:
+        self.parse, self.names, self.at = parse, name, at[name]
+        self.chunks = [np.empty(0)]
+        self.bad: Optional[tuple[int, str]] = None
+
+    def add(self, path: Path, cells: list[tuple], start: int) -> None:
+        if self.bad:
+            return
+        texts, missing = cells[self.at], math.nan if self.parse is _grade else ""
+        try:
+            values = np.array([float(text or missing) for text in texts])
+            if not any(texts[i] for i in np.flatnonzero(~np.isfinite(values)).tolist()):
+                self.chunks.append(values)
+                return
+        except ValueError:
+            pass
+        for i, text in enumerate(texts):  # the first bad cell, found by its parser
+            try:
+                self.parse(path, 0, self.names, text)
+            except PolyadmitError:
+                self.bad = (start + i, text)
+                return
+
+    def finish(self, path: Path) -> Optional[tuple[int, str]]:
+        self.values = np.concatenate(self.chunks)
+        return self.bad
 
 
-def _read_table(directory: Path, name: str) -> _Table:
-    """Read a UTF-8 CSV file whose header names every required column.
+def _read(directory: Path, name: str, checks) -> list:
+    """Read a UTF-8 CSV file whose header names every required column,
+    one chunk of rows at a time, into a ``_Floats`` or ``_Coded`` column
+    per check of ``checks(header)``: a per-cell parser and a column name,
+    or a tuple of them. A repeated name reads its last column.
 
-    Cells with equal text share one ``str`` object within the file.
+    Errors come in this order: a missing header; invalid UTF-8 anywhere
+    in the file; the first row whose width is not the header's; and the
+    first bad cell by row, then by check, raised by its own parser.
     """
     path = directory / name
     if not path.exists():
@@ -163,37 +177,42 @@ def _read_table(directory: Path, name: str) -> _Table:
             for column in REQUIRED_COLUMNS[name]:
                 if column not in header:
                     raise ParseError(f"{path}: missing required header {column!r}")
-            rows = filter(None, reader)  # blank lines skipped
-            columns: list[list[str]] = [[] for _ in header]
-            cells: dict[str, str] = {}
+            at = {column: j for j, column in enumerate(header)}
+            columns = [
+                (_Floats if parse in (_parse_float, _grade) else _Coded)(parse, names, at)
+                for parse, names in checks(header)
+            ]
+            rows, start, wrong = filter(None, reader), 0, False  # blank lines skipped
             while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-                if any(len(row) != len(header) for row in chunk):
-                    _raise_width_error(path, header)
-                for column, values in zip(columns, zip(*chunk)):
-                    column.extend(map(cells.setdefault, values, values))
+                wrong = wrong or {*map(len, chunk)} != {len(header)}  # read on, for UTF-8
+                if not wrong:
+                    cells = list(zip(*chunk))
+                    for column in columns:
+                        column.add(path, cells, start)
+                start += len(chunk)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    return _Table(path, header, columns)
-
-
-def _raise_width_error(path: Path, header: list[str]) -> NoReturn:
-    """Raise the error of the first row whose cell count is not the
-    header's, reading the whole file first so that an encoding error
-    anywhere in it still comes first."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        rows = [(row, reader.line_num) for row in reader if row]
-    for row, line in rows:
+    for row, line in _rows(path) if wrong else ():
         if len(row) > len(header):
             raise ParseError(f"{path} row {line}: more cells than header columns")
         if len(row) < len(header):
             raise ParseError(f"{path} row {line}: no cell for column {header[len(row)]!r}")
-    raise ParseError(f"{path}: changed while it was read")
+    if wrong:
+        raise ParseError(f"{path}: changed while it was read")
+    bad = [(found[0], k, found[1]) for k, c in enumerate(columns) if (found := c.finish(path))]
+    if bad:
+        row, k, text = min(bad)
+        columns[k].parse(path, _rows(path)[row][1], columns[k].names, text)
+        raise AssertionError(f"{path}: a value failed but its cell did not")
+    return columns
 
 
 # Per-cell parsers: parse(path, file line, column, cell), or for a tuple
 # of columns parse(path, file line, columns, tuple of cells).
+
+
+def _text(path: Path, row_number: int, column: str, raw: str) -> str:
+    return raw
 
 
 def _applicant_id(path: Path, row_number: int, column: str, raw: str) -> str:
@@ -265,111 +284,101 @@ def _observed_seat(path: Path, row_number: int, columns, cells) -> tuple[str, in
     return key, (int(_parse_bool(path, row_number, columns[2], accepted)) if accepted else -1)
 
 
-def _floats(cells: list[str], grades: bool = False) -> Optional[list]:
-    """Every cell as a finite float, or None if any is not one; with
-    ``grades``, empty cells are allowed and read as None."""
-    present = [raw for raw in cells if raw != ""] if grades else cells
-    try:
-        values = list(map(float, present))
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    if len(present) == len(cells):
-        return values
-    found = iter(values)
-    return [None if raw == "" else next(found) for raw in cells]
-
-
-# Parsers whose columns are first read in bulk, with the same result.
-_BULK = {_parse_float: _floats, _grade: functools.partial(_floats, grades=True)}
-
-
 PROGRAM_NAMES = ("polytechnic_name", "program_name")
 
 
 def load_panel(directory: str | Path) -> Panel:
     """Load, canonicalize, and validate a panel from its CSV directory.
 
-    Each file is parsed a column at a time; a bad cell raises the error
-    of the first bad cell in reading order, naming its file, file line
-    and column. A row that repeats an earlier row's id in the same file
-    is rejected; all such rows are listed in one ``ValidationError``.
+    Each file is read a chunk of rows at a time; a bad cell raises the
+    error of the first bad cell in reading order, naming its file, file
+    line and column. A row that repeats an earlier row's id in the same
+    file is rejected; all such rows are listed in one ``ValidationError``.
     """
     directory = Path(directory)
     duplicates: list[str] = []
 
-    table = _read_table(directory, APPLICANTS_CSV)
-    grade_columns = list(dict.fromkeys(c for c in table.header if c.startswith(GRADE_PREFIX)))
-    *grades, applicant_ids, cohort_years = table.parse(
-        *((_grade, c) for c in grade_columns),
+    *grade_columns, ids, cohorts = _read(directory, APPLICANTS_CSV, lambda header: (
+        *((_grade, c) for c in dict.fromkeys(header) if c.startswith(GRADE_PREFIX)),
         (_applicant_id, "applicant_id"),
         (_parse_int, "cohort_year"),
-    )
-    duplicates += table.repeats("applicant_id", applicant_ids)
-    subjects = [c[len(GRADE_PREFIX):] for c in grade_columns]
-    applicants = {
-        a: Applicant(a, {s: g for s, g in zip(subjects, row) if g is not None}, year)
-        for a, year, *row in zip(applicant_ids, cohort_years, *grades)
-    }
+    ))
+    applicant_ids, row = ids.encoded()  # row: each file row's position among the sorted ids
+    duplicates += _repeats(directory / APPLICANTS_CSV, "applicant_id", applicant_ids, row)
+    order = np.argsort(row)  # the file's rows in id order, read only when no id repeats
+    cohort_year = cohorts.column(np.int64)[order]
+    grades = np.reshape([c.values for c in grade_columns], (len(grade_columns), len(row))).T[order]
+    subjects = tuple(c.names[len(GRADE_PREFIX):] for c in grade_columns)
 
-    table = _read_table(directory, PROGRAMS_CSV)
-    keys, fields, quotas = table.parse(
+    keys, fields, quotas = _read(directory, PROGRAMS_CSV, lambda header: (
         (_program_key, PROGRAM_NAMES), (_field_label, "field"), (_parse_int, "quota")
-    )
-    duplicates += table.repeats("program", keys)
+    ))
+    duplicates += _repeats(directory / PROGRAMS_CSV, "program", *keys.encoded())
+    names = map(keys.texts.__getitem__, keys.codes.tolist())
     programs = {
         key: Program(key, polytechnic.strip(), program.strip(), field_label, quota)
-        for key, polytechnic, program, field_label, quota in zip(
-            keys, *map(table.column, PROGRAM_NAMES), fields, quotas
+        for key, (polytechnic, program), field_label, quota in zip(
+            keys.rows(), names, fields.rows(), quotas.rows()
         )
     }
 
-    table = _read_table(directory, APPLICATIONS_CSV)
-    applications = ApplicationBlock.from_columns(
-        *table.parse(
+    ids, keys, year, rank, taken, exam_score, other_points = _read(
+        directory, APPLICATIONS_CSV, lambda header: (
             (_applicant_id, "applicant_id"), (_program_key, PROGRAM_NAMES),
             (_parse_int, "year"), (_parse_int, "listed_rank"), (_parse_bool, "exam_taken"),
             (_parse_float, "exam_score"), (_parse_float, "other_points"),
         )
     )
+    listed_ids, applicant = ids.encoded()
+    program_keys, program = keys.encoded()
+    applications = ApplicationBlock(
+        # the panel's tuple when equal, so that recoding between them is free
+        applicant_ids if listed_ids == applicant_ids else listed_ids,
+        program_keys, applicant, program,
+        year.column(np.int64), rank.column(np.int64), taken.column(bool),
+        exam_score.values, other_points.values,
+    )
 
-    table = _read_table(directory, FIELD_WEIGHTS_CSV)
-    fields, weights = table.parse((_field_label, "field"), (_parse_float, "weight"))
-    pairs = list(zip(fields, table.column("subject")))
-    duplicates += table.repeats("(field, subject)", pairs)
+    fields, subjects_listed, weights = _read(directory, FIELD_WEIGHTS_CSV, lambda header: (
+        (_field_label, "field"), (_text, "subject"), (_parse_float, "weight")
+    ))
+    pairs = list(zip(fields.rows(), subjects_listed.rows()))
+    duplicates += _repeats(directory / FIELD_WEIGHTS_CSV, "(field, subject)", *encode(pairs))
     field_weights: dict[str, dict[str, float]] = {}
-    for (field_label, subject), weight in zip(pairs, weights):
+    for (field_label, subject), weight in zip(pairs, weights.values.tolist()):
         field_weights.setdefault(field_label, {})[subject] = weight
 
-    table = _read_table(directory, BONUS_POINTS_CSV)
-    labels, bonuses = table.parse((_field_label, "field"), (_parse_float, "bonus"))
-    duplicates += table.repeats("field", labels)
-    bonus_points = dict(zip(labels, bonuses))
+    labels, bonuses = _read(directory, BONUS_POINTS_CSV, lambda header: (
+        (_field_label, "field"), (_parse_float, "bonus")
+    ))
+    duplicates += _repeats(directory / BONUS_POINTS_CSV, "field", *labels.encoded())
+    bonus_points = dict(zip(labels.rows(), bonuses.values.tolist()))
 
     observed: Optional[Assignment] = None
-    if (directory / OBSERVED_ASSIGNMENT_CSV).exists():
-        table = _read_table(directory, OBSERVED_ASSIGNMENT_CSV)
-        ids, seats = table.parse(
+    if (path := directory / OBSERVED_ASSIGNMENT_CSV).exists():
+        ids, seats = _read(directory, OBSERVED_ASSIGNMENT_CSV, lambda header: (
             (_applicant_id, "applicant_id"), (_observed_seat, PROGRAM_NAMES + ("accepted",))
-        )
-        duplicates += table.repeats("applicant_id", ids)
-        keys, flags = zip(*seats) if seats else ((), ())
+        ))
+        duplicates += _repeats(path, "applicant_id", *ids.encoded())
+        keys, flags = zip(*seats.values) if seats.values else ((), ())
         program_keys = tuple(sorted(set(keys) - {""}))  # "" marks no seat, and reads as -1
-        # the block's ids when equal, as save_panel writes them: one copy, and no recoding
-        ids = applications.applicant_ids if tuple(ids) == applications.applicant_ids else tuple(ids)
+        ids = tuple(ids.rows())  # the block's tuple when equal, as save_panel writes them
         observed = Assignment(
-            ids, program_keys, recode(keys, program_keys), np.array(flags, dtype=np.int8)
+            applications.applicant_ids if ids == applications.applicant_ids else ids,
+            program_keys,
+            recode(keys, program_keys)[seats.codes],
+            np.array(flags, dtype=np.int8)[seats.codes],
         )
     if duplicates:
         raise ValidationError(duplicates)
 
-    base_year = int(applications.year.min()) if len(applications) else min(
-        (a.cohort_year for a in applicants.values()), default=0
+    years = applications.year if len(applications) else cohort_year
+    base_year = int(years.min()) if len(years) else 0
+    panel = Panel(
+        applicant_ids, cohort_year, subjects, grades, programs, applications, base_year,
+        field_weights, bonus_points, observed,
     )
-    return validate_panel(
-        Panel(applicants, programs, applications, base_year, field_weights, bonus_points, observed)
-    )
+    return validate_panel(panel, applicant_order=row)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -384,14 +393,16 @@ def save_panel(panel: Panel, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    subjects = sorted({s for a in panel.applicants.values() for s in a.matriculation_grades})
+    graded = np.flatnonzero(~np.isnan(panel.grades).all(axis=0)).tolist()
+    graded.sort(key=panel.subjects.__getitem__)
     _write_csv(
         directory / APPLICANTS_CSV,
-        REQUIRED_COLUMNS[APPLICANTS_CSV] + tuple(GRADE_PREFIX + s for s in subjects),
+        REQUIRED_COLUMNS[APPLICANTS_CSV] + tuple(GRADE_PREFIX + panel.subjects[j] for j in graded),
         (
-            [a.applicant_id, str(a.cohort_year)]
-            + [fmt(g) if (g := a.matriculation_grades.get(s)) is not None else "" for s in subjects]
-            for a in (panel.applicants[k] for k in sorted(panel.applicants))
+            [a, str(year)] + ["" if math.isnan(g) else fmt(g) for g in grades]
+            for a, year, grades in zip(
+                panel.applicant_ids, panel.cohort_year.tolist(), panel.grades[:, graded].tolist()
+            )
         ),
     )
     _write_csv(

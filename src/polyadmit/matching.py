@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -234,7 +234,7 @@ class AssignmentDiff:
 
 
 def compare_assignments(
-    base: Assignment, other: Assignment, universe: AbstractSet[str]
+    base: Assignment, other: Assignment, universe: Collection[str]
 ) -> AssignmentDiff:
     """Count applicants whose seat (or unassigned status) differs.
 
@@ -242,9 +242,10 @@ def compare_assignments(
     assigned applicants.
     """
     for side in (base, other):
-        extra = set(map(side.applicant_ids.__getitem__, side.holders.tolist())) - universe
-        if extra:
-            raise UniverseMismatch(f"assigned applicants outside universe: {sorted(extra)[:5]}")
+        outside = side.holders[recode(side.applicant_ids, universe)[side.holders] < 0]
+        if len(outside):
+            extra = sorted({side.applicant_ids[a] for a in outside.tolist()})
+            raise UniverseMismatch(f"assigned applicants outside universe: {extra[:5]}")
     # seats over the base's applicants, then the other side's holders the base lacks
     keys = tuple(sorted({*base.program_keys, *other.program_keys}))
     mine = base.recoded(base.applicant_ids, keys).seat

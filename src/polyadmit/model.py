@@ -8,6 +8,7 @@ counterfactual application lists and the re-application outcome. An
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 from collections.abc import Sequence
@@ -33,13 +34,6 @@ def canonical_program_key(polytechnic_name: str, program_name: str) -> str:
     if not poly or not prog:
         raise EmptyName(f"empty name in program key: ({polytechnic_name!r}, {program_name!r})")
     return f"{poly}::{prog}"
-
-
-@dataclass(frozen=True)
-class Applicant:
-    applicant_id: str
-    matriculation_grades: Mapping[str, float]
-    cohort_year: int
 
 
 @dataclass(frozen=True)
@@ -192,12 +186,18 @@ class ApplicationBlock:
         return len(self.applicant)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Panel:
-    """One three-year panel; ``applications`` holds the applications of
-    all three years as one ``ApplicationBlock``."""
+    """One three-year panel. Applicants are columns: the sorted
+    ``applicant_ids``, each one's ``cohort_year``, and a ``grades`` matrix
+    with one row per id and one column per ``subjects`` entry, NaN where a
+    grade is missing. ``applications`` holds the applications of all three
+    years as one ``ApplicationBlock``."""
 
-    applicants: Mapping[str, Applicant]
+    applicant_ids: tuple[str, ...]
+    cohort_year: np.ndarray
+    subjects: tuple[str, ...]
+    grades: np.ndarray
     programs: Mapping[str, Program]
     applications: ApplicationBlock
     base_year: int
@@ -219,44 +219,30 @@ class Panel:
 
     def weighted_gpa(self, applicant_id: str, field_label: str) -> float:
         """Field-weighted matriculation GPA; missing subjects count as zero."""
-        grades = self.applicants[applicant_id].matriculation_grades
+        row = bisect.bisect_left(self.applicant_ids, applicant_id)
+        if self.applicant_ids[row : row + 1] != (applicant_id,):
+            raise KeyError(applicant_id)
+        grades = {s: g for s, g in zip(self.subjects, self.grades[row].tolist()) if not np.isnan(g)}
         weights = self.field_weights[field_label]
         return sum(w * grades.get(subject, 0.0) for subject, w in weights.items())
 
-    @functools.cached_property
-    def applicant_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.applicants))
 
-    @functools.cached_property
-    def subjects(self) -> tuple[str, ...]:
-        """Every subject graded or weighted, sorted."""
-        graded = {s for a in self.applicants.values() for s in a.matriculation_grades}
-        return tuple(sorted(graded.union(*self.field_weights.values())))
+def validate_panel(panel: Panel, applicant_order: Optional[np.ndarray] = None) -> Panel:
+    """Check every structural invariant; raise with all violations at once.
 
-    @functools.cached_property
-    def grades(self) -> np.ndarray:
-        """Matriculation grades, one row per ``applicant_ids`` entry and one
-        column per ``subjects`` entry; missing grades are zero."""
-        grades = [self.applicants[a].matriculation_grades for a in self.applicant_ids]
-        by_subject = [[g.get(s, 0.0) for g in grades] for s in self.subjects]
-        return np.array(by_subject, dtype=float).reshape(len(self.subjects), len(grades)).T
-
-
-def validate_panel(panel: Panel) -> Panel:
-    """Check every structural invariant; raise with all violations at once."""
+    Negative grades are listed by applicant in ``applicant_order`` (rows of
+    ``panel.grades``, the file's order for a loaded panel; row order when
+    None), and by subject in ``panel.subjects`` order.
+    """
     problems: list[str] = []
 
-    if (panel.grades < 0).any() or any(
-        key != applicant.applicant_id for key, applicant in panel.applicants.items()
-    ):
-        for applicant_id, applicant in panel.applicants.items():
-            if applicant_id != applicant.applicant_id:
-                problems.append(f"DuplicateId: applicant map key {applicant_id!r} != record id")
-            for subject, grade in applicant.matriculation_grades.items():
-                if grade < 0:
-                    problems.append(
-                        f"NegativeGrade: applicant {applicant_id!r} subject {subject!r}"
-                    )
+    negative = panel.grades < 0  # a missing grade (NaN) is not negative
+    order = np.arange(len(negative)) if applicant_order is None else applicant_order
+    for i in order[negative[order].any(axis=1)].tolist():
+        problems.extend(
+            f"NegativeGrade: applicant {panel.applicant_ids[i]!r} subject {panel.subjects[j]!r}"
+            for j in np.flatnonzero(negative[i]).tolist()
+        )
 
     for program_key, program in panel.programs.items():
         if program_key != program.program_key:

@@ -86,7 +86,7 @@ def weighted_gpa_matrix(panel: Panel, fields: Sequence[str]) -> np.ndarray:
     """Field-weighted matriculation GPA, one row per ``panel.applicant_ids``
     entry and one column per field; missing subjects count as zero.
 
-    Each column adds ``weight * grade`` over the field's subjects in
+    Each column adds ``weight * grade`` over the field's graded subjects in
     ``field_weights`` order, starting from zero, so every value equals
     ``Panel.weighted_gpa`` bit for bit.
     """
@@ -94,7 +94,9 @@ def weighted_gpa_matrix(panel: Panel, fields: Sequence[str]) -> np.ndarray:
     gpa = np.zeros((len(panel.applicant_ids), len(fields)))
     for j, field_label in enumerate(fields):
         for subject, weight in panel.field_weights[field_label].items():
-            gpa[:, j] += weight * panel.grades[:, subject_col[subject]]
+            if subject in subject_col:
+                grade = panel.grades[:, subject_col[subject]]
+                gpa[:, j] += weight * np.where(np.isnan(grade), 0.0, grade)
     return gpa
 
 

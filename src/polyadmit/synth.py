@@ -18,7 +18,6 @@ import numpy as np
 from . import matching, metrics, scoring
 from .errors import InvalidConfig
 from .model import (
-    Applicant,
     ApplicationBlock,
     Assignment,
     Panel,
@@ -114,12 +113,12 @@ class SynthConfig:
         return self
 
 
-def _draw_grades(rng: np.random.Generator, ability: float) -> dict[str, float]:
-    grades = {}
-    for subject in SUBJECTS:
-        raw = 4.0 + 1.5 * (0.75 * ability + 0.66 * rng.standard_normal())
-        grades[subject] = round(max(0.0, raw), 4)
-    return grades
+def _draw_grades(rng: np.random.Generator, ability: float) -> list[float]:
+    """One grade per ``SUBJECTS`` entry, drawn in that order."""
+    return [
+        round(max(0.0, 4.0 + 1.5 * (0.75 * ability + 0.66 * rng.standard_normal())), 4)
+        for _ in SUBJECTS
+    ]
 
 
 def _draw_exam_score(rng: np.random.Generator, ability: float) -> float:
@@ -250,24 +249,26 @@ def generate_panel(cfg: SynthConfig) -> Panel:
         cfg, program_keys, {p: programs[p].field for p in program_keys}
     )
 
-    applicants = {}
-    abilities = {}
+    abilities, grades = {}, {}
     columns = tuple([] for _ in inspect.signature(ApplicationBlock.from_columns).parameters)
     for i in range(cfg.n_applicants):
         applicant_id = f"a{i:05d}"
         ability = float(rng.standard_normal())
         abilities[applicant_id] = ability
-        applicants[applicant_id] = Applicant(
-            applicant_id=applicant_id,
-            matriculation_grades=_draw_grades(rng, ability),
-            cohort_year=cfg.base_year,
-        )
+        grades[applicant_id] = _draw_grades(rng, ability)
         _applications_for_year(
             rng, cfg, applicant_id, ability, cfg.base_year, sampler, fields, columns
         )
+    applicant_ids = tuple(sorted(grades))
+    applicants = dict(
+        applicant_ids=applicant_ids,
+        cohort_year=np.full(len(applicant_ids), cfg.base_year, dtype=np.int64),
+        subjects=SUBJECTS,
+        grades=np.array([grades[a] for a in applicant_ids]),
+    )
 
     panel = Panel(
-        applicants=applicants,
+        **applicants,
         programs=programs,
         applications=ApplicationBlock.from_columns(*columns),
         base_year=cfg.base_year,
@@ -314,7 +315,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
             )
 
     panel = Panel(
-        applicants=applicants,
+        **applicants,
         programs=programs,
         applications=ApplicationBlock.from_columns(*columns),
         base_year=cfg.base_year,

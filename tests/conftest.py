@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from oracle import Application, block_of
+from oracle import Applicant, Application, applicant_columns, block_of
 from polyadmit import synth
-from polyadmit.model import Applicant, Panel, Program, validate_panel
+from polyadmit.model import Panel, Program, validate_panel
 
 BASE_YEAR = 2011
 
@@ -46,13 +46,10 @@ def mk_panel(
     """Small-panel builder: applicants inferred from applications/grades."""
     grades = grades or {}
     applicant_ids = sorted({a.applicant_id for a in applications} | set(grades))
-    applicants = {
-        a: Applicant(applicant_id=a, matriculation_grades=grades.get(a, {}), cohort_year=BASE_YEAR)
-        for a in applicant_ids
-    }
+    applicants = [Applicant(a, grades.get(a, {}), BASE_YEAR) for a in applicant_ids]
     fields = sorted({p.field for p in programs}) or ["field0"]
     panel = Panel(
-        applicants=applicants,
+        **applicant_columns(applicants),
         programs={p.program_key: p for p in programs},
         applications=block_of(applications),
         base_year=BASE_YEAR,

@@ -1,6 +1,7 @@
-"""Test-only oracles and helpers: application records, their conversion
-to and from a block, assignments built from and read as id-keyed
-mappings, and panel equality row by row; brute-force
+"""Test-only oracles and helpers: applicant and application records,
+their conversion to and from a panel's columns and a block, assignments
+built from and read as id-keyed mappings, and panel equality row by row;
+brute-force
 enumeration of every stable assignment of a small instance, an assignment
 checker that raises, an instance built from id-keyed mappings and its
 priorities read back by id, the observed-assignment replication checks,
@@ -12,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import weakref
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +23,40 @@ from polyadmit.errors import InfeasibleAssignment, NoObservedAssignment, Polyadm
 from polyadmit.matching import MatchInstance, _grouped, find_blocking_pairs
 from polyadmit.model import ApplicationBlock, Assignment, Panel, assignment_violations
 from polyadmit.scoring import ScoreComponents, ScoreTable, compute_score_table
+
+
+@dataclass(frozen=True)
+class Applicant:
+    """One applicant as a record: one row of a panel's applicant columns,
+    with only the grades the applicant has."""
+
+    applicant_id: str
+    matriculation_grades: Mapping[str, float]
+    cohort_year: int
+
+
+def applicant_columns(applicants: Iterable[Applicant]) -> dict:
+    """A panel's applicant fields from records: the ids sorted, subjects in
+    order of first appearance, and NaN for a grade a record lacks."""
+    rows = sorted(applicants, key=lambda a: a.applicant_id)
+    subjects = tuple(dict.fromkeys(s for a in rows for s in a.matriculation_grades))
+    grades = [[a.matriculation_grades.get(s, np.nan) for s in subjects] for a in rows]
+    return dict(
+        applicant_ids=tuple(a.applicant_id for a in rows),
+        cohort_year=np.array([a.cohort_year for a in rows], dtype=np.int64),
+        subjects=subjects,
+        grades=np.array(grades, dtype=float).reshape(len(rows), len(subjects)),
+    )
+
+
+def applicants_of(panel: Panel) -> dict[str, Applicant]:
+    """The panel's applicants as records, by id."""
+    return {
+        a: Applicant(a, {s: g for s, g in zip(panel.subjects, grades) if not np.isnan(g)}, year)
+        for a, year, grades in zip(
+            panel.applicant_ids, panel.cohort_year.tolist(), panel.grades.tolist()
+        )
+    }
 
 
 @dataclass(frozen=True)
@@ -88,17 +123,18 @@ def records(block: ApplicationBlock) -> tuple[Application, ...]:
 
 
 def same_panel(panel: Panel, other: Panel) -> bool:
-    """Equal fields, the application blocks compared row by row and the
-    observed assignments seat by seat."""
+    """Equal fields, the applicants and the application blocks compared
+    row by row and the observed assignments seat by seat."""
+    by_row = {"applicant_ids", "cohort_year", "subjects", "grades", "applications"}
     return (
-        records(panel.applications) == records(other.applications)
+        applicants_of(panel) == applicants_of(other)
+        and records(panel.applications) == records(other.applications)
         and same_assignment(panel.observed_assignment, other.observed_assignment)
-        and dataclasses.replace(
-            other,
-            applications=panel.applications,
-            observed_assignment=panel.observed_assignment,
+        and all(
+            getattr(panel, f.name) == getattr(other, f.name)
+            for f in dataclasses.fields(Panel)
+            if f.name not in by_row | {"observed_assignment"}
         )
-        == panel
     )
 
 

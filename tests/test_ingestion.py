@@ -11,12 +11,10 @@ import pytest
 from polyadmit import cli
 from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
-from polyadmit.model import (
-    Applicant, Panel, Program, assignment_violations, validate_panel,
-)
+from polyadmit.model import Panel, Program, assignment_violations, validate_panel
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import assignment_of, block_of, records
+from oracle import Applicant, applicant_columns, applicants_of, assignment_of, block_of, records
 
 # At least one violation of every class validate_panel can see in a CSV
 # panel (the loader canonicalizes keys, so map-key and key-spelling
@@ -116,16 +114,15 @@ def test_every_violation_class_listed_in_order(tmp_path):
 
 
 def code_built_panel() -> Panel:
-    """Violations only a panel built in code can carry: a map key that is
-    not its record's id, a non-canonical program key, and an accept flag
-    for an applicant without a seat."""
+    """Violations only a panel built in code can carry: a program map key
+    that is not its record's key, a non-canonical program key, and an
+    accept flag for an applicant without a seat."""
     program = Program("poly::alpha", "Poly", "Alpha", "field0", 1)
     odd = Program("Poly::Beta", "Poly", "Beta", "field0", 1)
     return Panel(
-        applicants={
-            "a1": Applicant("a1", {"math": 1.0}, 2011),
-            "a9": Applicant("a2", {"math": 1.0}, 2011),
-        },
+        **applicant_columns(
+            [Applicant("a1", {"math": 1.0}, 2011), Applicant("a9", {"math": 1.0}, 2011)]
+        ),
         programs={"poly::alpha": program, "poly::gamma": odd},
         applications=block_of([mk_app("a1", "poly::alpha", 1), mk_app("a9", "poly::alpha", 1)]),
         base_year=2011,
@@ -136,7 +133,6 @@ def code_built_panel() -> Panel:
 
 
 CODE_BUILT_VIOLATIONS = [
-    "DuplicateId: applicant map key 'a9' != record id",
     "DuplicateId: program map key 'poly::gamma' != record key",
     "NonCanonicalKey: program 'poly::gamma' expected 'poly::beta'",
     "AcceptFlagWithoutSeat: 'a9'",
@@ -226,7 +222,7 @@ def test_files_that_need_a_csv_parser_load_the_same(tmp_path, newline):
     loaded = load_panel(tmp_path)
     assert loaded.programs == panel.programs
     assert records(loaded.applications) == records(panel.applications)
-    assert loaded.applicants == panel.applicants
+    assert applicants_of(loaded) == applicants_of(panel)
 
 
 HUGE = str(2**64 + 1)
@@ -447,3 +443,26 @@ def test_shuffled_observed_rows_give_the_same_reports(small_panel, tmp_path):
     for name in sorted(f"{w}.csv" for w in wanted):
         expected = (sorted_dir / "out" / name).read_bytes()
         assert (shuffled_dir / "out" / name).read_bytes() == expected
+
+
+def test_negative_grades_follow_the_file(tmp_path):
+    """NegativeGrade lines list applicants in file order, which here is
+    not id order, and subjects in header order, which is not sorted."""
+    files = dict(UNSORTED_OBSERVED)
+    del files["observed_assignment.csv"]
+    files["applicants.csv"] = """\
+applicant_id,cohort_year,grade_math,grade_english
+a4,2011,-1.0,-2.0
+a2,2011,3.0,4.0
+a5,2011,1.0,-1.0
+a1,2011,-3.0,
+a3,2011,2.0,1.0
+"""
+    with pytest.raises(ValidationError) as info:
+        load_panel(write_panel(tmp_path, files))
+    assert info.value.violations == [
+        "NegativeGrade: applicant 'a4' subject 'math'",
+        "NegativeGrade: applicant 'a4' subject 'english'",
+        "NegativeGrade: applicant 'a5' subject 'english'",
+        "NegativeGrade: applicant 'a1' subject 'math'",
+    ]

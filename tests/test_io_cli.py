@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import polyadmit
 from conftest import BASE_YEAR, mk_app, mk_panel, mk_program
-from oracle import accepted_of, assignment_of, records, same_panel
+from oracle import accepted_of, applicants_of, assignment_of, records, same_panel
 from polyadmit import cli, errors, reports
 from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
@@ -79,7 +79,7 @@ class TestRoundTrip:
     def test_save_load_structural_equality(self, small_panel, tmp_path):
         save_panel(small_panel, tmp_path)
         loaded = load_panel(tmp_path)
-        assert set(loaded.applicants) == set(small_panel.applicants)
+        assert loaded.applicant_ids == small_panel.applicant_ids
         assert loaded.programs == small_panel.programs
         assert loaded.base_year == small_panel.base_year
         assert loaded.observed_assignment.seat_of == small_panel.observed_assignment.seat_of
@@ -93,10 +93,20 @@ class TestRoundTrip:
             (a.applicant_id, a.program_key, a.year, a.listed_rank, a.exam_taken)
             for a in records(small_panel.applications)
         }
-        for a_id, applicant in loaded.applicants.items():
-            original = small_panel.applicants[a_id].matriculation_grades
+        originals = applicants_of(small_panel)
+        for a_id, applicant in applicants_of(loaded).items():
+            original = originals[a_id].matriculation_grades
             for subject, grade in applicant.matriculation_grades.items():
                 assert grade == pytest.approx(original.get(subject, 0.0), abs=1e-6)
+
+    def test_loaded_panel_holds_one_id_tuple(self, small_panel, tmp_path):
+        """The application block and the observed assignment of a saved
+        panel reuse the panel's sorted ids, so recoding between them is an
+        identity check."""
+        save_panel(small_panel, tmp_path)
+        loaded = load_panel(tmp_path)
+        assert loaded.applications.applicant_ids is loaded.applicant_ids
+        assert loaded.observed_assignment.applicant_ids is loaded.applicant_ids
 
     def test_save_is_a_serialization_fixed_point(self, small_panel, tmp_path):
         first = tmp_path / "first"

@@ -371,7 +371,7 @@ class TestComparativeStatics:
         return build_instance(table.applications, table, quotas)
 
     def test_ample_quotas_seat_everyone_at_their_first_choice(self, small_panel):
-        n = len(small_panel.applicants)
+        n = len(small_panel.applicant_ids)
         inst = self.instance(small_panel, {p: n for p in small_panel.programs})
         first = {a: prefs[0] for a, prefs in inst.preferences.items()}
         assert len(first) == n

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import assignment_of, block_of, check_assignment
+from oracle import applicant_columns, assignment_of, block_of, check_assignment
 from polyadmit.errors import EmptyName, InfeasibleAssignment, ValidationError
 from polyadmit.model import Panel, canonical_program_key, validate_panel
 
@@ -36,7 +36,7 @@ class TestCanonicalProgramKey:
 class TestValidatePanel:
     def test_empty_panel_valid(self):
         panel = Panel(
-            applicants={},
+            **applicant_columns([]),
             programs={},
             applications=block_of([]),
             base_year=2011,

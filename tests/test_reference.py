@@ -5,23 +5,30 @@ application lists, the regression design, thresholds, tercile
 unassignment, the GPA rank matrix and the scenarios' rank improvements
 on the same panels, the effective weights under a compensated ``sum``,
 the midpoint percentiles on random values with ties, the chunked CSV
-reader against a rows-then-transpose reader, and the seat-code readers
-of an assignment against the id-keyed readers it had before."""
+reader against a rows-then-transpose reader and ``load_panel`` against
+the whole-file loader of ``reference_io`` on corrupted panels, and the
+seat-code readers of an assignment against the id-keyed readers it had
+before."""
 
 import csv
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_io
 from polyadmit import counterfactual, econometrics, io_csv, metrics, scoring, synth
 from polyadmit.errors import MissingScore, ParseError, UniverseMismatch, ValidationError
-from polyadmit.model import Applicant, Panel, validate_panel
+from polyadmit.model import Panel, validate_panel
 from conftest import build_scenario, mk_app, mk_program
 from oracle import (
-    accepted_of, adjusted_score, assignment_of, block_of, build_design_matrix, priorities, records,
+    Applicant, accepted_of, adjusted_score, applicant_columns, applicants_of, assignment_of,
+    block_of, build_design_matrix, priorities, records, same_panel,
 )
 from polyadmit.counterfactual import SCENARIO_IDS, SCENARIOS
 from polyadmit.econometrics import REPORT_SPECS, lpm_report, ols
@@ -254,9 +261,8 @@ def test_tercile_unassignment_matches_loop_reference(panel, criterion):
 def loop_violations(panel):
     """validate_panel's messages, one record at a time."""
     problems = []
-    for applicant_id, applicant in panel.applicants.items():
-        if applicant_id != applicant.applicant_id:
-            problems.append(f"DuplicateId: applicant map key {applicant_id!r} != record id")
+    applicants = applicants_of(panel)
+    for applicant_id, applicant in applicants.items():
         for subject, grade in applicant.matriculation_grades.items():
             if grade < 0:
                 problems.append(f"NegativeGrade: applicant {applicant_id!r} subject {subject!r}")
@@ -270,7 +276,7 @@ def loop_violations(panel):
     by_list = {}
     for i, app in enumerate(records(panel.applications)):
         where = f"application #{i} ({app.applicant_id!r}, {app.program_key!r}, {app.year})"
-        if app.applicant_id not in panel.applicants:
+        if app.applicant_id not in applicants:
             problems.append(f"DanglingForeignKey: {where}: unknown applicant")
         if app.program_key not in panel.programs:
             problems.append(f"DanglingForeignKey: {where}: unknown program")
@@ -316,10 +322,10 @@ def test_validation_matches_loop_reference():
         ]
         listed = programs[: int(rng.integers(1, 5))]
         panel = Panel(
-            applicants={  # some applicants are missing
-                f"a{i}": Applicant(f"a{i}", {"math": float(rng.choice([-1.0, 3.0]))}, 2011)
+            **applicant_columns(  # some applicants are missing
+                Applicant(f"a{i}", {"math": float(rng.choice([-1.0, 3.0]))}, 2011)
                 for i in range(int(rng.integers(6)))
-            },
+            ),
             programs={p.program_key: p for p in listed},
             applications=block_of(apps),
             base_year=2011,
@@ -413,6 +419,20 @@ def rows_then_transpose(directory, name):
     return header, [[row[j] for row in rows] for j in range(len(header))]
 
 
+def read_text_columns(directory, name):
+    """A file's header and columns as the chunked reader reads them, every
+    column coded as text and spelled out again."""
+    header = []
+
+    def checks(names):
+        header.extend(names)
+        return [(io_csv._text, c) for c in dict.fromkeys(names)]
+
+    columns = io_csv._read(directory, name, checks)
+    read = dict(zip(dict.fromkeys(header), columns))
+    return header, [[read[c].texts[i] for i in read[c].codes.tolist()] for c in header]
+
+
 def read_or_error(read, directory, name):
     try:
         return read(directory, name)
@@ -455,8 +475,10 @@ def test_reader_matches_rows_then_transpose(saved_rows, tmp_path, monkeypatch, s
         monkeypatch.setattr(io_csv, "CHUNK_ROWS", chunk_rows)
     write_rows(tmp_path / "panel", saved_rows, style)
     for name in saved_rows:
-        table = io_csv._read_table(tmp_path / "panel", name)
-        assert (table.header, table.columns) == rows_then_transpose(tmp_path / "panel", name)
+        got = read_text_columns(tmp_path / "panel", name)
+        assert got == rows_then_transpose(tmp_path / "panel", name)
+    loaded = io_csv.load_panel(tmp_path / "panel")
+    assert same_panel(loaded, reference_io.load_panel(tmp_path / "panel"))
 
 
 def test_reader_errors_match_rows_then_transpose(saved_rows, tmp_path, monkeypatch):
@@ -475,7 +497,7 @@ def test_reader_errors_match_rows_then_transpose(saved_rows, tmp_path, monkeypat
         write_rows(tmp_path / case, edited, "blank_lines" if i % 2 else "saved")
         expected = read_or_error(rows_then_transpose, tmp_path / case, io_csv.APPLICATIONS_CSV)
         assert isinstance(expected, str)
-        got = read_or_error(io_csv._read_table, tmp_path / case, io_csv.APPLICATIONS_CSV)
+        got = read_or_error(read_text_columns, tmp_path / case, io_csv.APPLICATIONS_CSV)
         assert got == expected
 
     path = tmp_path / "short_row_early" / io_csv.APPLICATIONS_CSV
@@ -485,16 +507,143 @@ def test_reader_errors_match_rows_then_transpose(saved_rows, tmp_path, monkeypat
     for name in (io_csv.APPLICATIONS_CSV, io_csv.BONUS_POINTS_CSV, io_csv.FIELD_WEIGHTS_CSV):
         expected = read_or_error(rows_then_transpose, path.parent, name)
         assert isinstance(expected, str)
-        assert read_or_error(io_csv._read_table, path.parent, name) == expected
-    assert "not UTF-8" in read_or_error(io_csv._read_table, path.parent, io_csv.APPLICATIONS_CSV)
+        assert read_or_error(read_text_columns, path.parent, name) == expected
+    assert "not UTF-8" in read_or_error(read_text_columns, path.parent, io_csv.APPLICATIONS_CSV)
 
 
-def test_equal_cells_of_a_file_are_one_object(saved_rows, tmp_path):
+def test_coded_vocabulary_holds_each_text_once(saved_rows, tmp_path, monkeypatch):
+    """Each coded column's vocabulary lists every distinct text of the
+    column once, in order of first appearance, across chunks."""
+    monkeypatch.setattr(io_csv, "CHUNK_ROWS", 7)
     write_rows(tmp_path / "panel", saved_rows, "saved")
-    for name in saved_rows:
-        columns = io_csv._read_table(tmp_path / "panel", name).columns
-        cells = [cell for column in columns for cell in column]
-        assert len({id(cell) for cell in cells}) == len(set(cells)), name
+    for name, (header, *rows) in saved_rows.items():
+        columns = io_csv._read(tmp_path / "panel", name, lambda h: [(io_csv._text, c) for c in h])
+        for j, column in enumerate(columns):
+            assert column.texts == list(dict.fromkeys(row[j] for row in rows)), (name, j)
+
+
+def test_bad_cell_early_and_bad_utf8_late_is_a_utf8_error(small_panel, tmp_path):
+    """A bad cell in the first rows is raised only once the whole file has
+    been read, so invalid UTF-8 near the file's end comes first."""
+    io_csv.save_panel(small_panel, tmp_path)
+    path = tmp_path / io_csv.APPLICATIONS_CSV
+    lines = path.read_bytes().split(b"\n")
+    cells = lines[2].split(b",")
+    cells[6] = b"x"  # exam_score
+    lines[2] = b",".join(cells)
+    lines[-3] = lines[-3].replace(b",", b"\xff,", 1)
+    path.write_bytes(b"\n".join(lines))
+    assert len(b"\n".join(lines[:-3])) > 8 * 8192  # well past the first decoded block
+    with pytest.raises(ParseError, match=r"applications\.csv: not UTF-8"):
+        io_csv.load_panel(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "filename, early, late, message",
+    [
+        (
+            io_csv.APPLICATIONS_CSV, {"other_points": "nan"}, {"applicant_id": " "},
+            "row 3: non-finite value for 'other_points': 'nan'",
+        ),
+        (
+            io_csv.APPLICANTS_CSV, {"cohort_year": "y"}, {"grade_arts": "x"},
+            "row 3: bad value for 'cohort_year': 'y'",
+        ),
+    ],
+    ids=["applications", "applicants"],
+)
+def test_later_check_in_an_earlier_chunk_comes_first(
+    small_panel, tmp_path, monkeypatch, filename, early, late, message
+):
+    """A bad cell of a later check in row 2 beats a bad cell of an earlier
+    check in row 30, four chunks later."""
+    monkeypatch.setattr(io_csv, "CHUNK_ROWS", 7)
+    io_csv.save_panel(small_panel, tmp_path)
+    path = tmp_path / filename
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    for row, edits in ((2, early), (30, late)):
+        cells = lines[row].split(",")
+        for column, value in edits.items():
+            cells[header.index(column)] = value
+        lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        io_csv.load_panel(tmp_path)
+    assert str(info.value) == f"{path} {message}"
+
+
+# Replacement cells: bad, edge and rule-breaking values of every column kind.
+CORRUPT_CELLS = st.sampled_from(
+    ["", " ", "x", "nan", "inf", "-1", "0", "1.5", "2010", "2014", str(2**64), "true", "maybe",
+     "a00001", "a99999", " a00003", "Polytechnic 0", "program 1", "field0", "field9", "math"]
+) | st.text(max_size=3)
+
+
+def corrupt(rows, data):
+    """A copy of each file's rows with 1-3 edits drawn: a cell rewritten,
+    a row cut short, made long, repeated or followed by a blank line; and
+    the bytes of a row, when drawn, made invalid UTF-8."""
+    files = {name: [list(row) for row in file_rows] for name, file_rows in rows.items()}
+    broken_bytes = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        name = data.draw(st.sampled_from(sorted(files)))
+        file_rows, where = files[name], data.draw(st.randoms(use_true_random=True))
+        i = 0 if where.random() < 1 / 16 else where.randrange(1, len(file_rows))
+        edits = ["cell"] * 6 + ["short", "long", "repeat", "blank", "bytes"]
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "cell":
+            file_rows[i][where.randrange(len(file_rows[i]))] = data.draw(CORRUPT_CELLS)
+        elif edit == "short":
+            file_rows[i] = file_rows[i][:-1]
+        elif edit == "long":
+            file_rows[i] = file_rows[i] + [""]
+        elif edit == "repeat":
+            file_rows.insert(where.randrange(i, len(file_rows)) + 1, list(file_rows[i]))
+        elif edit == "blank":
+            file_rows.insert(i + 1, [])
+        else:
+            broken_bytes.append((name, i))
+    return files, broken_bytes
+
+
+def write_corrupted(directory, files, broken_bytes):
+    directory.mkdir()
+    for name, file_rows in files.items():
+        with open(directory / name, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(file_rows)
+    for name, i in broken_bytes:
+        path = directory / name
+        lines = path.read_bytes().split(b"\n")
+        lines[i] = lines[i] + b"\xe9"
+        path.write_bytes(b"\n".join(lines))
+
+
+def load_or_error(load, directory):
+    try:
+        return load(directory)
+    except Exception as exc:  # any error, so that a crash shows as a mismatch
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, None])  # None: the reader's own chunk size
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_load_panel_matches_whole_file_reference(saved_rows, tmp_path_factory, chunk_rows, data):
+    """A corrupted copy of the saved 400-applicant panel loads to the same
+    panel as the whole-file reference loader, or fails with the same error
+    class and message."""
+    files, broken_bytes = corrupt(saved_rows, data)
+    directory = tmp_path_factory.mktemp("corrupted") / "panel"
+    write_corrupted(directory, files, broken_bytes)
+    expected = load_or_error(reference_io.load_panel, directory)
+    chunk = io_csv.CHUNK_ROWS if chunk_rows is None else chunk_rows
+    with mock.patch.object(io_csv, "CHUNK_ROWS", chunk):
+        got = load_or_error(io_csv.load_panel, directory)
+    if isinstance(expected, tuple) or isinstance(got, tuple):
+        assert got == expected
+    else:
+        assert same_panel(got, expected)
 
 
 def loop_effective_weights(table):
