@@ -123,9 +123,10 @@ def run(config: RunConfig) -> int:
 def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory: Path) -> None:
     scenario_ids = tuple(sorted(set(config.scenarios) | {"S1"}))
     rank_table = metrics.field_gpa_percentile_ranks(panel)
-    suite = counterfactual.run_scenario_suite(panel, rank_table, scenario_ids=scenario_ids)
+    suite, base_table = counterfactual.run_scenario_suite(
+        panel, rank_table, scenario_ids=scenario_ids
+    )
     by_id = {r.scenario_id: r for r in suite}
-    base_table = by_id["S1"].table
 
     # Descriptive tables use the observed assignment when present; the
     # replicated baseline otherwise.

@@ -5,7 +5,7 @@ transforms a scenario applies."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,31 +69,39 @@ def _scenario(scenario_id: str) -> Scenario:
     return SCENARIOS[scenario_id]
 
 
-def _scenario_inputs(panel: Panel, scenarios: Sequence[Scenario]) -> dict[str, scoring.ScoreTable]:
-    """The score table of each scenario, by id; each table holds the
-    application block it scores.
+SCORE_RULES = (SCORES_ORIGINAL, SCORES_NO_FIRST_CHOICE, SCORES_EXAM_PROPAGATED)
+
+
+def scenario_tables(
+    panel: Panel, scenario_ids: Sequence[str]
+) -> Iterator[tuple[str, scoring.ScoreTable]]:
+    """Each listed scenario's id and score table, one list variant at a
+    time: the original lists' S1, S3, S5, then the extended lists' S2, S4,
+    S6. Each table holds the application block it scores.
 
     Each list variant is built and scored once. The no-bonus table is
     derived from that score table, and the exam-propagated one from the
-    no-bonus table, only when a scenario on the list needs them.
+    no-bonus table, only when a listed scenario needs them. The generator
+    drops its references to a variant's block and tables before it builds
+    the next variant.
     """
-    inputs = {}
-    for extended in sorted({s.extended for s in scenarios}):
-        on_list = [s for s in scenarios if s.extended == extended]
-        needed = {s.scores for s in on_list}
-        applications = extend_application_lists(panel) if extended else panel.base_applications
-        tables = {SCORES_ORIGINAL: scoring.compute_score_table(panel, applications)}
-        if needed - {SCORES_ORIGINAL}:
-            tables[SCORES_NO_FIRST_CHOICE] = scoring.remove_first_choice_points(
-                tables[SCORES_ORIGINAL]
-            )
-        if SCORES_EXAM_PROPAGATED in needed:
-            tables[SCORES_EXAM_PROPAGATED] = scoring.propagate_entrance_exams(
-                panel, tables[SCORES_NO_FIRST_CHOICE]
-            )
-        for s in on_list:
-            inputs[s.id] = tables[s.scores]
-    return inputs
+    wanted = [_scenario(s) for s in sorted(set(scenario_ids))]
+    for extended in (False, True):
+        scenario_of = {s.scores: s.id for s in wanted if s.extended == extended}
+        if not scenario_of:
+            continue
+        last = max(map(SCORE_RULES.index, scenario_of))
+        table = scoring.compute_score_table(
+            panel, extend_application_lists(panel) if extended else panel.base_applications
+        )
+        for rule in SCORE_RULES[: last + 1]:
+            if rule == SCORES_NO_FIRST_CHOICE:
+                table = scoring.remove_first_choice_points(table)
+            elif rule == SCORES_EXAM_PROPAGATED:
+                table = scoring.propagate_entrance_exams(panel, table)
+            if rule in scenario_of:
+                yield scenario_of[rule], table
+        del table
 
 
 @dataclass(frozen=True)
@@ -103,35 +111,38 @@ class ScenarioResult:
     applications_per_applicant: float
     diff_vs_baseline: matching.AssignmentDiff
     rank_improvement: float
-    table: scoring.ScoreTable  # the one it was matched on; S1's is the base-year table
-
-
-def _match(table: scoring.ScoreTable, quotas: Mapping[str, int]) -> Assignment:
-    instance = matching.build_instance(table.applications, table, quotas)
-    return matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
 
 
 def run_scenario_suite(
     panel: Panel,
     rank_table: metrics.RankTable,
     scenario_ids: Sequence[str] = SCENARIO_IDS,
-) -> list[ScenarioResult]:
+) -> tuple[list[ScenarioResult], scoring.ScoreTable]:
     """Run program-proposing deferred acceptance on each scenario and
-    compare every assignment to the baseline S1.
+    compare every assignment to the baseline S1; returns the results in
+    scenario order and S1's table, the base-year score table.
 
-    Each application list is built once and scored once; the scenarios
-    on it share that table through the score transforms. Every program
+    Each scenario is matched as soon as its table exists (see
+    ``scenario_tables``), so only one list variant's block and tables are
+    held at a time, and S1's table is the only one kept. Every program
     admits up to its own quota. ``rank_table`` is
     ``metrics.field_gpa_percentile_ranks(panel)``.
     """
     quotas = {p: prog.quota for p, prog in panel.programs.items()}
-    wanted = [_scenario(s) for s in sorted(set(scenario_ids) | {"S1"})]
-    tables = _scenario_inputs(panel, wanted)
-    program_field = {p: prog.field for p, prog in panel.programs.items()}
-    assignments = {s.id: _match(tables[s.id], quotas) for s in wanted}
-    universe = tables["S1"].applications.distinct_applicants()
-    baseline = assignments["S1"]
+    assignments, listed = {}, {}
+    for scenario_id, table in scenario_tables(panel, set(scenario_ids) | {"S1"}):
+        if scenario_id == "S1":
+            base_table = table
+        instance = matching.build_instance(table.applications, table, quotas)
+        assignments[scenario_id] = matching.deferred_acceptance(
+            instance, matching.PROPOSING_PROGRAMS
+        )
+        listed[scenario_id] = len(table.applications)
+        del table, instance  # else they live on while the next list variant is built
 
+    program_field = {p: prog.field for p, prog in panel.programs.items()}
+    universe = base_table.applications.distinct_applicants()
+    baseline = assignments["S1"]
     results = []
     for scenario_id in sorted(scenario_ids):
         assignment = assignments[scenario_id]
@@ -147,11 +158,10 @@ def run_scenario_suite(
                 scenario_id=scenario_id,
                 assignment=assignment,
                 applications_per_applicant=(
-                    len(tables[scenario_id].applications) / len(universe) if universe else 0.0
+                    listed[scenario_id] / len(universe) if universe else 0.0
                 ),
                 diff_vs_baseline=diff,
                 rank_improvement=improvement,
-                table=tables[scenario_id],
             )
         )
-    return results
+    return results, base_table

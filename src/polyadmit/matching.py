@@ -268,5 +268,7 @@ def program_thresholds(scores: ScoreTable, assignment: Assignment) -> dict[str, 
     admits = np.flatnonzero(block.holds_seat(assignment))
     lowest = np.full(len(block.program_keys), np.inf)
     np.minimum.at(lowest, block.program[admits], scores.totals[admits])
-    admitting = np.unique(block.program[admits]).tolist()
+    admitting = np.flatnonzero(
+        np.bincount(block.program[admits], minlength=len(block.program_keys))
+    ).tolist()
     return {block.program_keys[p]: float(lowest[p]) for p in admitting}

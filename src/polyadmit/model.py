@@ -116,20 +116,6 @@ class ApplicationBlock:
     exam_score: np.ndarray
     other_points: np.ndarray
 
-    @classmethod
-    def from_columns(
-        cls, applicant_id, program_key, year, listed_rank, exam_taken, exam_score, other_points
-    ) -> "ApplicationBlock":
-        """A block from one list of Python values per column."""
-        applicant_ids, applicant = encode(applicant_id)
-        program_keys, program = encode(program_key)
-        return cls(
-            applicant_ids, program_keys, applicant, program,
-            np.array(year, dtype=np.int64), np.array(listed_rank, dtype=np.int64),
-            np.array(exam_taken, dtype=bool), np.array(exam_score, dtype=float),
-            np.array(other_points, dtype=float),
-        )
-
     def take(self, rows: np.ndarray, **columns: np.ndarray) -> "ApplicationBlock":
         """The block of ``rows``, with any column replaced by ``columns``."""
         return ApplicationBlock(
@@ -143,7 +129,8 @@ class ApplicationBlock:
 
     def distinct_applicants(self) -> list[str]:
         """The ids of the applicants with a row here, sorted."""
-        return [self.applicant_ids[c] for c in np.unique(self.applicant).tolist()]
+        listed = np.bincount(self.applicant, minlength=len(self.applicant_ids))
+        return [self.applicant_ids[c] for c in np.flatnonzero(listed).tolist()]
 
     def holds_seat(self, assignment: "Assignment") -> np.ndarray:
         """Per row: the applicant's seat is this row's program."""
@@ -170,8 +157,8 @@ class ApplicationBlock:
         )
 
     def python_columns(self) -> list[list]:
-        """Each column as Python values, in ``from_columns`` order, with ids
-        and keys spelled out."""
+        """Each column as Python values, in field order, with ids and keys
+        spelled out."""
         return [
             list(map(self.applicant_ids.__getitem__, self.applicant.tolist())),
             list(map(self.program_keys.__getitem__, self.program.tolist())),
@@ -277,9 +264,9 @@ def validate_panel(panel: Panel, applicant_order: Optional[np.ndarray] = None) -
         problems.extend(message.format(where) for bad, message in row_checks if bad[i])
 
     # Each (applicant, year) list, in order of its first application.
-    years = np.unique(apps.year)
+    years, year = np.unique(apps.year, return_inverse=True)
     lists, first_row, list_of, size = np.unique(
-        apps.applicant * len(years) + np.searchsorted(years, apps.year),
+        apps.applicant * len(years) + year,
         return_index=True, return_inverse=True, return_counts=True,
     )
     by_rank = np.lexsort((apps.listed_rank, list_of))

@@ -103,7 +103,7 @@ def weighted_gpa_matrix(panel: Panel, fields: Sequence[str]) -> np.ndarray:
 def _program_fields(panel: Panel, block: ApplicationBlock) -> tuple[list[str], np.ndarray]:
     """The sorted fields of the programs ``block`` lists, and the code of
     each ``block.program_keys`` entry's field among them."""
-    listed = np.unique(block.program).tolist()
+    listed = np.flatnonzero(np.bincount(block.program, minlength=len(block.program_keys))).tolist()
     fields = sorted({panel.programs[block.program_keys[p]].field for p in listed})
     code = {f: j for j, f in enumerate(fields)}
     field_of = np.zeros(len(block.program_keys), dtype=np.intp)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -113,19 +112,6 @@ class SynthConfig:
         return self
 
 
-def _draw_grades(rng: np.random.Generator, ability: float) -> list[float]:
-    """One grade per ``SUBJECTS`` entry, drawn in that order."""
-    return [
-        round(max(0.0, 4.0 + 1.5 * (0.75 * ability + 0.66 * rng.standard_normal())), 4)
-        for _ in SUBJECTS
-    ]
-
-
-def _draw_exam_score(rng: np.random.Generator, ability: float) -> float:
-    raw = 20.0 + 8.0 * (0.85 * ability + 0.52 * rng.standard_normal())
-    return round(max(0.0, raw), 4)
-
-
 def _cdf(p: np.ndarray) -> np.ndarray:
     """Normalised cumulative sum of non-negative weights, as
     ``Generator.choice`` builds it."""
@@ -164,59 +150,90 @@ def _choice_distinct(
 
 @dataclass(frozen=True)
 class _ListSampler:
-    """Length and program distributions of one application list, built
-    once per panel: the list-length CDF, and per home field the program
-    weights and their CDF."""
+    """Distributions of one application list, built once per panel: the
+    list-length CDF, per home field code the program weights and their
+    CDF, and the exam probability of each listed rank."""
 
-    program_keys: list[str]
+    n_programs: int
     length_cdf: list[float]
-    weights: dict[str, tuple[np.ndarray, list[float]]]
+    weights: list[tuple[np.ndarray, list[float]]]
+    exam_prob: list[float]
 
     @classmethod
-    def build(
-        cls, cfg: SynthConfig, program_keys: list[str], program_field: dict[str, str]
-    ) -> "_ListSampler":
-        weights = {}
-        for home_field in sorted(set(program_field.values())):
-            w = np.array(
-                [
-                    cfg.home_field_weight if program_field[p] == home_field else 1.0
-                    for p in program_keys
-                ],
-                dtype=float,
-            )
+    def build(cls, cfg: SynthConfig, program_field: np.ndarray) -> "_ListSampler":
+        """``program_field``: the field code of each program, by program code."""
+        weights = []
+        for home_field in range(cfg.n_fields):
+            w = np.where(program_field == home_field, cfg.home_field_weight, 1.0)
             w /= w.sum()
-            weights[home_field] = (w, _cdf(w).tolist())
+            weights.append((w, _cdf(w).tolist()))
         length_cdf = _cdf(np.array(cfg.list_length_probs, dtype=float)).tolist()
-        return cls(program_keys, length_cdf, weights)
+        by_rank = cfg.exam_prob_by_rank  # the last entry holds for every later rank
+        exam_prob = [by_rank[min(rank, len(by_rank)) - 1] for rank in range(1, len(length_cdf) + 1)]
+        return cls(len(program_field), length_cdf, weights, exam_prob)
 
-    def draw(self, rng: np.random.Generator, home_field: str) -> list[str]:
-        length = min(_choice(rng, self.length_cdf) + 1, len(self.program_keys))
+    def draw(self, rng: np.random.Generator, home_field: int) -> list[int]:
+        """The program codes of one list, in listed order."""
+        length = min(_choice(rng, self.length_cdf) + 1, self.n_programs)
         p, cdf = self.weights[home_field]
-        return [self.program_keys[i] for i in _choice_distinct(rng, p, cdf, length)]
+        return _choice_distinct(rng, p, cdf, length)
 
 
-def _applications_for_year(
+def _draw_list(
     rng: np.random.Generator,
     cfg: SynthConfig,
-    applicant_id: str,
-    ability: float,
-    year: int,
     sampler: _ListSampler,
-    fields: list[str],
-    columns: tuple[list, ...],
+    applicant: int,
+    year: int,
+    rows: tuple[list, ...],
 ) -> None:
-    """Draw one application list and append it to ``columns``, one list
-    per ``ApplicationBlock.from_columns`` argument."""
-    home_field = fields[int(rng.integers(len(fields)))]
-    for rank, program_key in enumerate(sampler.draw(rng, home_field), start=1):
-        exam_prob = cfg.exam_prob_by_rank[min(rank, len(cfg.exam_prob_by_rank)) - 1]
-        exam_taken = bool(rng.random() < exam_prob)
-        exam_score = _draw_exam_score(rng, ability) if exam_taken else 0.0
-        other_points = cfg.other_points_value if rng.random() < cfg.other_points_prob else 0.0
-        row = (applicant_id, program_key, year, rank, exam_taken, exam_score, other_points)
-        for column, value in zip(columns, row):
-            column.append(value)
+    """Draw one application list and extend each column of ``rows`` with
+    it: applicant code, program code, year, listed rank, exam taken, the
+    exam score's standard normal (0.0 without an exam) and whether the row
+    earns other points."""
+    programs = sampler.draw(rng, int(rng.integers(cfg.n_fields)))
+    k = len(programs)
+    draws = []
+    for exam_prob in sampler.exam_prob[:k]:
+        taken = rng.random() < exam_prob
+        z = rng.standard_normal() if taken else 0.0
+        draws += (taken, z, rng.random() < cfg.other_points_prob)
+    exam_taken, normal, other = (draws[i::3] for i in range(3))
+    values = ([applicant] * k, programs, [year] * k, range(1, k + 1), exam_taken, normal, other)
+    for column, v in zip(rows, values):
+        column.extend(v)
+
+
+def _rounded(values: np.ndarray) -> np.ndarray:
+    """Each value rounded to 4 decimals by the builtin ``round``, which
+    ``np.round`` does not match for every value."""
+    return np.array([round(v, 4) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def _columns(cfg: SynthConfig, ability: np.ndarray, rows: tuple[list, ...]) -> list[np.ndarray]:
+    """Drawn rows (see ``_draw_list``) as the columns of a block, the
+    programs coded by every program key."""
+    dtypes = (np.int64,) * 4 + (bool, float, bool)
+    applicant, program, year, rank, exam_taken, normal, other = map(np.array, rows, dtypes)
+    raw = 20.0 + 8.0 * (0.85 * ability[applicant[exam_taken]] + 0.52 * normal[exam_taken])
+    exam_score = np.zeros(len(normal))
+    exam_score[exam_taken] = _rounded(np.maximum(0.0, raw))
+    other_points = np.where(other, cfg.other_points_value, 0.0)
+    return [applicant, program, year, rank, exam_taken, exam_score, other_points]
+
+
+def _block(
+    applicant_ids: tuple[str, ...], program_keys: list[str], columns: list[np.ndarray]
+) -> ApplicationBlock:
+    """A block of ``_columns`` output. Every applicant lists a program in
+    the base year, so the applicant vocabulary is every id; the program
+    vocabulary is the programs listed."""
+    applicant, program, *rest = columns
+    listed = np.flatnonzero(np.bincount(program, minlength=len(program_keys)))
+    code = np.zeros(len(program_keys), dtype=np.int64)
+    code[listed] = np.arange(len(listed))
+    keys = tuple(program_keys[j] for j in listed.tolist())
+    return ApplicationBlock(applicant_ids, keys, applicant, code[program], *rest)
 
 
 def generate_panel(cfg: SynthConfig) -> Panel:
@@ -245,39 +262,47 @@ def generate_panel(cfg: SynthConfig) -> Panel:
             quota=base_quota + (1 if i < extra else 0),
         )
     program_keys = sorted(programs)
+    field_code = {f: j for j, f in enumerate(fields)}
     sampler = _ListSampler.build(
-        cfg, program_keys, {p: programs[p].field for p in program_keys}
+        cfg, np.array([field_code[programs[p].field] for p in program_keys])
     )
 
-    abilities, grades = {}, {}
-    columns = tuple([] for _ in inspect.signature(ApplicationBlock.from_columns).parameters)
-    for i in range(cfg.n_applicants):
-        applicant_id = f"a{i:05d}"
-        ability = float(rng.standard_normal())
-        abilities[applicant_id] = ability
-        grades[applicant_id] = _draw_grades(rng, ability)
-        _applications_for_year(
-            rng, cfg, applicant_id, ability, cfg.base_year, sampler, fields, columns
-        )
-    applicant_ids = tuple(sorted(grades))
+    # Applicants are drawn in index order and coded by sorted id; from
+    # 100 000 applicants on the two orders differ.
+    drawn_ids = [f"a{i:05d}" for i in range(cfg.n_applicants)]
+    order = sorted(range(cfg.n_applicants), key=drawn_ids.__getitem__)
+    applicant_ids = tuple(drawn_ids[i] for i in order)
+    code = np.empty(cfg.n_applicants, dtype=np.int64)
+    code[order] = np.arange(cfg.n_applicants)
+
+    # Per applicant: the ability, then one normal per SUBJECTS entry.
+    normals = np.empty((cfg.n_applicants, 1 + len(SUBJECTS)))
+    rows = tuple([] for _ in range(7))
+    for applicant in code.tolist():
+        normals[applicant] = rng.standard_normal(1 + len(SUBJECTS))
+        _draw_list(rng, cfg, sampler, applicant, cfg.base_year, rows)
+    ability = normals[:, 0]
+    grades = 4.0 + 1.5 * (0.75 * ability[:, None] + 0.66 * normals[:, 1:])
     applicants = dict(
         applicant_ids=applicant_ids,
-        cohort_year=np.full(len(applicant_ids), cfg.base_year, dtype=np.int64),
+        cohort_year=np.full(cfg.n_applicants, cfg.base_year, dtype=np.int64),
         subjects=SUBJECTS,
-        grades=np.array([grades[a] for a in applicant_ids]),
+        grades=_rounded(np.maximum(0.0, grades)),
     )
+    base_columns = _columns(cfg, ability, rows)
 
     panel = Panel(
         **applicants,
         programs=programs,
-        applications=ApplicationBlock.from_columns(*columns),
+        applications=_block(applicant_ids, program_keys, base_columns),
         base_year=cfg.base_year,
         field_weights=field_weights,
         bonus_points=bonus_points,
     )
 
-    # Observed assignment: run the engine itself on the base-year lists.
-    base_apps = panel.base_applications
+    # Observed assignment: run the engine itself on the base-year lists,
+    # which are all the panel holds so far.
+    base_apps = panel.applications
     table = scoring.compute_score_table(panel, base_apps)
     quotas = {p: programs[p].quota for p in programs}
     instance = matching.build_instance(base_apps, table, quotas)
@@ -287,37 +312,36 @@ def generate_panel(cfg: SynthConfig) -> Panel:
     # row (read only where there is a seat); accept flags are drawn for
     # the holders in id order.
     held = seats.recoded(panel.applicant_ids)
-    rows = seat_rows(held, base_apps)
-    rank, exam = np.minimum(base_apps.listed_rank[rows], 4), base_apps.exam_taken[rows]
+    seat_row = seat_rows(held, base_apps)
+    rank, exam = np.minimum(base_apps.listed_rank[seat_row], 4), base_apps.exam_taken[seat_row]
     p_accept = cfg.accept_base - np.array((0.0, *cfg.accept_rank_penalty))[rank - 1]
     p_accept = p_accept - np.where(exam, 0.0, cfg.accept_no_exam_penalty)
-    accept = np.full(len(rows), -1, dtype=np.int8)
+    accept = np.full(len(seat_row), -1, dtype=np.int8)
     accept[held.holders] = rng.random(len(held.holders)) < p_accept[held.holders]
     observed = Assignment(held.applicant_ids, held.program_keys, held.seat, accept)
 
-    # Later-year re-application behavior.
+    # Later-year re-application behavior, drawn in id order.
     p_seated = cfg.reapply_assigned_base + np.array((0.0, *cfg.reapply_rank_bonus))[rank - 1]
     p_seated = p_seated + np.where(exam, 0.0, cfg.reapply_no_exam_bonus)
     p_reapply = np.where(held.seat < 0, cfg.reapply_unassigned, p_seated)
+    later = tuple([] for _ in range(7))
     year2_appliers = []
-    for applicant_id, p in zip(panel.applicant_ids, p_reapply.tolist()):
+    for applicant, p in enumerate(p_reapply.tolist()):
         if rng.random() < p:
-            year2_appliers.append(applicant_id)
-            _applications_for_year(
-                rng, cfg, applicant_id, abilities[applicant_id],
-                cfg.base_year + 1, sampler, fields, columns,
-            )
-    for applicant_id in year2_appliers:
+            year2_appliers.append(applicant)
+            _draw_list(rng, cfg, sampler, applicant, cfg.base_year + 1, later)
+    for applicant in year2_appliers:
         if rng.random() < cfg.reapply_third_year:
-            _applications_for_year(
-                rng, cfg, applicant_id, abilities[applicant_id],
-                cfg.base_year + 2, sampler, fields, columns,
-            )
+            _draw_list(rng, cfg, sampler, applicant, cfg.base_year + 2, later)
 
     panel = Panel(
         **applicants,
         programs=programs,
-        applications=ApplicationBlock.from_columns(*columns),
+        applications=_block(
+            applicant_ids,
+            program_keys,
+            list(map(np.concatenate, zip(base_columns, _columns(cfg, ability, later)))),
+        ),
         base_year=cfg.base_year,
         field_weights=field_weights,
         bonus_points=bonus_points,

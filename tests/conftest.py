@@ -62,13 +62,10 @@ def mk_panel(
 
 def build_scenario(panel, scenario_id):
     """The application block and score table one scenario is matched on,
-    read from the suite's result for it."""
-    from polyadmit.counterfactual import run_scenario_suite
-    from polyadmit.metrics import field_gpa_percentile_ranks
+    as the suite builds them."""
+    from polyadmit.counterfactual import scenario_tables
 
-    ranks = field_gpa_percentile_ranks(panel)
-    results = run_scenario_suite(panel, ranks, scenario_ids=[scenario_id])
-    (table,) = (r.table for r in results if r.scenario_id == scenario_id)
+    ((_, table),) = scenario_tables(panel, [scenario_id])
     return table.applications, table
 
 

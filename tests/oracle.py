@@ -21,7 +21,7 @@ from polyadmit import econometrics
 from polyadmit.econometrics import DesignSpec, RegressionResult
 from polyadmit.errors import InfeasibleAssignment, NoObservedAssignment, PolyadmitError
 from polyadmit.matching import MatchInstance, _grouped, find_blocking_pairs
-from polyadmit.model import ApplicationBlock, Assignment, Panel, assignment_violations
+from polyadmit.model import ApplicationBlock, Assignment, Panel, assignment_violations, encode
 from polyadmit.scoring import ScoreComponents, ScoreTable, compute_score_table
 
 
@@ -103,10 +103,25 @@ def same_assignment(assignment: Optional[Assignment], other: Optional[Assignment
     return (assignment.seat_of, accepted_of(assignment)) == (other.seat_of, accepted_of(other))
 
 
+def block_from_columns(
+    applicant_id, program_key, year, listed_rank, exam_taken, exam_score, other_points
+) -> ApplicationBlock:
+    """A block from one list of Python values per column, the ids and keys
+    encoded into their sorted distinct values."""
+    applicant_ids, applicant = encode(applicant_id)
+    program_keys, program = encode(program_key)
+    return ApplicationBlock(
+        applicant_ids, program_keys, applicant, program,
+        np.array(year, dtype=np.int64), np.array(listed_rank, dtype=np.int64),
+        np.array(exam_taken, dtype=bool), np.array(exam_score, dtype=float),
+        np.array(other_points, dtype=float),
+    )
+
+
 def block_of(applications: Sequence[Application]) -> ApplicationBlock:
     """The records as one block, row for row; an empty list gives an
     empty block."""
-    return ApplicationBlock.from_columns(
+    return block_from_columns(
         *([getattr(a, f.name) for a in applications] for f in dataclasses.fields(Application))
     )
 

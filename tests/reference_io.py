@@ -22,10 +22,8 @@ from polyadmit.io_csv import (
     OBSERVED_ASSIGNMENT_CSV, PROGRAM_NAMES, PROGRAMS_CSV, REQUIRED_COLUMNS, _applicant_id,
     _field_label, _grade, _observed_seat, _parse_bool, _parse_float, _parse_int, _program_key,
 )
-from oracle import Applicant
-from polyadmit.model import (
-    ApplicationBlock, Assignment, Panel, Program, encode, recode, validate_panel,
-)
+from oracle import Applicant, block_from_columns
+from polyadmit.model import Assignment, Panel, Program, encode, recode, validate_panel
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ def load_panel(directory: str | Path) -> Panel:
     }
 
     table = read_table(directory, APPLICATIONS_CSV)
-    applications = ApplicationBlock.from_columns(
+    applications = block_from_columns(
         *table.parse(
             (_applicant_id, "applicant_id"), (_program_key, PROGRAM_NAMES),
             (_parse_int, "year"), (_parse_int, "listed_rank"), (_parse_bool, "exam_taken"),

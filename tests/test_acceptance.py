@@ -71,7 +71,7 @@ def instance_corpus():
 def suite_results(default_panel):
     rank_table = metrics.field_gpa_percentile_ranks(default_panel)
     return {
-        r.scenario_id: r for r in counterfactual.run_scenario_suite(default_panel, rank_table)
+        r.scenario_id: r for r in counterfactual.run_scenario_suite(default_panel, rank_table)[0]
     }
 
 

@@ -1,16 +1,20 @@
+import weakref
+
 import pytest
 
 from conftest import build_scenario, mk_app, mk_panel, mk_program
-from oracle import assignment_of, block_of, records, score_rows
+from oracle import assignment_of, records, score_rows
+from polyadmit import counterfactual, scoring
 from polyadmit.counterfactual import (
     SCENARIO_IDS,
     extend_application_lists,
     run_scenario_suite,
+    scenario_tables,
 )
 from polyadmit.errors import UnknownScenario
 from polyadmit.matching import find_blocking_pairs, build_instance
 from polyadmit.metrics import field_gpa_percentile_ranks
-from polyadmit.model import assignment_violations
+from polyadmit.model import Panel, assignment_violations
 from polyadmit.scoring import compute_score_table
 
 
@@ -102,7 +106,7 @@ class TestBuildScenario:
             mk_app("y", "p::b", 2),
         ]
         panel = mk_panel(programs, apps, grades={"x": {"math": 5.0}, "y": {"math": 7.0}})
-        results = run_scenario_suite(
+        results, _ = run_scenario_suite(
             panel, field_gpa_percentile_ranks(panel), scenario_ids=("S1", "S3")
         )
         s1, s3 = (r.assignment for r in results)
@@ -144,27 +148,69 @@ class TestBuildScenario:
 
 class TestScenarioSuite:
     def test_s1_row_is_zero(self, small_panel):
-        results = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel))
+        results, _ = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel))
         s1 = next(r for r in results if r.scenario_id == "S1")
         assert s1.diff_vs_baseline.differently_assigned_count == 0
         assert s1.rank_improvement == 0.0
 
     def test_every_scenario_assignment_is_stable(self, small_panel):
         quotas = {k: p.quota for k, p in small_panel.programs.items()}
-        results = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel))
+        results, _ = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel))
         assert tuple(r.scenario_id for r in results) == SCENARIO_IDS
-        for result in results:
-            apps, table = build_scenario(small_panel, result.scenario_id)
-            assert score_rows(result.table) == score_rows(table)
-            instance = build_instance(apps, table, quotas)
-            assert find_blocking_pairs(instance, result.assignment) == []
-            assert assignment_violations(small_panel, apps, result.assignment) == []
+        by_id = {r.scenario_id: r for r in results}
+        for scenario_id, table in scenario_tables(small_panel, SCENARIO_IDS):
+            instance = build_instance(table.applications, table, quotas)
+            assignment = by_id[scenario_id].assignment
+            assert find_blocking_pairs(instance, assignment) == []
+            assert assignment_violations(small_panel, table.applications, assignment) == []
 
     def test_extended_scenarios_report_longer_lists(self, small_panel):
         rank_table = field_gpa_percentile_ranks(small_panel)
-        results = {r.scenario_id: r for r in run_scenario_suite(small_panel, rank_table)}
+        results = {r.scenario_id: r for r in run_scenario_suite(small_panel, rank_table)[0]}
         for orig, ext in (("S1", "S2"), ("S3", "S4"), ("S5", "S6")):
             assert results[ext].applications_per_applicant >= results[orig].applications_per_applicant
+
+    def test_one_list_variant_is_held_at_a_time(self, small_panel, monkeypatch):
+        rank_table = field_gpa_percentile_ranks(small_panel)
+        built = []  # a weak reference to every block and table the suite builds
+        alive_when_extending = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                result = fn(*args)
+                built.append(weakref.ref(result))
+                return result
+
+            return wrapper
+
+        def alive():
+            return [i for i, ref in enumerate(built) if ref() is not None]
+
+        transforms = ("remove_first_choice_points", "propagate_entrance_exams")
+        for name in ("compute_score_table",) + transforms:
+            monkeypatch.setattr(scoring, name, recorded(getattr(scoring, name)))
+        extend = recorded(counterfactual.extend_application_lists)
+
+        def extend_and_record(panel):
+            alive_when_extending.append(alive())
+            return extend(panel)
+
+        monkeypatch.setattr(counterfactual, "extend_application_lists", extend_and_record)
+        monkeypatch.setattr(
+            Panel, "base_applications", property(recorded(Panel.base_applications.fget))
+        )
+
+        results, base_table = run_scenario_suite(small_panel, rank_table)
+        # base block, S1, S3, S5 tables, then the extended block, S2, S4, S6 tables
+        assert len(built) == 8
+        assert (built[0](), built[1]()) == (base_table.applications, base_table)
+        assert alive_when_extending == [[0, 1]]
+        assert alive() == [0, 1]
+        assert len(results) == len(SCENARIO_IDS)
+
+    def test_scenario_tables_come_one_list_variant_at_a_time(self, small_panel):
+        order = [scenario_id for scenario_id, _ in scenario_tables(small_panel, SCENARIO_IDS)]
+        assert order == ["S1", "S3", "S5", "S2", "S4", "S6"]
 
     def test_published_suite_renders(self, tmp_path):
         # report-format fixture using the published six-row suite
@@ -187,7 +233,6 @@ class TestScenarioSuite:
                 applications_per_applicant=apps,
                 diff_vs_baseline=AssignmentDiff(0, share),
                 rank_improvement=imp,
-                table=compute_score_table(mk_panel([], []), block_of([])),
             )
             for sid, apps, share, imp in published
         ]

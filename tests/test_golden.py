@@ -1,8 +1,11 @@
 """Golden report digests: every file of a ``--synth default`` run, pinned
 by SHA-256 for two seeds, so a refactor that changes any output byte fails
-here before it reaches a comparison run."""
+here before it reaches a comparison run; and the benchmark's input panels,
+pinned by the digests the benchmark ships."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +109,19 @@ def test_input_reports_match_golden_digests(paper_shaped_input, tmp_path, robust
     if robust:
         expected["table5.csv"] = INPUT_ROBUST_TABLE5
     assert tree_digests(out) == expected
+
+
+# The benchmark's paper-match inputs (the paper's counts divided by eight),
+# whose tree digests perfbench/reference.json ships: the benchmark refuses
+# to run when the generator stops producing these bytes.
+BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
+BENCH_PAPER_PANEL = dict(n_applicants=6362, n_programs=55, seats_total=2082)
+
+
+@pytest.mark.parametrize("seed", [42, 2024])
+def test_benchmark_inputs_match_shipped_digests(tmp_path, seed):
+    shipped = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))["inputs"][str(seed)]
+    cfg = synth.SynthConfig(seed=seed, **BENCH_PAPER_PANEL)
+    io_csv.save_panel(synth.generate_panel(cfg), tmp_path)
+    lines = "".join(f"{name} {digest}\n" for name, digest in sorted(tree_digests(tmp_path).items()))
+    assert hashlib.sha256(lines.encode()).hexdigest() == shipped

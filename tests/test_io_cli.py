@@ -503,6 +503,23 @@ class TestRun:
         assert proc.stdout.split() == ["0", "False"], proc.stderr
         assert (out / "table5.csv").exists()
 
+    def test_no_run_imports_numpy_ma(self, small_config_json, small_panel, tmp_path):
+        save_panel(small_panel, tmp_path / "panel")
+        runs = [
+            ["--synth", str(small_config_json), "--out", str(tmp_path / "synth")],
+            ["--input", str(tmp_path / "panel"), "--out", str(tmp_path / "input")],
+        ]
+        code = (
+            "import sys\n"
+            "from polyadmit import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    print(cli.main(argv), 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.stdout.split() == ["0", "False", "0", "False"], proc.stderr
+
 
 @pytest.fixture(scope="module")
 def saved_cells(small_panel, tmp_path_factory):

@@ -1,12 +1,16 @@
 import bisect
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_synth
 from oracle import infer_quotas_from_observed, records, replicate_assignment, same_panel
 from polyadmit import matching, synth
 from polyadmit.errors import InvalidConfig
-from polyadmit.model import validate_panel
+from polyadmit.model import ApplicationBlock, validate_panel
 from polyadmit.synth import SynthConfig, calibration_report, generate_panel
 
 
@@ -19,6 +23,58 @@ class TestDeterminism:
         cfg1 = SynthConfig(n_applicants=200, n_programs=8, n_fields=4, seats_total=60, seed=5)
         cfg2 = SynthConfig(n_applicants=200, n_programs=8, n_fields=4, seats_total=60, seed=6)
         assert not same_panel(generate_panel(cfg1), generate_panel(cfg2))
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs over the shapes the generator branches on: 1-4
+    fields, fewer programs than the longest list, list lengths that
+    never occur, exam probabilities for fewer or more than 4 ranks, and
+    no seats at all."""
+    n_fields = draw(st.integers(1, 4))
+    n_applicants = draw(st.integers(1, 60))
+    weights = draw(
+        st.lists(st.sampled_from((0.0, 1.0, 2.0, 5.0)), min_size=1, max_size=4).filter(any)
+    )
+    return SynthConfig(
+        n_applicants=n_applicants,
+        n_programs=draw(st.integers(n_fields, 7)),
+        n_fields=n_fields,
+        seats_total=draw(st.one_of(st.just(0), st.integers(0, n_applicants))),
+        list_length_probs=tuple(w / sum(weights) for w in weights),
+        exam_prob_by_rank=tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def assert_same_bytes(panel, other):
+    """``same_panel``, and every column of the applicants, the application
+    block and the observed assignment equal in dtype and bytes."""
+    assert same_panel(panel, other)
+    block_columns = [f.name for f in dataclasses.fields(ApplicationBlock)[2:]]
+    for x, y, columns in (
+        (panel, other, ["grades", "cohort_year"]),
+        (panel.applications, other.applications, block_columns),
+        (panel.observed_assignment, other.observed_assignment, ["seat", "accept"]),
+    ):
+        for vocabulary in ("applicant_ids", "program_keys"):
+            assert getattr(x, vocabulary, None) == getattr(y, vocabulary, None)
+        for name in columns:
+            a, b = getattr(x, name), getattr(y, name)
+            assert (name, a.dtype, a.tobytes()) == (name, b.dtype, b.tobytes())
+
+
+class TestReferenceGenerator:
+    """``generate_panel`` draws the row-by-row reference's panel from the
+    same random stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_configs())
+    def test_matches_row_by_row_reference(self, cfg):
+        assert_same_bytes(generate_panel(cfg), reference_synth.generate_panel(cfg))
+
+    def test_default_config_matches_reference(self, default_panel):
+        assert_same_bytes(default_panel, reference_synth.generate_panel(SynthConfig()))
 
 
 class TestValidity:
