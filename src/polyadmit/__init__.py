@@ -5,7 +5,6 @@ suites, selection-quality diagnostics, and linear probability models."""
 from .model import (
     Assignment,
     Panel,
-    Program,
     canonical_program_key,
     validate_panel,
 )
@@ -13,7 +12,6 @@ from .model import (
 __all__ = [
     "Assignment",
     "Panel",
-    "Program",
     "canonical_program_key",
     "validate_panel",
 ]

@@ -160,9 +160,8 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory:
         )
 
     if "figure1" in wanted:
-        program_field = {p: prog.field for p, prog in panel.programs.items()}
         hist = {
-            s: metrics.assigned_rank_histogram(rank_table, by_id[s].assignment, program_field)
+            s: metrics.assigned_rank_histogram(rank_table, by_id[s].assignment)
             for s in scenario_ids
         }
         panels = {"1": hist["S1"]}  # then each other scenario's net change, S2 as "2"

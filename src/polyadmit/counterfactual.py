@@ -128,7 +128,7 @@ def run_scenario_suite(
     admits up to its own quota. ``rank_table`` is
     ``metrics.field_gpa_percentile_ranks(panel)``.
     """
-    quotas = {p: prog.quota for p, prog in panel.programs.items()}
+    quotas = dict(zip(panel.program_keys, panel.quota.tolist()))
     assignments, listed = {}, {}
     for scenario_id, table in scenario_tables(panel, set(scenario_ids) | {"S1"}):
         if scenario_id == "S1":
@@ -140,7 +140,6 @@ def run_scenario_suite(
         listed[scenario_id] = len(table.applications)
         del table, instance  # else they live on while the next list variant is built
 
-    program_field = {p: prog.field for p, prog in panel.programs.items()}
     universe = base_table.applications.distinct_applicants()
     baseline = assignments["S1"]
     results = []
@@ -148,9 +147,7 @@ def run_scenario_suite(
         assignment = assignments[scenario_id]
         diff = matching.compare_assignments(baseline, assignment, universe)
         if len(baseline.holders) and len(assignment.holders):
-            improvement = metrics.mean_rank_improvement(
-                rank_table, baseline, assignment, program_field
-            )
+            improvement = metrics.mean_rank_improvement(rank_table, baseline, assignment)
         else:
             improvement = 0.0
         results.append(

@@ -131,10 +131,8 @@ def _admit_columns(
     # The total less the exam, then less the bonus: the adjusted score.
     adjusted = table.totals[rows] - table.exam[rows] - table.bonus[rows]
     rank = apps.listed_rank[rows]
-    dummy_fields = sorted(panel.field_weights)[1:]  # first field is the reference category
-    dummy_of = {f: j for j, f in enumerate(dummy_fields)}
-    program_dummy = np.array([dummy_of.get(panel.field_of(p), -1) for p in apps.program_keys])
-    dummy = program_dummy[apps.program[rows]]
+    dummy_fields = panel.fields[1:]  # first field is the reference category
+    dummy = panel.field_codes(apps.program_keys)[apps.program[rows]] - 1
     dummies = (dummy[:, None] == np.arange(len(dummy_fields))).astype(float)
     X = np.column_stack(
         [

@@ -20,9 +20,9 @@ from .model import (
     ApplicationBlock,
     Assignment,
     Panel,
-    Program,
     encode,
     canonical_program_key,
+    positions,
     recode,
     validate_panel,
 )
@@ -315,12 +315,12 @@ def load_panel(directory: str | Path) -> Panel:
     ))
     duplicates += _repeats(directory / PROGRAMS_CSV, "program", *keys.encoded())
     names = map(keys.texts.__getitem__, keys.codes.tolist())
-    programs = {
-        key: Program(key, polytechnic.strip(), program.strip(), field_label, quota)
-        for key, (polytechnic, program), field_label, quota in zip(
-            keys.rows(), names, fields.rows(), quotas.rows()
-        )
-    }
+    programs = (  # in the file's row order
+        tuple(keys.rows()),
+        tuple((polytechnic.strip(), program.strip()) for polytechnic, program in names),
+        tuple(fields.rows()),
+        quotas.column(np.int64),
+    )
 
     ids, keys, year, rank, taken, exam_score, other_points = _read(
         directory, APPLICATIONS_CSV, lambda header: (
@@ -375,7 +375,7 @@ def load_panel(directory: str | Path) -> Panel:
     years = applications.year if len(applications) else cohort_year
     base_year = int(years.min()) if len(years) else 0
     panel = Panel(
-        applicant_ids, cohort_year, subjects, grades, programs, applications, base_year,
+        applicant_ids, cohort_year, subjects, grades, *programs, applications, base_year,
         field_weights, bonus_points, observed,
     )
     return validate_panel(panel, applicant_order=row)
@@ -405,16 +405,17 @@ def save_panel(panel: Panel, directory: str | Path) -> None:
             )
         ),
     )
+    quota = panel.quota.tolist()
     _write_csv(
         directory / PROGRAMS_CSV,
         REQUIRED_COLUMNS[PROGRAMS_CSV],
         (
-            [p.polytechnic_name, p.program_name, p.field, str(p.quota)]
-            for p in (panel.programs[k] for k in sorted(panel.programs))
+            [*panel.program_names[i], panel.program_field[i], str(quota[i])]
+            for i in sorted(range(len(quota)), key=panel.program_keys.__getitem__)
         ),
     )
     apps = panel.applications
-    names = {key: (p.polytechnic_name, p.program_name) for key, p in panel.programs.items()}
+    names = dict(zip(panel.program_keys, panel.program_names))
     order = np.lexsort((apps.listed_rank, apps.applicant, apps.year))  # codes sort as ids do
     _write_csv(
         directory / APPLICATIONS_CSV,
@@ -458,8 +459,8 @@ def write_assignment_csv(
     unassigned, accepted flag empty when unknown."""
 
     held = assignment.recoded(universe)
-    programs = (panel.programs[p] for p in assignment.program_keys)
-    names = [(p.polytechnic_name, p.program_name) for p in programs] + [("", "")]  # -1 last
+    at = positions(assignment.program_keys, panel.program_keys).tolist()
+    names = [panel.program_names[i] for i in at] + [("", "")]  # -1 last
     flag = np.array(["false", "true", ""])[np.where(held.seat >= 0, held.accept, -1)]
     columns = np.array(names, dtype=object)[held.seat].T.tolist() + [flag.tolist()]
     _write_csv(Path(path), REQUIRED_COLUMNS[OBSERVED_ASSIGNMENT_CSV], zip(universe, *columns))

@@ -4,14 +4,13 @@ histograms."""
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BinMismatch, EmptyAssignment
-from .model import Assignment, Panel, recode
+from .model import MAX_LISTED_RANK, Assignment, Panel, positions, recode
 from .scoring import ScoreTable, weighted_gpa_matrix
 
 N_BINS = 100
@@ -40,36 +39,26 @@ def _midpoint_percentiles(values: Sequence[float]) -> list[float]:
 @dataclass(frozen=True, eq=False)
 class RankTable:
     """GPA percentile ranks in [0, 100], higher = better GPA: one row per
-    ``applicant_ids`` entry and one column per ``fields`` entry."""
+    ``applicant_ids`` entry and one column per ``fields`` entry, and the
+    code of each ``program_keys`` entry's field: its column."""
 
     applicant_ids: tuple[str, ...]
     fields: tuple[str, ...]
     ranks: np.ndarray
-
-    @functools.cached_property
-    def row_of(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.applicant_ids)}
-
-    def __getitem__(self, key: tuple[str, str]) -> float:
-        """The rank of ``(applicant_id, field)``."""
-        applicant_id, field_label = key
-        if field_label not in self.fields:
-            raise KeyError(key)
-        return float(self.ranks[self.row_of[applicant_id], self.fields.index(field_label)])
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The rank matrix, so that ``np.asarray(table)`` reads it."""
-        return np.array(self.ranks, dtype=dtype, copy=copy)
+    program_keys: tuple[str, ...]
+    field_code: np.ndarray
 
 
 def field_gpa_percentile_ranks(panel: Panel) -> RankTable:
     """Rank every panel applicant by field-weighted GPA, per field."""
-    fields = tuple(sorted(panel.field_weights))
-    gpa = weighted_gpa_matrix(panel, fields)
+    gpa = weighted_gpa_matrix(panel)
     ranks = np.empty_like(gpa)
-    for j in range(len(fields)):
+    for j in range(len(panel.fields)):
         ranks[:, j] = _midpoint_percentiles(gpa[:, j])
-    return RankTable(panel.applicant_ids, fields, ranks)
+    return RankTable(
+        panel.applicant_ids, panel.fields, ranks,
+        panel.program_keys, panel.field_codes(panel.program_keys),
+    )
 
 
 @dataclass(frozen=True)
@@ -134,12 +123,12 @@ class RankStatsRow:
 
 
 def application_rank_stats(panel: Panel, assignment: Assignment) -> list[RankStatsRow]:
-    """Per listed rank 1..4: application count, exam participation, and the
-    share admitted to that program."""
+    """Per listed rank 1..``MAX_LISTED_RANK``: application count, exam
+    participation, and the share admitted to that program."""
     rows = []
     base = panel.base_applications
     admitted_rows = base.holds_seat(assignment)
-    for rank in range(1, 5):
+    for rank in range(1, MAX_LISTED_RANK + 1):
         listed = base.listed_rank == rank
         n = int(np.count_nonzero(listed))
         exams = int(np.count_nonzero(base.exam_taken[listed]))
@@ -163,27 +152,22 @@ class Histogram100:
     bins: tuple[float, ...]
 
 
-def assigned_rank_histogram(
-    rank_table: RankTable, assignment: Assignment, program_field: Mapping[str, str]
-) -> Histogram100:
+def assigned_rank_histogram(rank_table: RankTable, assignment: Assignment) -> Histogram100:
     """Bin assigned applicants by their GPA rank at the assigned program's
     field."""
-    ranks = _admit_ranks(rank_table, assignment, program_field)
+    ranks = _admit_ranks(rank_table, assignment)
     bins = np.bincount(np.minimum(ranks.astype(np.int64), N_BINS - 1), minlength=N_BINS)
     return Histogram100(bins=tuple(bins.astype(float).tolist()))
 
 
-def _admit_ranks(
-    rank_table: RankTable, assignment: Assignment, program_field: Mapping[str, str]
-) -> np.ndarray:
+def _admit_ranks(rank_table: RankTable, assignment: Assignment) -> np.ndarray:
     """Each admit's GPA rank at their program's field, in seat order."""
     holders = assignment.holders
     rows = recode(assignment.applicant_ids, rank_table.applicant_ids)[holders]
     if (rows < 0).any():
         raise KeyError("an admit has no row in the rank table")
-    column = {f: j for j, f in enumerate(rank_table.fields)}
-    columns = [column[program_field[p]] for p in assignment.program_keys]
-    return rank_table.ranks[rows, np.array(columns, dtype=np.intp)[assignment.seat[holders]]]
+    column = rank_table.field_code[positions(assignment.program_keys, rank_table.program_keys)]
+    return rank_table.ranks[rows, column[assignment.seat[holders]]]
 
 
 def net_change_histogram(base: Histogram100, cf: Histogram100) -> Histogram100:
@@ -192,19 +176,14 @@ def net_change_histogram(base: Histogram100, cf: Histogram100) -> Histogram100:
     return Histogram100(bins=tuple(c - b for b, c in zip(base.bins, cf.bins)))
 
 
-def mean_rank_improvement(
-    rank_table: RankTable,
-    base: Assignment,
-    cf: Assignment,
-    program_field: Mapping[str, str],
-) -> float:
+def mean_rank_improvement(rank_table: RankTable, base: Assignment, cf: Assignment) -> float:
     """Mean assigned-field GPA rank of counterfactual admits minus that of
     baseline admits, in percentile points."""
 
     def mean_rank(assignment: Assignment) -> float:
         if not len(assignment.holders):
             raise EmptyAssignment("assignment has no admits")
-        ranks = _admit_ranks(rank_table, assignment, program_field)
+        ranks = _admit_ranks(rank_table, assignment)
         return float(np.cumsum(ranks)[-1]) / len(ranks)  # added one by one, in seat order
 
     return mean_rank(cf) - mean_rank(base)

@@ -36,21 +36,20 @@ def canonical_program_key(polytechnic_name: str, program_name: str) -> str:
     return f"{poly}::{prog}"
 
 
-@dataclass(frozen=True)
-class Program:
-    program_key: str
-    polytechnic_name: str
-    program_name: str
-    field: str
-    quota: int
-
-
 def recode(ids: Sequence[str], into: Sequence[str]) -> np.ndarray:
     """Position in ``into`` of each of ``ids``, -1 where absent."""
     if ids is into or tuple(ids) == tuple(into):
         return np.arange(len(ids))
     index = {x: i for i, x in enumerate(into)}
     return np.array([index.get(x, -1) for x in ids], dtype=np.intp)
+
+
+def positions(ids: Sequence[str], into: Sequence[str]) -> np.ndarray:
+    """Position in ``into`` of each of ``ids``; KeyError for one not there."""
+    at = recode(ids, into)
+    if (at < 0).any():
+        raise KeyError(ids[int(np.argmin(at))])
+    return at
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,14 +177,19 @@ class Panel:
     """One three-year panel. Applicants are columns: the sorted
     ``applicant_ids``, each one's ``cohort_year``, and a ``grades`` matrix
     with one row per id and one column per ``subjects`` entry, NaN where a
-    grade is missing. ``applications`` holds the applications of all three
-    years as one ``ApplicationBlock``."""
+    grade is missing. Programs are columns too, in the order given: each
+    one's key, (polytechnic, program) names, field label and quota.
+    ``applications`` holds the applications of all three years as one
+    ``ApplicationBlock``."""
 
     applicant_ids: tuple[str, ...]
     cohort_year: np.ndarray
     subjects: tuple[str, ...]
     grades: np.ndarray
-    programs: Mapping[str, Program]
+    program_keys: tuple[str, ...]
+    program_names: tuple[tuple[str, str], ...]
+    program_field: tuple[str, ...]
+    quota: np.ndarray
     applications: ApplicationBlock
     base_year: int
     field_weights: Mapping[str, Mapping[str, float]]
@@ -201,17 +205,29 @@ class Panel:
         apps = self.applications
         return apps.take(np.flatnonzero(apps.year == self.base_year))
 
-    def field_of(self, program_key: str) -> str:
-        return self.programs[program_key].field
+    @property
+    def fields(self) -> tuple[str, ...]:
+        """The fields with weights, sorted: a field's code is its position here."""
+        return tuple(sorted(self.field_weights))
+
+    def field_codes(self, program_keys: Sequence[str]) -> np.ndarray:
+        """The code of the field of each of ``program_keys``; KeyError for a
+        key that is not a panel program, or a field without weights."""
+        code = {f: j for j, f in enumerate(self.fields)}
+        at = positions(program_keys, self.program_keys).tolist()
+        return np.array([code[self.program_field[i]] for i in at], dtype=np.intp)
 
     def weighted_gpa(self, applicant_id: str, field_label: str) -> float:
-        """Field-weighted matriculation GPA; missing subjects count as zero."""
+        """Field-weighted matriculation GPA; missing subjects count as zero.
+        Adds left to right in ``field_weights`` order, starting from zero."""
         row = bisect.bisect_left(self.applicant_ids, applicant_id)
         if self.applicant_ids[row : row + 1] != (applicant_id,):
             raise KeyError(applicant_id)
         grades = {s: g for s, g in zip(self.subjects, self.grades[row].tolist()) if not np.isnan(g)}
-        weights = self.field_weights[field_label]
-        return sum(w * grades.get(subject, 0.0) for subject, w in weights.items())
+        total = 0.0
+        for subject, weight in self.field_weights[field_label].items():
+            total += weight * grades.get(subject, 0.0)
+        return total
 
 
 def validate_panel(panel: Panel, applicant_order: Optional[np.ndarray] = None) -> Panel:
@@ -231,24 +247,22 @@ def validate_panel(panel: Panel, applicant_order: Optional[np.ndarray] = None) -
             for j in np.flatnonzero(negative[i]).tolist()
         )
 
-    for program_key, program in panel.programs.items():
-        if program_key != program.program_key:
-            problems.append(f"DuplicateId: program map key {program_key!r} != record key")
-        if program.quota < 0:
-            problems.append(f"QuotaNegative: program {program_key!r} quota {program.quota}")
-        expected = canonical_program_key(program.polytechnic_name, program.program_name)
-        if program.program_key != expected:
-            problems.append(
-                f"NonCanonicalKey: program {program_key!r} expected {expected!r}"
-            )
-        if program.field not in panel.field_weights:
-            problems.append(f"MissingFieldWeights: field {program.field!r} of {program_key!r}")
-        if program.field not in panel.bonus_points:
-            problems.append(f"MissingBonusPoints: field {program.field!r} of {program_key!r}")
+    for program_key, names, field_label, quota in zip(
+        panel.program_keys, panel.program_names, panel.program_field, panel.quota.tolist()
+    ):
+        if quota < 0:
+            problems.append(f"QuotaNegative: program {program_key!r} quota {quota}")
+        expected = canonical_program_key(*names)
+        if program_key != expected:
+            problems.append(f"NonCanonicalKey: program {program_key!r} expected {expected!r}")
+        if field_label not in panel.field_weights:
+            problems.append(f"MissingFieldWeights: field {field_label!r} of {program_key!r}")
+        if field_label not in panel.bonus_points:
+            problems.append(f"MissingBonusPoints: field {field_label!r} of {program_key!r}")
 
     apps = panel.applications
     unknown_applicant = recode(apps.applicant_ids, panel.applicant_ids) < 0
-    unknown_program = np.array([p not in panel.programs for p in apps.program_keys], dtype=bool)
+    unknown_program = recode(apps.program_keys, panel.program_keys) < 0
     row_checks = (
         (unknown_applicant[apps.applicant], "DanglingForeignKey: {}: unknown applicant"),
         (unknown_program[apps.program], "DanglingForeignKey: {}: unknown program"),
@@ -331,19 +345,16 @@ def assignment_violations(
     for i in np.flatnonzero(seat_rows(assignment, applications) == -2).tolist():
         problems.append(f"SeatWithoutApplication: ({ids[i]!r}, {keys[seat[i]]!r})")
     fill = np.bincount(seat[assignment.holders], minlength=len(keys)).tolist()
-    programs = [panel.programs.get(p) for p in keys]
-    flagged = [
-        j for j, n in enumerate(fill) if n and (programs[j] is None or n > programs[j].quota)
-    ]
+    quotas = panel.quota.tolist()
+    quota = [quotas[r] if r >= 0 else None for r in recode(keys, panel.program_keys).tolist()]
+    flagged = [j for j, n in enumerate(fill) if n and (quota[j] is None or n > quota[j])]
     # programs in the order of their first holder by id
     first = {j: min(map(ids.__getitem__, np.flatnonzero(seat == j).tolist())) for j in flagged}
     for j in sorted(flagged, key=first.__getitem__):
-        if programs[j] is None:
+        if quota[j] is None:
             problems.append(f"DanglingForeignKey: assigned program {keys[j]!r}")
         else:
-            problems.append(
-                f"QuotaExceeded: program {keys[j]!r} holds {fill[j]} > {programs[j].quota}"
-            )
+            problems.append(f"QuotaExceeded: program {keys[j]!r} holds {fill[j]} > {quota[j]}")
     for i in np.flatnonzero((assignment.accept >= 0) & (seat < 0)).tolist():
         problems.append(f"AcceptFlagWithoutSeat: {ids[i]!r}")
     return problems

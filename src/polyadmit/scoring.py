@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -82,33 +82,23 @@ class ScoreTable:
         )
 
 
-def weighted_gpa_matrix(panel: Panel, fields: Sequence[str]) -> np.ndarray:
+def weighted_gpa_matrix(panel: Panel) -> np.ndarray:
     """Field-weighted matriculation GPA, one row per ``panel.applicant_ids``
-    entry and one column per field; missing subjects count as zero.
+    entry and one column per ``panel.fields`` entry; missing subjects count
+    as zero.
 
     Each column adds ``weight * grade`` over the field's graded subjects in
     ``field_weights`` order, starting from zero, so every value equals
     ``Panel.weighted_gpa`` bit for bit.
     """
     subject_col = {s: j for j, s in enumerate(panel.subjects)}
-    gpa = np.zeros((len(panel.applicant_ids), len(fields)))
-    for j, field_label in enumerate(fields):
+    gpa = np.zeros((len(panel.applicant_ids), len(panel.fields)))
+    for j, field_label in enumerate(panel.fields):
         for subject, weight in panel.field_weights[field_label].items():
             if subject in subject_col:
                 grade = panel.grades[:, subject_col[subject]]
                 gpa[:, j] += weight * np.where(np.isnan(grade), 0.0, grade)
     return gpa
-
-
-def _program_fields(panel: Panel, block: ApplicationBlock) -> tuple[list[str], np.ndarray]:
-    """The sorted fields of the programs ``block`` lists, and the code of
-    each ``block.program_keys`` entry's field among them."""
-    listed = np.flatnonzero(np.bincount(block.program, minlength=len(block.program_keys))).tolist()
-    fields = sorted({panel.programs[block.program_keys[p]].field for p in listed})
-    code = {f: j for j, f in enumerate(fields)}
-    field_of = np.zeros(len(block.program_keys), dtype=np.intp)
-    field_of[listed] = [code[panel.programs[block.program_keys[p]].field] for p in listed]
-    return fields, field_of
 
 
 def compute_score_table(panel: Panel, applications: ApplicationBlock) -> ScoreTable:
@@ -118,15 +108,15 @@ def compute_score_table(panel: Panel, applications: ApplicationBlock) -> ScoreTa
     grades (missing subjects count as zero); the bonus applies only to the
     first listed program of each list.
     """
-    fields, field_of = _program_fields(panel, applications)
-    field_code = field_of[applications.program]
+    field_code = panel.field_codes(applications.program_keys)[applications.program]
     applicant_row = recode(applications.applicant_ids, panel.applicant_ids)
     if (applicant_row < 0).any():
         raise KeyError(f"applicants not in the panel: {applications.distinct_applicants()[:5]}")
-    bonus = np.array([panel.bonus_points[f] for f in fields], dtype=float)
+    # NaN only for a field no program of a valid panel has
+    bonus = np.array([panel.bonus_points.get(f, np.nan) for f in panel.fields])
     return ScoreTable(
         applications,
-        gpa=weighted_gpa_matrix(panel, fields)[applicant_row[applications.applicant], field_code],
+        gpa=weighted_gpa_matrix(panel)[applicant_row[applications.applicant], field_code],
         exam=np.where(applications.exam_taken, applications.exam_score, 0.0),
         bonus=np.where(applications.listed_rank == 1, bonus[field_code], 0.0),
         other=applications.other_points.astype(float),
@@ -153,11 +143,10 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     same scores.
     """
     apps, block = panel.applications, table.applications
-    fields, field_of = _program_fields(panel, apps)
-    code = {f: j for j, f in enumerate(fields)}
+    n_fields, field_code = len(panel.fields), panel.field_codes(apps.program_keys)
     # one slot per (applicant, field), applicants coded by the panel's block
     taken = np.flatnonzero(apps.exam_taken)
-    slot = apps.applicant[taken] * len(fields) + field_of[apps.program[taken]]
+    slot = apps.applicant[taken] * n_fields + field_code[apps.program[taken]]
     order = np.lexsort((apps.program[taken], apps.listed_rank[taken], apps.year[taken], slot))
     slot = slot[order]
     first = np.ones(len(slot), dtype=bool)
@@ -166,11 +155,9 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     slots = np.append(slot[first], np.iinfo(np.int64).max)  # the end never matches
 
     rows = np.flatnonzero(~table.exam_taken)
-    row_field = np.array(
-        [code.get(panel.programs[p].field, -1) for p in block.program_keys], dtype=np.intp
-    )[block.program[rows]]
+    row_field = panel.field_codes(block.program_keys)[block.program[rows]]
     wanted = recode(block.applicant_ids, apps.applicant_ids)[block.applicant[rows]]
-    wanted = np.where((wanted < 0) | (row_field < 0), -1, wanted * len(fields) + row_field)
+    wanted = np.where(wanted < 0, -1, wanted * n_fields + row_field)
     at = np.searchsorted(slots, wanted)
     found = slots[at] == wanted
     exam = table.exam.copy()

@@ -17,10 +17,10 @@ import numpy as np
 from . import matching, metrics, scoring
 from .errors import InvalidConfig
 from .model import (
+    MAX_LISTED_RANK,
     ApplicationBlock,
     Assignment,
     Panel,
-    Program,
     canonical_program_key,
     seat_rows,
     validate_panel,
@@ -101,6 +101,11 @@ class SynthConfig:
             raise InvalidConfig("probabilities must lie in [0, 1]")
         if abs(sum(self.list_length_probs) - 1.0) > 1e-9:
             raise InvalidConfig("list_length_probs must sum to 1")
+        if len(self.list_length_probs) > MAX_LISTED_RANK:
+            raise InvalidConfig(
+                f"list_length_probs has {len(self.list_length_probs)} entries, "
+                f"but a list holds at most {MAX_LISTED_RANK} programs"
+            )
         if self.home_field_weight <= 0:
             raise InvalidConfig("home_field_weight must be positive")
         if self.n_applicants <= 0 or self.n_programs <= 0 or self.n_fields <= 0:
@@ -248,24 +253,19 @@ def generate_panel(cfg: SynthConfig) -> Panel:
     }
     bonus_points = {f: cfg.first_choice_bonus for f in fields}
 
-    programs = {}
+    # Program i is in field i % n_fields; the panel keeps creation order.
     base_quota, extra = divmod(cfg.seats_total, cfg.n_programs)
-    for i in range(cfg.n_programs):
-        poly = f"Polytechnic {i % 10}"
-        name = f"Program {i:03d}"
-        key = canonical_program_key(poly, name)
-        programs[key] = Program(
-            program_key=key,
-            polytechnic_name=poly,
-            program_name=name,
-            field=fields[i % cfg.n_fields],
-            quota=base_quota + (1 if i < extra else 0),
-        )
-    program_keys = sorted(programs)
-    field_code = {f: j for j, f in enumerate(fields)}
-    sampler = _ListSampler.build(
-        cfg, np.array([field_code[programs[p].field] for p in program_keys])
+    names = tuple((f"Polytechnic {i % 10}", f"Program {i:03d}") for i in range(cfg.n_programs))
+    keys = tuple(canonical_program_key(*n) for n in names)
+    programs = dict(
+        program_keys=keys,
+        program_names=names,
+        program_field=tuple(fields[i % cfg.n_fields] for i in range(cfg.n_programs)),
+        quota=base_quota + (np.arange(cfg.n_programs) < extra),
     )
+    by_key = sorted(range(cfg.n_programs), key=keys.__getitem__)
+    program_keys = [keys[i] for i in by_key]
+    sampler = _ListSampler.build(cfg, np.array(by_key) % cfg.n_fields)
 
     # Applicants are drawn in index order and coded by sorted id; from
     # 100 000 applicants on the two orders differ.
@@ -293,7 +293,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
 
     panel = Panel(
         **applicants,
-        programs=programs,
+        **programs,
         applications=_block(applicant_ids, program_keys, base_columns),
         base_year=cfg.base_year,
         field_weights=field_weights,
@@ -304,7 +304,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
     # which are all the panel holds so far.
     base_apps = panel.applications
     table = scoring.compute_score_table(panel, base_apps)
-    quotas = {p: programs[p].quota for p in programs}
+    quotas = dict(zip(panel.program_keys, panel.quota.tolist()))
     instance = matching.build_instance(base_apps, table, quotas)
     seats = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
 
@@ -336,7 +336,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
 
     panel = Panel(
         **applicants,
-        programs=programs,
+        **programs,
         applications=_block(
             applicant_ids,
             program_keys,

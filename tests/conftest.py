@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from oracle import Applicant, Application, applicant_columns, block_of
+from oracle import Applicant, Application, Program, applicant_columns, block_of, program_columns
 from polyadmit import synth
-from polyadmit.model import Panel, Program, validate_panel
+from polyadmit.model import Panel, validate_panel
 
 BASE_YEAR = 2011
 
@@ -50,7 +50,7 @@ def mk_panel(
     fields = sorted({p.field for p in programs}) or ["field0"]
     panel = Panel(
         **applicant_columns(applicants),
-        programs={p.program_key: p for p in programs},
+        **program_columns(programs),
         applications=block_of(applications),
         base_year=BASE_YEAR,
         field_weights=weights if weights is not None else {f: {"math": 1.0} for f in fields},

@@ -1,7 +1,7 @@
-"""Test-only oracles and helpers: applicant and application records,
-their conversion to and from a panel's columns and a block, assignments
-built from and read as id-keyed mappings, and panel equality row by row;
-brute-force
+"""Test-only oracles and helpers: applicant, program and application
+records, their conversion to and from a panel's columns and a block,
+assignments built from and read as id-keyed mappings, a rank table read
+by id and field label, and panel equality row by row; brute-force
 enumeration of every stable assignment of a small instance, an assignment
 checker that raises, an instance built from id-keyed mappings and its
 priorities read back by id, the observed-assignment replication checks,
@@ -21,6 +21,7 @@ from polyadmit import econometrics
 from polyadmit.econometrics import DesignSpec, RegressionResult
 from polyadmit.errors import InfeasibleAssignment, NoObservedAssignment, PolyadmitError
 from polyadmit.matching import MatchInstance, _grouped, find_blocking_pairs
+from polyadmit.metrics import RankTable
 from polyadmit.model import ApplicationBlock, Assignment, Panel, assignment_violations, encode
 from polyadmit.scoring import ScoreComponents, ScoreTable, compute_score_table
 
@@ -55,6 +56,38 @@ def applicants_of(panel: Panel) -> dict[str, Applicant]:
         a: Applicant(a, {s: g for s, g in zip(panel.subjects, grades) if not np.isnan(g)}, year)
         for a, year, grades in zip(
             panel.applicant_ids, panel.cohort_year.tolist(), panel.grades.tolist()
+        )
+    }
+
+
+@dataclass(frozen=True)
+class Program:
+    """One program as a record: one row of a panel's program columns."""
+
+    program_key: str
+    polytechnic_name: str
+    program_name: str
+    field: str
+    quota: int
+
+
+def program_columns(programs: Iterable[Program]) -> dict:
+    """A panel's program fields from records, in the order given."""
+    rows = list(programs)
+    return dict(
+        program_keys=tuple(p.program_key for p in rows),
+        program_names=tuple((p.polytechnic_name, p.program_name) for p in rows),
+        program_field=tuple(p.field for p in rows),
+        quota=np.array([p.quota for p in rows], dtype=np.int64),
+    )
+
+
+def programs_of(panel: Panel) -> dict[str, Program]:
+    """The panel's programs as records, by key, in the panel's order."""
+    return {
+        key: Program(key, *names, field_label, quota)
+        for key, names, field_label, quota in zip(
+            panel.program_keys, panel.program_names, panel.program_field, panel.quota.tolist()
         )
     }
 
@@ -137,12 +170,32 @@ def records(block: ApplicationBlock) -> tuple[Application, ...]:
     return _records_of[block]
 
 
+_rows_of: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def row_of(table: RankTable) -> dict[str, int]:
+    """Applicant id -> row of the rank table; built once per table."""
+    if table not in _rows_of:
+        _rows_of[table] = {a: i for i, a in enumerate(table.applicant_ids)}
+    return _rows_of[table]
+
+
+def rank_of(table: RankTable, applicant_id: str, field_label: str) -> float:
+    """The rank of ``applicant_id`` at ``field_label``; KeyError when
+    either is not in the table."""
+    if field_label not in table.fields:
+        raise KeyError((applicant_id, field_label))
+    return float(table.ranks[row_of(table)[applicant_id], table.fields.index(field_label)])
+
+
 def same_panel(panel: Panel, other: Panel) -> bool:
-    """Equal fields, the applicants and the application blocks compared
-    row by row and the observed assignments seat by seat."""
+    """Equal fields, the applicants, the programs and the application
+    blocks compared row by row and the observed assignments seat by seat."""
     by_row = {"applicant_ids", "cohort_year", "subjects", "grades", "applications"}
+    by_row |= {"program_keys", "program_names", "program_field", "quota"}
     return (
         applicants_of(panel) == applicants_of(other)
+        and programs_of(panel) == programs_of(other)
         and records(panel.applications) == records(other.applications)
         and same_assignment(panel.observed_assignment, other.observed_assignment)
         and all(
@@ -297,7 +350,7 @@ def infer_quotas_from_observed(panel: Panel) -> dict[str, int]:
     """Proxy each program's quota by its observed number of admits."""
     if panel.observed_assignment is None:
         raise NoObservedAssignment("panel has no observed assignment")
-    counts = {p: 0 for p in panel.programs}
+    counts = {p: 0 for p in panel.program_keys}
     for program_key in panel.observed_assignment.seat_of.values():
         counts[program_key] += 1
     return counts

@@ -1,8 +1,8 @@
 """The whole-file CSV loader, kept as the reference for ``load_panel``:
 every file read into columns of ``str``, each check then parsed over a
 whole column, and the first bad cell found by reading order after the
-whole file was read; applicants are built as records, then turned into
-the panel's columns. Its errors are the ones ``load_panel`` must raise,
+whole file was read; applicants and programs are built as records, then
+turned into the panel's columns. Its errors are the ones ``load_panel`` must raise,
 and its panels the ones it must return."""
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from polyadmit.io_csv import (
     OBSERVED_ASSIGNMENT_CSV, PROGRAM_NAMES, PROGRAMS_CSV, REQUIRED_COLUMNS, _applicant_id,
     _field_label, _grade, _observed_seat, _parse_bool, _parse_float, _parse_int, _program_key,
 )
-from oracle import Applicant, block_from_columns
-from polyadmit.model import Assignment, Panel, Program, encode, recode, validate_panel
+from oracle import Applicant, Program, block_from_columns, program_columns
+from polyadmit.model import Assignment, Panel, encode, recode, validate_panel
 
 
 @dataclass(frozen=True)
@@ -177,12 +177,12 @@ def load_panel(directory: str | Path) -> Panel:
         (_program_key, PROGRAM_NAMES), (_field_label, "field"), (_parse_int, "quota")
     )
     duplicates += table.repeats("program", keys)
-    programs = {
-        key: Program(key, polytechnic.strip(), program.strip(), field_label, quota)
+    programs = [
+        Program(key, polytechnic.strip(), program.strip(), field_label, quota)
         for key, polytechnic, program, field_label, quota in zip(
             keys, *map(table.column, PROGRAM_NAMES), fields, quotas
         )
-    }
+    ]
 
     table = read_table(directory, APPLICATIONS_CSV)
     applications = block_from_columns(
@@ -233,6 +233,7 @@ def load_panel(directory: str | Path) -> Panel:
         np.array([applicants[a].cohort_year for a in ids], dtype=np.int64),
         tuple(subjects),
         np.array(grades, dtype=float).reshape(len(ids), len(subjects)),
-        programs, applications, base_year, field_weights, bonus_points, observed,
+        *program_columns(programs).values(), applications, base_year, field_weights,
+        bonus_points, observed,
     )
     return validate_panel(panel, applicant_order=np.array([row[a] for a in applicants], dtype=int))

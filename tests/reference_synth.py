@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from oracle import block_from_columns
+from oracle import Program, block_from_columns, program_columns
 from polyadmit import matching, scoring
-from polyadmit.model import (
-    Assignment, Panel, Program, canonical_program_key, seat_rows, validate_panel,
-)
+from polyadmit.model import Assignment, Panel, canonical_program_key, seat_rows, validate_panel
 from polyadmit.synth import SUBJECTS, SynthConfig, _cdf, _choice, _choice_distinct
 
 
@@ -135,7 +133,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
 
     panel = Panel(
         **applicants,
-        programs=programs,
+        **program_columns(programs.values()),
         applications=block_from_columns(*columns),
         base_year=cfg.base_year,
         field_weights=field_weights,
@@ -179,7 +177,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
 
     panel = Panel(
         **applicants,
-        programs=programs,
+        **program_columns(programs.values()),
         applications=block_from_columns(*columns),
         base_year=cfg.base_year,
         field_weights=field_weights,

@@ -137,7 +137,7 @@ def test_criterion_2_rural_hospitals_and_lattice(instance_corpus, capsys):
 def test_criterion_3_uniqueness_replication(default_panel, capsys):
     apps = default_panel.base_applications
     table = compute_score_table(default_panel, apps)
-    quotas = {k: p.quota for k, p in default_panel.programs.items()}
+    quotas = dict(zip(default_panel.program_keys, default_panel.quota.tolist()))
     inst = matching.build_instance(apps, table, quotas)
     applicant_side = deferred_acceptance(inst, "applicants")
     program_side = deferred_acceptance(inst, "programs")
@@ -242,7 +242,7 @@ def test_criterion_7_planted_sign_recovery(default_panel, capsys):
 def test_criterion_8_self_replication(default_panel, capsys):
     apps = default_panel.base_applications
     table = compute_score_table(default_panel, apps)
-    quotas = {k: p.quota for k, p in default_panel.programs.items()}
+    quotas = dict(zip(default_panel.program_keys, default_panel.quota.tolist()))
     inst = matching.build_instance(apps, table, quotas)
     computed = deferred_acceptance(inst, "programs")
     rate = replicate_assignment(default_panel, computed)
@@ -266,14 +266,11 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
 
 def test_criterion_10_conservation(default_panel, suite_results, capsys):
     rank_table = metrics.field_gpa_percentile_ranks(default_panel)
-    program_field = {k: p.field for k, p in default_panel.programs.items()}
-    base_hist = metrics.assigned_rank_histogram(
-        rank_table, suite_results["S1"].assignment, program_field
-    )
+    base_hist = metrics.assigned_rank_histogram(rank_table, suite_results["S1"].assignment)
     assert sum(base_hist.bins) == len(suite_results["S1"].assignment.seat_of)
     for scenario_id in ("S2", "S3", "S4", "S5", "S6"):
         cf_assignment = suite_results[scenario_id].assignment
-        cf_hist = metrics.assigned_rank_histogram(rank_table, cf_assignment, program_field)
+        cf_hist = metrics.assigned_rank_histogram(rank_table, cf_assignment)
         net = metrics.net_change_histogram(base_hist, cf_hist)
         delta = len(cf_assignment.seat_of) - len(suite_results["S1"].assignment.seat_of)
         assert sum(net.bins) == pytest.approx(delta, abs=1e-9)

@@ -154,7 +154,7 @@ class TestScenarioSuite:
         assert s1.rank_improvement == 0.0
 
     def test_every_scenario_assignment_is_stable(self, small_panel):
-        quotas = {k: p.quota for k, p in small_panel.programs.items()}
+        quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
         results, _ = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel))
         assert tuple(r.scenario_id for r in results) == SCENARIO_IDS
         by_id = {r.scenario_id: r for r in results}

@@ -1,7 +1,7 @@
 """Golden report digests: every file of a ``--synth default`` run, pinned
 by SHA-256 for two seeds, so a refactor that changes any output byte fails
-here before it reaches a comparison run; and the benchmark's input panels,
-pinned by the digests the benchmark ships."""
+here before it reaches a comparison run; and the benchmark's paper-match
+input panels and their reports, pinned by the digests the benchmark ships."""
 
 import hashlib
 import json
@@ -113,15 +113,37 @@ def test_input_reports_match_golden_digests(paper_shaped_input, tmp_path, robust
 
 # The benchmark's paper-match inputs (the paper's counts divided by eight),
 # whose tree digests perfbench/reference.json ships: the benchmark refuses
-# to run when the generator stops producing these bytes.
+# to run when the generator stops producing these bytes. Its paper-match
+# workload runs the CLI on them with the reports below, and checks the
+# report digests the same file ships.
 BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
 BENCH_PAPER_PANEL = dict(n_applicants=6362, n_programs=55, seats_total=2082)
+BENCH_PAPER_REPORTS = ["--reports", "table4,assignments"]
 
 
-@pytest.mark.parametrize("seed", [42, 2024])
-def test_benchmark_inputs_match_shipped_digests(tmp_path, seed):
-    shipped = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))["inputs"][str(seed)]
-    cfg = synth.SynthConfig(seed=seed, **BENCH_PAPER_PANEL)
-    io_csv.save_panel(synth.generate_panel(cfg), tmp_path)
-    lines = "".join(f"{name} {digest}\n" for name, digest in sorted(tree_digests(tmp_path).items()))
-    assert hashlib.sha256(lines.encode()).hexdigest() == shipped
+@pytest.fixture(scope="module")
+def shipped():
+    return json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module", params=[42, 2024])
+def bench_input(request, tmp_path_factory):
+    """A seed and the paper-match input the benchmark generates for it."""
+    directory = tmp_path_factory.mktemp(f"bench_input_{request.param}")
+    cfg = synth.SynthConfig(seed=request.param, **BENCH_PAPER_PANEL)
+    io_csv.save_panel(synth.generate_panel(cfg), directory)
+    return request.param, directory
+
+
+def test_benchmark_inputs_match_shipped_digests(shipped, bench_input):
+    seed, directory = bench_input
+    digests = sorted(tree_digests(directory).items())
+    lines = "".join(f"{name} {digest}\n" for name, digest in digests)
+    assert hashlib.sha256(lines.encode()).hexdigest() == shipped["inputs"][str(seed)]
+
+
+def test_paper_match_reports_match_shipped_digests(shipped, bench_input, tmp_path):
+    seed, directory = bench_input
+    out = tmp_path / "out"
+    assert cli.main(["--input", str(directory), *BENCH_PAPER_REPORTS, "--out", str(out)]) == 0
+    assert tree_digests(out) == shipped["reports"]["paper-match"][str(seed)]

@@ -11,14 +11,17 @@ import pytest
 from polyadmit import cli
 from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
-from polyadmit.model import Panel, Program, assignment_violations, validate_panel
+from polyadmit.model import Panel, assignment_violations, validate_panel
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import Applicant, applicant_columns, applicants_of, assignment_of, block_of, records
+from oracle import (
+    Applicant, Program, applicant_columns, applicants_of, assignment_of, block_of,
+    program_columns, programs_of, records,
+)
 
 # At least one violation of every class validate_panel can see in a CSV
-# panel (the loader canonicalizes keys, so map-key and key-spelling
-# violations only arise in a panel built in code; see below).
+# panel (the loader canonicalizes keys, so key-spelling violations only
+# arise in a panel built in code; see below).
 BROKEN_PANEL = {
     "applicants.csv": """\
 applicant_id,cohort_year,grade_math,grade_english
@@ -113,17 +116,37 @@ def test_every_violation_class_listed_in_order(tmp_path):
     assert str(info.value) == "; ".join(BROKEN_PANEL_VIOLATIONS)
 
 
+PROGRAM_VIOLATIONS = ("QuotaNegative", "MissingFieldWeights", "MissingBonusPoints")
+
+
+def test_program_violations_come_in_file_order(tmp_path):
+    """Programs keep the file's row order, so their violations come in it
+    even when the rows are not sorted by key."""
+    header, *rows = BROKEN_PANEL["programs.csv"].splitlines()
+    unsorted = "\n".join([header, *reversed(rows)]) + "\n"
+    with pytest.raises(ValidationError) as info:
+        load_panel(write_panel(tmp_path, {**BROKEN_PANEL, "programs.csv": unsorted}))
+    by_program = [v for v in info.value.violations if v.startswith(PROGRAM_VIOLATIONS)]
+    assert by_program == [
+        "MissingBonusPoints: field 'field2' of 'poly::gamma'",
+        "QuotaNegative: program 'poly::beta' quota -1",
+        "MissingFieldWeights: field 'field1' of 'poly::beta'",
+    ]
+    rest = [v for v in BROKEN_PANEL_VIOLATIONS if not v.startswith(PROGRAM_VIOLATIONS)]
+    assert [v for v in info.value.violations if not v.startswith(PROGRAM_VIOLATIONS)] == rest
+
+
 def code_built_panel() -> Panel:
-    """Violations only a panel built in code can carry: a program map key
-    that is not its record's key, a non-canonical program key, and an
-    accept flag for an applicant without a seat."""
+    """Violations only a panel built in code can carry: a program key that
+    is not the canonical key of its names, and an accept flag for an
+    applicant without a seat."""
     program = Program("poly::alpha", "Poly", "Alpha", "field0", 1)
-    odd = Program("Poly::Beta", "Poly", "Beta", "field0", 1)
+    odd = Program("poly::gamma", "Poly", "Beta", "field0", 1)
     return Panel(
         **applicant_columns(
             [Applicant("a1", {"math": 1.0}, 2011), Applicant("a9", {"math": 1.0}, 2011)]
         ),
-        programs={"poly::alpha": program, "poly::gamma": odd},
+        **program_columns([program, odd]),
         applications=block_of([mk_app("a1", "poly::alpha", 1), mk_app("a9", "poly::alpha", 1)]),
         base_year=2011,
         field_weights={"field0": {"math": 1.0}},
@@ -133,7 +156,6 @@ def code_built_panel() -> Panel:
 
 
 CODE_BUILT_VIOLATIONS = [
-    "DuplicateId: program map key 'poly::gamma' != record key",
     "NonCanonicalKey: program 'poly::gamma' expected 'poly::beta'",
     "AcceptFlagWithoutSeat: 'a9'",
 ]
@@ -172,9 +194,7 @@ def test_padded_program_field_is_stripped(small_panel, tmp_path):
     save_panel(small_panel, tmp_path)
     edit_cells(tmp_path / "programs.csv", 1, field=" field0 ")
     loaded = load_panel(tmp_path)
-    assert sorted(p.field for p in loaded.programs.values()) == sorted(
-        p.field for p in small_panel.programs.values()
-    )
+    assert sorted(loaded.program_field) == sorted(small_panel.program_field)
 
 
 @pytest.mark.parametrize("filename", ["field_weights.csv", "bonus_points.csv"])
@@ -220,7 +240,7 @@ def test_files_that_need_a_csv_parser_load_the_same(tmp_path, newline):
     for path in tmp_path.iterdir():
         path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
     loaded = load_panel(tmp_path)
-    assert loaded.programs == panel.programs
+    assert programs_of(loaded) == programs_of(panel)
     assert records(loaded.applications) == records(panel.applications)
     assert applicants_of(loaded) == applicants_of(panel)
 

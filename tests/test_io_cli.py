@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 import polyadmit
 from conftest import BASE_YEAR, mk_app, mk_panel, mk_program
-from oracle import accepted_of, applicants_of, assignment_of, records, same_panel
+from oracle import (
+    accepted_of, applicants_of, assignment_of, programs_of, records, same_panel,
+)
 from polyadmit import cli, errors, reports
 from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
@@ -80,7 +82,7 @@ class TestRoundTrip:
         save_panel(small_panel, tmp_path)
         loaded = load_panel(tmp_path)
         assert loaded.applicant_ids == small_panel.applicant_ids
-        assert loaded.programs == small_panel.programs
+        assert programs_of(loaded) == programs_of(small_panel)
         assert loaded.base_year == small_panel.base_year
         assert loaded.observed_assignment.seat_of == small_panel.observed_assignment.seat_of
         assert accepted_of(loaded.observed_assignment) == accepted_of(
@@ -430,6 +432,21 @@ class TestRun:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidConfig"
         assert "n_apples" in err["message"]
+
+    def test_lists_longer_than_the_listed_ranks_are_a_config_error(self, tmp_path, capsys):
+        """A list length beyond MAX_LISTED_RANK is refused before any
+        drawing, naming the field, not by validating the drawn panel."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"n_applicants": 50, "n_programs": 6, "n_fields": 2, "seats_total": 10,'
+            ' "list_length_probs": [0, 0, 0, 0, 1]}'
+        )
+        out = tmp_path / "out"
+        assert cli.main(["--synth", str(cfg), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig"
+        assert "list_length_probs" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, args",

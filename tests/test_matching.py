@@ -130,7 +130,7 @@ class TestBuildInstance:
 
     def test_priorities_strictly_sorted(self, small_panel):
         table = compute_score_table(small_panel, small_panel.base_applications)
-        quotas = {k: p.quota for k, p in small_panel.programs.items()}
+        quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
         inst = build_instance(table.applications, table, quotas)
         total_of = {(a, p): t for (a, p, _), t in zip(table.keys, table.totals.tolist())}
         for p, order in priorities(inst).items():
@@ -301,7 +301,7 @@ class TestProgramThresholds:
         # outscore the threshold of a program they turned down.
         table = compute_score_table(small_panel, small_panel.base_applications)
         total_of = dict(zip(table.keys, table.totals.tolist()))
-        quotas = {k: p.quota for k, p in small_panel.programs.items()}
+        quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
         inst = build_instance(table.applications, table, quotas)
         assignment = deferred_acceptance(inst, "programs")
         thresholds = program_thresholds(table, assignment)
@@ -347,7 +347,7 @@ class TestDeterminism:
         # the same rows reversed, scored on their own
         apps = small_panel.base_applications
         reversed_apps = apps.take(np.arange(len(apps))[::-1])
-        quotas = {k: p.quota for k, p in small_panel.programs.items()}
+        quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
         inst1, inst2 = (
             build_instance(block, compute_score_table(small_panel, block), quotas)
             for block in (apps, reversed_apps)
@@ -372,14 +372,14 @@ class TestComparativeStatics:
 
     def test_ample_quotas_seat_everyone_at_their_first_choice(self, small_panel):
         n = len(small_panel.applicant_ids)
-        inst = self.instance(small_panel, {p: n for p in small_panel.programs})
+        inst = self.instance(small_panel, {p: n for p in small_panel.program_keys})
         first = {a: prefs[0] for a, prefs in inst.preferences.items()}
         assert len(first) == n
         for side in ("applicants", "programs"):
             assert seats(deferred_acceptance(inst, side)) == first
 
     def test_one_more_seat_leaves_no_applicant_worse_off(self, small_panel):
-        quotas = {k: p.quota for k, p in small_panel.programs.items()}
+        quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
         inst = self.instance(small_panel, quotas)
         before = deferred_acceptance(inst, "applicants").seat_of
 

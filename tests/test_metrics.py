@@ -16,7 +16,7 @@ from polyadmit.metrics import (
     net_change_histogram,
     tercile_unassignment,
 )
-from oracle import assignment_of
+from oracle import assignment_of, rank_of
 from polyadmit.scoring import compute_score_table
 
 
@@ -24,10 +24,12 @@ def base_table(panel):
     return compute_score_table(panel, panel.base_applications)
 
 
-def rank_table(ranks, fields=("f",)):
-    """A rank table from each applicant id's row of ranks, one per field."""
+def rank_table(ranks, program_field={}, fields=("f",)):
+    """A rank table from each applicant id's row of ranks, one per field,
+    and each program key's field."""
     matrix = np.array(list(ranks.values()), dtype=float).reshape(len(ranks), len(fields))
-    return RankTable(tuple(ranks), fields, matrix)
+    field_code = np.array([fields.index(f) for f in program_field.values()], dtype=np.intp)
+    return RankTable(tuple(ranks), fields, matrix, tuple(program_field), field_code)
 
 
 def gpa_panel(grades, n_programs=1):
@@ -40,13 +42,13 @@ class TestPercentileRanks:
     def test_single_applicant_is_midpoint(self):
         panel = gpa_panel({"a1": {"math": 5.0}})
         ranks = field_gpa_percentile_ranks(panel)
-        assert ranks[("a1", "field0")] == 50.0
+        assert rank_of(ranks, "a1", "field0") == 50.0
 
     def test_two_distinct(self):
         panel = gpa_panel({"a1": {"math": 5.0}, "a2": {"math": 9.0}})
         ranks = field_gpa_percentile_ranks(panel)
-        assert ranks[("a1", "field0")] == 25.0
-        assert ranks[("a2", "field0")] == 75.0
+        assert rank_of(ranks, "a1", "field0") == 25.0
+        assert rank_of(ranks, "a2", "field0") == 75.0
 
     def test_hundred_distinct_closed_form(self):
         grades = {f"a{i:03d}": {"math": float(i)} for i in range(100)}
@@ -54,12 +56,12 @@ class TestPercentileRanks:
         ranks = field_gpa_percentile_ranks(panel)
         expected = {f"a{i:03d}": i + 0.5 for i in range(100)}
         for a, want in expected.items():
-            assert ranks[(a, "field0")] == pytest.approx(want)
+            assert rank_of(ranks, a, "field0") == pytest.approx(want)
 
     def test_ties_share_mean_rank(self):
         panel = gpa_panel({"a1": {"math": 5.0}, "a2": {"math": 5.0}})
         ranks = field_gpa_percentile_ranks(panel)
-        assert ranks[("a1", "field0")] == ranks[("a2", "field0")] == 50.0
+        assert rank_of(ranks, "a1", "field0") == rank_of(ranks, "a2", "field0") == 50.0
 
     def test_monotone_transform_invariance(self, small_panel):
         base = field_gpa_percentile_ranks(small_panel)
@@ -68,7 +70,7 @@ class TestPercentileRanks:
         import dataclasses
 
         transformed = dataclasses.replace(small_panel, grades=2 * small_panel.grades + 1)
-        assert field_gpa_percentile_ranks(transformed) == pytest.approx(base)
+        assert field_gpa_percentile_ranks(transformed).ranks == pytest.approx(base.ranks)
 
 
 class TestTercileUnassignment:
@@ -151,7 +153,7 @@ class TestApplicationRankStats:
 
 class TestHistograms:
     def test_nobody_assigned(self):
-        hist = assigned_rank_histogram(rank_table({}), assignment_of({}), {})
+        hist = assigned_rank_histogram(rank_table({}), assignment_of({}))
         assert hist.bins == (0.0,) * 100
 
     def test_uniform_when_everyone_assigned_distinct(self):
@@ -162,14 +164,13 @@ class TestHistograms:
         panel = mk_panel([p], apps, grades=grades)
         ranks = field_gpa_percentile_ranks(panel)
         assignment = assignment_of({a: p.program_key for a in grades})
-        hist = assigned_rank_histogram(ranks, assignment, {p.program_key: "field0"})
+        hist = assigned_rank_histogram(ranks, assignment)
         assert set(hist.bins) == {n / 100}
 
     def test_count_conservation(self, small_panel):
         ranks = field_gpa_percentile_ranks(small_panel)
-        program_field = {k: p.field for k, p in small_panel.programs.items()}
         assignment = small_panel.observed_assignment
-        hist = assigned_rank_histogram(ranks, assignment, program_field)
+        hist = assigned_rank_histogram(ranks, assignment)
         assert sum(hist.bins) == len(assignment.seat_of)
 
     def test_net_change(self):
@@ -192,19 +193,16 @@ class TestHistograms:
 
 class TestMeanRankImprovement:
     def test_identical_assignments(self):
-        ranks = rank_table({"a1": [60.0]})
+        ranks = rank_table({"a1": [60.0]}, {"p1": "f"})
         a = assignment_of({"a1": "p1"})
-        assert mean_rank_improvement(ranks, a, a, {"p1": "f"}) == 0.0
+        assert mean_rank_improvement(ranks, a, a) == 0.0
 
     def test_two_admit_hand_fixture(self):
-        ranks = rank_table({"a1": [20.0], "a2": [40.0], "a3": [90.0]})
-        fields = {"p1": "f", "p2": "f"}
+        ranks = rank_table({"a1": [20.0], "a2": [40.0], "a3": [90.0]}, {"p1": "f", "p2": "f"})
         base = assignment_of({"a1": "p1", "a2": "p2"})  # mean 30
         cf = assignment_of({"a3": "p1", "a2": "p2"})  # mean 65
-        assert mean_rank_improvement(ranks, base, cf, fields) == pytest.approx(35.0)
+        assert mean_rank_improvement(ranks, base, cf) == pytest.approx(35.0)
 
     def test_empty_assignment(self):
         with pytest.raises(EmptyAssignment):
-            mean_rank_improvement(
-                rank_table({}), assignment_of({}), assignment_of({}), {}
-            )
+            mean_rank_improvement(rank_table({}), assignment_of({}), assignment_of({}))

@@ -3,9 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import applicant_columns, assignment_of, block_of, check_assignment
+from oracle import applicant_columns, assignment_of, block_of, check_assignment, program_columns
+from polyadmit import metrics
 from polyadmit.errors import EmptyName, InfeasibleAssignment, ValidationError
+from polyadmit.io_csv import write_assignment_csv
 from polyadmit.model import Panel, canonical_program_key, validate_panel
+from polyadmit.scoring import compute_score_table
 
 
 class TestCanonicalProgramKey:
@@ -37,7 +40,7 @@ class TestValidatePanel:
     def test_empty_panel_valid(self):
         panel = Panel(
             **applicant_columns([]),
-            programs={},
+            **program_columns([]),
             applications=block_of([]),
             base_year=2011,
             field_weights={},
@@ -118,3 +121,17 @@ class TestAssignmentChecker:
         good = assignment_of({"a1": p1.program_key}, {"a1": True})
         assert check_assignment(panel, panel.base_applications, good) is good
 
+
+
+def test_unknown_program_key_raises(tmp_path):
+    """Every reader that looks a program up by key raises KeyError for a
+    key the panel does not hold, rather than reading another program."""
+    p1 = mk_program(("P", "x"))
+    panel = mk_panel([p1], [mk_app("a1", p1.program_key, 1)])
+    ghost = assignment_of({"a1": "ghost::p"})
+    with pytest.raises(KeyError, match="ghost::p"):
+        compute_score_table(panel, block_of([mk_app("a1", "ghost::p", 1)]))
+    with pytest.raises(KeyError, match="ghost::p"):
+        write_assignment_csv(tmp_path / "assignment.csv", panel, ghost, ["a1"])
+    with pytest.raises(KeyError, match="ghost::p"):
+        metrics.assigned_rank_histogram(metrics.field_gpa_percentile_ranks(panel), ghost)

@@ -22,13 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_io
-from polyadmit import counterfactual, econometrics, io_csv, metrics, scoring, synth
+from polyadmit import counterfactual, econometrics, io_csv, metrics, model, scoring, synth
 from polyadmit.errors import MissingScore, ParseError, UniverseMismatch, ValidationError
 from polyadmit.model import Panel, validate_panel
 from conftest import build_scenario, mk_app, mk_program
 from oracle import (
     Applicant, accepted_of, adjusted_score, applicant_columns, applicants_of, assignment_of,
-    block_of, build_design_matrix, priorities, records, same_panel,
+    block_of, build_design_matrix, priorities, program_columns, programs_of, rank_of, records,
+    row_of, same_panel,
 )
 from polyadmit.counterfactual import SCENARIO_IDS, SCENARIOS
 from polyadmit.econometrics import REPORT_SPECS, lpm_report, ols
@@ -58,13 +59,14 @@ def loop_totals(panel, applications, scores):
     """Total score of each application, one Panel.weighted_gpa call per
     record, following the scenario's scoring rule."""
     first_exam = {}
+    field_of = {key: program.field for key, program in programs_of(panel).items()}
     rows = records(panel.applications)
     for app in sorted(rows, key=lambda x: (x.year, x.listed_rank, x.program_key)):
         if app.exam_taken:
-            first_exam.setdefault((app.applicant_id, panel.field_of(app.program_key)), app.exam_score)
+            first_exam.setdefault((app.applicant_id, field_of[app.program_key]), app.exam_score)
     totals = []
     for app in records(applications):
-        field = panel.field_of(app.program_key)
+        field = field_of[app.program_key]
         gpa = panel.weighted_gpa(app.applicant_id, field)
         exam = app.exam_score if app.exam_taken else 0.0
         if scores == counterfactual.SCORES_EXAM_PROPAGATED and not app.exam_taken:
@@ -97,7 +99,7 @@ def test_columns_and_priorities_match_loop_reference(panel, scenario_id):
     assert table.totals.tolist() == expected
     assert [table.entries[k].total for k in table.keys] == expected
 
-    quotas = {p: prog.quota for p, prog in panel.programs.items()}
+    quotas = dict(zip(panel.program_keys, panel.quota.tolist()))
     instance = build_instance(applications, table, quotas)
     assert priorities(instance) == loop_priorities(applications, expected)
 
@@ -167,6 +169,7 @@ def loop_design_matrix(panel, assignment, thresholds, spec):
     entries = compute_score_table(panel, panel.base_applications).entries
     later = {a.applicant_id for a in records(panel.applications) if a.year > panel.base_year}
     dummy_fields = sorted(panel.field_weights)[1:]
+    programs = programs_of(panel)
     terms = ["intercept", "rank2", "rank3", "rank4", "exam_taken"]
     if spec.controls:
         terms += ["adjusted_score", "threshold"]
@@ -184,7 +187,7 @@ def loop_design_matrix(panel, assignment, thresholds, spec):
         if spec.controls:
             row += [adj, thresholds[p]]
         if spec.field_interactions:
-            dummies = [1.0 if panel.field_of(p) == f else 0.0 for f in dummy_fields]
+            dummies = [1.0 if programs[p].field == f else 0.0 for f in dummy_fields]
             row += dummies + [adj * d for d in dummies] + [thresholds[p] * d for d in dummies]
         rows.append(row)
         if spec.outcome == econometrics.OUTCOME_ACCEPTED:
@@ -227,7 +230,8 @@ def loop_tercile_unassignment(panel, assignment, criterion):
     block = panel.base_applications
     base = records(block)
     if criterion == CRITERION_MATRICULATION:
-        value = [panel.weighted_gpa(a.applicant_id, panel.field_of(a.program_key)) for a in base]
+        programs = programs_of(panel)
+        value = [panel.weighted_gpa(a.applicant_id, programs[a.program_key].field) for a in base]
     else:
         entries = compute_score_table(panel, block).entries
         value = [entries[(a.applicant_id, a.program_key, a.year)].total for a in base]
@@ -266,7 +270,7 @@ def loop_violations(panel):
         for subject, grade in applicant.matriculation_grades.items():
             if grade < 0:
                 problems.append(f"NegativeGrade: applicant {applicant_id!r} subject {subject!r}")
-    for program_key, program in panel.programs.items():
+    for program_key, program in programs_of(panel).items():
         if program.quota < 0:
             problems.append(f"QuotaNegative: program {program_key!r} quota {program.quota}")
         if program.field not in panel.field_weights:
@@ -278,7 +282,7 @@ def loop_violations(panel):
         where = f"application #{i} ({app.applicant_id!r}, {app.program_key!r}, {app.year})"
         if app.applicant_id not in applicants:
             problems.append(f"DanglingForeignKey: {where}: unknown applicant")
-        if app.program_key not in panel.programs:
+        if app.program_key not in panel.program_keys:
             problems.append(f"DanglingForeignKey: {where}: unknown program")
         if app.year not in panel.years:
             problems.append(f"YearOutOfRange: {where}: panel years are {panel.years}")
@@ -326,7 +330,7 @@ def test_validation_matches_loop_reference():
                 Applicant(f"a{i}", {"math": float(rng.choice([-1.0, 3.0]))}, 2011)
                 for i in range(int(rng.integers(6)))
             ),
-            programs={p.program_key: p for p in listed},
+            **program_columns(listed),
             applications=block_of(apps),
             base_year=2011,
             field_weights={"field0": {"math": 1.0}, "field1": {"math": 1.0}},
@@ -346,7 +350,7 @@ def dict_rank_table(panel):
     """The rank table as the (applicant_id, field) -> rank dict it was
     before it became a matrix."""
     fields = sorted(panel.field_weights)
-    gpa = weighted_gpa_matrix(panel, fields)
+    gpa = weighted_gpa_matrix(panel)
     table = {}
     for j, field_label in enumerate(fields):
         keys = zip(panel.applicant_ids, itertools.repeat(field_label))
@@ -362,7 +366,7 @@ def test_rank_matrix_matches_dict_reference(request, which):
     fields = tuple(sorted(panel.field_weights))
     assert (table.applicant_ids, table.fields) == (panel.applicant_ids, fields)
     assert table.ranks.shape == (len(table.applicant_ids), len(table.fields))
-    got = {(a, f): table[(a, f)] for a in table.applicant_ids for f in table.fields}
+    got = {(a, f): rank_of(table, a, f) for a in table.applicant_ids for f in table.fields}
     assert got == expected
 
 
@@ -382,7 +386,7 @@ def test_rank_improvement_adds_ranks_in_seat_order(panel, monkeypatch):
     left-to-right loop."""
     monkeypatch.setattr(metrics, "sum", math.fsum, raising=False)
     ranks = dict_rank_table(panel)
-    program_field = {p: prog.field for p, prog in panel.programs.items()}
+    program_field = {p: prog.field for p, prog in programs_of(panel).items()}
     suite, _ = counterfactual.run_scenario_suite(panel, metrics.field_gpa_percentile_ranks(panel))
     base = loop_mean_rank(ranks, suite[0].assignment, program_field)
     assert suite[0].scenario_id == "S1"
@@ -678,6 +682,18 @@ def test_effective_weights_add_left_to_right(panel, monkeypatch):
     assert scoring.effective_weights(table).weights == loop_effective_weights(table)
 
 
+def test_weighted_gpa_adds_left_to_right(panel, monkeypatch):
+    """``Panel.weighted_gpa``, the reference for the GPA matrix, adds in
+    ``field_weights`` order whatever ``sum`` does: with ``math.fsum``
+    standing in for the builtin ``sum`` (compensated, as ``sum`` of floats
+    is from CPython 3.12), every value still equals the matrix's."""
+    monkeypatch.setattr(model, "sum", math.fsum, raising=False)
+    fields = tuple(sorted(panel.field_weights))
+    gpa = weighted_gpa_matrix(panel)
+    loop = [[panel.weighted_gpa(a, f) for f in fields] for a in panel.applicant_ids]
+    assert gpa.tolist() == loop
+
+
 # The id-keyed readers an assignment had before it became seat-code
 # columns, each reading ``seat_of`` as the dict it then was.
 
@@ -702,14 +718,14 @@ def dict_compare_assignments(base, other, universe):
 def dict_admit_ranks(rank_table, assignment, program_field):
     seat_of, n = assignment.seat_of, len(assignment.seat_of)
     column = {f: j for j, f in enumerate(rank_table.fields)}
-    rows = np.fromiter(map(rank_table.row_of.__getitem__, seat_of), dtype=np.intp, count=n)
+    rows = np.fromiter(map(row_of(rank_table).__getitem__, seat_of), dtype=np.intp, count=n)
     fields = map(program_field.__getitem__, seat_of.values())
     columns = np.fromiter(map(column.__getitem__, fields), dtype=np.intp, count=n)
     return rank_table.ranks[rows, columns]
 
 
 def dict_write_assignment_csv(path, panel, assignment, universe):
-    names = {key: (p.polytechnic_name, p.program_name) for key, p in panel.programs.items()}
+    names = {key: (p.polytechnic_name, p.program_name) for key, p in programs_of(panel).items()}
     flag = {None: "", True: "true", False: "false"}
     seat_of, accepted = assignment.seat_of, accepted_of(assignment)
     io_csv._write_csv(
@@ -796,9 +812,9 @@ def test_compare_assignments_matches_dict_reader(assignments):
 
 def test_admit_ranks_match_dict_reader_value_for_value(assignments):
     panel, ranks, observed, suite = assignments
-    program_field = {p: prog.field for p, prog in panel.programs.items()}
+    program_field = {p: prog.field for p, prog in programs_of(panel).items()}
     for assignment in [observed, *suite]:
-        got = metrics._admit_ranks(ranks, assignment, program_field)
+        got = metrics._admit_ranks(ranks, assignment)
         assert got.tolist() == dict_admit_ranks(ranks, assignment, program_field).tolist()
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import mk_app, mk_panel, mk_program
-from oracle import adjusted_score, applicants_of, block_of, records, score_rows
+from oracle import adjusted_score, applicants_of, block_of, programs_of, records, score_rows
 from polyadmit import scoring
 from polyadmit.errors import DegenerateTable
 from polyadmit.scoring import (
@@ -61,9 +61,9 @@ class TestComputeScoreTable:
     def test_matches_straight_line_oracle(self, small_panel):
         # independent naive recomputation per record
         table = compute_score_table(small_panel, small_panel.base_applications)
-        applicants = applicants_of(small_panel)
+        applicants, programs = applicants_of(small_panel), programs_of(small_panel)
         for app in records(table.applications):
-            field = small_panel.programs[app.program_key].field
+            field = programs[app.program_key].field
             gpa = 0.0
             for subject, w in small_panel.field_weights[field].items():
                 gpa += w * applicants[app.applicant_id].matriculation_grades.get(subject, 0.0)

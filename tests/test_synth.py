@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_synth
-from oracle import infer_quotas_from_observed, records, replicate_assignment, same_panel
+from oracle import (
+    infer_quotas_from_observed, programs_of, records, replicate_assignment, same_panel,
+)
 from polyadmit import matching, synth
 from polyadmit.errors import InvalidConfig
 from polyadmit.model import ApplicationBlock, validate_panel
@@ -86,7 +88,7 @@ class TestValidity:
         assert years == set(small_panel.years)
 
     def test_self_replication_exact(self, small_panel):
-        table_quotas = {k: p.quota for k, p in small_panel.programs.items()}
+        table_quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
         from polyadmit.scoring import compute_score_table
 
         table = compute_score_table(small_panel, small_panel.base_applications)
@@ -96,7 +98,7 @@ class TestValidity:
 
     def test_quota_proxy_matches_generator_quotas_for_filled_programs(self, small_panel):
         inferred = infer_quotas_from_observed(small_panel)
-        for key, program in small_panel.programs.items():
+        for key, program in programs_of(small_panel).items():
             assert inferred[key] <= program.quota
 
 
