@@ -3,6 +3,7 @@ by SHA-256 for two seeds, so a refactor that changes any output byte fails
 here before it reaches a comparison run; and the benchmark's paper-match
 input panels and their reports, pinned by the digests the benchmark ships."""
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -147,3 +148,65 @@ def test_paper_match_reports_match_shipped_digests(shipped, bench_input, tmp_pat
     out = tmp_path / "out"
     assert cli.main(["--input", str(directory), *BENCH_PAPER_REPORTS, "--out", str(out)]) == 0
     assert tree_digests(out) == shipped["reports"]["paper-match"][str(seed)]
+
+
+# A CSV panel with the sparse edges that the workloads above never reach:
+# a program nobody lists, a program listed only in later years (so only
+# the extended lists hold it), an applicant who applies only in the
+# second year, and an observed file naming an applicant the panel lacks,
+# without a seat. The new programs come first in programs.csv, and the
+# new applicant comes last in applicants.csv, so file order and id order
+# differ.
+SPARSE_CONFIG = dict(n_applicants=400, n_programs=12, n_fields=4, seats_total=130, seed=7)
+SPARSE_REPORTS_GOLDEN = {
+    "assignment_S1.csv": "659bfc2bc9b87574fa0819d0a4865ac17b271745d2ec7e9a4c890faa12e48ae9",
+    "assignment_S2.csv": "05f98cae4dddebaf24ce5f70e63bd45260928c87974a9729fd9af59bfec55e13",
+    "assignment_S3.csv": "6b4215861bb7241deea590ca0dbeac77edac0e6ecdf7084e0eab5ffeae8994a9",
+    "assignment_S4.csv": "d4dc53ba45716abf49a0571834eaf390c23a2e2ab84cc9ea2a9e0ce094f4fbab",
+    "assignment_S5.csv": "a4fd1dd8e8f54814e79b6cb82dc69657256dd0d8b336efc47c4902d7bfb5df0f",
+    "assignment_S6.csv": "85432ea59017fc2232fa4c0adbd49d4239018e30db48df37929b809b8898612a",
+    "figure1.csv": "0fcf7283bdb732285ac2601f99d6300e818187073a62ba1779412843696808f9",
+    "table1.csv": "dfbd6958d3ff3c4196f33ef451cd4c4cb681126a30f35a9bdab898dbf9de31c1",
+    "table2.csv": "7c2554dd72b5726446eaf79552c5940b88d5c0bd56d48415fc64968e3718d0e2",
+    "table3.csv": "a45245a1dc3eccbfc06807a32ebd09dfa8a43c8d7fa48959dd88945598ad5539",
+    "table4.csv": "4f0b89018eafc48f9468b881d386213d09d562dc1a8f4a9d642f7510d4c8e817",
+    "table5.csv": "5278ebc1ef06276e855471f7495982ed3cbec8f2499ed7ac6e45bdd151bcf7d3",
+}
+
+
+def _edit_csv(path, edit):
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header, *edit(rows)])
+
+
+@pytest.fixture(scope="module")
+def sparse_input(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("sparse")
+    io_csv.save_panel(synth.generate_panel(synth.SynthConfig(**SPARSE_CONFIG)), directory)
+    later_only = ["Polytechnic X", "Later Only"]
+    _edit_csv(directory / "programs.csv", lambda rows: [
+        ["Polytechnic X", "Unlisted", "field0", "5"], [*later_only, "field1", "3"], *rows
+    ])
+
+    def later_years(rows):
+        for year, applicant_id, *names, rank, taken, score, other in rows:
+            if year != "2011" and rank == "1" and int(applicant_id[1:]) % 5 == 0:
+                names = later_only
+            yield [year, applicant_id, *names, rank, taken, score, other]
+        yield ["2012", "a00150b", *later_only, "1", "true", "21.500000", "0.000000"]
+        yield ["2012", "a00150b", "Polytechnic 3", "Program 003", "2", "false", "0.000000", "0.000000"]
+
+    _edit_csv(directory / "applications.csv", lambda rows: list(later_years(rows)))
+    _edit_csv(directory / "applicants.csv", lambda rows: [
+        *rows, ["a00150b", "2012", *next(r for r in rows if r[0] == "a00150")[2:]]
+    ])
+    _edit_csv(directory / "observed_assignment.csv", lambda rows: [*rows, ["a00200z", "", "", ""]])
+    return directory
+
+
+def test_sparse_input_reports_match_golden_digests(sparse_input, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["--input", str(sparse_input), "--out", str(out)]) == 0
+    assert tree_digests(out) == SPARSE_REPORTS_GOLDEN
