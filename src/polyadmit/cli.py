@@ -170,7 +170,7 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory:
         reports.write_figure_data(directory / "figure1.csv", panels)
 
     if "assignments" in wanted:
-        universe = base_table.applications.distinct_applicants()
+        universe = base_table.applications.listed_applicants()
         for scenario_id in scenario_ids:
             write_assignment_csv(
                 directory / f"assignment_{scenario_id}.csv",

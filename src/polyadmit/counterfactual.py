@@ -128,19 +128,18 @@ def run_scenario_suite(
     admits up to its own quota. ``rank_table`` is
     ``metrics.field_gpa_percentile_ranks(panel)``.
     """
-    quotas = dict(zip(panel.program_keys, panel.quota.tolist()))
     assignments, listed = {}, {}
     for scenario_id, table in scenario_tables(panel, set(scenario_ids) | {"S1"}):
         if scenario_id == "S1":
             base_table = table
-        instance = matching.build_instance(table.applications, table, quotas)
+        instance = matching.build_instance(table.applications, table, panel.quota)
         assignments[scenario_id] = matching.deferred_acceptance(
             instance, matching.PROPOSING_PROGRAMS
         )
         listed[scenario_id] = len(table.applications)
         del table, instance  # else they live on while the next list variant is built
 
-    universe = base_table.applications.distinct_applicants()
+    universe = base_table.applications.listed_applicants()
     baseline = assignments["S1"]
     results = []
     for scenario_id in sorted(scenario_ids):
@@ -155,7 +154,7 @@ def run_scenario_suite(
                 scenario_id=scenario_id,
                 assignment=assignment,
                 applications_per_applicant=(
-                    listed[scenario_id] / len(universe) if universe else 0.0
+                    listed[scenario_id] / len(universe) if len(universe) else 0.0
                 ),
                 diff_vs_baseline=diff,
                 rank_improvement=improvement,

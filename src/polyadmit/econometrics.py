@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import EmptySample, MissingScore, RankDeficient
 from .matching import program_thresholds
-from .model import Assignment, Panel, recode
+from .model import Assignment, Panel, same_coding
 from .scoring import ScoreTable
 
 OUTCOME_ACCEPTED = "accepted_seat"
@@ -123,6 +123,7 @@ def _admit_columns(
         raise EmptySample("no admitted applicants")
 
     apps = table.applications
+    same_coding(panel, apps)
     rows = np.flatnonzero(apps.holds_seat(assignment) & (apps.year == panel.base_year))
     rows = rows[np.argsort(apps.applicant[rows], kind="stable")]  # admits in id order
     if len(rows) != n_admitted:
@@ -132,7 +133,7 @@ def _admit_columns(
     adjusted = table.totals[rows] - table.exam[rows] - table.bonus[rows]
     rank = apps.listed_rank[rows]
     dummy_fields = panel.fields[1:]  # first field is the reference category
-    dummy = panel.field_codes(apps.program_keys)[apps.program[rows]] - 1
+    dummy = panel.field_code[apps.program[rows]] - 1
     dummies = (dummy[:, None] == np.arange(len(dummy_fields))).astype(float)
     X = np.column_stack(
         [
@@ -154,10 +155,9 @@ def _admit_columns(
     terms += tuple(f"threshold_x_{f}" for f in dummy_fields)
 
     admits, later = apps.applicant[rows], panel.applications
-    in_panel = recode(apps.applicant_ids, later.applicant_ids)[admits]
     outcomes = {
-        OUTCOME_ACCEPTED: (assignment.recoded(apps.applicant_ids).accept[admits] == 1) * 1.0,
-        OUTCOME_REAPPLIED: np.isin(in_panel, later.applicant[later.year > panel.base_year]) * 1.0,
+        OUTCOME_ACCEPTED: (assignment.accept[admits] == 1) * 1.0,
+        OUTCOME_REAPPLIED: np.isin(admits, later.applicant[later.year > panel.base_year]) * 1.0,
     }
     return _AdmitColumns(X=X, terms=terms, outcomes=outcomes)
 

@@ -20,10 +20,8 @@ from .model import (
     ApplicationBlock,
     Assignment,
     Panel,
-    encode,
     canonical_program_key,
-    positions,
-    recode,
+    same_coding,
     validate_panel,
 )
 
@@ -69,16 +67,15 @@ def _rows(path: Path) -> list[tuple[list[str], int]]:
         return [(row, reader.line_num) for row in reader if row]
 
 
-def _repeats(path: Path, what: str, vocabulary: Sequence, codes: np.ndarray) -> list[str]:
-    """A ``DuplicateId`` line for each row whose ``vocabulary[code]`` an earlier row has."""
-    if not (np.bincount(codes) > 1).any():
+def _repeats(path: Path, what: str, values: Sequence) -> list[str]:
+    """A ``DuplicateId`` line for each row whose value an earlier row has."""
+    if len(set(values)) == len(values):
         return []
     lines, first_row = [line for _, line in _rows(path)], {}
     return [
-        f"DuplicateId: {path} row {lines[row]}: {what} {vocabulary[code]!r} "
-        f"repeats row {lines[first]}"
-        for row, code in enumerate(codes.tolist())
-        if (first := first_row.setdefault(code, row)) != row
+        f"DuplicateId: {path} row {lines[row]}: {what} {value!r} repeats row {lines[first]}"
+        for row, value in enumerate(values)
+        if (first := first_row.setdefault(value, row)) != row
     ]
 
 
@@ -119,10 +116,9 @@ class _Coded:
     def column(self, dtype) -> np.ndarray:
         return np.array(self.values, dtype=dtype)[self.codes]
 
-    def encoded(self) -> tuple[tuple, np.ndarray]:
-        """The sorted distinct values, and each row's position among them."""
-        vocabulary, position = encode(self.values)
-        return vocabulary, position[self.codes]
+    def coded(self, code: dict) -> np.ndarray:
+        """Each row's ``code`` of its value."""
+        return np.array([code[value] for value in self.values], dtype=np.intp)[self.codes]
 
 
 class _Floats:
@@ -287,6 +283,14 @@ def _observed_seat(path: Path, row_number: int, columns, cells) -> tuple[str, in
 PROGRAM_NAMES = ("polytechnic_name", "program_name")
 
 
+def _coding(own: tuple, named: list) -> tuple[tuple, dict]:
+    """``own`` then, sorted, the ``named`` values it lacks; and each one's position."""
+    code = dict(zip(own, itertools.count()))
+    extra = sorted(set(named).difference(code))
+    code.update(zip(extra, itertools.count(len(own))))
+    return (own + tuple(extra) if extra else own), code
+
+
 def load_panel(directory: str | Path) -> Panel:
     """Load, canonicalize, and validate a panel from its CSV directory.
 
@@ -303,8 +307,9 @@ def load_panel(directory: str | Path) -> Panel:
         (_applicant_id, "applicant_id"),
         (_parse_int, "cohort_year"),
     ))
-    applicant_ids, row = ids.encoded()  # row: each file row's position among the sorted ids
-    duplicates += _repeats(directory / APPLICANTS_CSV, "applicant_id", applicant_ids, row)
+    duplicates += _repeats(directory / APPLICANTS_CSV, "applicant_id", ids.rows())
+    applicant_ids = tuple(sorted(ids.values))  # one value per distinct cell, so distinct
+    row = ids.coded(dict(zip(applicant_ids, itertools.count())))  # each file row's, by id
     order = np.argsort(row)  # the file's rows in id order, read only when no id repeats
     cohort_year = cohorts.column(np.int64)[order]
     grades = np.reshape([c.values for c in grade_columns], (len(grade_columns), len(row))).T[order]
@@ -313,37 +318,29 @@ def load_panel(directory: str | Path) -> Panel:
     keys, fields, quotas = _read(directory, PROGRAMS_CSV, lambda header: (
         (_program_key, PROGRAM_NAMES), (_field_label, "field"), (_parse_int, "quota")
     ))
-    duplicates += _repeats(directory / PROGRAMS_CSV, "program", *keys.encoded())
+    program_keys = tuple(keys.rows())
+    duplicates += _repeats(directory / PROGRAMS_CSV, "program", program_keys)
     names = map(keys.texts.__getitem__, keys.codes.tolist())
     programs = (  # in the file's row order
-        tuple(keys.rows()),
+        program_keys,
         tuple((polytechnic.strip(), program.strip()) for polytechnic, program in names),
         tuple(fields.rows()),
         quotas.column(np.int64),
     )
 
-    ids, keys, year, rank, taken, exam_score, other_points = _read(
+    listed_ids, listed_keys, year, rank, taken, exam_score, other_points = _read(
         directory, APPLICATIONS_CSV, lambda header: (
             (_applicant_id, "applicant_id"), (_program_key, PROGRAM_NAMES),
             (_parse_int, "year"), (_parse_int, "listed_rank"), (_parse_bool, "exam_taken"),
             (_parse_float, "exam_score"), (_parse_float, "other_points"),
         )
     )
-    listed_ids, applicant = ids.encoded()
-    program_keys, program = keys.encoded()
-    applications = ApplicationBlock(
-        # the panel's tuple when equal, so that recoding between them is free
-        applicant_ids if listed_ids == applicant_ids else listed_ids,
-        program_keys, applicant, program,
-        year.column(np.int64), rank.column(np.int64), taken.column(bool),
-        exam_score.values, other_points.values,
-    )
 
     fields, subjects_listed, weights = _read(directory, FIELD_WEIGHTS_CSV, lambda header: (
         (_field_label, "field"), (_text, "subject"), (_parse_float, "weight")
     ))
     pairs = list(zip(fields.rows(), subjects_listed.rows()))
-    duplicates += _repeats(directory / FIELD_WEIGHTS_CSV, "(field, subject)", *encode(pairs))
+    duplicates += _repeats(directory / FIELD_WEIGHTS_CSV, "(field, subject)", pairs)
     field_weights: dict[str, dict[str, float]] = {}
     for (field_label, subject), weight in zip(pairs, weights.values.tolist()):
         field_weights.setdefault(field_label, {})[subject] = weight
@@ -351,26 +348,38 @@ def load_panel(directory: str | Path) -> Panel:
     labels, bonuses = _read(directory, BONUS_POINTS_CSV, lambda header: (
         (_field_label, "field"), (_parse_float, "bonus")
     ))
-    duplicates += _repeats(directory / BONUS_POINTS_CSV, "field", *labels.encoded())
+    duplicates += _repeats(directory / BONUS_POINTS_CSV, "field", labels.rows())
     bonus_points = dict(zip(labels.rows(), bonuses.values.tolist()))
 
-    observed: Optional[Assignment] = None
+    observed_rows = ()
     if (path := directory / OBSERVED_ASSIGNMENT_CSV).exists():
         ids, seats = _read(directory, OBSERVED_ASSIGNMENT_CSV, lambda header: (
             (_applicant_id, "applicant_id"), (_observed_seat, PROGRAM_NAMES + ("accepted",))
         ))
-        duplicates += _repeats(path, "applicant_id", *ids.encoded())
-        keys, flags = zip(*seats.values) if seats.values else ((), ())
-        program_keys = tuple(sorted(set(keys) - {""}))  # "" marks no seat, and reads as -1
-        ids = tuple(ids.rows())  # the block's tuple when equal, as save_panel writes them
-        observed = Assignment(
-            applications.applicant_ids if ids == applications.applicant_ids else ids,
-            program_keys,
-            recode(keys, program_keys)[seats.codes],
-            np.array(flags, dtype=np.int8)[seats.codes],
-        )
+        observed_rows = tuple(zip(ids.rows(), seats.rows()))  # (id, (key, flag)), file order
+        duplicates += _repeats(path, "applicant_id", [a for a, _ in observed_rows])
     if duplicates:
         raise ValidationError(duplicates)
+
+    # Ids and keys are coded by their position in the panel; those the files
+    # name but the panel lacks come after them, sorted, for validate_panel.
+    seated = {a: key for a, (key, _) in observed_rows if key}  # "" marks no seat
+    block_ids, applicant_code = _coding(applicant_ids, [*listed_ids.values, *seated])
+    block_keys, program_code = _coding(program_keys, [*listed_keys.values, *seated.values()])
+    applications = ApplicationBlock(
+        block_ids, block_keys, listed_ids.coded(applicant_code), listed_keys.coded(program_code),
+        year.column(np.int64), rank.column(np.int64), taken.column(bool),
+        exam_score.values, other_points.values,
+    )
+    observed = observed_order = None
+    if path.exists():  # an id the panel lacks, without a seat, says nothing
+        rows = np.array([
+            (applicant_code[a], program_code.get(key, -1), flag)
+            for a, (key, flag) in observed_rows if a in applicant_code
+        ], dtype=np.intp).reshape(-1, 3)
+        observed_order, held = rows[:, 0], np.full((2, len(block_ids)), -1)
+        held[:, observed_order] = rows[:, 1:].T
+        observed = Assignment(block_ids, block_keys, held[0], held[1].astype(np.int8))
 
     years = applications.year if len(applications) else cohort_year
     base_year = int(years.min()) if len(years) else 0
@@ -378,7 +387,7 @@ def load_panel(directory: str | Path) -> Panel:
         applicant_ids, cohort_year, subjects, grades, *programs, applications, base_year,
         field_weights, bonus_points, observed,
     )
-    return validate_panel(panel, applicant_order=row)
+    return validate_panel(panel, applicant_order=row, observed_order=observed_order)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -444,7 +453,7 @@ def save_panel(panel: Panel, directory: str | Path) -> None:
             directory / OBSERVED_ASSIGNMENT_CSV,
             panel,
             panel.observed_assignment,
-            universe=panel.base_applications.distinct_applicants(),
+            universe=panel.base_applications.listed_applicants(),
         )
 
 
@@ -452,15 +461,15 @@ def write_assignment_csv(
     path: str | Path,
     panel: Panel,
     assignment: Assignment,
-    universe: Sequence[str],
+    universe: np.ndarray,
 ) -> None:
-    """One row per applicant of ``universe``, in the order given (sorted
-    ids, as every caller passes them); program columns empty for the
-    unassigned, accepted flag empty when unknown."""
-
-    held = assignment.recoded(universe)
-    at = positions(assignment.program_keys, panel.program_keys).tolist()
-    names = [panel.program_names[i] for i in at] + [("", "")]  # -1 last
-    flag = np.array(["false", "true", ""])[np.where(held.seat >= 0, held.accept, -1)]
-    columns = np.array(names, dtype=object)[held.seat].T.tolist() + [flag.tolist()]
-    _write_csv(Path(path), REQUIRED_COLUMNS[OBSERVED_ASSIGNMENT_CSV], zip(universe, *columns))
+    """One row per applicant code of ``universe``, in the order given
+    (ascending, so by id, as every caller passes them); program columns
+    empty for the unassigned, accepted flag empty when unknown."""
+    same_coding(panel, assignment)
+    seat = assignment.seat[universe]
+    names = np.array([*panel.program_names, ("", "")], dtype=object)  # -1 last
+    flag = np.array(["false", "true", ""])[np.where(seat >= 0, assignment.accept[universe], -1)]
+    ids = list(map(panel.applicant_ids.__getitem__, universe.tolist()))
+    columns = [ids, *names[seat].T.tolist(), flag.tolist()]
+    _write_csv(Path(path), REQUIRED_COLUMNS[OBSERVED_ASSIGNMENT_CSV], zip(*columns))

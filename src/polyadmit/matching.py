@@ -5,12 +5,12 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleAssignment, MissingScore, UniverseMismatch
-from .model import ApplicationBlock, Assignment, recode, seat_rows
+from .model import ApplicationBlock, Assignment, same_coding, seat_rows
 from .scoring import ScoreTable
 
 PROPOSING_APPLICANTS = "applicants"
@@ -22,8 +22,8 @@ class MatchInstance:
     """Strict preference/priority profile for one matching run, as
     integer arrays.
 
-    Applicants and programs are coded by their position in the sorted
-    ``applicant_ids`` and ``program_keys``. Row ``r`` is one application,
+    Applicants and programs are coded by their position in the ascending
+    ``applicant_ids`` and in ``program_keys``. Row ``r`` is one application,
     of ``applicant[r]`` to ``program[r]``. ``pref_order`` lists the rows
     by applicant, each list in preference order, applicant ``a``'s list
     being ``pref_order[pref_offsets[a]:pref_offsets[a + 1]]``;
@@ -82,25 +82,24 @@ def _grouped(
 def build_instance(
     applications: ApplicationBlock,
     scores: ScoreTable,
-    quotas: Mapping[str, int],
+    quota: np.ndarray,
 ) -> MatchInstance:
     """Assemble the matching instance for one application block, the one
-    ``scores`` was computed from.
+    ``scores`` was computed from, with ``quota[p]`` seats at program ``p``.
 
-    Preferences follow listed rank; each program orders its applicants by
-    total score descending, applicant id breaking ties. The codes and the
-    preference lists of a block are built once and shared by every table
-    that scores it; each table adds one priority sort.
+    The instance codes as the block does. Preferences follow listed rank;
+    each program orders its applicants by total score descending,
+    applicant id breaking ties. The preference lists of a block are built
+    once and shared by every table that scores it.
     """
     if applications is not scores.applications:
         raise MissingScore("the score table was computed from another application block")
-    applicant_ids, program_keys, applicant, program, pref_order, pref_offsets = applications.lists
-    prio_order = np.lexsort((applicant, -scores.totals, program))
+    program = applications.program
+    prio_order = np.lexsort((applications.applicant, -scores.totals, program))
     return MatchInstance(
-        applicant_ids, program_keys, applicant, program, pref_order, pref_offsets,
-        quota=np.array([int(quotas.get(p, 0)) for p in program_keys], dtype=np.int64),
-        prio_order=prio_order,
-        prio_offsets=np.searchsorted(program[prio_order], np.arange(len(program_keys) + 1)),
+        applications.applicant_ids, applications.program_keys, applications.applicant, program,
+        *applications.lists, quota=np.asarray(quota, dtype=np.int64), prio_order=prio_order,
+        prio_offsets=np.searchsorted(program[prio_order], np.arange(len(quota) + 1)),
     )
 
 
@@ -199,23 +198,19 @@ def find_blocking_pairs(
     """
     seat_row = seat_rows(assignment, instance)
     if (seat_row == -2).any():
-        a = assignment.applicant_ids[np.argmax(seat_row == -2)]
-        p = assignment.seat_of[a]
+        a = np.argmax(seat_row == -2)
+        a, p = assignment.applicant_ids[a], assignment.program_keys[assignment.seat[a]]
         raise InfeasibleAssignment(f"applicant {a!r} assigned to unlisted program {p!r}")
     held = seat_row[seat_row >= 0]
-    n_programs = len(instance.program_keys)
-    fill = np.bincount(instance.program[held], minlength=n_programs)
-    if (fill > instance.quota).any():
-        p = np.argmax(fill > instance.quota)
-        raise InfeasibleAssignment(
-            f"program {instance.program_keys[p]!r} over quota: {fill[p]} > {instance.quota[p]}"
-        )
-    seat = np.full(len(instance.applicant_ids), -1, dtype=np.intp)
-    seat[instance.applicant[held]] = held
-    worst = np.full(n_programs, -1)
+    keys, quota = instance.program_keys, instance.quota
+    fill = np.bincount(instance.program[held], minlength=len(keys))
+    if (fill > quota).any():  # named as in key order
+        p = min(np.flatnonzero(fill > quota).tolist(), key=keys.__getitem__)
+        raise InfeasibleAssignment(f"program {keys[p]!r} over quota: {fill[p]} > {quota[p]}")
+    worst = np.full(len(keys), -1)
     np.maximum.at(worst, instance.program[held], instance.prio_position[held])
     pref, prio = instance.pref_position, instance.prio_position
-    seat_position = np.where(seat >= 0, pref[np.maximum(seat, 0)], np.iinfo(np.intp).max)
+    seat_position = np.where(seat_row >= 0, pref[np.maximum(seat_row, 0)], np.iinfo(np.intp).max)
     program = instance.program
     blocks = (pref < seat_position[instance.applicant]) & (
         (fill[program] < instance.quota[program]) | (prio < worst[program])
@@ -234,27 +229,23 @@ class AssignmentDiff:
 
 
 def compare_assignments(
-    base: Assignment, other: Assignment, universe: Collection[str]
+    base: Assignment, other: Assignment, universe: np.ndarray
 ) -> AssignmentDiff:
     """Count applicants whose seat (or unassigned status) differs.
 
-    The share is computed over the full applicant universe, not only over
-    assigned applicants.
+    The share is computed over the full applicant ``universe`` (the codes
+    of the applicants matched), not only over assigned applicants.
     """
+    same_coding(base, other)
     for side in (base, other):
-        outside = side.holders[recode(side.applicant_ids, universe)[side.holders] < 0]
+        outside = side.holders[np.isin(side.holders, universe, invert=True)]
         if len(outside):
-            extra = sorted({side.applicant_ids[a] for a in outside.tolist()})
-            raise UniverseMismatch(f"assigned applicants outside universe: {extra[:5]}")
-    # seats over the base's applicants, then the other side's holders the base lacks
-    keys = tuple(sorted({*base.program_keys, *other.program_keys}))
-    mine = base.recoded(base.applicant_ids, keys).seat
-    theirs = other.recoded(base.applicant_ids, keys).seat
-    outside = recode(other.applicant_ids, base.applicant_ids) < 0
-    count = int(np.count_nonzero(mine != theirs) + np.count_nonzero(other.seat[outside] >= 0))
+            extra = [side.applicant_ids[a] for a in outside[:5].tolist()]
+            raise UniverseMismatch(f"assigned applicants outside universe: {extra}")
+    count = int(np.count_nonzero(base.seat != other.seat))
     return AssignmentDiff(
         differently_assigned_count=count,
-        differently_assigned_share=count / len(universe) if universe else 0.0,
+        differently_assigned_share=count / len(universe) if len(universe) else 0.0,
     )
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BinMismatch, EmptyAssignment
-from .model import MAX_LISTED_RANK, Assignment, Panel, positions, recode
+from .model import MAX_LISTED_RANK, Assignment, Panel, same_coding
 from .scoring import ScoreTable, weighted_gpa_matrix
 
 N_BINS = 100
@@ -55,10 +55,7 @@ def field_gpa_percentile_ranks(panel: Panel) -> RankTable:
     ranks = np.empty_like(gpa)
     for j in range(len(panel.fields)):
         ranks[:, j] = _midpoint_percentiles(gpa[:, j])
-    return RankTable(
-        panel.applicant_ids, panel.fields, ranks,
-        panel.program_keys, panel.field_codes(panel.program_keys),
-    )
+    return RankTable(panel.applicant_ids, panel.fields, ranks, panel.program_keys, panel.field_code)
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,8 @@ def tercile_unassignment(table: ScoreTable, assignment: Assignment, criterion: s
     mean_rank = total / counts
 
     ordered = np.lexsort((np.arange(len(present)), -mean_rank))  # ids ascending break ties
-    unassigned = assignment.recoded(apps.applicant_ids).seat[present[ordered]] < 0
+    same_coding(apps, assignment)
+    unassigned = assignment.seat[present[ordered]] < 0
     thirds = np.array_split(unassigned, 3)  # the first len % 3 thirds one longer
     return TercileReport(
         criterion=criterion,
@@ -162,12 +160,9 @@ def assigned_rank_histogram(rank_table: RankTable, assignment: Assignment) -> Hi
 
 def _admit_ranks(rank_table: RankTable, assignment: Assignment) -> np.ndarray:
     """Each admit's GPA rank at their program's field, in seat order."""
+    same_coding(rank_table, assignment)
     holders = assignment.holders
-    rows = recode(assignment.applicant_ids, rank_table.applicant_ids)[holders]
-    if (rows < 0).any():
-        raise KeyError("an admit has no row in the rank table")
-    column = rank_table.field_code[positions(assignment.program_keys, rank_table.program_keys)]
-    return rank_table.ranks[rows, column[assignment.seat[holders]]]
+    return rank_table.ranks[holders, rank_table.field_code[assignment.seat[holders]]]
 
 
 def net_change_histogram(base: Histogram100, cf: Histogram100) -> Histogram100:

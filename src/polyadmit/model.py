@@ -11,7 +11,8 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
-from collections.abc import Sequence
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -36,20 +37,15 @@ def canonical_program_key(polytechnic_name: str, program_name: str) -> str:
     return f"{poly}::{prog}"
 
 
-def recode(ids: Sequence[str], into: Sequence[str]) -> np.ndarray:
-    """Position in ``into`` of each of ``ids``, -1 where absent."""
-    if ids is into or tuple(ids) == tuple(into):
-        return np.arange(len(ids))
-    index = {x: i for i, x in enumerate(into)}
-    return np.array([index.get(x, -1) for x in ids], dtype=np.intp)
-
-
-def positions(ids: Sequence[str], into: Sequence[str]) -> np.ndarray:
-    """Position in ``into`` of each of ``ids``; KeyError for one not there."""
-    at = recode(ids, into)
-    if (at < 0).any():
-        raise KeyError(ids[int(np.argmin(at))])
-    return at
+def same_coding(*coded) -> None:
+    """Raise KeyError unless all of ``coded`` (panels, blocks, instances,
+    assignments, rank tables) hold the same ``applicant_ids`` and
+    ``program_keys``: readers index with codes and never translate them."""
+    for other in coded[1:]:
+        for name in ("applicant_ids", "program_keys"):
+            mine, theirs = getattr(coded[0], name), getattr(other, name)
+            if mine is not theirs and mine != theirs:
+                raise KeyError(f"not coded alike, {name}: {sorted(set(mine) ^ set(theirs))[:5]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,35 +70,15 @@ class Assignment:
         pairs = zip(self.holders.tolist(), self.seat[self.holders].tolist())
         return {self.applicant_ids[a]: self.program_keys[p] for a, p in pairs}
 
-    def recoded(
-        self, applicant_ids: Sequence[str], program_keys: Optional[Sequence[str]] = None
-    ) -> "Assignment":
-        """The assignment over other vocabularies (``program_keys`` this
-        one's when None): an applicant outside it holds no seat and no
-        flag, and a seat outside ``program_keys`` reads as none."""
-        keys = self.program_keys if program_keys is None else tuple(program_keys)
-        seat = np.append(recode(self.program_keys, keys), -1)[self.seat]
-        row = recode(applicant_ids, self.applicant_ids)
-        return Assignment(
-            tuple(applicant_ids), keys, np.append(seat, -1)[row], np.append(self.accept, -1)[row]
-        )
-
-
-def encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct values, and each value's position among them."""
-    ids = tuple(sorted(set(values)))
-    code = {x: i for i, x in enumerate(ids)}
-    return ids, np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
-
 
 @dataclass(frozen=True, eq=False)
 class ApplicationBlock:
     """Applications as columns, row ``i`` being one application.
 
-    ``applicant`` and ``program`` are codes into the sorted vocabularies
-    ``applicant_ids`` and ``program_keys``; blocks cut from one another
-    with ``take`` share them. Blocks compare by identity: a score table
-    scores the very block it was computed from.
+    ``applicant`` and ``program`` are codes into ``applicant_ids`` and
+    ``program_keys``: a panel's own tuples, so every block of one panel
+    codes alike. Blocks compare by identity: a score table scores the
+    very block it was computed from.
     """
 
     applicant_ids: tuple[str, ...] = field(repr=False)
@@ -126,34 +102,22 @@ class ApplicationBlock:
             },
         )
 
-    def distinct_applicants(self) -> list[str]:
-        """The ids of the applicants with a row here, sorted."""
-        listed = np.bincount(self.applicant, minlength=len(self.applicant_ids))
-        return [self.applicant_ids[c] for c in np.flatnonzero(listed).tolist()]
+    def listed_applicants(self) -> np.ndarray:
+        """The codes of the applicants with a row here, ascending."""
+        return np.flatnonzero(np.bincount(self.applicant, minlength=len(self.applicant_ids)))
 
     def holds_seat(self, assignment: "Assignment") -> np.ndarray:
         """Per row: the applicant's seat is this row's program."""
-        seat = assignment.recoded(self.applicant_ids, self.program_keys).seat
-        return seat[self.applicant] == self.program
+        same_coding(self, assignment)
+        return assignment.seat[self.applicant] == self.program
 
     @functools.cached_property
-    def lists(self) -> tuple:
-        """The rows as the applicants' lists: the applicant ids and the
-        program keys the block lists, each row's applicant and program
-        coded by position among them, and the rows in list order, with
-        applicant ``a``'s list at ``order[offsets[a]:offsets[a + 1]]``.
-        Ties in listed rank keep row order."""
-        listed_applicants, applicant = np.unique(self.applicant, return_inverse=True)
-        listed_programs, program = np.unique(self.program, return_inverse=True)
-        order = np.lexsort((self.listed_rank, applicant))
-        return (
-            tuple(self.applicant_ids[c] for c in listed_applicants.tolist()),
-            tuple(self.program_keys[c] for c in listed_programs.tolist()),
-            applicant,
-            program,
-            order,
-            np.searchsorted(applicant[order], np.arange(len(listed_applicants) + 1)),
-        )
+    def lists(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows in list order, with applicant ``a``'s list at
+        ``order[offsets[a]:offsets[a + 1]]`` (empty for an applicant
+        without a row). Ties in listed rank keep row order."""
+        order = np.lexsort((self.listed_rank, self.applicant))
+        return order, np.searchsorted(self.applicant[order], np.arange(len(self.applicant_ids) + 1))
 
     def python_columns(self) -> list[list]:
         """Each column as Python values, in field order, with ids and keys
@@ -180,7 +144,8 @@ class Panel:
     grade is missing. Programs are columns too, in the order given: each
     one's key, (polytechnic, program) names, field label and quota.
     ``applications`` holds the applications of all three years as one
-    ``ApplicationBlock``."""
+    ``ApplicationBlock``. Applicants and programs are coded by position in
+    these tuples, which every block, instance and assignment holds."""
 
     applicant_ids: tuple[str, ...]
     cohort_year: np.ndarray
@@ -210,12 +175,11 @@ class Panel:
         """The fields with weights, sorted: a field's code is its position here."""
         return tuple(sorted(self.field_weights))
 
-    def field_codes(self, program_keys: Sequence[str]) -> np.ndarray:
-        """The code of the field of each of ``program_keys``; KeyError for a
-        key that is not a panel program, or a field without weights."""
+    @functools.cached_property
+    def field_code(self) -> np.ndarray:
+        """The code of each program's field; KeyError for one without weights."""
         code = {f: j for j, f in enumerate(self.fields)}
-        at = positions(program_keys, self.program_keys).tolist()
-        return np.array([code[self.program_field[i]] for i in at], dtype=np.intp)
+        return np.array([code[f] for f in self.program_field], dtype=np.intp)
 
     def weighted_gpa(self, applicant_id: str, field_label: str) -> float:
         """Field-weighted matriculation GPA; missing subjects count as zero.
@@ -230,14 +194,66 @@ class Panel:
         return total
 
 
-def validate_panel(panel: Panel, applicant_order: Optional[np.ndarray] = None) -> Panel:
-    """Check every structural invariant; raise with all violations at once.
+def _coding_violations(panel: Panel) -> list[str]:
+    """Breaks of the coding that every other check indexes with; a loaded
+    or generated panel has none."""
+    ids, keys, apps = panel.applicant_ids, panel.program_keys, panel.applications
+    coding, none = (apps.applicant_ids, apps.program_keys), np.full(len(apps.applicant_ids), -1)
+    observed = panel.observed_assignment or Assignment(*coding, none, none)
+    n_observed = len(observed.applicant_ids)
+    problems = [
+        f"IdOrder: applicant_ids[{i}] {ids[i]!r} does not follow {ids[i - 1]!r}"
+        for i in (np.flatnonzero(list(map(operator.ge, ids[:-1], ids[1:]))) + 1).tolist()
+    ]
+    problems += [f"DuplicateId: program key {k!r}" for k, n in Counter(keys).items() if n > 1]
+    shapes = [
+        ("cohort_year", panel.cohort_year.shape, (len(ids),)),
+        ("grades", panel.grades.shape, (len(ids), len(panel.subjects))),
+        ("quota", panel.quota.shape, (len(keys),)),
+        ("names, fields", (len(panel.program_names), len(panel.program_field)), (len(keys),) * 2),
+        ("observed seat, accept", observed.seat.shape + observed.accept.shape, (n_observed,) * 2),
+    ] + [
+        (f"applications.{f.name}", getattr(apps, f.name).shape, apps.applicant.shape)
+        for f in dataclasses.fields(apps)[3:]
+    ]
+    problems += [
+        f"ShapeMismatch: {name} has shape {shape}, expected {expected}"
+        for name, shape, expected in shapes if shape != expected
+    ]
+    # A loaded panel's blocks code the ids and keys its files name but it
+    # lacks after its own, so they extend its tuples; the observed
+    # assignment holds the applications' very tuples.
+    for name, own, coded in zip(("applicant_ids", "program_keys"), (ids, keys), coding):
+        if coded[: len(own)] != own or getattr(observed, name) != coded:
+            problems.append(f"CodingMismatch: {name} of the applications or observed assignment")
+    for name, codes, low, stop in (
+        ("applicant", apps.applicant, 0, len(apps.applicant_ids)),
+        ("program", apps.program, 0, len(apps.program_keys)),
+        ("seat", observed.seat, -1, len(observed.program_keys)),
+    ):
+        problems += [
+            f"CodeOutOfRange: {name} #{i}: code {codes[i]} not in {low}..{stop - 1}"
+            for i in np.flatnonzero((codes < low) | (codes >= stop)).tolist()
+        ]
+    return problems
+
+
+def validate_panel(
+    panel: Panel,
+    applicant_order: Optional[np.ndarray] = None,
+    observed_order: Optional[np.ndarray] = None,
+) -> Panel:
+    """Check every structural invariant; raise with all violations at once
+    (breaks of the coding alone, as every other check reads through it).
 
     Negative grades are listed by applicant in ``applicant_order`` (rows of
     ``panel.grades``, the file's order for a loaded panel; row order when
-    None), and by subject in ``panel.subjects`` order.
+    None), and by subject in ``panel.subjects`` order; observed seats by
+    applicant in ``observed_order``, likewise (applicant codes).
     """
-    problems: list[str] = []
+    problems = _coding_violations(panel)
+    if problems:
+        raise ValidationError(problems)
 
     negative = panel.grades < 0  # a missing grade (NaN) is not negative
     order = np.arange(len(negative)) if applicant_order is None else applicant_order
@@ -261,11 +277,9 @@ def validate_panel(panel: Panel, applicant_order: Optional[np.ndarray] = None) -
             problems.append(f"MissingBonusPoints: field {field_label!r} of {program_key!r}")
 
     apps = panel.applications
-    unknown_applicant = recode(apps.applicant_ids, panel.applicant_ids) < 0
-    unknown_program = recode(apps.program_keys, panel.program_keys) < 0
-    row_checks = (
-        (unknown_applicant[apps.applicant], "DanglingForeignKey: {}: unknown applicant"),
-        (unknown_program[apps.program], "DanglingForeignKey: {}: unknown program"),
+    row_checks = (  # codes past the panel's name ids and keys it lacks
+        (apps.applicant >= len(panel.applicant_ids), "DanglingForeignKey: {}: unknown applicant"),
+        (apps.program >= len(panel.program_keys), "DanglingForeignKey: {}: unknown program"),
         (~np.isin(apps.year, panel.years), f"YearOutOfRange: {{}}: panel years are {panel.years}"),
         ((apps.exam_score < 0) | (apps.other_points < 0), "NegativePoints: {}"),
         ((apps.exam_score != 0.0) & ~apps.exam_taken, "ExamScoreWithoutExam: {}"),
@@ -311,8 +325,8 @@ def validate_panel(panel: Panel, applicant_order: Optional[np.ndarray] = None) -
             )
 
     if panel.observed_assignment is not None:
-        problems.extend(
-            assignment_violations(panel, panel.base_applications, panel.observed_assignment)
+        problems += assignment_violations(
+            panel, panel.base_applications, panel.observed_assignment, observed_order
         )
 
     if problems:
@@ -321,40 +335,44 @@ def validate_panel(panel: Panel, applicant_order: Optional[np.ndarray] = None) -
 
 
 def seat_rows(assignment: Assignment, rows) -> np.ndarray:
-    """Per applicant of ``assignment``: the row of ``rows`` (an
-    ``ApplicationBlock`` or a ``MatchInstance``) that lists their seat; -1
-    when they hold none, -2 when no row lists it."""
-    seat = assignment.recoded(rows.applicant_ids, rows.program_keys).seat
-    listed = np.flatnonzero(seat[rows.applicant] == rows.program)
-    row = np.full(len(rows.applicant_ids) + 1, -2)  # the last entry: applicants not in rows
+    """Per applicant: the row of ``rows`` (a block or instance coded like
+    ``assignment``) that lists their seat; -1 for none, -2 when no row does."""
+    same_coding(assignment, rows)
+    listed = np.flatnonzero(assignment.seat[rows.applicant] == rows.program)
+    row = np.full(len(assignment.seat), -2)
     row[rows.applicant[listed]] = listed
-    found = row[recode(assignment.applicant_ids, rows.applicant_ids)]
-    return np.where(assignment.seat < 0, -1, found)
+    return np.where(assignment.seat < 0, -1, row)
 
 
 def assignment_violations(
-    panel: Panel, applications: ApplicationBlock, assignment: Assignment
+    panel: Panel,
+    applications: ApplicationBlock,
+    assignment: Assignment,
+    order: Optional[np.ndarray] = None,
 ) -> list[str]:
-    """Structural problems of an assignment against an application set.
+    """Structural problems of an assignment against an application set
+    coded like it, applicants listed in ``order`` (codes; code order when
+    None), programs in the order of their first holder by id.
 
     Shared checker: also used in tests to audit every assignment the
     package produces.
     """
     problems: list[str] = []
     ids, keys, seat = assignment.applicant_ids, assignment.program_keys, assignment.seat
-    for i in np.flatnonzero(seat_rows(assignment, applications) == -2).tolist():
+    order = np.arange(len(seat)) if order is None else order
+    unlisted = seat_rows(assignment, applications) == -2
+    for i in order[unlisted[order]].tolist():
         problems.append(f"SeatWithoutApplication: ({ids[i]!r}, {keys[seat[i]]!r})")
     fill = np.bincount(seat[assignment.holders], minlength=len(keys)).tolist()
-    quotas = panel.quota.tolist()
-    quota = [quotas[r] if r >= 0 else None for r in recode(keys, panel.program_keys).tolist()]
-    flagged = [j for j, n in enumerate(fill) if n and (quota[j] is None or n > quota[j])]
-    # programs in the order of their first holder by id
+    quota = panel.quota.tolist()  # a code past the panel's programs names a key it lacks
+    flagged = [j for j, n in enumerate(fill) if n and (j >= len(quota) or n > quota[j])]
     first = {j: min(map(ids.__getitem__, np.flatnonzero(seat == j).tolist())) for j in flagged}
     for j in sorted(flagged, key=first.__getitem__):
-        if quota[j] is None:
+        if j >= len(quota):
             problems.append(f"DanglingForeignKey: assigned program {keys[j]!r}")
         else:
             problems.append(f"QuotaExceeded: program {keys[j]!r} holds {fill[j]} > {quota[j]}")
-    for i in np.flatnonzero((assignment.accept >= 0) & (seat < 0)).tolist():
+    flag_only = (assignment.accept >= 0) & (seat < 0)
+    for i in order[flag_only[order]].tolist():
         problems.append(f"AcceptFlagWithoutSeat: {ids[i]!r}")
     return problems

@@ -10,7 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DegenerateTable
-from .model import ApplicationBlock, Panel, recode
+from .model import ApplicationBlock, Panel, same_coding
 
 # (applicant_id, program_key, year)
 ScoreKey = tuple[str, str, int]
@@ -108,15 +108,13 @@ def compute_score_table(panel: Panel, applications: ApplicationBlock) -> ScoreTa
     grades (missing subjects count as zero); the bonus applies only to the
     first listed program of each list.
     """
-    field_code = panel.field_codes(applications.program_keys)[applications.program]
-    applicant_row = recode(applications.applicant_ids, panel.applicant_ids)
-    if (applicant_row < 0).any():
-        raise KeyError(f"applicants not in the panel: {applications.distinct_applicants()[:5]}")
+    same_coding(panel, applications)
+    field_code = panel.field_code[applications.program]
     # NaN only for a field no program of a valid panel has
     bonus = np.array([panel.bonus_points.get(f, np.nan) for f in panel.fields])
     return ScoreTable(
         applications,
-        gpa=weighted_gpa_matrix(panel)[applicant_row[applications.applicant], field_code],
+        gpa=weighted_gpa_matrix(panel)[applications.applicant, field_code],
         exam=np.where(applications.exam_taken, applications.exam_score, 0.0),
         bonus=np.where(applications.listed_rank == 1, bonus[field_code], 0.0),
         other=applications.other_points.astype(float),
@@ -137,17 +135,18 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     """Make the first exam taken in a field valid for every exam-less
     application in that field.
 
-    "First" is the least (year, listed_rank, program_key) among the
-    applicant's exams in the field, across the whole panel. Applications
-    with their own exam keep it. Idempotent: re-propagating rewrites the
-    same scores.
+    "First" is the least (year, listed_rank) among the applicant's exams
+    in the field, across the whole panel (one year's list gives each rank
+    once). Applications with their own exam keep it. Idempotent:
+    re-propagating rewrites the same scores.
     """
     apps, block = panel.applications, table.applications
-    n_fields, field_code = len(panel.fields), panel.field_codes(apps.program_keys)
-    # one slot per (applicant, field), applicants coded by the panel's block
+    same_coding(panel, apps, block)
+    n_fields, field_code = len(panel.fields), panel.field_code
+    # one slot per (applicant, field)
     taken = np.flatnonzero(apps.exam_taken)
     slot = apps.applicant[taken] * n_fields + field_code[apps.program[taken]]
-    order = np.lexsort((apps.program[taken], apps.listed_rank[taken], apps.year[taken], slot))
+    order = np.lexsort((apps.listed_rank[taken], apps.year[taken], slot))
     slot = slot[order]
     first = np.ones(len(slot), dtype=bool)
     first[1:] = slot[1:] != slot[:-1]
@@ -155,9 +154,7 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     slots = np.append(slot[first], np.iinfo(np.int64).max)  # the end never matches
 
     rows = np.flatnonzero(~table.exam_taken)
-    row_field = panel.field_codes(block.program_keys)[block.program[rows]]
-    wanted = recode(block.applicant_ids, apps.applicant_ids)[block.applicant[rows]]
-    wanted = np.where(wanted < 0, -1, wanted * n_fields + row_field)
+    wanted = block.applicant[rows] * n_fields + field_code[block.program[rows]]
     at = np.searchsorted(slots, wanted)
     found = slots[at] == wanted
     exam = table.exam.copy()

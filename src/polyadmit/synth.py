@@ -157,29 +157,32 @@ def _choice_distinct(
 class _ListSampler:
     """Distributions of one application list, built once per panel: the
     list-length CDF, per home field code the program weights and their
-    CDF, and the exam probability of each listed rank."""
+    CDF, and the exam probability of each listed rank. Programs are drawn
+    in key order (``by_key``: the codes in that order), as the pinned
+    random stream has them."""
 
-    n_programs: int
+    by_key: np.ndarray
     length_cdf: list[float]
     weights: list[tuple[np.ndarray, list[float]]]
     exam_prob: list[float]
 
     @classmethod
-    def build(cls, cfg: SynthConfig, program_field: np.ndarray) -> "_ListSampler":
-        """``program_field``: the field code of each program, by program code."""
+    def build(cls, cfg: SynthConfig, keys: tuple[str, ...]) -> "_ListSampler":
+        """``keys``: the program keys, by program code."""
+        by_key = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
         weights = []
         for home_field in range(cfg.n_fields):
-            w = np.where(program_field == home_field, cfg.home_field_weight, 1.0)
+            w = np.where(by_key % cfg.n_fields == home_field, cfg.home_field_weight, 1.0)
             w /= w.sum()
             weights.append((w, _cdf(w).tolist()))
         length_cdf = _cdf(np.array(cfg.list_length_probs, dtype=float)).tolist()
         by_rank = cfg.exam_prob_by_rank  # the last entry holds for every later rank
         exam_prob = [by_rank[min(rank, len(by_rank)) - 1] for rank in range(1, len(length_cdf) + 1)]
-        return cls(len(program_field), length_cdf, weights, exam_prob)
+        return cls(by_key, length_cdf, weights, exam_prob)
 
     def draw(self, rng: np.random.Generator, home_field: int) -> list[int]:
-        """The program codes of one list, in listed order."""
-        length = min(_choice(rng, self.length_cdf) + 1, self.n_programs)
+        """The positions in ``by_key`` of one list's programs, in listed order."""
+        length = min(_choice(rng, self.length_cdf) + 1, len(self.by_key))
         p, cdf = self.weights[home_field]
         return _choice_distinct(rng, p, cdf, length)
 
@@ -193,7 +196,8 @@ def _draw_list(
     rows: tuple[list, ...],
 ) -> None:
     """Draw one application list and extend each column of ``rows`` with
-    it: applicant code, program code, year, listed rank, exam taken, the
+    it: applicant code, program draw (see ``_ListSampler``), year, listed
+    rank, exam taken, the
     exam score's standard normal (0.0 without an exam) and whether the row
     earns other points."""
     programs = sampler.draw(rng, int(rng.integers(cfg.n_fields)))
@@ -215,30 +219,15 @@ def _rounded(values: np.ndarray) -> np.ndarray:
     return np.array([round(v, 4) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
-def _columns(cfg: SynthConfig, ability: np.ndarray, rows: tuple[list, ...]) -> list[np.ndarray]:
-    """Drawn rows (see ``_draw_list``) as the columns of a block, the
-    programs coded by every program key."""
+def _columns(cfg: SynthConfig, ability: np.ndarray, sampler: _ListSampler, rows: tuple) -> list:
+    """Drawn rows (see ``_draw_list``) as the columns of a block."""
     dtypes = (np.int64,) * 4 + (bool, float, bool)
-    applicant, program, year, rank, exam_taken, normal, other = map(np.array, rows, dtypes)
+    applicant, drawn, year, rank, exam_taken, normal, other = map(np.array, rows, dtypes)
     raw = 20.0 + 8.0 * (0.85 * ability[applicant[exam_taken]] + 0.52 * normal[exam_taken])
     exam_score = np.zeros(len(normal))
     exam_score[exam_taken] = _rounded(np.maximum(0.0, raw))
     other_points = np.where(other, cfg.other_points_value, 0.0)
-    return [applicant, program, year, rank, exam_taken, exam_score, other_points]
-
-
-def _block(
-    applicant_ids: tuple[str, ...], program_keys: list[str], columns: list[np.ndarray]
-) -> ApplicationBlock:
-    """A block of ``_columns`` output. Every applicant lists a program in
-    the base year, so the applicant vocabulary is every id; the program
-    vocabulary is the programs listed."""
-    applicant, program, *rest = columns
-    listed = np.flatnonzero(np.bincount(program, minlength=len(program_keys)))
-    code = np.zeros(len(program_keys), dtype=np.int64)
-    code[listed] = np.arange(len(listed))
-    keys = tuple(program_keys[j] for j in listed.tolist())
-    return ApplicationBlock(applicant_ids, keys, applicant, code[program], *rest)
+    return [applicant, sampler.by_key[drawn], year, rank, exam_taken, exam_score, other_points]
 
 
 def generate_panel(cfg: SynthConfig) -> Panel:
@@ -263,9 +252,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
         program_field=tuple(fields[i % cfg.n_fields] for i in range(cfg.n_programs)),
         quota=base_quota + (np.arange(cfg.n_programs) < extra),
     )
-    by_key = sorted(range(cfg.n_programs), key=keys.__getitem__)
-    program_keys = [keys[i] for i in by_key]
-    sampler = _ListSampler.build(cfg, np.array(by_key) % cfg.n_fields)
+    sampler = _ListSampler.build(cfg, keys)
 
     # Applicants are drawn in index order and coded by sorted id; from
     # 100 000 applicants on the two orders differ.
@@ -289,12 +276,12 @@ def generate_panel(cfg: SynthConfig) -> Panel:
         subjects=SUBJECTS,
         grades=_rounded(np.maximum(0.0, grades)),
     )
-    base_columns = _columns(cfg, ability, rows)
+    base_columns = _columns(cfg, ability, sampler, rows)
 
     panel = Panel(
         **applicants,
         **programs,
-        applications=_block(applicant_ids, program_keys, base_columns),
+        applications=ApplicationBlock(applicant_ids, keys, *base_columns),
         base_year=cfg.base_year,
         field_weights=field_weights,
         bonus_points=bonus_points,
@@ -304,26 +291,24 @@ def generate_panel(cfg: SynthConfig) -> Panel:
     # which are all the panel holds so far.
     base_apps = panel.applications
     table = scoring.compute_score_table(panel, base_apps)
-    quotas = dict(zip(panel.program_keys, panel.quota.tolist()))
-    instance = matching.build_instance(base_apps, table, quotas)
+    instance = matching.build_instance(base_apps, table, panel.quota)
     seats = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
 
     # Each applicant's seat, by id, with the listed rank and exam of its
     # row (read only where there is a seat); accept flags are drawn for
     # the holders in id order.
-    held = seats.recoded(panel.applicant_ids)
-    seat_row = seat_rows(held, base_apps)
+    seat_row = seat_rows(seats, base_apps)
     rank, exam = np.minimum(base_apps.listed_rank[seat_row], 4), base_apps.exam_taken[seat_row]
     p_accept = cfg.accept_base - np.array((0.0, *cfg.accept_rank_penalty))[rank - 1]
     p_accept = p_accept - np.where(exam, 0.0, cfg.accept_no_exam_penalty)
     accept = np.full(len(seat_row), -1, dtype=np.int8)
-    accept[held.holders] = rng.random(len(held.holders)) < p_accept[held.holders]
-    observed = Assignment(held.applicant_ids, held.program_keys, held.seat, accept)
+    accept[seats.holders] = rng.random(len(seats.holders)) < p_accept[seats.holders]
+    observed = Assignment(applicant_ids, keys, seats.seat, accept)
 
     # Later-year re-application behavior, drawn in id order.
     p_seated = cfg.reapply_assigned_base + np.array((0.0, *cfg.reapply_rank_bonus))[rank - 1]
     p_seated = p_seated + np.where(exam, 0.0, cfg.reapply_no_exam_bonus)
-    p_reapply = np.where(held.seat < 0, cfg.reapply_unassigned, p_seated)
+    p_reapply = np.where(seats.seat < 0, cfg.reapply_unassigned, p_seated)
     later = tuple([] for _ in range(7))
     year2_appliers = []
     for applicant, p in enumerate(p_reapply.tolist()):
@@ -337,10 +322,10 @@ def generate_panel(cfg: SynthConfig) -> Panel:
     panel = Panel(
         **applicants,
         **programs,
-        applications=_block(
+        applications=ApplicationBlock(
             applicant_ids,
-            program_keys,
-            list(map(np.concatenate, zip(base_columns, _columns(cfg, ability, later)))),
+            keys,
+            *map(np.concatenate, zip(base_columns, _columns(cfg, ability, sampler, later))),
         ),
         base_year=cfg.base_year,
         field_weights=field_weights,
@@ -363,12 +348,12 @@ class CalibrationRow:
 
 def calibration_report(panel: Panel) -> list[CalibrationRow]:
     """Generated marginals against their published targets, read from the
-    base-year rank statistics. Every base-year list starts at rank 1, so
-    the rank-1 count is the number of applicants."""
-    observed = panel.observed_assignment or Assignment((), (), np.empty(0, int), np.empty(0, int))
-    stats = metrics.application_rank_stats(panel, observed)
+    base-year rank statistics and the observed assignment of a generated
+    ``panel``. Every base-year list starts at rank 1, so the rank-1 count
+    is the number of applicants."""
+    stats = metrics.application_rank_stats(panel, panel.observed_assignment)
     n_applicants = stats[0].n_applications
-    assigned, listed = len(observed.holders), sum(r.n_applications for r in stats)
+    assigned, listed = len(panel.observed_assignment.holders), sum(r.n_applications for r in stats)
     return [
         CalibrationRow(f"exam_share_rank{r.listed_rank}", target, r.exam_taken_share)
         for r, target in zip(stats, EXAM_SHARE_BY_RANK)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from oracle import Applicant, Application, Program, applicant_columns, block_of, program_columns
+from oracle import (
+    Applicant, Application, Program, applicant_columns, assignment_of, block_of, program_columns,
+)
 from polyadmit import synth
 from polyadmit.model import Panel, validate_panel
 
@@ -41,21 +45,28 @@ def mk_panel(
     weights=None,
     bonus=None,
     observed=None,
+    accepted={},
     validate=True,
 ):
-    """Small-panel builder: applicants inferred from applications/grades."""
+    """A small panel: applicants inferred from applications/grades,
+    and the applications and the ``observed`` seats by id, with their
+    ``accepted`` flags, coded by the panel's ids and keys."""
     grades = grades or {}
     applicant_ids = sorted({a.applicant_id for a in applications} | set(grades))
-    applicants = [Applicant(a, grades.get(a, {}), BASE_YEAR) for a in applicant_ids]
-    fields = sorted({p.field for p in programs}) or ["field0"]
+    applicants = applicant_columns(
+        [Applicant(a, grades.get(a, {}), BASE_YEAR) for a in applicant_ids]
+    )
+    programs = program_columns(programs)
+    fields = sorted(set(programs["program_field"])) or ["field0"]
+    coded = SimpleNamespace(**applicants, **programs)
     panel = Panel(
-        **applicant_columns(applicants),
-        **program_columns(programs),
-        applications=block_of(applications),
+        **applicants,
+        **programs,
+        applications=block_of(applications, over=coded),
         base_year=BASE_YEAR,
         field_weights=weights if weights is not None else {f: {"math": 1.0} for f in fields},
         bonus_points=bonus if bonus is not None else {f: 0.0 for f in fields},
-        observed_assignment=observed,
+        observed_assignment=None if observed is None else assignment_of(observed, accepted, coded),
     )
     return validate_panel(panel) if validate else panel
 

@@ -22,7 +22,7 @@ from polyadmit.econometrics import DesignSpec, RegressionResult
 from polyadmit.errors import InfeasibleAssignment, NoObservedAssignment, PolyadmitError
 from polyadmit.matching import MatchInstance, _grouped, find_blocking_pairs
 from polyadmit.metrics import RankTable
-from polyadmit.model import ApplicationBlock, Assignment, Panel, assignment_violations, encode
+from polyadmit.model import ApplicationBlock, Assignment, Panel, assignment_violations
 from polyadmit.scoring import ScoreComponents, ScoreTable, compute_score_table
 
 
@@ -105,14 +105,41 @@ class Application:
     other_points: float = 0.0
 
 
+def encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values, and each value's position among them."""
+    ids = tuple(sorted(set(values)))
+    code = {x: i for i, x in enumerate(ids)}
+    return ids, np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def recode(ids: Sequence[str], into: Sequence[str]) -> np.ndarray:
+    """Position in ``into`` of each of ``ids``, -1 where absent: the
+    translation between vocabularies that the package never makes, for
+    the references written against per-object vocabularies."""
+    index = {x: i for i, x in enumerate(into)}
+    return np.array([index.get(x, -1) for x in ids], dtype=np.intp)
+
+
+def coding(over, applicant_ids: Iterable[str], program_keys: Iterable[str]) -> tuple:
+    """The applicant ids and program keys of ``over`` (a panel, block,
+    instance or assignment), each followed by the given ones it lacks,
+    sorted, as the loader codes ids and keys a panel lacks; the sorted
+    distinct given ones when ``over`` is None."""
+    if over is None:
+        return tuple(sorted(set(applicant_ids))), tuple(sorted(set(program_keys)))
+    vocabularies = []
+    for own, named in ((over.applicant_ids, applicant_ids), (over.program_keys, program_keys)):
+        extra = tuple(sorted(set(named).difference(own)))
+        vocabularies.append(own + extra if extra else own)
+    return tuple(vocabularies)
+
+
 def assignment_of(
-    seat_of: Mapping[str, str], accepted: Mapping[str, bool] = {}
+    seat_of: Mapping[str, str], accepted: Mapping[str, bool] = {}, over=None
 ) -> Assignment:
-    """An assignment from id-keyed seats and accept flags: the holders in
-    the order given, then the flagged applicants without a seat, and the
-    programs sorted."""
-    applicant_ids = tuple(dict.fromkeys([*seat_of, *accepted]))
-    program_keys = tuple(sorted(set(seat_of.values())))
+    """An assignment from id-keyed seats and accept flags, coded as
+    ``over`` is (see ``coding``)."""
+    applicant_ids, program_keys = coding(over, [*seat_of, *accepted], seat_of.values())
     code = {p: j for j, p in enumerate(program_keys)}
     seat = [code[seat_of[a]] if a in seat_of else -1 for a in applicant_ids]
     accept = [int(accepted[a]) if a in accepted else -1 for a in applicant_ids]
@@ -137,25 +164,27 @@ def same_assignment(assignment: Optional[Assignment], other: Optional[Assignment
 
 
 def block_from_columns(
-    applicant_id, program_key, year, listed_rank, exam_taken, exam_score, other_points
+    applicant_id, program_key, year, listed_rank, exam_taken, exam_score, other_points,
+    over=None,
 ) -> ApplicationBlock:
-    """A block from one list of Python values per column, the ids and keys
-    encoded into their sorted distinct values."""
-    applicant_ids, applicant = encode(applicant_id)
-    program_keys, program = encode(program_key)
+    """A block from one list of Python values per column, coded as
+    ``over`` is (see ``coding``)."""
+    applicant_ids, program_keys = coding(over, applicant_id, program_key)
     return ApplicationBlock(
-        applicant_ids, program_keys, applicant, program,
+        applicant_ids, program_keys, recode(applicant_id, applicant_ids),
+        recode(program_key, program_keys),
         np.array(year, dtype=np.int64), np.array(listed_rank, dtype=np.int64),
         np.array(exam_taken, dtype=bool), np.array(exam_score, dtype=float),
         np.array(other_points, dtype=float),
     )
 
 
-def block_of(applications: Sequence[Application]) -> ApplicationBlock:
-    """The records as one block, row for row; an empty list gives an
-    empty block."""
+def block_of(applications: Sequence[Application], over=None) -> ApplicationBlock:
+    """The records as one block, row for row, coded as ``over`` is (see
+    ``coding``); an empty list gives an empty block."""
     return block_from_columns(
-        *([getattr(a, f.name) for a in applications] for f in dataclasses.fields(Application))
+        *([getattr(a, f.name) for a in applications] for f in dataclasses.fields(Application)),
+        over=over,
     )
 
 
@@ -298,7 +327,7 @@ def enumerate_stable_assignments(
 
     def recurse(i: int) -> None:
         if i == len(applicants):
-            candidate = assignment_of(dict(sorted(seat_of.items())))
+            candidate = assignment_of(seat_of, over=instance)
             if not find_blocking_pairs(instance, candidate):
                 results.append(candidate)
             return

@@ -12,6 +12,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
 
 import numpy as np
@@ -22,8 +23,10 @@ from polyadmit.io_csv import (
     OBSERVED_ASSIGNMENT_CSV, PROGRAM_NAMES, PROGRAMS_CSV, REQUIRED_COLUMNS, _applicant_id,
     _field_label, _grade, _observed_seat, _parse_bool, _parse_float, _parse_int, _program_key,
 )
-from oracle import Applicant, Program, block_from_columns, program_columns
-from polyadmit.model import Assignment, Panel, encode, recode, validate_panel
+from oracle import (
+    Applicant, Program, assignment_of, block_from_columns, coding, encode, program_columns,
+)
+from polyadmit.model import Panel, validate_panel
 
 
 @dataclass(frozen=True)
@@ -185,12 +188,10 @@ def load_panel(directory: str | Path) -> Panel:
     ]
 
     table = read_table(directory, APPLICATIONS_CSV)
-    applications = block_from_columns(
-        *table.parse(
-            (_applicant_id, "applicant_id"), (_program_key, PROGRAM_NAMES),
-            (_parse_int, "year"), (_parse_int, "listed_rank"), (_parse_bool, "exam_taken"),
-            (_parse_float, "exam_score"), (_parse_float, "other_points"),
-        )
+    columns = table.parse(
+        (_applicant_id, "applicant_id"), (_program_key, PROGRAM_NAMES),
+        (_parse_int, "year"), (_parse_int, "listed_rank"), (_parse_bool, "exam_taken"),
+        (_parse_float, "exam_score"), (_parse_float, "other_points"),
     )
 
     table = read_table(directory, FIELD_WEIGHTS_CSV)
@@ -206,34 +207,48 @@ def load_panel(directory: str | Path) -> Panel:
     duplicates += table.repeats("field", labels)
     bonus_points = dict(zip(labels, bonuses))
 
-    observed: Optional[Assignment] = None
+    observed_ids, seats = [], []
     if (directory / OBSERVED_ASSIGNMENT_CSV).exists():
         table = read_table(directory, OBSERVED_ASSIGNMENT_CSV)
-        ids, seats = table.parse(
+        observed_ids, seats = table.parse(
             (_applicant_id, "applicant_id"), (_observed_seat, PROGRAM_NAMES + ("accepted",))
         )
-        duplicates += table.repeats("applicant_id", ids)
-        keys, flags = zip(*seats) if seats else ((), ())
-        program_keys = tuple(sorted(set(keys) - {""}))
-        ids = applications.applicant_ids if tuple(ids) == applications.applicant_ids else tuple(ids)
-        observed = Assignment(
-            ids, program_keys, recode(keys, program_keys), np.array(flags, dtype=np.int8)
-        )
+        duplicates += table.repeats("applicant_id", observed_ids)
     if duplicates:
         raise ValidationError(duplicates)
+
+    # The panel's ids and keys, then those the files name but it lacks.
+    seat_of = {a: key for a, (key, _) in zip(observed_ids, seats) if key}
+    ids, program_fields = tuple(sorted(applicants)), program_columns(programs)
+    applicant_ids, program_keys = coding(
+        SimpleNamespace(applicant_ids=ids, program_keys=program_fields["program_keys"]),
+        [*columns[0], *seat_of], [*columns[1], *seat_of.values()],
+    )
+    applications = block_from_columns(
+        *columns, over=SimpleNamespace(applicant_ids=applicant_ids, program_keys=program_keys)
+    )
+    observed, observed_order = None, None
+    if (directory / OBSERVED_ASSIGNMENT_CSV).exists():
+        accepted = {a: bool(flag) for a, (_, flag) in zip(observed_ids, seats) if flag >= 0}
+        observed = assignment_of(seat_of, accepted, over=applications)
+        code = {a: i for i, a in enumerate(applicant_ids)}
+        observed_order = np.array([code[a] for a in observed_ids if a in code], dtype=np.intp)
 
     base_year = int(applications.year.min()) if len(applications) else min(
         (a.cohort_year for a in applicants.values()), default=0
     )
-    ids = sorted(applicants)
     row = {a: i for i, a in enumerate(ids)}
     grades = [[applicants[a].matriculation_grades.get(s, np.nan) for s in subjects] for a in ids]
     panel = Panel(
-        tuple(ids),
+        ids,
         np.array([applicants[a].cohort_year for a in ids], dtype=np.int64),
         tuple(subjects),
         np.array(grades, dtype=float).reshape(len(ids), len(subjects)),
-        *program_columns(programs).values(), applications, base_year, field_weights,
+        *program_fields.values(), applications, base_year, field_weights,
         bonus_points, observed,
     )
-    return validate_panel(panel, applicant_order=np.array([row[a] for a in applicants], dtype=int))
+    return validate_panel(
+        panel,
+        applicant_order=np.array([row[a] for a in applicants], dtype=int),
+        observed_order=observed_order,
+    )

@@ -7,6 +7,7 @@ the applicant ids and program keys. Its panels are the ones
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -131,10 +132,11 @@ def generate_panel(cfg: SynthConfig) -> Panel:
         grades=np.array([grades[a] for a in applicant_ids]),
     )
 
+    coded = SimpleNamespace(applicant_ids=applicant_ids, program_keys=tuple(programs))
     panel = Panel(
         **applicants,
         **program_columns(programs.values()),
-        applications=block_from_columns(*columns),
+        applications=block_from_columns(*columns, over=coded),
         base_year=cfg.base_year,
         field_weights=field_weights,
         bonus_points=bonus_points,
@@ -143,11 +145,9 @@ def generate_panel(cfg: SynthConfig) -> Panel:
     # Observed assignment: run the engine itself on the base-year lists.
     base_apps = panel.base_applications
     table = scoring.compute_score_table(panel, base_apps)
-    quotas = {p: programs[p].quota for p in programs}
+    quotas = np.array([programs[p].quota for p in base_apps.program_keys])
     instance = matching.build_instance(base_apps, table, quotas)
-    seats = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
-
-    held = seats.recoded(panel.applicant_ids)
+    held = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
     rows = seat_rows(held, base_apps)
     rank, exam = np.minimum(base_apps.listed_rank[rows], 4), base_apps.exam_taken[rows]
     p_accept = cfg.accept_base - np.array((0.0, *cfg.accept_rank_penalty))[rank - 1]
@@ -178,7 +178,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
     panel = Panel(
         **applicants,
         **program_columns(programs.values()),
-        applications=block_from_columns(*columns),
+        applications=block_from_columns(*columns, over=coded),
         base_year=cfg.base_year,
         field_weights=field_weights,
         bonus_points=bonus_points,

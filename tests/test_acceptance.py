@@ -10,7 +10,6 @@ from oracle import (
     coef,
     enumerate_stable_assignments,
     instance_from_mappings,
-    records,
     replicate_assignment,
 )
 from polyadmit import cli, counterfactual, matching, metrics, scoring, synth
@@ -137,11 +136,10 @@ def test_criterion_2_rural_hospitals_and_lattice(instance_corpus, capsys):
 def test_criterion_3_uniqueness_replication(default_panel, capsys):
     apps = default_panel.base_applications
     table = compute_score_table(default_panel, apps)
-    quotas = dict(zip(default_panel.program_keys, default_panel.quota.tolist()))
-    inst = matching.build_instance(apps, table, quotas)
+    inst = matching.build_instance(apps, table, default_panel.quota)
     applicant_side = deferred_acceptance(inst, "applicants")
     program_side = deferred_acceptance(inst, "programs")
-    universe = {a.applicant_id for a in records(apps)}
+    universe = apps.listed_applicants()
     diff = compare_assignments(program_side, applicant_side, universe)
     assert diff.differently_assigned_share <= 0.005
     announce(
@@ -242,8 +240,7 @@ def test_criterion_7_planted_sign_recovery(default_panel, capsys):
 def test_criterion_8_self_replication(default_panel, capsys):
     apps = default_panel.base_applications
     table = compute_score_table(default_panel, apps)
-    quotas = dict(zip(default_panel.program_keys, default_panel.quota.tolist()))
-    inst = matching.build_instance(apps, table, quotas)
+    inst = matching.build_instance(apps, table, default_panel.quota)
     computed = deferred_acceptance(inst, "programs")
     rate = replicate_assignment(default_panel, computed)
     assert rate == 1.0

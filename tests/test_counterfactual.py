@@ -154,12 +154,11 @@ class TestScenarioSuite:
         assert s1.rank_improvement == 0.0
 
     def test_every_scenario_assignment_is_stable(self, small_panel):
-        quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
         results, _ = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel))
         assert tuple(r.scenario_id for r in results) == SCENARIO_IDS
         by_id = {r.scenario_id: r for r in results}
         for scenario_id, table in scenario_tables(small_panel, SCENARIO_IDS):
-            instance = build_instance(table.applications, table, quotas)
+            instance = build_instance(table.applications, table, small_panel.quota)
             assignment = by_id[scenario_id].assignment
             assert find_blocking_pairs(instance, assignment) == []
             assert assignment_violations(small_panel, table.applications, assignment) == []

@@ -155,7 +155,7 @@ class TestDesignMatrix:
             mk_app("x", "p::c", 3),
         ]
         panel = mk_panel(programs, apps, grades={"x": {"math": 2.0}})
-        assignment = assignment_of({"x": "p::c"}, {"x": True})
+        assignment = assignment_of({"x": "p::c"}, {"x": True}, over=panel)
         X, y, terms = build_design_matrix(
             panel, assignment, {"p::c": 2.0}, DesignSpec(OUTCOME_ACCEPTED)
         )

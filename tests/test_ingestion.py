@@ -5,7 +5,9 @@ canonical rule for field labels, and integers beyond 64 bits."""
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from polyadmit import cli
@@ -142,16 +144,19 @@ def code_built_panel() -> Panel:
     applicant without a seat."""
     program = Program("poly::alpha", "Poly", "Alpha", "field0", 1)
     odd = Program("poly::gamma", "Poly", "Beta", "field0", 1)
+    columns = applicant_columns(
+        [Applicant("a1", {"math": 1.0}, 2011), Applicant("a9", {"math": 1.0}, 2011)]
+    )
+    columns.update(program_columns([program, odd]))
+    coded = SimpleNamespace(**columns)
+    apps = [mk_app("a1", "poly::alpha", 1), mk_app("a9", "poly::alpha", 1)]
     return Panel(
-        **applicant_columns(
-            [Applicant("a1", {"math": 1.0}, 2011), Applicant("a9", {"math": 1.0}, 2011)]
-        ),
-        **program_columns([program, odd]),
-        applications=block_of([mk_app("a1", "poly::alpha", 1), mk_app("a9", "poly::alpha", 1)]),
+        **columns,
+        applications=block_of(apps, over=coded),
         base_year=2011,
         field_weights={"field0": {"math": 1.0}},
         bonus_points={"field0": 0.0},
-        observed_assignment=assignment_of({"a1": "poly::alpha"}, {"a9": True}),
+        observed_assignment=assignment_of({"a1": "poly::alpha"}, {"a9": True}, over=coded),
     )
 
 
@@ -441,8 +446,10 @@ def test_code_built_assignment_keeps_its_order_in_violations(tmp_path):
     assignment = assignment_of(
         {"a5": "poly::beta", "a2": "poly::alpha", "a3": "poly::alpha", "a1": "poly::alpha"},
         {"a5": True, "a4": True, "a2": False, "a1": True},
+        over=panel,
     )
-    assert assignment_violations(panel, panel.base_applications, assignment) == (
+    order = np.array([panel.applicant_ids.index(a) for a in ("a5", "a2", "a3", "a1", "a4")])
+    assert assignment_violations(panel, panel.base_applications, assignment, order) == (
         UNSORTED_OBSERVED_VIOLATIONS + ["AcceptFlagWithoutSeat: 'a4'"]
     )
 

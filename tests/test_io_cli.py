@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 import polyadmit
 from conftest import BASE_YEAR, mk_app, mk_panel, mk_program
 from oracle import (
-    accepted_of, applicants_of, assignment_of, programs_of, records, same_panel,
+    accepted_of, applicants_of, programs_of, records, same_panel,
 )
-from polyadmit import cli, errors, reports
+from polyadmit import cli, errors, reports, synth
+from polyadmit.matching import MatchInstance
+from polyadmit.metrics import RankTable
+from polyadmit.model import ApplicationBlock, Assignment, Panel
 from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
 
@@ -60,7 +63,7 @@ def panels(draw):
                 score = draw(points) if exam else 0.0
                 apps.append(mk_app(a, key, rank, year, exam, score, draw(points)))
     apps.sort(key=lambda app: (app.year, app.applicant_id, app.listed_rank))
-    observed = None
+    observed, accepted = None, {}
     if draw(st.booleans()):
         quota = {p.program_key: p.quota for p in programs}
         seat_of, accepted = {}, {}
@@ -72,9 +75,9 @@ def panels(draw):
                 flag = draw(st.none() | st.booleans())
                 if flag is not None:
                     accepted[app.applicant_id] = flag
-        observed = assignment_of(seat_of, accepted)
+        observed = seat_of
     weights = {"f0": {"art": 1.5, "math": 2.0}, "f1": {"math": 1.0}}
-    return mk_panel(programs, apps, grades, weights, {"f0": 4.0, "f1": 0.0}, observed)
+    return mk_panel(programs, apps, grades, weights, {"f0": 4.0, "f1": 0.0}, observed, accepted)
 
 
 class TestRoundTrip:
@@ -123,6 +126,30 @@ class TestRoundTrip:
         with tempfile.TemporaryDirectory() as directory:
             save_panel(panel, directory)
             assert same_panel(load_panel(directory), panel)
+
+
+@pytest.mark.parametrize("source", ["synth", "input"])
+def test_every_coded_object_holds_the_panel_tuples(source, tmp_path, monkeypatch):
+    """A run codes applicants and programs once: every block, instance,
+    assignment and rank table it builds holds its panel's very tuples."""
+    if source == "input":
+        from test_golden import INPUT_CONFIG  # the paper-shaped panel
+
+        save_panel(synth.generate_panel(synth.SynthConfig(**INPUT_CONFIG)), tmp_path / "panel")
+    built = {cls: [] for cls in (Panel, ApplicationBlock, MatchInstance, Assignment, RankTable)}
+    for cls, objects in built.items():
+        def record(self, *args, _init=cls.__init__, _objects=objects, **kwargs):
+            _init(self, *args, **kwargs)
+            _objects.append(self)
+
+        monkeypatch.setattr(cls, "__init__", record)
+    argv = ["--synth", "default"] if source == "synth" else ["--input", str(tmp_path / "panel")]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    panel = built.pop(Panel)[-1]
+    assert all(built.values())
+    for coded in (c for objects in built.values() for c in objects):
+        assert coded.applicant_ids is panel.applicant_ids
+        assert coded.program_keys is panel.program_keys
 
 
 class TestParseErrors:

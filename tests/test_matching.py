@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestBuildInstance:
         apps = [mk_app("b", p.program_key, 1), mk_app("a", p.program_key, 1)]
         panel = mk_panel([p], apps)
         table = compute_score_table(panel, panel.applications)
-        inst = build_instance(table.applications, table, {p.program_key: 1})
+        inst = build_instance(table.applications, table, panel.quota)
         assert priorities(inst)[p.program_key] == ("a", "b")
 
     def test_preferences_by_listed_rank(self):
@@ -114,7 +115,7 @@ class TestBuildInstance:
         apps = [mk_app("a", p2.program_key, 2), mk_app("a", p1.program_key, 1)]
         panel = mk_panel([p1, p2], apps)
         table = compute_score_table(panel, panel.applications)
-        inst = build_instance(table.applications, table, {p1.program_key: 1, p2.program_key: 1})
+        inst = build_instance(table.applications, table, panel.quota)
         assert inst.preferences["a"] == (p1.program_key, p2.program_key)
 
     def test_missing_score(self):
@@ -124,14 +125,13 @@ class TestBuildInstance:
         apps = [mk_app("a", p.program_key, 1)]
         panel = mk_panel([p], apps)
         for scored in ([], apps):
-            table = compute_score_table(panel, block_of(scored))
+            table = compute_score_table(panel, block_of(scored, over=panel))
             with pytest.raises(MissingScore):
-                build_instance(panel.applications, table, {p.program_key: 1})
+                build_instance(panel.applications, table, panel.quota)
 
     def test_priorities_strictly_sorted(self, small_panel):
         table = compute_score_table(small_panel, small_panel.base_applications)
-        quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
-        inst = build_instance(table.applications, table, quotas)
+        inst = build_instance(table.applications, table, small_panel.quota)
         total_of = {(a, p): t for (a, p, _), t in zip(table.keys, table.totals.tolist())}
         for p, order in priorities(inst).items():
             keys = [(-total_of[(a, p)], a) for a in order]
@@ -168,13 +168,26 @@ class TestBlockingPairs:
 
     def test_mutually_acceptable_unmatched_pair(self):
         inst = instance_of({"a1": ["p1"]}, {("a1", "p1"): 1.0}, {"p1": 1})
-        empty = assignment_of({})
+        empty = assignment_of({}, over=inst)
         assert find_blocking_pairs(inst, empty) == [("a1", "p1")]
 
     def test_infeasible_rejected(self):
-        inst = instance_of({"a1": ["p1"]}, {("a1", "p1"): 1.0}, {"p1": 1})
-        with pytest.raises(InfeasibleAssignment):
-            find_blocking_pairs(inst, assignment_of({"a1": "p2"}))
+        inst = instance_of({"a1": ["p1"]}, {("a1", "p1"): 1.0}, {"p1": 1, "p2": 1})
+        with pytest.raises(InfeasibleAssignment, match="unlisted program 'p2'"):
+            find_blocking_pairs(inst, assignment_of({"a1": "p2"}, over=inst))
+
+    def test_over_quota_names_the_first_key_in_key_order(self):
+        # the panel lists p::z before p::b, so p::z has the lower code
+        seat_of = {"a1": "p::z", "a2": "p::z", "a3": "p::b", "a4": "p::b"}
+        panel = mk_panel(
+            [mk_program(("P", "z")), mk_program(("P", "b"))],
+            [mk_app(a, p, 1) for a, p in seat_of.items()],
+        )
+        table = compute_score_table(panel, panel.applications)
+        inst = build_instance(panel.applications, table, panel.quota)
+        crowded = assignment_of(seat_of, over=panel)
+        with pytest.raises(InfeasibleAssignment, match=r"^program 'p::b' over quota: 2 > 1$"):
+            find_blocking_pairs(inst, crowded)
 
     def test_matches_naive_oracle_on_random_assignments(self):
         rng = random.Random(3)
@@ -198,7 +211,7 @@ class TestBlockingPairs:
                 if choice:
                     seat_of[a] = choice
                     fill[choice] += 1
-            assignment = assignment_of(seat_of)
+            assignment = assignment_of(seat_of, over=inst)
             assert sorted(find_blocking_pairs(inst, assignment)) == sorted(
                 naive_blocking_pairs(inst, assignment)
             )
@@ -236,23 +249,38 @@ class TestEnumeration:
 
 
 class TestCompareAssignments:
+    # five applicants and two programs, coded by position
+    CODED = SimpleNamespace(
+        applicant_ids=tuple(f"a{i}" for i in range(1, 6)), program_keys=("p1", "p2")
+    )
+
     def test_identical(self):
-        a = assignment_of({"a1": "p1"})
-        diff = compare_assignments(a, a, {"a1", "a2"})
+        a = assignment_of({"a1": "p1"}, over=self.CODED)
+        diff = compare_assignments(a, a, np.arange(2))
         assert diff.differently_assigned_count == 0
         assert diff.differently_assigned_share == 0.0
 
     def test_hand_counted(self):
-        base = assignment_of({"a1": "p1", "a2": "p2", "a3": "p1"})
-        other = assignment_of({"a1": "p2", "a2": "p2"})
-        diff = compare_assignments(base, other, {f"a{i}" for i in range(1, 6)})
+        base = assignment_of({"a1": "p1", "a2": "p2", "a3": "p1"}, over=self.CODED)
+        other = assignment_of({"a1": "p2", "a2": "p2"}, over=self.CODED)
+        diff = compare_assignments(base, other, np.arange(5))
         assert diff.differently_assigned_count == 2
         assert diff.differently_assigned_share == pytest.approx(0.4)
 
     def test_universe_mismatch(self):
-        with pytest.raises(UniverseMismatch):
+        with pytest.raises(UniverseMismatch, match="a5"):
             compare_assignments(
-                assignment_of({"zz": "p1"}), assignment_of({}), {"a1"}
+                assignment_of({"a5": "p1"}, over=self.CODED),
+                assignment_of({}, over=self.CODED),
+                np.arange(1),
+            )
+
+    def test_other_coding_raises(self):
+        with pytest.raises(KeyError, match="zz"):
+            compare_assignments(
+                assignment_of({"zz": "p1"}, over=self.CODED),
+                assignment_of({}, over=self.CODED),
+                np.arange(5),
             )
 
 
@@ -272,12 +300,12 @@ def score_table(rows):
 class TestProgramThresholds:
     def test_single_admit(self):
         table = score_table([("a1", "p1", 47.0, 0.0)])
-        assignment = assignment_of({"a1": "p1"})
+        assignment = assignment_of({"a1": "p1"}, over=table.applications)
         assert program_thresholds(table, assignment) == {"p1": 47.0}
 
     def test_empty_program_absent(self):
         table = score_table([("a1", "p1", 47.0, 0.0), ("a1", "p2", 47.0, 0.0)])
-        assignment = assignment_of({"a1": "p1"})
+        assignment = assignment_of({"a1": "p1"}, over=table.applications)
         assert program_thresholds(table, assignment) == {"p1": 47.0}
 
     def test_lowest_total_among_admits(self):
@@ -292,7 +320,9 @@ class TestProgramThresholds:
                 ("a4", "p2", 30.0, 0.0),
             ]
         )
-        assignment = assignment_of({"a1": "p1", "a2": "p1", "a3": "p1", "a4": "p2"})
+        assignment = assignment_of(
+            {"a1": "p1", "a2": "p1", "a3": "p1", "a4": "p2"}, over=table.applications
+        )
         assert program_thresholds(table, assignment) == {"p1": 50.0, "p2": 30.0}
 
     def test_rejected_at_full_program_scores_below_threshold(self, small_panel):
@@ -302,7 +332,7 @@ class TestProgramThresholds:
         table = compute_score_table(small_panel, small_panel.base_applications)
         total_of = dict(zip(table.keys, table.totals.tolist()))
         quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
-        inst = build_instance(table.applications, table, quotas)
+        inst = build_instance(table.applications, table, small_panel.quota)
         assignment = deferred_acceptance(inst, "programs")
         thresholds = program_thresholds(table, assignment)
         fill = dict(zip(assignment.program_keys, np.bincount(assignment.seat[assignment.holders])))
@@ -334,12 +364,11 @@ class TestReplication:
     def test_partial_match_counted_per_application(self):
         p1, p2 = mk_program(("P", "x")), mk_program(("P", "y"))
         apps = [mk_app("a1", p1.program_key, 1), mk_app("a1", p2.program_key, 2)]
-        observed = assignment_of({"a1": p1.program_key}, {"a1": True})
-        panel = mk_panel([p1, p2], apps, observed=observed)
-        computed = assignment_of({"a1": p2.program_key})
+        panel = mk_panel([p1, p2], apps, observed={"a1": p1.program_key}, accepted={"a1": True})
+        computed = assignment_of({"a1": p2.program_key}, over=panel)
         # both per-application decisions flip: admit->reject and reject->admit
         assert replicate_assignment(panel, computed) == 0.0
-        assert replicate_assignment(panel, observed) == 1.0
+        assert replicate_assignment(panel, panel.observed_assignment) == 1.0
 
 
 class TestDeterminism:
@@ -347,9 +376,8 @@ class TestDeterminism:
         # the same rows reversed, scored on their own
         apps = small_panel.base_applications
         reversed_apps = apps.take(np.arange(len(apps))[::-1])
-        quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
         inst1, inst2 = (
-            build_instance(block, compute_score_table(small_panel, block), quotas)
+            build_instance(block, compute_score_table(small_panel, block), small_panel.quota)
             for block in (apps, reversed_apps)
         )
         assert (inst1.preferences, priorities(inst1), inst1.quotas) == (
@@ -367,8 +395,10 @@ class TestComparativeStatics:
 
     @staticmethod
     def instance(panel, quotas):
+        """The base-year instance with ``quotas`` (program key -> seats)."""
         table = compute_score_table(panel, panel.base_applications)
-        return build_instance(table.applications, table, quotas)
+        quota = np.array([quotas[p] for p in panel.program_keys])
+        return build_instance(table.applications, table, quota)
 
     def test_ample_quotas_seat_everyone_at_their_first_choice(self, small_panel):
         n = len(small_panel.applicant_ids)

@@ -78,7 +78,7 @@ class TestTercileUnassignment:
         grades = {f"a{i}": {"math": float(i)} for i in range(6)}
         panel = gpa_panel(grades)
         report = tercile_unassignment(
-            base_table(panel), assignment_of({}), CRITERION_MATRICULATION
+            base_table(panel), assignment_of({}, over=panel), CRITERION_MATRICULATION
         )
         assert report.unassigned_fraction == (1.0, 1.0, 1.0)
 
@@ -89,7 +89,7 @@ class TestTercileUnassignment:
         p = mk_program(("P", "x"), quota=2)
         apps = [mk_app(a, p.program_key, 1) for a in sorted(grades)]
         panel = mk_panel([p], apps, grades=grades)
-        assignment = assignment_of({"a8": p.program_key, "a4": p.program_key})
+        assignment = assignment_of({"a8": p.program_key, "a4": p.program_key}, over=panel)
         table = base_table(panel)
         report = tercile_unassignment(table, assignment, CRITERION_MATRICULATION)
         assert report.tercile_sizes == (3, 3, 3)
@@ -111,7 +111,7 @@ class TestTercileUnassignment:
             mk_app("a2", p.program_key, 1),
         ]
         panel = mk_panel([p], apps, grades={"a1": {"math": 1.0}, "a2": {"math": 9.0}})
-        assignment = assignment_of({"a1": p.program_key})
+        assignment = assignment_of({"a1": p.program_key}, over=panel)
         table = base_table(panel)
         by_gpa = tercile_unassignment(table, assignment, CRITERION_MATRICULATION)
         by_score = tercile_unassignment(table, assignment, CRITERION_ADMISSION_SCORE)
@@ -139,7 +139,7 @@ class TestApplicationRankStats:
         p = mk_program(("P", "x"), quota=1)
         apps = [mk_app("a1", p.program_key, 1, exam=True, exam_score=1.0)]
         panel = mk_panel([p], apps)
-        rows = application_rank_stats(panel, assignment_of({"a1": p.program_key}))
+        rows = application_rank_stats(panel, assignment_of({"a1": p.program_key}, over=panel))
         assert rows[0].n_applications == 1
         assert rows[0].exam_taken_share == 1.0
         assert rows[0].admitted_share == 1.0
@@ -163,7 +163,7 @@ class TestHistograms:
         apps = [mk_app(a, p.program_key, 1) for a in sorted(grades)]
         panel = mk_panel([p], apps, grades=grades)
         ranks = field_gpa_percentile_ranks(panel)
-        assignment = assignment_of({a: p.program_key for a in grades})
+        assignment = assignment_of({a: p.program_key for a in grades}, over=panel)
         hist = assigned_rank_histogram(ranks, assignment)
         assert set(hist.bins) == {n / 100}
 
@@ -194,13 +194,13 @@ class TestHistograms:
 class TestMeanRankImprovement:
     def test_identical_assignments(self):
         ranks = rank_table({"a1": [60.0]}, {"p1": "f"})
-        a = assignment_of({"a1": "p1"})
+        a = assignment_of({"a1": "p1"}, over=ranks)
         assert mean_rank_improvement(ranks, a, a) == 0.0
 
     def test_two_admit_hand_fixture(self):
         ranks = rank_table({"a1": [20.0], "a2": [40.0], "a3": [90.0]}, {"p1": "f", "p2": "f"})
-        base = assignment_of({"a1": "p1", "a2": "p2"})  # mean 30
-        cf = assignment_of({"a3": "p1", "a2": "p2"})  # mean 65
+        base = assignment_of({"a1": "p1", "a2": "p2"}, over=ranks)  # mean 30
+        cf = assignment_of({"a3": "p1", "a2": "p2"}, over=ranks)  # mean 65
         assert mean_rank_improvement(ranks, base, cf) == pytest.approx(35.0)
 
     def test_empty_assignment(self):

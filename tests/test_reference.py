@@ -13,6 +13,7 @@ before."""
 import csv
 import itertools
 import math
+from types import SimpleNamespace
 from dataclasses import replace
 from unittest import mock
 
@@ -99,8 +100,7 @@ def test_columns_and_priorities_match_loop_reference(panel, scenario_id):
     assert table.totals.tolist() == expected
     assert [table.entries[k].total for k in table.keys] == expected
 
-    quotas = dict(zip(panel.program_keys, panel.quota.tolist()))
-    instance = build_instance(applications, table, quotas)
+    instance = build_instance(applications, table, panel.quota)
     assert priorities(instance) == loop_priorities(applications, expected)
 
 
@@ -325,13 +325,14 @@ def test_validation_matches_loop_reference():
             for _ in range(int(rng.integers(0, 14)))
         ]
         listed = programs[: int(rng.integers(1, 5))]
+        columns = applicant_columns(  # some applicants are missing
+            Applicant(f"a{i}", {"math": float(rng.choice([-1.0, 3.0]))}, 2011)
+            for i in range(int(rng.integers(6)))
+        )
+        columns.update(program_columns(listed))
         panel = Panel(
-            **applicant_columns(  # some applicants are missing
-                Applicant(f"a{i}", {"math": float(rng.choice([-1.0, 3.0]))}, 2011)
-                for i in range(int(rng.integers(6)))
-            ),
-            **program_columns(listed),
-            applications=block_of(apps),
+            **columns,
+            applications=block_of(apps, over=SimpleNamespace(**columns)),
             base_year=2011,
             field_weights={"field0": {"math": 1.0}, "field1": {"math": 1.0}},
             bonus_points={"field0": 0.0, "field2": 0.0},
@@ -597,7 +598,8 @@ def corrupt(rows, data):
         edits = ["cell"] * 6 + ["short", "long", "repeat", "blank", "bytes"]
         edit = data.draw(st.sampled_from(edits))
         if edit == "cell":
-            file_rows[i][where.randrange(len(file_rows[i]))] = data.draw(CORRUPT_CELLS)
+            if file_rows[i]:  # a row an earlier edit blanked has no cell to rewrite
+                file_rows[i][where.randrange(len(file_rows[i]))] = data.draw(CORRUPT_CELLS)
         elif edit == "short":
             file_rows[i] = file_rows[i][:-1]
         elif edit == "long":
@@ -741,7 +743,7 @@ def dict_write_assignment_csv(path, panel, assignment, universe):
 def dict_admit_outcomes(panel, assignment):
     admitted = sorted(assignment.seat_of)
     later = panel.applications.take(np.flatnonzero(panel.applications.year > panel.base_year))
-    later_appliers = set(later.distinct_applicants())
+    later_appliers = {later.applicant_ids[c] for c in later.listed_applicants().tolist()}
     accepted = accepted_of(assignment)
     return {
         econometrics.OUTCOME_ACCEPTED: [1.0 if accepted.get(a, False) else 0.0 for a in admitted],
@@ -772,42 +774,44 @@ def assignments(request, tmp_path_factory):
 def shuffled(assignment, seed, outsider=True):
     """The same seats built by hand in a shuffled order with every third
     accept flag unknown, and with ``outsider`` one more holder, outside the
-    panel and at a program outside it, so that no vocabulary matches the
-    readers'."""
+    panel and at a program outside it, coded after the panel's, so that
+    the readers' vocabularies are not the assignment's."""
     seat_of = list(assignment.seat_of.items())
     np.random.default_rng(seed).shuffle(seat_of)
     accepted = {a: flag for i, (a, flag) in enumerate(accepted_of(assignment).items()) if i % 3}
     if outsider:
         seat_of.append(("zz", "ghost::program"))
         accepted["zz"] = True
-    return assignment_of(dict(seat_of), accepted)
+    return assignment_of(dict(seat_of), accepted, over=assignment)
 
 
 def test_holds_seat_and_unassigned_mask_match_dict_readers(assignments):
     panel, _, observed, suite = assignments
     block = panel.base_applications
-    for assignment in [observed, *suite, shuffled(suite[1], 0)]:
+    for assignment in [observed, *suite, shuffled(suite[1], 0, outsider=False)]:
         assert block.holds_seat(assignment).tolist() == dict_holds_seat(block, assignment).tolist()
-        unassigned = assignment.recoded(block.applicant_ids).seat < 0
+        unassigned = assignment.seat < 0
         assert unassigned.tolist() == [a not in assignment.seat_of for a in block.applicant_ids]
+    with pytest.raises(KeyError, match="zz"):  # readers never translate
+        block.holds_seat(shuffled(suite[1], 0))
 
 
 def test_compare_assignments_matches_dict_reader(assignments):
     panel, _, observed, suite = assignments
-    universe = set(panel.base_applications.distinct_applicants())
-    others = [observed, *suite, shuffled(suite[0], 1)]
+    universe = panel.base_applications.listed_applicants()
+    ids = {panel.applicant_ids[c] for c in universe.tolist()}
+    others = [observed, *suite, shuffled(suite[0], 1, outsider=False)]
     for base, other in itertools.product([suite[0], others[-1]], others):
-        if "zz" in base.seat_of or "zz" in other.seat_of:
-            with pytest.raises(UniverseMismatch):
-                compare_assignments(base, other, universe)
-            wide = universe | {"zz"}
-            assert compare_assignments(base, other, wide) == dict_compare_assignments(
-                base, other, wide
-            )
-        else:
-            assert compare_assignments(base, other, universe) == dict_compare_assignments(
-                base, other, universe
-            )
+        assert compare_assignments(base, other, universe) == dict_compare_assignments(
+            base, other, ids
+        )
+        left_out = other.holders[0]  # a holder outside the universe
+        with pytest.raises(UniverseMismatch):
+            dict_compare_assignments(base, other, ids - {panel.applicant_ids[left_out]})
+        with pytest.raises(UniverseMismatch):
+            compare_assignments(base, other, universe[universe != left_out])
+    with pytest.raises(KeyError, match="zz"):  # readers never translate
+        compare_assignments(suite[0], shuffled(suite[0], 1), universe)
 
 
 def test_admit_ranks_match_dict_reader_value_for_value(assignments):
@@ -820,10 +824,11 @@ def test_admit_ranks_match_dict_reader_value_for_value(assignments):
 
 def test_assignment_files_match_dict_writer(assignments, tmp_path):
     panel, _, observed, suite = assignments
-    universe = panel.base_applications.distinct_applicants()
+    universe = panel.base_applications.listed_applicants()
+    ids = [panel.applicant_ids[c] for c in universe.tolist()]
     for i, assignment in enumerate([observed, *suite, shuffled(observed, 3, outsider=False)]):
         io_csv.write_assignment_csv(tmp_path / f"{i}.csv", panel, assignment, universe)
-        dict_write_assignment_csv(tmp_path / f"{i}.dict.csv", panel, assignment, universe)
+        dict_write_assignment_csv(tmp_path / f"{i}.dict.csv", panel, assignment, ids)
         assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / f"{i}.dict.csv").read_bytes()
 
 
@@ -835,5 +840,10 @@ def test_admit_outcomes_match_dict_reader(assignments):
         columns = econometrics._admit_columns(panel, assignment, thresholds, table)
         outcomes = {name: y.tolist() for name, y in columns.outcomes.items()}
         assert outcomes == dict_admit_outcomes(panel, assignment)
-    with pytest.raises(MissingScore):  # a holder outside the panel has no score row
+    block = panel.base_applications
+    others = block.take(np.flatnonzero(block.applicant != observed.holders[0]))
+    partial = compute_score_table(panel, others)
+    with pytest.raises(MissingScore):  # a holder without a score row
+        econometrics._admit_columns(panel, observed, {}, partial)
+    with pytest.raises(KeyError, match="zz"):  # a holder outside the panel: readers never translate
         econometrics._admit_columns(panel, shuffled(observed, 2), {}, table)

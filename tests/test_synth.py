@@ -88,11 +88,10 @@ class TestValidity:
         assert years == set(small_panel.years)
 
     def test_self_replication_exact(self, small_panel):
-        table_quotas = dict(zip(small_panel.program_keys, small_panel.quota.tolist()))
         from polyadmit.scoring import compute_score_table
 
         table = compute_score_table(small_panel, small_panel.base_applications)
-        instance = matching.build_instance(table.applications, table, table_quotas)
+        instance = matching.build_instance(table.applications, table, small_panel.quota)
         computed = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
         assert replicate_assignment(small_panel, computed) == 1.0
 
