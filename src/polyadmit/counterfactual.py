@@ -60,7 +60,8 @@ def extend_application_lists(panel: Panel) -> ApplicationBlock:
     new_list[1:] = applicant[1:] != applicant[:-1]
     position = np.arange(len(rows))
     rank = position - np.maximum.accumulate(np.where(new_list, position, 0)) + 1
-    return apps.take(rows, year=np.full(len(rows), panel.base_year), listed_rank=rank)
+    year = np.broadcast_to(panel.base_year, len(rows))  # one read-only value for every row
+    return apps.take(rows, year=year, listed_rank=rank)
 
 
 def _scenario(scenario_id: str) -> Scenario:
@@ -76,17 +77,18 @@ def scenario_tables(
     panel: Panel, scenario_ids: Sequence[str]
 ) -> Iterator[tuple[str, scoring.ScoreTable]]:
     """Each listed scenario's id and score table, one list variant at a
-    time: the original lists' S1, S3, S5, then the extended lists' S2, S4,
-    S6. Each table holds the application block it scores.
+    time: the extended lists' S2, S4, S6, then the original lists' S1, S3,
+    S5. Each table holds the application block it scores.
 
     Each list variant is built and scored once. The no-bonus table is
     derived from that score table, and the exam-propagated one from the
     no-bonus table, only when a listed scenario needs them. The generator
     drops its references to a variant's block and tables before it builds
-    the next variant.
+    the next variant; the larger, extended variant comes first, so nothing
+    of the original lists is alive while it is built.
     """
     wanted = [_scenario(s) for s in sorted(set(scenario_ids))]
-    for extended in (False, True):
+    for extended in (True, False):
         scenario_of = {s.scores: s.id for s in wanted if s.extended == extended}
         if not scenario_of:
             continue
@@ -123,8 +125,9 @@ def run_scenario_suite(
     scenario order and S1's table, the base-year score table.
 
     Each scenario is matched as soon as its table exists (see
-    ``scenario_tables``), so only one list variant's block and tables are
-    held at a time, and S1's table is the only one kept. Every program
+    ``scenario_tables``: the extended lists first), so only one list
+    variant's block and tables are held at a time, and S1's table, built
+    last, is the only one kept. Every program
     admits up to its own quota. ``rank_table`` is
     ``metrics.field_gpa_percentile_ranks(panel)``.
     """

@@ -172,8 +172,9 @@ def _design(
         keep += [5, 6]
     if spec.field_interactions:
         keep += range(7, len(columns.terms))
+    every = len(keep) == len(columns.terms)  # X itself, not a copy
     return (
-        np.ascontiguousarray(columns.X[:, keep]),
+        np.ascontiguousarray(columns.X if every else columns.X[:, keep]),
         columns.outcomes[spec.outcome],
         tuple(columns.terms[i] for i in keep),
     )

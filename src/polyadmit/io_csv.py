@@ -150,7 +150,11 @@ class _Floats:
 
     def finish(self, path: Path) -> Optional[tuple[int, str]]:
         self.values = np.concatenate(self.chunks)
+        del self.chunks
         return self.bad
+
+    def column(self, dtype) -> np.ndarray:
+        return self.values.astype(dtype, copy=False)
 
 
 def _read(directory: Path, name: str, checks) -> list:
@@ -298,8 +302,18 @@ def load_panel(directory: str | Path) -> Panel:
     error of the first bad cell in reading order, naming its file, file
     line and column. A row that repeats an earlier row's id in the same
     file is rejected; all such rows are listed in one ``ValidationError``.
+    The panel is validated once ``_load`` has returned, so none of the
+    files' readers is alive while ``validate_panel`` allocates.
     """
-    directory = Path(directory)
+    return validate_panel(*_load(Path(directory)))
+
+
+def _load(directory: Path) -> tuple[Panel, np.ndarray, Optional[np.ndarray]]:
+    """The panel of ``directory``, not yet validated, with the file orders
+    ``validate_panel`` lists applicants and observed seats in. A file's
+    readers are dropped once its final columns exist; the applications'
+    id and key readers once the block is coded, which needs the observed
+    file's seats."""
     duplicates: list[str] = []
 
     *grade_columns, ids, cohorts = _read(directory, APPLICANTS_CSV, lambda header: (
@@ -314,6 +328,7 @@ def load_panel(directory: str | Path) -> Panel:
     cohort_year = cohorts.column(np.int64)[order]
     grades = np.reshape([c.values for c in grade_columns], (len(grade_columns), len(row))).T[order]
     subjects = tuple(c.names[len(GRADE_PREFIX):] for c in grade_columns)
+    del grade_columns, ids, cohorts, order
 
     keys, fields, quotas = _read(directory, PROGRAMS_CSV, lambda header: (
         (_program_key, PROGRAM_NAMES), (_field_label, "field"), (_parse_int, "quota")
@@ -328,13 +343,13 @@ def load_panel(directory: str | Path) -> Panel:
         quotas.column(np.int64),
     )
 
-    listed_ids, listed_keys, year, rank, taken, exam_score, other_points = _read(
-        directory, APPLICATIONS_CSV, lambda header: (
-            (_applicant_id, "applicant_id"), (_program_key, PROGRAM_NAMES),
-            (_parse_int, "year"), (_parse_int, "listed_rank"), (_parse_bool, "exam_taken"),
-            (_parse_float, "exam_score"), (_parse_float, "other_points"),
-        )
-    )
+    listed_ids, listed_keys, *readers = _read(directory, APPLICATIONS_CSV, lambda header: (
+        (_applicant_id, "applicant_id"), (_program_key, PROGRAM_NAMES),
+        (_parse_int, "year"), (_parse_int, "listed_rank"), (_parse_bool, "exam_taken"),
+        (_parse_float, "exam_score"), (_parse_float, "other_points"),
+    ))
+    columns = [r.column(t) for r, t in zip(readers, (np.int64, np.int64, bool, float, float))]
+    del readers
 
     fields, subjects_listed, weights = _read(directory, FIELD_WEIGHTS_CSV, lambda header: (
         (_field_label, "field"), (_text, "subject"), (_parse_float, "weight")
@@ -357,6 +372,7 @@ def load_panel(directory: str | Path) -> Panel:
             (_applicant_id, "applicant_id"), (_observed_seat, PROGRAM_NAMES + ("accepted",))
         ))
         observed_rows = tuple(zip(ids.rows(), seats.rows()))  # (id, (key, flag)), file order
+        del ids, seats
         duplicates += _repeats(path, "applicant_id", [a for a, _ in observed_rows])
     if duplicates:
         raise ValidationError(duplicates)
@@ -368,9 +384,9 @@ def load_panel(directory: str | Path) -> Panel:
     block_keys, program_code = _coding(program_keys, [*listed_keys.values, *seated.values()])
     applications = ApplicationBlock(
         block_ids, block_keys, listed_ids.coded(applicant_code), listed_keys.coded(program_code),
-        year.column(np.int64), rank.column(np.int64), taken.column(bool),
-        exam_score.values, other_points.values,
+        *columns,
     )
+    del seated, listed_ids, listed_keys
     observed = observed_order = None
     if path.exists():  # an id the panel lacks, without a seat, says nothing
         rows = np.array([
@@ -387,7 +403,7 @@ def load_panel(directory: str | Path) -> Panel:
         applicant_ids, cohort_year, subjects, grades, *programs, applications, base_year,
         field_weights, bonus_points, observed,
     )
-    return validate_panel(panel, applicant_order=row, observed_order=observed_order)
+    return panel, row, observed_order
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:

@@ -45,15 +45,18 @@ class MatchInstance:
     prio_order: np.ndarray
     prio_offsets: np.ndarray
 
-    @functools.cached_property
+    @property
     def pref_position(self) -> np.ndarray:
-        """Per row: its program's position in its applicant's list."""
-        return _positions(self.pref_order, self.pref_offsets)
+        """Per row: its program's position in its applicant's list, 0 for
+        the first; the row's place in ``pref_order`` less its list's start.
+        Computed on each read, so a caller holds it only while it needs it."""
+        return _positions(self.pref_order, self.pref_offsets, self.applicant)
 
-    @functools.cached_property
+    @property
     def prio_position(self) -> np.ndarray:
-        """Per row: its applicant's position in its program's order."""
-        return _positions(self.prio_order, self.prio_offsets)
+        """Per row: its applicant's position in its program's order; computed
+        on each read, as ``pref_position`` is."""
+        return _positions(self.prio_order, self.prio_offsets, self.program)
 
     @functools.cached_property
     def preferences(self) -> Mapping[str, tuple[str, ...]]:
@@ -65,9 +68,11 @@ class MatchInstance:
         return dict(zip(self.program_keys, self.quota.tolist()))
 
 
-def _positions(order: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _positions(order: np.ndarray, offsets: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Each row's place in ``order`` within its ``group``'s range of ``offsets``."""
     position = np.empty(len(order), dtype=np.intp)
-    position[order] = np.arange(len(order)) - np.repeat(offsets[:-1], np.diff(offsets))
+    position[order] = np.arange(len(order))
+    position -= offsets[group]
     return position
 
 
@@ -154,8 +159,8 @@ def _da_program_proposing(instance: MatchInstance) -> list[int]:
     """Seat code per applicant (-1 unassigned); each program offers down
     its priority order while it has room, and an applicant keeps the
     offer that comes highest on their list."""
-    members = instance.applicant[instance.prio_order].tolist()
-    position = instance.pref_position[instance.prio_order].tolist()
+    position = memoryview(instance.pref_position[instance.prio_order])
+    members = memoryview(instance.applicant[instance.prio_order])
     next_offer = instance.prio_offsets[:-1].tolist()
     stops = instance.prio_offsets[1:].tolist()
     quota = instance.quota.tolist()
@@ -207,9 +212,9 @@ def find_blocking_pairs(
     if (fill > quota).any():  # named as in key order
         p = min(np.flatnonzero(fill > quota).tolist(), key=keys.__getitem__)
         raise InfeasibleAssignment(f"program {keys[p]!r} over quota: {fill[p]} > {quota[p]}")
-    worst = np.full(len(keys), -1)
-    np.maximum.at(worst, instance.program[held], instance.prio_position[held])
     pref, prio = instance.pref_position, instance.prio_position
+    worst = np.full(len(keys), -1)
+    np.maximum.at(worst, instance.program[held], prio[held])
     seat_position = np.where(seat_row >= 0, pref[np.maximum(seat_row, 0)], np.iinfo(np.intp).max)
     program = instance.program
     blocks = (pref < seat_position[instance.applicant]) & (

@@ -91,13 +91,14 @@ class ApplicationBlock:
     exam_score: np.ndarray
     other_points: np.ndarray
 
-    def take(self, rows: np.ndarray, **columns: np.ndarray) -> "ApplicationBlock":
-        """The block of ``rows``, with any column replaced by ``columns``."""
+    def take(self, rows: np.ndarray | slice, **columns: np.ndarray) -> "ApplicationBlock":
+        """The block of ``rows`` (a slice gives views), with any column
+        replaced by ``columns``."""
         return ApplicationBlock(
             self.applicant_ids,
             self.program_keys,
             **{
-                f.name: columns.get(f.name, getattr(self, f.name)[rows])
+                f.name: columns[f.name] if f.name in columns else getattr(self, f.name)[rows]
                 for f in dataclasses.fields(self)[2:]
             },
         )
@@ -167,8 +168,13 @@ class Panel:
 
     @property
     def base_applications(self) -> ApplicationBlock:
+        """The base year's rows; views of the panel's columns when they
+        are one run of rows, as loaded and generated panels have them."""
         apps = self.applications
-        return apps.take(np.flatnonzero(apps.year == self.base_year))
+        rows = np.flatnonzero(apps.year == self.base_year)
+        if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        return apps.take(rows)
 
     @property
     def fields(self) -> tuple[str, ...]:

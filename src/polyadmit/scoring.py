@@ -41,8 +41,10 @@ class ScoreTable:
     and ``totals`` scores row ``i`` of ``applications``, the block the
     table was computed from. ``exam_taken`` records which applications
     carried their own valid exam result; exam propagation only fills in
-    the others. ``totals`` is summed once, at construction. Transforms
-    share the columns they leave unchanged, so columns are read-only.
+    the others. ``totals`` is summed once, at construction. ``other``
+    and ``exam_taken`` are the block's own columns, and transforms share
+    the columns they leave unchanged, so the table marks every column it
+    holds read-only, the block's two included.
 
     ``keys`` ((applicant, program, year) per row) and ``entries`` (key ->
     ``ScoreComponents``) are built on first read.
@@ -117,8 +119,8 @@ def compute_score_table(panel: Panel, applications: ApplicationBlock) -> ScoreTa
         gpa=weighted_gpa_matrix(panel)[applications.applicant, field_code],
         exam=np.where(applications.exam_taken, applications.exam_score, 0.0),
         bonus=np.where(applications.listed_rank == 1, bonus[field_code], 0.0),
-        other=applications.other_points.astype(float),
-        exam_taken=applications.exam_taken.copy(),
+        other=applications.other_points.astype(float, copy=False),
+        exam_taken=applications.exam_taken,
     )
 
 
@@ -152,6 +154,7 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     first[1:] = slot[1:] != slot[:-1]
     scores = apps.exam_score[taken[order[first]]]
     slots = np.append(slot[first], np.iinfo(np.int64).max)  # the end never matches
+    del taken, slot, order, first  # freed before the second half allocates
 
     rows = np.flatnonzero(~table.exam_taken)
     wanted = block.applicant[rows] * n_fields + field_code[block.program[rows]]

@@ -232,8 +232,14 @@ def _columns(cfg: SynthConfig, ability: np.ndarray, sampler: _ListSampler, rows:
 
 def generate_panel(cfg: SynthConfig) -> Panel:
     """Deterministic function of (config, seed); the embedded observed
-    assignment is produced by the package's own matching engine."""
-    cfg.validate()
+    assignment is produced by the package's own matching engine. The
+    panel is validated once ``_generate`` has returned, so the match that
+    drew the observed assignment is gone while ``validate_panel`` runs."""
+    return validate_panel(_generate(cfg.validate()))
+
+
+def _generate(cfg: SynthConfig) -> Panel:
+    """The panel of a validated ``cfg``, not yet validated itself."""
     rng = np.random.default_rng(cfg.seed)
 
     fields = [f"field{i}" for i in range(cfg.n_fields)]
@@ -319,7 +325,7 @@ def generate_panel(cfg: SynthConfig) -> Panel:
         if rng.random() < cfg.reapply_third_year:
             _draw_list(rng, cfg, sampler, applicant, cfg.base_year + 2, later)
 
-    panel = Panel(
+    return Panel(
         **applicants,
         **programs,
         applications=ApplicationBlock(
@@ -332,7 +338,6 @@ def generate_panel(cfg: SynthConfig) -> Panel:
         bonus_points=bonus_points,
         observed_assignment=observed,
     )
-    return validate_panel(panel)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,15 @@ records, their conversion to and from a panel's columns and a block,
 assignments built from and read as id-keyed mappings, a rank table read
 by id and field label, and panel equality row by row; brute-force
 enumeration of every stable assignment of a small instance, an assignment
-checker that raises, an instance built from id-keyed mappings and its
-priorities read back by id, the observed-assignment replication checks,
+checker that raises, an instance built from id-keyed mappings, a small
+random one, and its priorities read back by id, the observed-assignment replication checks,
 the reference adjusted score and regression design, a regression
 coefficient by term, and a score table keyed by id."""
 
 from __future__ import annotations
 
 import dataclasses
+import random
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -265,6 +266,31 @@ def instance_from_mappings(
         ),
         prio_offsets=np.cumsum([0] + [len(priorities[p]) for p in program_keys]),
     )
+
+
+def random_instance(rng: random.Random) -> MatchInstance:
+    """A small random instance: 1-8 applicants listing 1-4 of 1-5 programs,
+    integer scores that tie, and quotas of 0-2."""
+    n_applicants = rng.randint(1, 8)
+    n_programs = rng.randint(1, 5)
+    programs = [f"p{i}" for i in range(n_programs)]
+    prefs, scores = {}, {}
+    for i in range(n_applicants):
+        a = f"a{i}"
+        prefs[a] = tuple(rng.sample(programs, rng.randint(1, min(4, n_programs))))
+        for p in prefs[a]:
+            scores[(a, p)] = float(rng.randint(0, 5))
+    priorities = {
+        p: tuple(
+            sorted(
+                (a for a in prefs if p in prefs[a]),
+                key=lambda a: (-scores[(a, p)], a),
+            )
+        )
+        for p in programs
+    }
+    quotas = {p: rng.randint(0, 2) for p in programs}
+    return instance_from_mappings(preferences=prefs, priorities=priorities, quotas=quotas)
 
 
 def priorities(instance: MatchInstance) -> dict[str, tuple[str, ...]]:

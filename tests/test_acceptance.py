@@ -9,13 +9,12 @@ import pytest
 from oracle import (
     coef,
     enumerate_stable_assignments,
-    instance_from_mappings,
+    random_instance,
     replicate_assignment,
 )
 from polyadmit import cli, counterfactual, matching, metrics, scoring, synth
 from polyadmit.econometrics import lpm_report, ols
 from polyadmit.matching import (
-    MatchInstance,
     compare_assignments,
     deferred_acceptance,
     find_blocking_pairs,
@@ -23,29 +22,6 @@ from polyadmit.matching import (
 from polyadmit.scoring import compute_score_table
 
 N_INSTANCES = 1000
-
-
-def random_instance(rng: random.Random) -> MatchInstance:
-    n_applicants = rng.randint(1, 8)
-    n_programs = rng.randint(1, 5)
-    programs = [f"p{i}" for i in range(n_programs)]
-    prefs, scores = {}, {}
-    for i in range(n_applicants):
-        a = f"a{i}"
-        prefs[a] = tuple(rng.sample(programs, rng.randint(1, min(4, n_programs))))
-        for p in prefs[a]:
-            scores[(a, p)] = float(rng.randint(0, 5))
-    priorities = {
-        p: tuple(
-            sorted(
-                (a for a in prefs if p in prefs[a]),
-                key=lambda a: (-scores[(a, p)], a),
-            )
-        )
-        for p in programs
-    }
-    quotas = {p: rng.randint(0, 2) for p in programs}
-    return instance_from_mappings(preferences=prefs, priorities=priorities, quotas=quotas)
 
 
 @pytest.fixture(scope="module")

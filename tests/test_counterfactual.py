@@ -172,7 +172,7 @@ class TestScenarioSuite:
     def test_one_list_variant_is_held_at_a_time(self, small_panel, monkeypatch):
         rank_table = field_gpa_percentile_ranks(small_panel)
         built = []  # a weak reference to every block and table the suite builds
-        alive_when_extending = []
+        alive_when_building = []  # what is alive as each block is built
 
         def recorded(fn):
             def wrapper(*args):
@@ -185,31 +185,35 @@ class TestScenarioSuite:
         def alive():
             return [i for i, ref in enumerate(built) if ref() is not None]
 
+        def recorded_block(fn):
+            def wrapper(panel):
+                alive_when_building.append(alive())
+                return fn(panel)
+
+            return recorded(wrapper)
+
         transforms = ("remove_first_choice_points", "propagate_entrance_exams")
         for name in ("compute_score_table",) + transforms:
             monkeypatch.setattr(scoring, name, recorded(getattr(scoring, name)))
-        extend = recorded(counterfactual.extend_application_lists)
-
-        def extend_and_record(panel):
-            alive_when_extending.append(alive())
-            return extend(panel)
-
-        monkeypatch.setattr(counterfactual, "extend_application_lists", extend_and_record)
         monkeypatch.setattr(
-            Panel, "base_applications", property(recorded(Panel.base_applications.fget))
+            counterfactual, "extend_application_lists",
+            recorded_block(counterfactual.extend_application_lists),
+        )
+        monkeypatch.setattr(
+            Panel, "base_applications", property(recorded_block(Panel.base_applications.fget))
         )
 
         results, base_table = run_scenario_suite(small_panel, rank_table)
-        # base block, S1, S3, S5 tables, then the extended block, S2, S4, S6 tables
+        # the extended block, S2, S4, S6 tables, then the base block, S1, S3, S5 tables
         assert len(built) == 8
-        assert (built[0](), built[1]()) == (base_table.applications, base_table)
-        assert alive_when_extending == [[0, 1]]
-        assert alive() == [0, 1]
+        assert (built[4](), built[5]()) == (base_table.applications, base_table)
+        assert alive_when_building == [[], []]
+        assert alive() == [4, 5]
         assert len(results) == len(SCENARIO_IDS)
 
     def test_scenario_tables_come_one_list_variant_at_a_time(self, small_panel):
         order = [scenario_id for scenario_id, _ in scenario_tables(small_panel, SCENARIO_IDS)]
-        assert order == ["S1", "S3", "S5", "S2", "S4", "S6"]
+        assert order == ["S2", "S4", "S6", "S1", "S3", "S5"]
 
     def test_published_suite_renders(self, tmp_path):
         # report-format fixture using the published six-row suite

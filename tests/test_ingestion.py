@@ -4,13 +4,14 @@ canonical rule for field labels, and integers beyond 64 bits."""
 
 import json
 import random
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from polyadmit import cli
+from polyadmit import cli, io_csv
 from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
 from polyadmit.model import Panel, assignment_violations, validate_panel
@@ -431,6 +432,30 @@ UNSORTED_OBSERVED_VIOLATIONS = [
     "SeatWithoutApplication: ('a3', 'poly::alpha')",
     "QuotaExceeded: program 'poly::alpha' holds 3 > 1",
 ]
+
+
+def test_readers_are_gone_when_the_panel_is_validated(small_panel, tmp_path, monkeypatch):
+    """Every file's ``_Coded`` and ``_Floats`` readers are freed before
+    ``validate_panel`` allocates."""
+    save_panel(small_panel, tmp_path)
+    readers, kinds, alive_at_validation = [], set(), []
+    read = io_csv._read
+
+    def recorded_read(*args):
+        columns = read(*args)
+        readers.extend(map(weakref.ref, columns))
+        kinds.update(map(type, columns))
+        return columns
+
+    def validate(*args, **kwargs):
+        alive_at_validation.append(sum(ref() is not None for ref in readers))
+        return validate_panel(*args, **kwargs)
+
+    monkeypatch.setattr(io_csv, "_read", recorded_read)
+    monkeypatch.setattr(io_csv, "validate_panel", validate)
+    load_panel(tmp_path)
+    assert kinds == {io_csv._Coded, io_csv._Floats}
+    assert alive_at_validation == [0]
 
 
 def test_observed_rows_keep_file_order_in_violations(tmp_path):

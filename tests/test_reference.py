@@ -6,13 +6,15 @@ unassignment, the GPA rank matrix and the scenarios' rank improvements
 on the same panels, the effective weights under a compensated ``sum``,
 the midpoint percentiles on random values with ties, the chunked CSV
 reader against a rows-then-transpose reader and ``load_panel`` against
-the whole-file loader of ``reference_io`` on corrupted panels, and the
+the whole-file loader of ``reference_io`` on corrupted panels, the
 seat-code readers of an assignment against the id-keyed readers it had
-before."""
+before, and the instances' position columns and program-proposing DA
+against their ``np.repeat`` and Python-list forms."""
 
 import csv
 import itertools
 import math
+import random
 from types import SimpleNamespace
 from dataclasses import replace
 from unittest import mock
@@ -29,13 +31,14 @@ from polyadmit.model import Panel, validate_panel
 from conftest import build_scenario, mk_app, mk_program
 from oracle import (
     Applicant, accepted_of, adjusted_score, applicant_columns, applicants_of, assignment_of,
-    block_of, build_design_matrix, priorities, program_columns, programs_of, rank_of, records,
-    row_of, same_panel,
+    block_of, build_design_matrix, priorities, program_columns, programs_of, random_instance,
+    rank_of, records, row_of, same_panel,
 )
 from polyadmit.counterfactual import SCENARIO_IDS, SCENARIOS
 from polyadmit.econometrics import REPORT_SPECS, lpm_report, ols
 from polyadmit.matching import (
-    AssignmentDiff, build_instance, compare_assignments, program_thresholds,
+    PROPOSING_PROGRAMS, AssignmentDiff, build_instance, compare_assignments,
+    deferred_acceptance, program_thresholds,
 )
 from polyadmit.metrics import (
     CRITERION_ADMISSION_SCORE,
@@ -585,27 +588,38 @@ CORRUPT_CELLS = st.sampled_from(
 ) | st.text(max_size=3)
 
 
+def spread(data, start, stop):
+    """An integer in ``start..stop - 1`` drawn through Hypothesis: two
+    bytes scaled to the range, which land evenly where ``st.integers``
+    leans towards ``start``. It shrinks towards ``start``."""
+    value = int.from_bytes(data.draw(st.binary(min_size=2, max_size=2)), "big")
+    return start + value * (stop - start) // 65536
+
+
 def corrupt(rows, data):
     """A copy of each file's rows with 1-3 edits drawn: a cell rewritten,
     a row cut short, made long, repeated or followed by a blank line; and
-    the bytes of a row, when drawn, made invalid UTF-8."""
+    the bytes of a row, when drawn, made invalid UTF-8. An edit hits the
+    header on 1 draw in 16, else a row spread evenly over the file. Every
+    choice is drawn through Hypothesis, so a failure shrinks and replays."""
     files = {name: [list(row) for row in file_rows] for name, file_rows in rows.items()}
     broken_bytes = []
     for _ in range(data.draw(st.integers(1, 3))):
         name = data.draw(st.sampled_from(sorted(files)))
-        file_rows, where = files[name], data.draw(st.randoms(use_true_random=True))
-        i = 0 if where.random() < 1 / 16 else where.randrange(1, len(file_rows))
+        file_rows = files[name]
+        header = data.draw(st.integers(0, 15)) == 15  # not 0, which Hypothesis draws often
+        i = 0 if header else spread(data, 1, len(file_rows))
         edits = ["cell"] * 6 + ["short", "long", "repeat", "blank", "bytes"]
         edit = data.draw(st.sampled_from(edits))
         if edit == "cell":
             if file_rows[i]:  # a row an earlier edit blanked has no cell to rewrite
-                file_rows[i][where.randrange(len(file_rows[i]))] = data.draw(CORRUPT_CELLS)
+                file_rows[i][spread(data, 0, len(file_rows[i]))] = data.draw(CORRUPT_CELLS)
         elif edit == "short":
             file_rows[i] = file_rows[i][:-1]
         elif edit == "long":
             file_rows[i] = file_rows[i] + [""]
         elif edit == "repeat":
-            file_rows.insert(where.randrange(i, len(file_rows)) + 1, list(file_rows[i]))
+            file_rows.insert(spread(data, i, len(file_rows)) + 1, list(file_rows[i]))
         elif edit == "blank":
             file_rows.insert(i + 1, [])
         else:
@@ -847,3 +861,106 @@ def test_admit_outcomes_match_dict_reader(assignments):
         econometrics._admit_columns(panel, observed, {}, partial)
     with pytest.raises(KeyError, match="zz"):  # a holder outside the panel: readers never translate
         econometrics._admit_columns(panel, shuffled(observed, 2), {}, table)
+
+
+def repeat_positions(order, offsets):
+    """Each row's place in ``order`` less the start of its range, the
+    starts repeated over the range sizes: the positions as they were
+    computed before ``MatchInstance`` subtracted each row's own start."""
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order)) - np.repeat(offsets[:-1], np.diff(offsets))
+    return position
+
+
+def list_program_proposing(instance):
+    """Program-proposing DA over Python lists copied from the instance's
+    columns, as it ran before it read them in place."""
+    members = instance.applicant[instance.prio_order].tolist()
+    pref_position = repeat_positions(instance.pref_order, instance.pref_offsets)
+    position = pref_position[instance.prio_order].tolist()
+    next_offer = instance.prio_offsets[:-1].tolist()
+    stops = instance.prio_offsets[1:].tolist()
+    quota = instance.quota.tolist()
+    fill = [0] * len(quota)
+    seat = [-1] * len(instance.applicant_ids)
+    seat_position = [len(members)] * len(seat)
+    pending = list(range(len(quota)))
+    is_pending = [True] * len(quota)
+    while pending:
+        p = pending.pop()
+        is_pending[p] = False
+        i, stop, room = next_offer[p], stops[p], quota[p] - fill[p]
+        while room > 0 and i < stop:
+            a, rank = members[i], position[i]
+            i += 1
+            if rank < seat_position[a]:
+                current = seat[a]
+                seat[a], seat_position[a] = p, rank
+                room -= 1
+                if current >= 0:
+                    fill[current] -= 1
+                    if not is_pending[current]:
+                        pending.append(current)
+                        is_pending[current] = True
+        next_offer[p] = i
+        fill[p] = quota[p] - room
+    return seat
+
+
+def random_block(rng):
+    """A shuffled block of 1-8 applicants listing 1-5 of 5 programs, each
+    row's rank drawn from 1..6, so lists skip ranks and repeat them."""
+    rows = [
+        mk_app(f"a{i}", f"p{j}", rng.randint(1, 6))
+        for i in range(rng.randint(1, 8))
+        for j in rng.sample(range(5), rng.randint(1, 5))
+    ]
+    rng.shuffle(rows)
+    return block_of(rows)
+
+
+def rank_lists(block):
+    """Each applicant's listed ranks, in list order."""
+    order, offsets = block.lists
+    ranks = block.listed_rank[order].tolist()
+    return [ranks[start:stop] for start, stop in itertools.pairwise(offsets.tolist())]
+
+
+@pytest.fixture(scope="module")
+def da_corpus(small_panel):
+    """Instances of the oracle's random profiles, of random blocks whose
+    lists have gaps and ties in listed rank (scores tie too), and of the
+    small panel's six scenarios."""
+    rng = random.Random(20110901)
+    corpus = [random_instance(rng) for _ in range(300)]
+    lists = []
+    for _ in range(300):
+        block = random_block(rng)
+        zeros, n = np.zeros(len(block)), len(block)
+        gpa = np.array([float(rng.randint(0, 3)) for _ in range(n)])
+        table = scoring.ScoreTable(block, gpa, zeros, zeros, zeros, np.zeros(n, dtype=bool))
+        quota = [rng.randint(0, 2) for _ in block.program_keys]
+        corpus.append(build_instance(block, table, quota))
+        lists += rank_lists(block)
+    distinct = [ranks for ranks in lists if len(set(ranks)) == len(ranks)]
+    assert len(distinct) < len(lists)  # some lists tie
+    assert any(ranks != list(range(1, len(ranks) + 1)) for ranks in distinct)  # some skip
+    corpus += [
+        build_instance(table.applications, table, small_panel.quota)
+        for _, table in counterfactual.scenario_tables(small_panel, SCENARIO_IDS)
+    ]
+    return corpus
+
+
+def test_positions_match_repeat_reference(da_corpus):
+    for instance in da_corpus:
+        expected = repeat_positions(instance.pref_order, instance.pref_offsets)
+        assert np.array_equal(instance.pref_position, expected)
+        expected = repeat_positions(instance.prio_order, instance.prio_offsets)
+        assert np.array_equal(instance.prio_position, expected)
+
+
+def test_program_proposing_matches_list_reference(da_corpus):
+    for instance in da_corpus:
+        seat = deferred_acceptance(instance, PROPOSING_PROGRAMS).seat
+        assert seat.tolist() == list_program_proposing(instance)

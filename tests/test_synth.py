@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import reference_synth
 from oracle import (
     infer_quotas_from_observed, programs_of, records, replicate_assignment, same_panel,
 )
-from polyadmit import matching, synth
+from polyadmit import matching, scoring, synth
 from polyadmit.errors import InvalidConfig
 from polyadmit.model import ApplicationBlock, validate_panel
 from polyadmit.synth import SynthConfig, calibration_report, generate_panel
@@ -94,6 +95,30 @@ class TestValidity:
         instance = matching.build_instance(table.applications, table, small_panel.quota)
         computed = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
         assert replicate_assignment(small_panel, computed) == 1.0
+
+    def test_match_is_gone_when_the_panel_is_validated(self, monkeypatch):
+        """The score table and instance that drew the observed assignment
+        are freed before ``validate_panel`` allocates."""
+        built, alive_at_validation = [], []
+
+        def recorded(fn):
+            def wrapper(*args):
+                result = fn(*args)
+                built.append(weakref.ref(result))
+                return result
+
+            return wrapper
+
+        def validate(panel):
+            alive_at_validation.append(sum(ref() is not None for ref in built))
+            return validate_panel(panel)
+
+        monkeypatch.setattr(scoring, "compute_score_table", recorded(scoring.compute_score_table))
+        monkeypatch.setattr(matching, "build_instance", recorded(matching.build_instance))
+        monkeypatch.setattr(synth, "validate_panel", validate)
+        generate_panel(SynthConfig(n_applicants=60, n_programs=6, n_fields=2, seats_total=20))
+        assert len(built) == 2  # the base-year table and its instance
+        assert alive_at_validation == [0]
 
     def test_quota_proxy_matches_generator_quotas_for_filled_programs(self, small_panel):
         inferred = infer_quotas_from_observed(small_panel)
