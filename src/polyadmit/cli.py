@@ -122,10 +122,7 @@ def run(config: RunConfig) -> int:
 
 def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory: Path) -> None:
     scenario_ids = tuple(sorted(set(config.scenarios) | {"S1"}))
-    rank_table = metrics.field_gpa_percentile_ranks(panel)
-    suite, base_table = counterfactual.run_scenario_suite(
-        panel, rank_table, scenario_ids=scenario_ids
-    )
+    suite, base_table, rank_table = counterfactual.run_scenario_suite(panel, scenario_ids)
     by_id = {r.scenario_id: r for r in suite}
 
     # Descriptive tables use the observed assignment when present; the

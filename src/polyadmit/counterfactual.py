@@ -116,20 +116,19 @@ class ScenarioResult:
 
 
 def run_scenario_suite(
-    panel: Panel,
-    rank_table: metrics.RankTable,
-    scenario_ids: Sequence[str] = SCENARIO_IDS,
-) -> tuple[list[ScenarioResult], scoring.ScoreTable]:
+    panel: Panel, scenario_ids: Sequence[str] = SCENARIO_IDS
+) -> tuple[list[ScenarioResult], scoring.ScoreTable, metrics.RankTable]:
     """Run program-proposing deferred acceptance on each scenario and
     compare every assignment to the baseline S1; returns the results in
-    scenario order and S1's table, the base-year score table.
+    scenario order, S1's table (the base-year score table) and the GPA
+    rank table the rank improvements are read from.
 
     Each scenario is matched as soon as its table exists (see
     ``scenario_tables``: the extended lists first), so only one list
     variant's block and tables are held at a time, and S1's table, built
-    last, is the only one kept. Every program
-    admits up to its own quota. ``rank_table`` is
-    ``metrics.field_gpa_percentile_ranks(panel)``.
+    last, is the only one kept. The rank table is built after the last
+    match, so no match runs beside it. Every program admits up to its
+    own quota.
     """
     assignments, listed = {}, {}
     for scenario_id, table in scenario_tables(panel, set(scenario_ids) | {"S1"}):
@@ -142,6 +141,7 @@ def run_scenario_suite(
         listed[scenario_id] = len(table.applications)
         del table, instance  # else they live on while the next list variant is built
 
+    rank_table = metrics.field_gpa_percentile_ranks(panel)
     universe = base_table.applications.listed_applicants()
     baseline = assignments["S1"]
     results = []
@@ -163,4 +163,4 @@ def run_scenario_suite(
                 rank_improvement=improvement,
             )
         )
-    return results, base_table
+    return results, base_table, rank_table

@@ -392,10 +392,14 @@ def _load(directory: Path) -> tuple[Panel, np.ndarray, Optional[np.ndarray]]:
         rows = np.array([
             (applicant_code[a], program_code.get(key, -1), flag)
             for a, (key, flag) in observed_rows if a in applicant_code
-        ], dtype=np.intp).reshape(-1, 3)
-        observed_order, held = rows[:, 0], np.full((2, len(block_ids)), -1)
-        held[:, observed_order] = rows[:, 1:].T
-        observed = Assignment(block_ids, block_keys, held[0], held[1].astype(np.int8))
+        ], dtype=np.intp).reshape(-1, 3).T
+        # each column its own array, so none keeps ``rows`` alive
+        observed_order = rows[0].copy()
+        seat = np.full(len(block_ids), -1)
+        accept = np.full(len(block_ids), -1, dtype=np.int8)
+        seat[observed_order], accept[observed_order] = rows[1], rows[2]
+        del rows
+        observed = Assignment(block_ids, block_keys, seat, accept)
 
     years = applications.year if len(applications) else cohort_year
     base_year = int(years.min()) if len(years) else 0

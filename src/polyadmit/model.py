@@ -297,24 +297,31 @@ def validate_panel(
         )
         problems.extend(message.format(where) for bad, message in row_checks if bad[i])
 
-    # Each (applicant, year) list, in order of its first application.
+    # Each (applicant, year) list, in order of its first application; each
+    # transient is dropped before the next one is allocated.
     years, year = np.unique(apps.year, return_inverse=True)
+    key = apps.applicant * len(years)
+    key += year
+    del year
     lists, first_row, list_of, size = np.unique(
-        apps.applicant * len(years) + year,
-        return_index=True, return_inverse=True, return_counts=True,
+        key, return_index=True, return_inverse=True, return_counts=True
     )
-    by_rank = np.lexsort((apps.listed_rank, list_of))
+    del key
+    rank = apps.listed_rank[np.lexsort((apps.listed_rank, list_of))]  # list by list
     starts = np.cumsum(size) - size
-    rank = apps.listed_rank[by_rank]
+    expected = np.ones(len(apps), dtype=np.int64)  # 1 at each list's start, then counts up
+    expected[starts[1:]] -= size[:-1]
+    np.cumsum(expected, out=expected)
     rank_gap = size > MAX_LISTED_RANK
-    rank_gap |= np.bincount(
-        list_of[by_rank], rank != np.arange(len(apps)) - np.repeat(starts, size) + 1, len(lists)
-    ) > 0
+    rank_gap |= np.logical_or.reduceat(rank != expected, starts)
+    del expected
     by_program = np.lexsort((apps.program, list_of))
-    later, earlier = by_program[1:], by_program[:-1]
-    twice = (list_of[later] == list_of[earlier]) & (apps.program[later] == apps.program[earlier])
+    listed, program = list_of[by_program], apps.program[by_program]  # list by list
+    del by_program, list_of
+    twice = (listed[1:] == listed[:-1]) & (program[1:] == program[:-1])
     listed_twice = np.zeros(len(lists), dtype=bool)
-    listed_twice[list_of[later][twice]] = True
+    listed_twice[listed[1:][twice]] = True
+    del listed, program, twice
     for g in sorted(np.flatnonzero(rank_gap | listed_twice).tolist(), key=first_row.__getitem__):
         i = first_row[g]
         applicant_id, list_year = apps.applicant_ids[apps.applicant[i]], int(apps.year[i])

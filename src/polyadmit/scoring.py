@@ -41,10 +41,11 @@ class ScoreTable:
     and ``totals`` scores row ``i`` of ``applications``, the block the
     table was computed from. ``exam_taken`` records which applications
     carried their own valid exam result; exam propagation only fills in
-    the others. ``totals`` is summed once, at construction. ``other``
-    and ``exam_taken`` are the block's own columns, and transforms share
-    the columns they leave unchanged, so the table marks every column it
-    holds read-only, the block's two included.
+    the others. ``totals`` is summed once, at construction. ``other``,
+    ``exam_taken`` and, in an original table, ``exam`` are the block's
+    own columns, and transforms share the columns they leave unchanged,
+    so the table marks every column it holds read-only, the block's
+    included.
 
     ``keys`` ((applicant, program, year) per row) and ``entries`` (key ->
     ``ScoreComponents``) are built on first read.
@@ -107,7 +108,9 @@ def compute_score_table(panel: Panel, applications: ApplicationBlock) -> ScoreTa
     """Build the original score table for an application block.
 
     The GPA component is the field-weighted dot product over matriculation
-    grades (missing subjects count as zero); the bonus applies only to the
+    grades (missing subjects count as zero); the exam component is the
+    block's own ``exam_score`` column, zero without an exam in a valid
+    panel (see ``ExamScoreWithoutExam``); the bonus applies only to the
     first listed program of each list.
     """
     same_coding(panel, applications)
@@ -117,7 +120,7 @@ def compute_score_table(panel: Panel, applications: ApplicationBlock) -> ScoreTa
     return ScoreTable(
         applications,
         gpa=weighted_gpa_matrix(panel)[applications.applicant, field_code],
-        exam=np.where(applications.exam_taken, applications.exam_score, 0.0),
+        exam=applications.exam_score.astype(float, copy=False),
         bonus=np.where(applications.listed_rank == 1, bonus[field_code], 0.0),
         other=applications.other_points.astype(float, copy=False),
         exam_taken=applications.exam_taken,
@@ -126,11 +129,12 @@ def compute_score_table(panel: Panel, applications: ApplicationBlock) -> ScoreTa
 
 def remove_first_choice_points(table: ScoreTable) -> ScoreTable:
     """Zero out every first-choice bonus; all other components untouched.
+    The bonus column is one read-only zero broadcast over the rows.
 
     Idempotent, and commutes with ``propagate_entrance_exams``, which
     never reads or writes the bonus column.
     """
-    return replace(table, bonus=np.zeros(len(table.applications)))
+    return replace(table, bonus=np.broadcast_to(0.0, len(table.applications)))
 
 
 def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
@@ -147,7 +151,7 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     n_fields, field_code = len(panel.fields), panel.field_code
     # one slot per (applicant, field)
     taken = np.flatnonzero(apps.exam_taken)
-    slot = apps.applicant[taken] * n_fields + field_code[apps.program[taken]]
+    slot = _slots(apps, taken, n_fields, field_code)
     order = np.lexsort((apps.listed_rank[taken], apps.year[taken], slot))
     slot = slot[order]
     first = np.ones(len(slot), dtype=bool)
@@ -157,12 +161,27 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     del taken, slot, order, first  # freed before the second half allocates
 
     rows = np.flatnonzero(~table.exam_taken)
-    wanted = block.applicant[rows] * n_fields + field_code[block.program[rows]]
+    wanted = _slots(block, rows, n_fields, field_code)
     at = np.searchsorted(slots, wanted)
     found = slots[at] == wanted
+    del wanted
+    rows, at = rows[found], at[found]
+    del found
     exam = table.exam.copy()
-    exam[rows[found]] = scores[at[found]]
+    exam[rows] = scores[at]
+    del rows, at, scores, slots
     return replace(table, exam=exam)
+
+
+def _slots(
+    block: ApplicationBlock, rows: np.ndarray, n_fields: int, field_code: np.ndarray
+) -> np.ndarray:
+    """The (applicant, field) slot of each of ``rows``: applicant code
+    times ``n_fields`` plus the code of the program's field."""
+    slot = block.applicant[rows]
+    slot *= n_fields
+    slot += field_code[block.program[rows]]
+    return slot
 
 
 WEIGHT_COMPONENTS = ("gpa", "exam", "first_choice_bonus", "residual")

@@ -6,11 +6,13 @@ the real clearinghouse), so the full pipeline runs in seconds.
 
 from __future__ import annotations
 
+import array
 import bisect
 import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -187,47 +189,67 @@ class _ListSampler:
         return _choice_distinct(rng, p, cdf, length)
 
 
-def _draw_list(
-    rng: np.random.Generator,
-    cfg: SynthConfig,
-    sampler: _ListSampler,
-    applicant: int,
-    year: int,
-    rows: tuple[list, ...],
-) -> None:
-    """Draw one application list and extend each column of ``rows`` with
-    it: applicant code, program draw (see ``_ListSampler``), year, listed
-    rank, exam taken, the
-    exam score's standard normal (0.0 without an exam) and whether the row
-    earns other points."""
-    programs = sampler.draw(rng, int(rng.integers(cfg.n_fields)))
-    k = len(programs)
-    draws = []
-    for exam_prob in sampler.exam_prob[:k]:
-        taken = rng.random() < exam_prob
-        z = rng.standard_normal() if taken else 0.0
-        draws += (taken, z, rng.random() < cfg.other_points_prob)
-    exam_taken, normal, other = (draws[i::3] for i in range(3))
-    values = ([applicant] * k, programs, [year] * k, range(1, k + 1), exam_taken, normal, other)
-    for column, v in zip(rows, values):
-        column.extend(v)
+# Typecodes of the drawn columns: applicant code, program draw, listed
+# rank, exam taken, the exam score's standard normal, other points.
+DRAWN_COLUMNS = "qqqbdb"
+
+
+def _draw_lists(
+    rng: np.random.Generator, cfg: SynthConfig, sampler: _ListSampler, applicants: Iterable[int]
+) -> tuple[array.array, ...]:
+    """Draw one application list per code of ``applicants``, in turn; the
+    iterable is read lazily, so draws it makes itself interleave with the
+    lists'. Returns the rows as typed columns (``DRAWN_COLUMNS``):
+    applicant code, program draw (see ``_ListSampler``), listed rank, exam
+    taken, the exam score's standard normal (0.0 without an exam) and
+    whether the row earns other points."""
+    columns = tuple(map(array.array, DRAWN_COLUMNS))
+    applicant_col, program_col, rank_col, exam_col, normal_col, other_col = columns
+    for applicant in applicants:
+        programs = sampler.draw(rng, int(rng.integers(cfg.n_fields)))
+        for rank, (program, exam_prob) in enumerate(zip(programs, sampler.exam_prob), start=1):
+            taken = rng.random() < exam_prob
+            applicant_col.append(applicant)
+            program_col.append(program)
+            rank_col.append(rank)
+            exam_col.append(taken)
+            normal_col.append(rng.standard_normal() if taken else 0.0)
+            other_col.append(rng.random() < cfg.other_points_prob)
+    return columns
+
+
+ROUND_CHUNK = 4096
 
 
 def _rounded(values: np.ndarray) -> np.ndarray:
     """Each value rounded to 4 decimals by the builtin ``round``, which
-    ``np.round`` does not match for every value."""
-    return np.array([round(v, 4) for v in values.ravel().tolist()]).reshape(values.shape)
+    ``np.round`` does not match for every value; ``ROUND_CHUNK`` values
+    at a time, so no list of every value is held."""
+    rounded = np.empty(values.shape)
+    flat, out = values.ravel(), rounded.reshape(-1)
+    for start in range(0, len(flat), ROUND_CHUNK):
+        chunk = flat[start : start + ROUND_CHUNK].tolist()
+        out[start : start + ROUND_CHUNK] = [round(v, 4) for v in chunk]
+    return rounded
 
 
-def _columns(cfg: SynthConfig, ability: np.ndarray, sampler: _ListSampler, rows: tuple) -> list:
-    """Drawn rows (see ``_draw_list``) as the columns of a block."""
-    dtypes = (np.int64,) * 4 + (bool, float, bool)
-    applicant, drawn, year, rank, exam_taken, normal, other = map(np.array, rows, dtypes)
+def _columns(
+    cfg: SynthConfig, ability: np.ndarray, sampler: _ListSampler, drawn: tuple, year: int
+) -> list:
+    """Drawn columns (see ``_draw_lists``) of the lists of ``year`` as the
+    columns of a block."""
+    applicant, program, rank, exam_taken, normal, other = (
+        np.frombuffer(column, dtype=dtype)
+        for column, dtype in zip(drawn, (np.int64,) * 3 + (bool, float, bool))
+    )
     raw = 20.0 + 8.0 * (0.85 * ability[applicant[exam_taken]] + 0.52 * normal[exam_taken])
     exam_score = np.zeros(len(normal))
     exam_score[exam_taken] = _rounded(np.maximum(0.0, raw))
     other_points = np.where(other, cfg.other_points_value, 0.0)
-    return [applicant, sampler.by_key[drawn], year, rank, exam_taken, exam_score, other_points]
+    year_column = np.full(len(applicant), year, dtype=np.int64)
+    return [
+        applicant, sampler.by_key[program], year_column, rank, exam_taken, exam_score, other_points
+    ]
 
 
 def generate_panel(cfg: SynthConfig) -> Panel:
@@ -268,12 +290,16 @@ def _generate(cfg: SynthConfig) -> Panel:
     code = np.empty(cfg.n_applicants, dtype=np.int64)
     code[order] = np.arange(cfg.n_applicants)
 
-    # Per applicant: the ability, then one normal per SUBJECTS entry.
+    # Per applicant: the ability, then one normal per SUBJECTS entry, then
+    # the base-year list.
     normals = np.empty((cfg.n_applicants, 1 + len(SUBJECTS)))
-    rows = tuple([] for _ in range(7))
-    for applicant in code.tolist():
-        normals[applicant] = rng.standard_normal(1 + len(SUBJECTS))
-        _draw_list(rng, cfg, sampler, applicant, cfg.base_year, rows)
+
+    def with_normals():
+        for applicant in code.tolist():
+            normals[applicant] = rng.standard_normal(1 + len(SUBJECTS))
+            yield applicant
+
+    drawn = _draw_lists(rng, cfg, sampler, with_normals())
     ability = normals[:, 0]
     grades = 4.0 + 1.5 * (0.75 * ability[:, None] + 0.66 * normals[:, 1:])
     applicants = dict(
@@ -282,7 +308,7 @@ def _generate(cfg: SynthConfig) -> Panel:
         subjects=SUBJECTS,
         grades=_rounded(np.maximum(0.0, grades)),
     )
-    base_columns = _columns(cfg, ability, sampler, rows)
+    base_columns = _columns(cfg, ability, sampler, drawn, cfg.base_year)
 
     panel = Panel(
         **applicants,
@@ -299,6 +325,7 @@ def _generate(cfg: SynthConfig) -> Panel:
     table = scoring.compute_score_table(panel, base_apps)
     instance = matching.build_instance(base_apps, table, panel.quota)
     seats = matching.deferred_acceptance(instance, matching.PROPOSING_PROGRAMS)
+    del table, instance  # else they live on through the later-year draws
 
     # Each applicant's seat, by id, with the listed rank and exam of its
     # row (read only where there is a seat); accept flags are drawn for
@@ -315,23 +342,25 @@ def _generate(cfg: SynthConfig) -> Panel:
     p_seated = cfg.reapply_assigned_base + np.array((0.0, *cfg.reapply_rank_bonus))[rank - 1]
     p_seated = p_seated + np.where(exam, 0.0, cfg.reapply_no_exam_bonus)
     p_reapply = np.where(seats.seat < 0, cfg.reapply_unassigned, p_seated)
-    later = tuple([] for _ in range(7))
-    year2_appliers = []
-    for applicant, p in enumerate(p_reapply.tolist()):
-        if rng.random() < p:
-            year2_appliers.append(applicant)
-            _draw_list(rng, cfg, sampler, applicant, cfg.base_year + 1, later)
-    for applicant in year2_appliers:
-        if rng.random() < cfg.reapply_third_year:
-            _draw_list(rng, cfg, sampler, applicant, cfg.base_year + 2, later)
+    # Every year-2 applier draws a list, and the year-3 appliers are drawn
+    # from them in id order.
+    year2 = _draw_lists(
+        rng, cfg, sampler, (a for a, p in enumerate(p_reapply.tolist()) if rng.random() < p)
+    )
+    year3 = _draw_lists(rng, cfg, sampler, (
+        a for a in dict.fromkeys(year2[0]) if rng.random() < cfg.reapply_third_year
+    ))
+    year_columns = (
+        base_columns,
+        _columns(cfg, ability, sampler, year2, cfg.base_year + 1),
+        _columns(cfg, ability, sampler, year3, cfg.base_year + 2),
+    )
 
     return Panel(
         **applicants,
         **programs,
         applications=ApplicationBlock(
-            applicant_ids,
-            keys,
-            *map(np.concatenate, zip(base_columns, _columns(cfg, ability, sampler, later))),
+            applicant_ids, keys, *map(np.concatenate, zip(*year_columns))
         ),
         base_year=cfg.base_year,
         field_weights=field_weights,

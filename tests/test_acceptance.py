@@ -44,10 +44,7 @@ def instance_corpus():
 
 @pytest.fixture(scope="module")
 def suite_results(default_panel):
-    rank_table = metrics.field_gpa_percentile_ranks(default_panel)
-    return {
-        r.scenario_id: r for r in counterfactual.run_scenario_suite(default_panel, rank_table)[0]
-    }
+    return {r.scenario_id: r for r in counterfactual.run_scenario_suite(default_panel)[0]}
 
 
 def announce(capsys, message: str) -> None:

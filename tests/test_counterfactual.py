@@ -4,7 +4,7 @@ import pytest
 
 from conftest import build_scenario, mk_app, mk_panel, mk_program
 from oracle import assignment_of, records, score_rows
-from polyadmit import counterfactual, scoring
+from polyadmit import counterfactual, matching, metrics, scoring
 from polyadmit.counterfactual import (
     SCENARIO_IDS,
     extend_application_lists,
@@ -106,9 +106,7 @@ class TestBuildScenario:
             mk_app("y", "p::b", 2),
         ]
         panel = mk_panel(programs, apps, grades={"x": {"math": 5.0}, "y": {"math": 7.0}})
-        results, _ = run_scenario_suite(
-            panel, field_gpa_percentile_ranks(panel), scenario_ids=("S1", "S3")
-        )
+        results, _, _ = run_scenario_suite(panel, scenario_ids=("S1", "S3"))
         s1, s3 = (r.assignment for r in results)
         assert s1.seat_of == s3.seat_of
 
@@ -148,13 +146,13 @@ class TestBuildScenario:
 
 class TestScenarioSuite:
     def test_s1_row_is_zero(self, small_panel):
-        results, _ = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel))
+        results, _, _ = run_scenario_suite(small_panel)
         s1 = next(r for r in results if r.scenario_id == "S1")
         assert s1.diff_vs_baseline.differently_assigned_count == 0
         assert s1.rank_improvement == 0.0
 
     def test_every_scenario_assignment_is_stable(self, small_panel):
-        results, _ = run_scenario_suite(small_panel, field_gpa_percentile_ranks(small_panel))
+        results, _, _ = run_scenario_suite(small_panel)
         assert tuple(r.scenario_id for r in results) == SCENARIO_IDS
         by_id = {r.scenario_id: r for r in results}
         for scenario_id, table in scenario_tables(small_panel, SCENARIO_IDS):
@@ -164,13 +162,11 @@ class TestScenarioSuite:
             assert assignment_violations(small_panel, table.applications, assignment) == []
 
     def test_extended_scenarios_report_longer_lists(self, small_panel):
-        rank_table = field_gpa_percentile_ranks(small_panel)
-        results = {r.scenario_id: r for r in run_scenario_suite(small_panel, rank_table)[0]}
+        results = {r.scenario_id: r for r in run_scenario_suite(small_panel)[0]}
         for orig, ext in (("S1", "S2"), ("S3", "S4"), ("S5", "S6")):
             assert results[ext].applications_per_applicant >= results[orig].applications_per_applicant
 
     def test_one_list_variant_is_held_at_a_time(self, small_panel, monkeypatch):
-        rank_table = field_gpa_percentile_ranks(small_panel)
         built = []  # a weak reference to every block and table the suite builds
         alive_when_building = []  # what is alive as each block is built
 
@@ -203,12 +199,45 @@ class TestScenarioSuite:
             Panel, "base_applications", property(recorded_block(Panel.base_applications.fget))
         )
 
-        results, base_table = run_scenario_suite(small_panel, rank_table)
+        results, base_table, _ = run_scenario_suite(small_panel)
         # the extended block, S2, S4, S6 tables, then the base block, S1, S3, S5 tables
         assert len(built) == 8
         assert (built[4](), built[5]()) == (base_table.applications, base_table)
         assert alive_when_building == [[], []]
         assert alive() == [4, 5]
+        assert len(results) == len(SCENARIO_IDS)
+
+    def test_no_rank_table_is_alive_while_lists_are_built_or_matched(
+        self, small_panel, monkeypatch
+    ):
+        rank_tables = []  # a weak reference to every rank table built
+        alive = []  # how many are alive as each list variant is built and each table matched
+
+        def counted(fn):
+            def wrapper(*args):
+                alive.append(sum(ref() is not None for ref in rank_tables))
+                return fn(*args)
+
+            return wrapper
+
+        def recorded(panel):
+            table = field_gpa_percentile_ranks(panel)
+            rank_tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(metrics, "field_gpa_percentile_ranks", recorded)
+        monkeypatch.setattr(
+            counterfactual, "extend_application_lists",
+            counted(counterfactual.extend_application_lists),
+        )
+        monkeypatch.setattr(
+            Panel, "base_applications", property(counted(Panel.base_applications.fget))
+        )
+        monkeypatch.setattr(matching, "deferred_acceptance", counted(matching.deferred_acceptance))
+
+        results, _, rank_table = run_scenario_suite(small_panel)
+        assert alive == [0] * (2 + len(SCENARIO_IDS))
+        assert [ref() for ref in rank_tables] == [rank_table]
         assert len(results) == len(SCENARIO_IDS)
 
     def test_scenario_tables_come_one_list_variant_at_a_time(self, small_panel):

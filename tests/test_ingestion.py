@@ -458,6 +458,17 @@ def test_readers_are_gone_when_the_panel_is_validated(small_panel, tmp_path, mon
     assert alive_at_validation == [0]
 
 
+def test_observed_columns_own_their_memory(small_panel, tmp_path):
+    """Neither the observed seat and accept columns nor the file order of
+    the observed rows views a larger array that would live on with them."""
+    save_panel(small_panel, tmp_path)
+    panel, _, observed_order = io_csv._load(tmp_path)
+    observed = panel.observed_assignment
+    n = len(observed.applicant_ids)
+    assert (observed.seat.shape, observed.accept.shape) == ((n,), (n,))
+    assert [c.base is None for c in (observed.seat, observed.accept, observed_order)] == [True] * 3
+
+
 def test_observed_rows_keep_file_order_in_violations(tmp_path):
     with pytest.raises(ValidationError) as info:
         load_panel(write_panel(tmp_path, UNSORTED_OBSERVED))

@@ -391,7 +391,7 @@ def test_rank_improvement_adds_ranks_in_seat_order(panel, monkeypatch):
     monkeypatch.setattr(metrics, "sum", math.fsum, raising=False)
     ranks = dict_rank_table(panel)
     program_field = {p: prog.field for p, prog in programs_of(panel).items()}
-    suite, _ = counterfactual.run_scenario_suite(panel, metrics.field_gpa_percentile_ranks(panel))
+    suite, _, _ = counterfactual.run_scenario_suite(panel)
     base = loop_mean_rank(ranks, suite[0].assignment, program_field)
     assert suite[0].scenario_id == "S1"
     for result in suite:
@@ -780,8 +780,7 @@ def assignments(request, tmp_path_factory):
         panel = io_csv.load_panel(directory)
     else:
         panel = request.getfixturevalue(request.param)
-    ranks = metrics.field_gpa_percentile_ranks(panel)
-    suite, _ = counterfactual.run_scenario_suite(panel, ranks)
+    suite, _, ranks = counterfactual.run_scenario_suite(panel)
     return panel, ranks, panel.observed_assignment, [r.assignment for r in suite]
 
 

@@ -73,6 +73,27 @@ class TestComputeScoreTable:
             key = (app.applicant_id, app.program_key, app.year)
             assert table.entries[key].total == pytest.approx(expected, abs=1e-12)
 
+    def test_exam_is_the_blocks_own_column(self, small_panel):
+        apps = small_panel.base_applications
+        table = compute_score_table(small_panel, apps)
+        assert np.shares_memory(table.exam, apps.exam_score)
+
+    def test_negative_zero_exam_score_gives_the_zeroed_totals(self):
+        # a valid panel scores +-0.0 without an exam, and either sums alike
+        panel = engineering_panel(
+            [
+                mk_app("a1", "poly::eng a", 1, exam_score=-0.0),
+                mk_app("a2", "poly::eng b", 1, exam=True, exam_score=0.0),
+            ],
+            bonus=0.0,
+        )
+        apps = panel.base_applications
+        table = compute_score_table(panel, apps)
+        zeroed = np.where(apps.exam_taken, apps.exam_score, 0.0)
+        expected = table.gpa + zeroed + table.bonus + table.other
+        assert table.totals.tobytes() == expected.tobytes()
+        assert not np.signbit(table.totals).any()
+
     def test_order_independent(self, small_panel):
         apps = small_panel.base_applications
         t1 = compute_score_table(small_panel, apps)
@@ -131,6 +152,12 @@ class TestRemoveFirstChoicePoints:
         twice = remove_first_choice_points(once)
         assert score_rows(once) == score_rows(twice)
         assert once.totals.tolist() == twice.totals.tolist()
+
+    def test_bonus_is_one_shared_zero(self, small_panel):
+        table = compute_score_table(small_panel, small_panel.base_applications)
+        bonus = remove_first_choice_points(table).bonus
+        assert bonus.shape == (len(table.applications),) and bonus.strides == (0,)
+        assert not bonus.flags.writeable and not bonus.any()
 
 
 class TestTransformsCommute:
