@@ -16,31 +16,20 @@ from .scoring import ScoreTable
 OUTCOME_ACCEPTED = "accepted_seat"
 OUTCOME_REAPPLIED = "reapplied_later"
 
+# The leading admit columns: the base block (the intercept, the rank-2/3/4
+# dummies with rank 1 as reference, and the exam-taken dummy), then the
+# controls (the adjusted applicant score and the program acceptance
+# threshold). The field dummies (lexicographically first field as
+# reference) and both controls interacted with field follow.
+BASE_TERMS = ("intercept", "rank2", "rank3", "rank4", "exam_taken")
+CONTROL_TERMS = ("adjusted_score", "threshold")
 
-@dataclass(frozen=True)
-class DesignSpec:
-    """One regression column: outcome plus the control block to include.
-
-    The base block (always present) is the intercept, the rank-2/3/4
-    dummies with rank 1 as reference, and the exam-taken dummy. Controls
-    add the adjusted applicant score and the program acceptance threshold;
-    field interactions additionally add field dummies (lexicographically
-    first field as reference) and both controls interacted with field.
-    """
-
-    outcome: str
-    controls: bool = False
-    field_interactions: bool = False
-
-
-# Table-shaped report: three columns per outcome.
-REPORT_SPECS = (
-    DesignSpec(OUTCOME_ACCEPTED),
-    DesignSpec(OUTCOME_ACCEPTED, controls=True),
-    DesignSpec(OUTCOME_ACCEPTED, controls=True, field_interactions=True),
-    DesignSpec(OUTCOME_REAPPLIED),
-    DesignSpec(OUTCOME_REAPPLIED, controls=True),
-    DesignSpec(OUTCOME_REAPPLIED, controls=True, field_interactions=True),
+# Table-shaped report: three columns per outcome, each an (outcome, width)
+# pair fitting the first ``width`` admit columns (``None``: all of them).
+REPORT_SPECS = tuple(
+    (outcome, width)
+    for outcome in (OUTCOME_ACCEPTED, OUTCOME_REAPPLIED)
+    for width in (len(BASE_TERMS), len(BASE_TERMS) + len(CONTROL_TERMS), None)
 )
 
 
@@ -101,23 +90,15 @@ def ols(
     )
 
 
-@dataclass(frozen=True)
-class _AdmitColumns:
-    """One row per admitted applicant, in id order: every column any
-    design spec uses, and both outcomes."""
-
-    X: np.ndarray
-    terms: tuple[str, ...]
-    outcomes: Mapping[str, np.ndarray]
-
-
 def _admit_columns(
     panel: Panel,
     assignment: Assignment,
     thresholds: Mapping[str, float],
     table: ScoreTable,
-) -> _AdmitColumns:
-    """The admit-level columns; ``table`` scores the base-year lists."""
+) -> tuple[np.ndarray, tuple[str, ...], dict[str, np.ndarray]]:
+    """One row per admitted applicant, in id order: the C-contiguous
+    matrix of every column any report spec uses, its terms, and both
+    outcomes. ``table`` scores the base-year lists."""
     n_admitted = len(assignment.holders)
     if not n_admitted:
         raise EmptySample("no admitted applicants")
@@ -149,35 +130,16 @@ def _admit_columns(
             threshold[:, None] * dummies,
         ]
     )
-    terms = ("intercept", "rank2", "rank3", "rank4", "exam_taken", "adjusted_score", "threshold")
-    terms += tuple(f"field_{f}" for f in dummy_fields)
-    terms += tuple(f"adjusted_score_x_{f}" for f in dummy_fields)
-    terms += tuple(f"threshold_x_{f}" for f in dummy_fields)
+    terms = BASE_TERMS + CONTROL_TERMS
+    for prefix in ("field_", "adjusted_score_x_", "threshold_x_"):
+        terms += tuple(prefix + f for f in dummy_fields)
 
     admits, later = apps.applicant[rows], panel.applications
     outcomes = {
         OUTCOME_ACCEPTED: (assignment.accept[admits] == 1) * 1.0,
         OUTCOME_REAPPLIED: np.isin(admits, later.applicant[later.year > panel.base_year]) * 1.0,
     }
-    return _AdmitColumns(X=X, terms=terms, outcomes=outcomes)
-
-
-def _design(
-    columns: _AdmitColumns, spec: DesignSpec
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    if spec.outcome not in columns.outcomes:
-        raise ValueError(f"unknown outcome {spec.outcome!r}")
-    keep = list(range(5))
-    if spec.controls:
-        keep += [5, 6]
-    if spec.field_interactions:
-        keep += range(7, len(columns.terms))
-    every = len(keep) == len(columns.terms)  # X itself, not a copy
-    return (
-        np.ascontiguousarray(columns.X if every else columns.X[:, keep]),
-        columns.outcomes[spec.outcome],
-        tuple(columns.terms[i] for i in keep),
-    )
+    return X, terms, outcomes
 
 
 def lpm_report(
@@ -190,8 +152,11 @@ def lpm_report(
 
     ``table`` scores the base-year lists row for row; each program's
     acceptance threshold is the lowest total among its admits. The admit
-    columns are built once and every spec is a slice of them.
+    columns are built once and every spec fits a column prefix of them.
     """
     thresholds = program_thresholds(table, assignment)
-    columns = _admit_columns(panel, assignment, thresholds, table)
-    return [ols(*_design(columns, spec), robust=robust) for spec in REPORT_SPECS]
+    X, terms, outcomes = _admit_columns(panel, assignment, thresholds, table)
+    return [
+        ols(np.ascontiguousarray(X[:, :width]), outcomes[outcome], terms[:width], robust)
+        for outcome, width in REPORT_SPECS
+    ]

@@ -85,20 +85,16 @@ def tercile_unassignment(table: ScoreTable, assignment: Assignment, criterion: s
     for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         pct[by_program[start:stop]] = _midpoint_percentiles(values[by_program[start:stop]])
 
-    # each applicant's mean over their pools, added in order of the pools'
-    # first applications, one list position at a time
+    # each applicant's mean over their pools, added from zero in order of
+    # the pools' first applications (``np.add.at`` adds in index order)
     first_row = np.full(len(apps.program_keys), n_rows)
     np.minimum.at(first_row, apps.program, np.arange(n_rows))
     order = np.lexsort((first_row[apps.program], apps.applicant))
-    present, starts, counts = np.unique(
-        apps.applicant[order], return_index=True, return_counts=True
+    present, inverse, counts = np.unique(
+        apps.applicant[order], return_inverse=True, return_counts=True
     )
-    position = np.arange(n_rows) - np.repeat(starts, counts)
-    spread = np.zeros((len(present), counts.max(initial=0)))
-    spread[np.repeat(np.arange(len(present)), counts), position] = pct[order]
     total = np.zeros(len(present))
-    for column in spread.T:
-        total = total + column
+    np.add.at(total, inverse, pct[order])
     mean_rank = total / counts
 
     ordered = np.lexsort((np.arange(len(present)), -mean_rank))  # ids ascending break ties
@@ -142,20 +138,13 @@ def application_rank_stats(panel: Panel, assignment: Assignment) -> list[RankSta
     return rows
 
 
-@dataclass(frozen=True)
-class Histogram100:
-    """100 unit-percentile bins ([k, k+1) for k < 99, [99, 100] for the
-    last)."""
-
-    bins: tuple[float, ...]
-
-
-def assigned_rank_histogram(rank_table: RankTable, assignment: Assignment) -> Histogram100:
+def assigned_rank_histogram(rank_table: RankTable, assignment: Assignment) -> tuple[float, ...]:
     """Bin assigned applicants by their GPA rank at the assigned program's
-    field."""
+    field: ``N_BINS`` unit-percentile bins ([k, k+1) for k < 99, [99, 100]
+    for the last)."""
     ranks = _admit_ranks(rank_table, assignment)
     bins = np.bincount(np.minimum(ranks.astype(np.int64), N_BINS - 1), minlength=N_BINS)
-    return Histogram100(bins=tuple(bins.astype(float).tolist()))
+    return tuple(bins.astype(float).tolist())
 
 
 def _admit_ranks(rank_table: RankTable, assignment: Assignment) -> np.ndarray:
@@ -165,10 +154,11 @@ def _admit_ranks(rank_table: RankTable, assignment: Assignment) -> np.ndarray:
     return rank_table.ranks[holders, rank_table.field_code[assignment.seat[holders]]]
 
 
-def net_change_histogram(base: Histogram100, cf: Histogram100) -> Histogram100:
-    if len(base.bins) != len(cf.bins):
-        raise BinMismatch(f"bin counts differ: {len(base.bins)} vs {len(cf.bins)}")
-    return Histogram100(bins=tuple(c - b for b, c in zip(base.bins, cf.bins)))
+def net_change_histogram(base: tuple[float, ...], cf: tuple[float, ...]) -> tuple[float, ...]:
+    """Counterfactual minus baseline, bin by bin."""
+    if len(base) != len(cf):
+        raise BinMismatch(f"bin counts differ: {len(base)} vs {len(cf)}")
+    return tuple(c - b for b, c in zip(base, cf))
 
 
 def mean_rank_improvement(rank_table: RankTable, base: Assignment, cf: Assignment) -> float:

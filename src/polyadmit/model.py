@@ -21,7 +21,6 @@ import numpy as np
 from .errors import EmptyName, ValidationError
 
 MAX_LISTED_RANK = 4
-PANEL_YEARS = 3
 
 
 def canonical_program_key(polytechnic_name: str, program_name: str) -> str:

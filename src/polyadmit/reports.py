@@ -18,14 +18,11 @@ WEIGHT_LABELS = {
 }
 
 
-def write_weight_report(path: Path, report: scoring.WeightReport) -> None:
+def write_weight_report(path: Path, weights: Mapping[str, float]) -> None:
     _write_csv(
         path,
         ["component", "effective_weight"],
-        (
-            [WEIGHT_LABELS[name], fmt(report.weights[name])]
-            for name in scoring.WEIGHT_COMPONENTS
-        ),
+        ([WEIGHT_LABELS[name], fmt(weights[name])] for name in scoring.WEIGHT_COMPONENTS),
     )
 
 
@@ -81,14 +78,14 @@ def write_lpm_report(path: Path, results: Mapping[str, RegressionResult]) -> Non
     _write_csv(path, ["column", "term", "estimate", "std_error"], rows)
 
 
-def write_figure_data(path: Path, panels: Mapping[str, metrics.Histogram100]) -> None:
+def write_figure_data(path: Path, panels: Mapping[str, Sequence[float]]) -> None:
     _write_csv(
         path,
         ["panel", "bin", "value"],
         (
             [panel, str(b), fmt(value)]
             for panel, histogram in panels.items()
-            for b, value in enumerate(histogram.bins)
+            for b, value in enumerate(histogram)
         ),
     )
 

@@ -187,20 +187,14 @@ def _slots(
 WEIGHT_COMPONENTS = ("gpa", "exam", "first_choice_bonus", "residual")
 
 
-@dataclass(frozen=True)
-class WeightReport:
+def effective_weights(table: ScoreTable) -> dict[str, float]:
     """Effective weight of each score component in the priority ordering.
 
     Each entry is the standard deviation of one component across all
     applications, normalized by the sum of the four standard deviations,
-    so the report sums to one. The residual maps to the other-points
+    so the weights sum to one. The residual maps to the other-points
     component, which is all the unmodeled variation the table carries.
     """
-
-    weights: Mapping[str, float]
-
-
-def effective_weights(table: ScoreTable) -> WeightReport:
     n = len(table.applications)
     if n < 2:
         raise DegenerateTable(f"need at least 2 score records, got {n}")
@@ -220,4 +214,4 @@ def effective_weights(table: ScoreTable) -> WeightReport:
     total_sd = float(np.cumsum(list(sds.values()))[-1])
     if total_sd == 0.0:
         raise DegenerateTable("all score components are constant")
-    return WeightReport(weights={name: sd / total_sd for name, sd in sds.items()})
+    return {name: sd / total_sd for name, sd in sds.items()}

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from polyadmit import econometrics
-from polyadmit.econometrics import DesignSpec, RegressionResult
+from polyadmit.econometrics import RegressionResult
 from polyadmit.errors import InfeasibleAssignment, NoObservedAssignment, PolyadmitError
 from polyadmit.matching import MatchInstance, _grouped, find_blocking_pairs
 from polyadmit.metrics import RankTable
@@ -438,13 +438,15 @@ def build_design_matrix(
     panel: Panel,
     assignment: Assignment,
     thresholds: Mapping[str, float],
-    spec: DesignSpec,
+    spec: tuple[str, Optional[int]],
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """One row per admitted applicant, columns per the design spec, from a
-    score table of the base-year lists built here."""
+    """One row per admitted applicant, the first ``width`` admit columns of
+    an ``(outcome, width)`` spec (``None``: all of them) and its outcome,
+    from a score table of the base-year lists built here."""
+    outcome, width = spec
     table = compute_score_table(panel, panel.base_applications)
-    columns = econometrics._admit_columns(panel, assignment, thresholds, table)
-    return econometrics._design(columns, spec)
+    X, terms, outcomes = econometrics._admit_columns(panel, assignment, thresholds, table)
+    return np.ascontiguousarray(X[:, :width]), outcomes[outcome], terms[:width]
 
 
 def coef(result: RegressionResult, term: str) -> float:

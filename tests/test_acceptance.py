@@ -237,19 +237,19 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
 def test_criterion_10_conservation(default_panel, suite_results, capsys):
     rank_table = metrics.field_gpa_percentile_ranks(default_panel)
     base_hist = metrics.assigned_rank_histogram(rank_table, suite_results["S1"].assignment)
-    assert sum(base_hist.bins) == len(suite_results["S1"].assignment.seat_of)
+    assert sum(base_hist) == len(suite_results["S1"].assignment.seat_of)
     for scenario_id in ("S2", "S3", "S4", "S5", "S6"):
         cf_assignment = suite_results[scenario_id].assignment
         cf_hist = metrics.assigned_rank_histogram(rank_table, cf_assignment)
         net = metrics.net_change_histogram(base_hist, cf_hist)
         delta = len(cf_assignment.seat_of) - len(suite_results["S1"].assignment.seat_of)
-        assert sum(net.bins) == pytest.approx(delta, abs=1e-9)
+        assert sum(net) == pytest.approx(delta, abs=1e-9)
 
     table = compute_score_table(default_panel, default_panel.base_applications)
-    report = scoring.effective_weights(table)
-    assert sum(report.weights.values()) == pytest.approx(1.0, abs=1e-9)
+    weights = scoring.effective_weights(table)
+    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
     announce(
         capsys,
         "ACCEPTANCE 10 PASS: histogram totals conserved; "
-        f"effective weights sum to {sum(report.weights.values()):.12f}"
+        f"effective weights sum to {sum(weights.values()):.12f}"
     )

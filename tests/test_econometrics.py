@@ -3,10 +3,10 @@ import pytest
 
 from oracle import accepted_of, assignment_of, build_design_matrix, coef, records
 from polyadmit.econometrics import (
+    BASE_TERMS,
     OUTCOME_ACCEPTED,
     OUTCOME_REAPPLIED,
     REPORT_SPECS,
-    DesignSpec,
     lpm_report,
     ols,
 )
@@ -124,7 +124,7 @@ class TestDesignMatrix:
     def test_base_coding(self, small_panel):
         assignment = small_panel.observed_assignment
         thresholds = self.thresholds_for(small_panel, assignment)
-        spec = DesignSpec(OUTCOME_ACCEPTED)
+        spec = (OUTCOME_ACCEPTED, len(BASE_TERMS))
         X, y, terms = build_design_matrix(small_panel, assignment, thresholds, spec)
         assert terms == ("intercept", "rank2", "rank3", "rank4", "exam_taken")
         assert X.shape == (len(assignment.seat_of), 5)
@@ -157,7 +157,7 @@ class TestDesignMatrix:
         panel = mk_panel(programs, apps, grades={"x": {"math": 2.0}})
         assignment = assignment_of({"x": "p::c"}, {"x": True}, over=panel)
         X, y, terms = build_design_matrix(
-            panel, assignment, {"p::c": 2.0}, DesignSpec(OUTCOME_ACCEPTED)
+            panel, assignment, {"p::c": 2.0}, (OUTCOME_ACCEPTED, len(BASE_TERMS))
         )
         assert X.tolist() == [[1.0, 0.0, 1.0, 0.0, 0.0]]
         assert y.tolist() == [1.0]
@@ -165,7 +165,7 @@ class TestDesignMatrix:
     def test_controls_and_interactions_shape(self, small_panel):
         assignment = small_panel.observed_assignment
         thresholds = self.thresholds_for(small_panel, assignment)
-        spec = DesignSpec(OUTCOME_REAPPLIED, controls=True, field_interactions=True)
+        spec = (OUTCOME_REAPPLIED, None)
         X, _, terms = build_design_matrix(small_panel, assignment, thresholds, spec)
         n_fields = len(small_panel.field_weights)
         assert len(terms) == 5 + 2 + 3 * (n_fields - 1)
@@ -174,7 +174,7 @@ class TestDesignMatrix:
     def test_empty_sample(self, small_panel):
         with pytest.raises(EmptySample):
             build_design_matrix(
-                small_panel, assignment_of({}), {}, DesignSpec(OUTCOME_ACCEPTED)
+                small_panel, assignment_of({}), {}, (OUTCOME_ACCEPTED, len(BASE_TERMS))
             )
 
 

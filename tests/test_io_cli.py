@@ -1,6 +1,8 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
+import inspect
 import io
 import json
 import os
@@ -24,6 +26,7 @@ from polyadmit import cli, errors, reports, synth
 from polyadmit.matching import MatchInstance
 from polyadmit.metrics import RankTable
 from polyadmit.model import ApplicationBlock, Assignment, Panel
+from polyadmit.scoring import ScoreTable
 from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
 
@@ -657,15 +660,50 @@ class TestCorruptedCells:
             assert tree_bytes(out) == {"earlier.csv": b"kept\n"}
 
 
+TRACED = Path(__file__).parents[1] / "perfbench" / "traced.py"
+
+
 class TestTracedHarness:
+    def test_metric_functions_exist(self):
+        """A layer metric whose function is renamed or deleted reads 0 and
+        the traced run still passes, so each ``<module>.<function>`` that a
+        ``.s`` or ``.calls`` metric or ``COUNT_ONLY`` names must be a public
+        function of that module, and each attribute the harness patches or
+        reads must exist."""
+        spec = importlib.util.spec_from_file_location("traced", TRACED)
+        traced = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(traced)
+        names = set(traced.COUNT_ONLY)
+        for metric in traced.LAYER_METRICS:
+            if metric.rpartition(".")[2] in ("s", "calls"):
+                names.add(".".join(metric.split(".")[:2]))
+        derived = {"matching.da_applicants", "matching.audit", "reports.write"}
+        panel_members = {"model.weighted_gpa", "model.base_applications"}
+        # documented as stale: no longer in the package, their metrics read 0
+        stale = {"econometrics.build_design_matrix", "scoring.adjusted_score"}
+        for name in sorted(names - derived - panel_members - stale):
+            module_name, function = name.split(".")
+            module = importlib.import_module(f"polyadmit.{module_name}")
+            fn = getattr(module, function, None)
+            assert not function.startswith("_"), name
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+        assert inspect.isfunction(vars(Panel)["weighted_gpa"])
+        assert isinstance(vars(Panel)["base_applications"], property)
+        for owner, attr in (
+            (ScoreTable, "entries"),
+            (MatchInstance, "preferences"),
+            (MatchInstance, "quotas"),
+            (Assignment, "seat_of"),
+        ):
+            assert attr in vars(owner), f"{owner.__name__}.{attr}"
+
     def test_traced_run_audits_and_matches_untraced_reports(self, small_config_json, tmp_path):
         """perfbench/traced.py patches and observes functions by name; a
         rename or deletion it depends on fails here."""
-        traced = Path(__file__).parents[1] / "perfbench" / "traced.py"
         result, out = tmp_path / "result.json", tmp_path / "traced"
         proc = subprocess.run(
             [
-                sys.executable, str(traced), "--spawned-at", repr(time.perf_counter()),
+                sys.executable, str(TRACED), "--spawned-at", repr(time.perf_counter()),
                 "--result", str(result), "--spans", str(tmp_path / "spans.json"),
                 "--out", str(out), "--", "--synth", str(small_config_json),
             ],

@@ -7,7 +7,6 @@ from polyadmit.errors import BinMismatch, EmptyAssignment
 from polyadmit.metrics import (
     CRITERION_ADMISSION_SCORE,
     CRITERION_MATRICULATION,
-    Histogram100,
     RankTable,
     application_rank_stats,
     assigned_rank_histogram,
@@ -154,7 +153,7 @@ class TestApplicationRankStats:
 class TestHistograms:
     def test_nobody_assigned(self):
         hist = assigned_rank_histogram(rank_table({}), assignment_of({}))
-        assert hist.bins == (0.0,) * 100
+        assert hist == (0.0,) * 100
 
     def test_uniform_when_everyone_assigned_distinct(self):
         n = 200
@@ -165,30 +164,28 @@ class TestHistograms:
         ranks = field_gpa_percentile_ranks(panel)
         assignment = assignment_of({a: p.program_key for a in grades}, over=panel)
         hist = assigned_rank_histogram(ranks, assignment)
-        assert set(hist.bins) == {n / 100}
+        assert set(hist) == {n / 100}
 
     def test_count_conservation(self, small_panel):
         ranks = field_gpa_percentile_ranks(small_panel)
         assignment = small_panel.observed_assignment
         hist = assigned_rank_histogram(ranks, assignment)
-        assert sum(hist.bins) == len(assignment.seat_of)
+        assert sum(hist) == len(assignment.seat_of)
 
     def test_net_change(self):
-        base = Histogram100(bins=tuple([3.0] + [0.0] * 99))
-        cf = Histogram100(bins=tuple([5.0] + [0.0] * 99))
+        base = tuple([3.0] + [0.0] * 99)
+        cf = tuple([5.0] + [0.0] * 99)
         net = net_change_histogram(base, cf)
-        assert net.bins[0] == 2.0
-        assert sum(net.bins) == 2.0
+        assert net[0] == 2.0
+        assert sum(net) == 2.0
 
     def test_identical_inputs_zero(self):
-        h = Histogram100(bins=tuple(float(i) for i in range(100)))
-        assert sum(net_change_histogram(h, h).bins) == 0.0
+        h = tuple(float(i) for i in range(100))
+        assert sum(net_change_histogram(h, h)) == 0.0
 
     def test_bin_mismatch(self):
         with pytest.raises(BinMismatch):
-            net_change_histogram(
-                Histogram100(bins=(1.0,)), Histogram100(bins=(1.0, 2.0))
-            )
+            net_change_histogram((1.0,), (1.0, 2.0))
 
 
 class TestMeanRankImprovement:

@@ -167,16 +167,22 @@ def test_midpoint_percentiles_match_loop_reference():
 
 
 def loop_design_matrix(panel, assignment, thresholds, spec):
-    """One row list per admitted applicant, from the table's entries."""
+    """One row list per admitted applicant, from the table's entries; the
+    spec's width says whether the controls and the field interactions
+    join the base block."""
+    outcome, width = spec
+    n_base = len(econometrics.BASE_TERMS)
+    controls = width is None or width >= n_base + len(econometrics.CONTROL_TERMS)
+    field_interactions = width is None
     base_app = {(a.applicant_id, a.program_key): a for a in records(panel.base_applications)}
     entries = compute_score_table(panel, panel.base_applications).entries
     later = {a.applicant_id for a in records(panel.applications) if a.year > panel.base_year}
     dummy_fields = sorted(panel.field_weights)[1:]
     programs = programs_of(panel)
     terms = ["intercept", "rank2", "rank3", "rank4", "exam_taken"]
-    if spec.controls:
+    if controls:
         terms += ["adjusted_score", "threshold"]
-    if spec.field_interactions:
+    if field_interactions:
         terms += [f"field_{f}" for f in dummy_fields]
         terms += [f"adjusted_score_x_{f}" for f in dummy_fields]
         terms += [f"threshold_x_{f}" for f in dummy_fields]
@@ -187,13 +193,13 @@ def loop_design_matrix(panel, assignment, thresholds, spec):
         adj = adjusted_score(entries[(a, p, panel.base_year)])
         row = [1.0] + [1.0 if app.listed_rank == r else 0.0 for r in (2, 3, 4)]
         row.append(1.0 if app.exam_taken else 0.0)
-        if spec.controls:
+        if controls:
             row += [adj, thresholds[p]]
-        if spec.field_interactions:
+        if field_interactions:
             dummies = [1.0 if programs[p].field == f else 0.0 for f in dummy_fields]
             row += dummies + [adj * d for d in dummies] + [thresholds[p] * d for d in dummies]
         rows.append(row)
-        if spec.outcome == econometrics.OUTCOME_ACCEPTED:
+        if outcome == econometrics.OUTCOME_ACCEPTED:
             y.append(1.0 if accepted.get(a, False) else 0.0)
         else:
             y.append(1.0 if a in later else 0.0)
@@ -695,7 +701,7 @@ def test_effective_weights_add_left_to_right(panel, monkeypatch):
     still equal the left-to-right loop."""
     monkeypatch.setattr(scoring, "sum", math.fsum, raising=False)
     table = compute_score_table(panel, panel.base_applications)
-    assert scoring.effective_weights(table).weights == loop_effective_weights(table)
+    assert scoring.effective_weights(table) == loop_effective_weights(table)
 
 
 def test_weighted_gpa_adds_left_to_right(panel, monkeypatch):
@@ -850,9 +856,10 @@ def test_admit_outcomes_match_dict_reader(assignments):
     table = compute_score_table(panel, panel.base_applications)
     for assignment in (observed, shuffled(observed, 2, outsider=False)):
         thresholds = program_thresholds(table, assignment)
-        columns = econometrics._admit_columns(panel, assignment, thresholds, table)
-        outcomes = {name: y.tolist() for name, y in columns.outcomes.items()}
-        assert outcomes == dict_admit_outcomes(panel, assignment)
+        *_, outcomes = econometrics._admit_columns(panel, assignment, thresholds, table)
+        assert {name: y.tolist() for name, y in outcomes.items()} == dict_admit_outcomes(
+            panel, assignment
+        )
     block = panel.base_applications
     others = block.take(np.flatnonzero(block.applicant != observed.holders[0]))
     partial = compute_score_table(panel, others)

@@ -291,29 +291,29 @@ class TestEffectiveWeights:
         )
 
     def test_only_gpa_varies(self):
-        report = effective_weights(
+        weights = effective_weights(
             self.table_of([ScoreComponents(1, 3, 2, 4), ScoreComponents(9, 3, 2, 4)])
         )
-        assert report.weights["gpa"] == 1.0
-        assert report.weights["exam"] == report.weights["first_choice_bonus"] == 0.0
-        assert report.weights["residual"] == 0.0
+        assert weights["gpa"] == 1.0
+        assert weights["exam"] == weights["first_choice_bonus"] == 0.0
+        assert weights["residual"] == 0.0
 
     def test_two_record_hand_computation(self):
         # population sds: gpa |4-2|/2=1, exam |10-4|/2=3, bonus 0, other |1-0|/2=0.5
-        report = effective_weights(
+        weights = effective_weights(
             self.table_of([ScoreComponents(2, 4, 5, 0), ScoreComponents(4, 10, 5, 1)])
         )
         total = 1 + 3 + 0 + 0.5
-        assert report.weights["gpa"] == pytest.approx(1 / total)
-        assert report.weights["exam"] == pytest.approx(3 / total)
-        assert report.weights["first_choice_bonus"] == 0.0
-        assert report.weights["residual"] == pytest.approx(0.5 / total)
+        assert weights["gpa"] == pytest.approx(1 / total)
+        assert weights["exam"] == pytest.approx(3 / total)
+        assert weights["first_choice_bonus"] == 0.0
+        assert weights["residual"] == pytest.approx(0.5 / total)
 
     def test_weights_sum_to_one(self, small_panel):
         table = compute_score_table(small_panel, small_panel.base_applications)
-        report = effective_weights(table)
-        assert sum(report.weights.values()) == pytest.approx(1.0, abs=1e-9)
-        assert all(0.0 <= w <= 1.0 for w in report.weights.values())
+        weights = effective_weights(table)
+        assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
+        assert all(0.0 <= w <= 1.0 for w in weights.values())
 
     def test_degenerate(self):
         with pytest.raises(DegenerateTable):
@@ -324,11 +324,9 @@ class TestEffectiveWeights:
         # 4-row CSV layout
         from polyadmit.reports import write_weight_report
 
-        report = scoring.WeightReport(
-            weights={"gpa": 0.28, "exam": 0.43, "first_choice_bonus": 0.05, "residual": 0.23},
-        )
+        weights = {"gpa": 0.28, "exam": 0.43, "first_choice_bonus": 0.05, "residual": 0.23}
         path = tmp_path / "table1.csv"
-        write_weight_report(path, report)
+        write_weight_report(path, weights)
         lines = path.read_text().splitlines()
         assert lines[0] == "component,effective_weight"
         assert lines[1] == "matriculation_gpa,0.280000"
