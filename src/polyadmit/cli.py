@@ -111,13 +111,18 @@ def run(config: RunConfig) -> int:
         for name in names:
             os.replace(staging / name, out / name)
     except Exception as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return _failed(exc)
     finally:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
     return 0
+
+
+def _failed(exc: Exception) -> int:
+    """Print ``exc`` as one JSON line to stderr; the exit status of a failure."""
+    json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+    sys.stderr.write("\n")
+    return 1
 
 
 def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory: Path) -> None:
@@ -182,8 +187,16 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises ``InvalidConfig``, so it fails as any other
+    error does; ``--help`` still prints and exits 0."""
+
+    def error(self, message: str):
+        raise InvalidConfig(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyadmit",
         description="Simulate a centralized admissions clearinghouse and write its report tables.",
     )
@@ -226,7 +239,11 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run(parse_args(argv))
+    try:
+        config = parse_args(argv)
+    except InvalidConfig as exc:
+        return _failed(exc)
+    return run(config)
 
 
 if __name__ == "__main__":

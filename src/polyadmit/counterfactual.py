@@ -11,7 +11,7 @@ import numpy as np
 
 from . import matching, metrics, scoring
 from .errors import UnknownScenario
-from .model import ApplicationBlock, Assignment, Panel
+from .model import ApplicationBlock, Assignment, Panel, narrowest
 
 SCORES_ORIGINAL = "original"
 SCORES_NO_FIRST_CHOICE = "no_first_choice"
@@ -53,14 +53,15 @@ def extend_application_lists(panel: Panel) -> ApplicationBlock:
     in_base[apps.applicant[apps.year == panel.base_year]] = True
     rows = np.flatnonzero(in_base[apps.applicant])
     rows = rows[np.lexsort((apps.listed_rank[rows], apps.year[rows], apps.applicant[rows]))]
-    pair = apps.applicant[rows] * len(apps.program_keys) + apps.program[rows]
+    pair = apps.applicant[rows].astype(np.int64) * len(apps.program_keys) + apps.program[rows]
     rows = rows[np.sort(np.unique(pair, return_index=True)[1])]  # first listing of each program
     applicant = apps.applicant[rows]
     new_list = np.ones(len(rows), dtype=bool)
     new_list[1:] = applicant[1:] != applicant[:-1]
     position = np.arange(len(rows))
     rank = position - np.maximum.accumulate(np.where(new_list, position, 0)) + 1
-    year = np.broadcast_to(panel.base_year, len(rows))  # one read-only value for every row
+    # one read-only value for every row, already in its narrowest type
+    year = np.broadcast_to(narrowest(np.array([panel.base_year])), len(rows))
     return apps.take(rows, year=year, listed_rank=rank)
 
 

@@ -8,7 +8,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptySample, MissingScore, RankDeficient
+from .errors import ConstantOutcome, EmptySample, MissingScore, RankDeficient
 from .matching import program_thresholds
 from .model import Assignment, Panel, same_coding
 from .scoring import ScoreTable
@@ -153,9 +153,13 @@ def lpm_report(
     ``table`` scores the base-year lists row for row; each program's
     acceptance threshold is the lowest total among its admits. The admit
     columns are built once and every spec fits a column prefix of them.
+    An outcome with one value among all admits raises ``ConstantOutcome``.
     """
     thresholds = program_thresholds(table, assignment)
     X, terms, outcomes = _admit_columns(panel, assignment, thresholds, table)
+    for outcome, y in outcomes.items():
+        if (y == y[0]).all():
+            raise ConstantOutcome(f"outcome {outcome!r} is {y[0]:g} for all {len(y)} admits")
     return [
         ols(np.ascontiguousarray(X[:, :width]), outcomes[outcome], terms[:width], robust)
         for outcome, width in REPORT_SPECS

@@ -68,6 +68,11 @@ class EmptySample(PolyadmitError):
     pass
 
 
+class ConstantOutcome(PolyadmitError):
+    """A regression outcome takes one value among every admit, so each fit
+    of it would report zeros or the constant itself."""
+
+
 class InvalidConfig(PolyadmitError):
     pass
 

@@ -31,6 +31,10 @@ class MatchInstance:
     priority first. Priorities are strict by construction: score ties are
     broken by applicant id ascending.
 
+    ``applicant`` and ``program`` are the block's own narrow code columns
+    (see ``ApplicationBlock``); the orders, offsets and ``quota`` are
+    int64.
+
     ``preferences`` and ``quotas`` are the applicants' lists and the
     quotas as id-keyed mappings, built on first read.
     """

@@ -22,6 +22,9 @@ from .errors import EmptyName, ValidationError
 
 MAX_LISTED_RANK = 4
 
+# The integer types a code column may take, narrowest first.
+CODE_TYPES = (np.int8, np.int16, np.int32, np.int64)
+
 
 def canonical_program_key(polytechnic_name: str, program_name: str) -> str:
     """Deterministic key for a (polytechnic, program) name pair.
@@ -70,6 +73,20 @@ class Assignment:
         return {self.applicant_ids[a]: self.program_keys[p] for a, p in pairs}
 
 
+def narrowest(column: np.ndarray) -> np.ndarray:
+    """``column`` in the narrowest of ``CODE_TYPES`` that holds its own
+    minimum and maximum (no copy when it already is); an empty column, or
+    one that is not of signed integers, as given."""
+    if not len(column) or column.dtype.kind != "i":
+        return column
+    low, high = column.min(), column.max()
+    for code_type in CODE_TYPES:
+        bounds = np.iinfo(code_type)
+        if bounds.min <= low and high <= bounds.max:
+            return column.astype(code_type, copy=False)
+    return column
+
+
 @dataclass(frozen=True, eq=False)
 class ApplicationBlock:
     """Applications as columns, row ``i`` being one application.
@@ -78,6 +95,12 @@ class ApplicationBlock:
     ``program_keys``: a panel's own tuples, so every block of one panel
     codes alike. Blocks compare by identity: a score table scores the
     very block it was computed from.
+
+    The code columns ``applicant``, ``program``, ``year`` and
+    ``listed_rank`` are narrowed when the block is built, each to the
+    narrowest of int8, int16, int32 and int64 that holds its own values
+    (see ``narrowest``). Arithmetic on them wraps in that type, so a key
+    built from codes upcasts to int64 before it multiplies.
     """
 
     applicant_ids: tuple[str, ...] = field(repr=False)
@@ -89,6 +112,10 @@ class ApplicationBlock:
     exam_taken: np.ndarray
     exam_score: np.ndarray
     other_points: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("applicant", "program", "year", "listed_rank"):
+            object.__setattr__(self, name, narrowest(getattr(self, name)))
 
     def take(self, rows: np.ndarray | slice, **columns: np.ndarray) -> "ApplicationBlock":
         """The block of ``rows`` (a slice gives views), with any column
@@ -299,7 +326,8 @@ def validate_panel(
     # Each (applicant, year) list, in order of its first application; each
     # transient is dropped before the next one is allocated.
     years, year = np.unique(apps.year, return_inverse=True)
-    key = apps.applicant * len(years)
+    key = apps.applicant.astype(np.int64)
+    key *= len(years)
     key += year
     del year
     lists, first_row, list_of, size = np.unique(

@@ -177,8 +177,8 @@ def _slots(
     block: ApplicationBlock, rows: np.ndarray, n_fields: int, field_code: np.ndarray
 ) -> np.ndarray:
     """The (applicant, field) slot of each of ``rows``: applicant code
-    times ``n_fields`` plus the code of the program's field."""
-    slot = block.applicant[rows]
+    times ``n_fields`` plus the code of the program's field, as int64."""
+    slot = block.applicant[rows].astype(np.int64)
     slot *= n_fields
     slot += field_code[block.program[rows]]
     return slot

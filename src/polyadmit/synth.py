@@ -222,14 +222,27 @@ ROUND_CHUNK = 4096
 
 
 def _rounded(values: np.ndarray) -> np.ndarray:
-    """Each value rounded to 4 decimals by the builtin ``round``, which
-    ``np.round`` does not match for every value; ``ROUND_CHUNK`` values
-    at a time, so no list of every value is held."""
+    """Each finite value rounded to 4 decimals exactly as the builtin
+    ``round`` rounds it, ``ROUND_CHUNK`` values at a time.
+
+    ``round`` rounds the exact decimal value; ``np.rint(v * 1e4) / 1e4``
+    gives the same double unless the rounding of ``v * 1e4`` moved it
+    across a half-integer, and the division is correctly rounded as the
+    builtin's result is. Below 2**33 that rounding moves the product by
+    less than 1e-6. So the builtin rounds only the products within 1e-6
+    of a half-integer, where bare ``np.round`` can miss, and those past
+    2**33."""
     rounded = np.empty(values.shape)
     flat, out = values.ravel(), rounded.reshape(-1)
     for start in range(0, len(flat), ROUND_CHUNK):
-        chunk = flat[start : start + ROUND_CHUNK].tolist()
-        out[start : start + ROUND_CHUNK] = [round(v, 4) for v in chunk]
+        chunk = flat[start : start + ROUND_CHUNK]
+        scaled = chunk * 1e4
+        whole = np.rint(scaled)
+        near = np.abs(np.abs(scaled - whole) - 0.5) < 1e-6
+        near |= np.abs(scaled) >= 2.0**33
+        whole /= 1e4
+        whole[near] = [round(v, 4) for v in chunk[near].tolist()]
+        out[start : start + ROUND_CHUNK] = whole
     return rounded
 
 

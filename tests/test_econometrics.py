@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from polyadmit.econometrics import (
     lpm_report,
     ols,
 )
-from polyadmit.errors import EmptySample, RankDeficient
+from polyadmit.errors import ConstantOutcome, EmptySample, RankDeficient
 from polyadmit.matching import program_thresholds
 from polyadmit.scoring import compute_score_table
 
@@ -205,7 +207,9 @@ class TestLpmReport:
         for term in ("rank2", "rank3", "rank4"):
             assert coef(reapply, term) > 0
 
-    def test_no_reapplication_panel_has_zero_mean(self, small_panel):
+    def test_no_reapplication_panel_raises_constant_outcome(self, small_panel):
+        """With only the base year, no admit re-applies: the re-application
+        columns would print zeros, so the report raises, naming the outcome."""
         import dataclasses
 
         base_only = dataclasses.replace(
@@ -214,8 +218,16 @@ class TestLpmReport:
                 np.flatnonzero(small_panel.applications.year == small_panel.base_year)
             ),
         )
-        results = lpm_report(base_only, base_only.observed_assignment, base_table(base_only))
-        assert results[3].mean_y == 0.0
+        with pytest.raises(ConstantOutcome, match=f"'{OUTCOME_REAPPLIED}' is 0 for all"):
+            lpm_report(base_only, base_only.observed_assignment, base_table(base_only))
+
+    def test_every_admit_accepting_raises_constant_outcome(self, small_panel):
+        observed = small_panel.observed_assignment
+        accept = np.where(observed.seat >= 0, 1, -1).astype(np.int8)
+        with pytest.raises(ConstantOutcome, match=f"'{OUTCOME_ACCEPTED}' is 1 for all"):
+            lpm_report(
+                small_panel, replace(observed, accept=accept), base_table(small_panel)
+            )
 
     def test_robust_flag_changes_only_ses(self, small_panel):
         table = base_table(small_panel)

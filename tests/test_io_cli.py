@@ -509,6 +509,75 @@ class TestRun:
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, word",
+        [
+            (["--out", "{out}"], "--synth"),
+            (["--synth", "default", "--seed", "abc", "--out", "{out}"], "'abc'"),
+            (["--synth", "default", "--input", "data", "--out", "{out}"], "not allowed"),
+            (["--synth", "default"], "--out"),
+            (["--synth", "default", "--colour", "--out", "{out}"], "--colour"),
+        ],
+        ids=["no-source", "seed-not-int", "two-sources", "no-out", "unknown-flag"],
+    )
+    def test_argument_errors_follow_the_cli_contract(self, tmp_path, capsys, args, word):
+        """Exit 1, one JSON line on stderr and ``--out`` as it was, as for
+        every other failure; argparse's usage text is not printed."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "table4.csv").write_text("kept")
+        status = cli.main([a.format(out=out) for a in args])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, rest = captured.err.split("\n", 1)
+        assert rest == ""
+        err = json.loads(line)
+        assert err["error"] == "InvalidConfig"
+        assert word in err["message"]
+        assert tree_bytes(out) == {"table4.csv": b"kept"}
+
+    def test_argument_error_exits_1_and_help_exits_0(self, tmp_path):
+        bad = [sys.executable, "-m", "polyadmit.cli", "--seed", "abc", "--out", str(tmp_path)]
+        proc = subprocess.run(bad, capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, json.loads(proc.stderr)["error"]) == (1, "InvalidConfig")
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyadmit.cli", "--help"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: polyadmit")
+
+    @pytest.mark.parametrize(
+        "config, outcome",
+        [
+            (
+                '{"reapply_unassigned": 0, "reapply_assigned_base": 0, "reapply_rank_bonus":'
+                ' [0, 0, 0], "reapply_no_exam_bonus": 0, "reapply_third_year": 0}',
+                "reapplied_later",
+            ),
+            (
+                '{"accept_base": 1, "accept_rank_penalty": [0, 0, 0],'
+                ' "accept_no_exam_penalty": 0}',
+                "accepted_seat",
+            ),
+        ],
+        ids=["no-reapplication", "every-admit-accepts"],
+    )
+    def test_constant_table5_outcome_fails_the_run(self, tmp_path, capsys, config, outcome):
+        """Table 5 on an outcome no admit varies in is an error, not a
+        column of zero estimates and zero standard errors."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        args = ["--synth", str(cfg), "--seed", "1", "--reports", "table5", "--out", str(out)]
+        status = cli.main(args)
+        assert status == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConstantOutcome"
+        assert repr(outcome) in err["message"]
+        assert not out.exists()
+
     def test_non_utf8_input_is_a_json_error(self, small_panel, tmp_path, capsys):
         data = tmp_path / "data"
         save_panel(small_panel, data)

@@ -80,6 +80,30 @@ class TestReferenceGenerator:
         assert_same_bytes(default_panel, reference_synth.generate_panel(SynthConfig()))
 
 
+class TestRounded:
+    """``synth._rounded`` equals the builtin ``round(v, 4)`` bit for bit."""
+
+    @staticmethod
+    def assert_builtin(values):
+        expected = np.array([round(v, 4) for v in values.ravel().tolist()])
+        got = synth._rounded(values)
+        assert got.shape == values.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_random_values(self):
+        rng = np.random.default_rng(0)
+        for values in (rng.uniform(0, 60, 3 * synth.ROUND_CHUNK + 5), rng.normal(4, 3, (701, 7))):
+            self.assert_builtin(values)
+
+    def test_planted_ties_and_their_neighbours(self):
+        ties = (np.random.default_rng(1).integers(0, 10**6, 20_000) + 0.5) / 1e4
+        for values in (ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), -ties):
+            self.assert_builtin(values)
+
+    def test_signed_zeros_and_values_past_the_fast_path(self):
+        self.assert_builtin(np.array([0.0, -0.0, 1e-5, -1e-5, 2.0**33 / 1e4, 1e12 + 5e-5, 1e300]))
+
+
 class TestValidity:
     def test_panel_validates(self, small_panel):
         assert validate_panel(small_panel) == small_panel
