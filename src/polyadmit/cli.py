@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import counterfactual, econometrics, metrics, reports, scoring, synth
-from .errors import InvalidConfig, NoObservedAssignment
+from .errors import InvalidConfig, NoObservedAssignment, NonFiniteResult
 from .io_csv import load_panel, write_assignment_csv
 from .model import Panel
 
@@ -88,21 +90,24 @@ def run(config: RunConfig) -> int:
     Every report is written into a staging directory beside ``--out`` and
     moved into ``--out`` only after the last one is written, so a run that
     fails for any reason leaves ``--out`` as it was and prints a
-    machine-readable error to stderr.
+    machine-readable error to stderr. An overflow, a division by zero or
+    an invalid floating-point operation anywhere in generation, loading or
+    the reports fails the run with ``NonFiniteResult``.
     """
     staging = None
     try:
         config.validate()
-        if config.synth_spec is not None:
-            panel = synth.generate_panel(load_synth_config(config.synth_spec, config.seed))
-        else:
-            panel = load_panel(config.input_dir)
-        wanted = _wanted(config, panel)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if config.synth_spec is not None:
+                panel = synth.generate_panel(load_synth_config(config.synth_spec, config.seed))
+            else:
+                panel = load_panel(config.input_dir)
+            wanted = _wanted(config, panel)
 
-        out = config.out_dir
-        out.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
-        _write_reports(config, panel, wanted, staging)
+            out = config.out_dir
+            out.parent.mkdir(parents=True, exist_ok=True)
+            staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+            _write_reports(config, panel, wanted, staging)
         names = sorted(p.name for p in staging.iterdir())
         taken = [out / name for name in names if (out / name).is_dir()]
         if taken:
@@ -110,6 +115,8 @@ def run(config: RunConfig) -> int:
         out.mkdir(exist_ok=True)
         for name in names:
             os.replace(staging / name, out / name)
+    except FloatingPointError as exc:
+        return _failed(NonFiniteResult(f"a computation left the finite range: {exc}"))
     except Exception as exc:
         return _failed(exc)
     finally:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import matching, metrics, scoring
 from .errors import UnknownScenario
-from .model import ApplicationBlock, Assignment, Panel, narrowest
+from .model import ApplicationBlock, Assignment, Panel, code_key, narrowest
 
 SCORES_ORIGINAL = "original"
 SCORES_NO_FIRST_CHOICE = "no_first_choice"
@@ -53,7 +53,7 @@ def extend_application_lists(panel: Panel) -> ApplicationBlock:
     in_base[apps.applicant[apps.year == panel.base_year]] = True
     rows = np.flatnonzero(in_base[apps.applicant])
     rows = rows[np.lexsort((apps.listed_rank[rows], apps.year[rows], apps.applicant[rows]))]
-    pair = apps.applicant[rows].astype(np.int64) * len(apps.program_keys) + apps.program[rows]
+    pair = code_key(apps.applicant[rows], len(apps.program_keys), apps.program[rows])
     rows = rows[np.sort(np.unique(pair, return_index=True)[1])]  # first listing of each program
     applicant = apps.applicant[rows]
     new_list = np.ones(len(rows), dtype=bool)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConstantOutcome, EmptySample, MissingScore, RankDeficient
 from .matching import program_thresholds
-from .model import Assignment, Panel, same_coding
+from .model import Assignment, Panel, same_coding, seat_rows
 from .scoring import ScoreTable
 
 OUTCOME_ACCEPTED = "accepted_seat"
@@ -105,9 +105,8 @@ def _admit_columns(
 
     apps = table.applications
     same_coding(panel, apps)
-    rows = np.flatnonzero(apps.holds_seat(assignment) & (apps.year == panel.base_year))
-    rows = rows[np.argsort(apps.applicant[rows], kind="stable")]  # admits in id order
-    if len(rows) != n_admitted:
+    rows = seat_rows(assignment, apps)[assignment.holders]  # admits in id order
+    if (rows < 0).any():
         raise MissingScore("an admitted applicant has no base-year row in the score table")
     threshold = np.array([thresholds.get(p, np.nan) for p in apps.program_keys])[apps.program[rows]]
     # The total less the exam, then less the bonus: the adjusted score.

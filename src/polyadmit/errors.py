@@ -77,5 +77,10 @@ class InvalidConfig(PolyadmitError):
     pass
 
 
+class NonFiniteResult(PolyadmitError):
+    """A floating-point operation overflowed, divided by zero or left the
+    real numbers, so a report would hold an infinite or NaN value."""
+
+
 class ParseError(PolyadmitError):
     """CSV row could not be parsed; message includes file, row and column."""

@@ -230,6 +230,10 @@ def _field_label(path: Path, row_number: int, column: str, raw: str) -> str:
 
 
 def _program_key(path: Path, row_number: int, columns, names: tuple[str, str]) -> str:
+    """The canonical key of a (polytechnic, program) name pair; an empty
+    name raises as an empty field label does, naming its column."""
+    for column, name in zip(columns, names):
+        _field_label(path, row_number, column, name)
     return canonical_program_key(*names)
 
 
@@ -280,7 +284,7 @@ def _observed_seat(path: Path, row_number: int, columns, cells) -> tuple[str, in
     polytechnic, program, accepted = cells
     if not (polytechnic or program):
         return "", -1
-    key = canonical_program_key(polytechnic, program)
+    key = _program_key(path, row_number, columns, (polytechnic, program))
     return key, (int(_parse_bool(path, row_number, columns[2], accepted)) if accepted else -1)
 
 

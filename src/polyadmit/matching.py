@@ -265,7 +265,8 @@ def program_thresholds(scores: ScoreTable, assignment: Assignment) -> dict[str, 
     both list variants do. Programs with no admits are omitted.
     """
     block = scores.applications
-    admits = np.flatnonzero(block.holds_seat(assignment))
+    admits = seat_rows(assignment, block)[assignment.holders]
+    admits = admits[admits >= 0]  # a holder without a row here
     lowest = np.full(len(block.program_keys), np.inf)
     np.minimum.at(lowest, block.program[admits], scores.totals[admits])
     admitting = np.flatnonzero(

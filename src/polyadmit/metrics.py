@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BinMismatch, EmptyAssignment
-from .model import MAX_LISTED_RANK, Assignment, Panel, same_coding
+from .model import MAX_LISTED_RANK, Assignment, Panel, same_coding, seat_rows
 from .scoring import ScoreTable, weighted_gpa_matrix
 
 N_BINS = 100
@@ -121,12 +121,13 @@ def application_rank_stats(panel: Panel, assignment: Assignment) -> list[RankSta
     participation, and the share admitted to that program."""
     rows = []
     base = panel.base_applications
-    admitted_rows = base.holds_seat(assignment)
+    seated = seat_rows(assignment, base)[assignment.holders]
+    admits = np.bincount(base.listed_rank[seated[seated >= 0]], minlength=MAX_LISTED_RANK + 1)
     for rank in range(1, MAX_LISTED_RANK + 1):
         listed = base.listed_rank == rank
         n = int(np.count_nonzero(listed))
         exams = int(np.count_nonzero(base.exam_taken[listed]))
-        admitted = int(np.count_nonzero(admitted_rows[listed]))
+        admitted = int(admits[rank])
         rows.append(
             RankStatsRow(
                 listed_rank=rank,

@@ -87,6 +87,13 @@ def narrowest(column: np.ndarray) -> np.ndarray:
     return column
 
 
+def code_key(major: np.ndarray, n_minor: int, minor: np.ndarray) -> np.ndarray:
+    """The int64 key ``major * n_minor + minor`` of two code columns. Code
+    columns are narrow (see ``ApplicationBlock``), and the product would
+    wrap in their own type, so ``major`` is upcast before it multiplies."""
+    return major.astype(np.int64) * n_minor + minor
+
+
 @dataclass(frozen=True, eq=False)
 class ApplicationBlock:
     """Applications as columns, row ``i`` being one application.
@@ -100,7 +107,7 @@ class ApplicationBlock:
     ``listed_rank`` are narrowed when the block is built, each to the
     narrowest of int8, int16, int32 and int64 that holds its own values
     (see ``narrowest``). Arithmetic on them wraps in that type, so a key
-    built from codes upcasts to int64 before it multiplies.
+    built from codes is built by ``code_key``.
     """
 
     applicant_ids: tuple[str, ...] = field(repr=False)
@@ -132,11 +139,6 @@ class ApplicationBlock:
     def listed_applicants(self) -> np.ndarray:
         """The codes of the applicants with a row here, ascending."""
         return np.flatnonzero(np.bincount(self.applicant, minlength=len(self.applicant_ids)))
-
-    def holds_seat(self, assignment: "Assignment") -> np.ndarray:
-        """Per row: the applicant's seat is this row's program."""
-        same_coding(self, assignment)
-        return assignment.seat[self.applicant] == self.program
 
     @functools.cached_property
     def lists(self) -> tuple[np.ndarray, np.ndarray]:
@@ -326,9 +328,7 @@ def validate_panel(
     # Each (applicant, year) list, in order of its first application; each
     # transient is dropped before the next one is allocated.
     years, year = np.unique(apps.year, return_inverse=True)
-    key = apps.applicant.astype(np.int64)
-    key *= len(years)
-    key += year
+    key = code_key(apps.applicant, len(years), year)
     del year
     lists, first_row, list_of, size = np.unique(
         key, return_index=True, return_inverse=True, return_counts=True

@@ -10,7 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DegenerateTable
-from .model import ApplicationBlock, Panel, same_coding
+from .model import ApplicationBlock, Panel, code_key, same_coding
 
 # (applicant_id, program_key, year)
 ScoreKey = tuple[str, str, int]
@@ -151,7 +151,7 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     n_fields, field_code = len(panel.fields), panel.field_code
     # one slot per (applicant, field)
     taken = np.flatnonzero(apps.exam_taken)
-    slot = _slots(apps, taken, n_fields, field_code)
+    slot = code_key(apps.applicant[taken], n_fields, field_code[apps.program[taken]])
     order = np.lexsort((apps.listed_rank[taken], apps.year[taken], slot))
     slot = slot[order]
     first = np.ones(len(slot), dtype=bool)
@@ -161,7 +161,7 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     del taken, slot, order, first  # freed before the second half allocates
 
     rows = np.flatnonzero(~table.exam_taken)
-    wanted = _slots(block, rows, n_fields, field_code)
+    wanted = code_key(block.applicant[rows], n_fields, field_code[block.program[rows]])
     at = np.searchsorted(slots, wanted)
     found = slots[at] == wanted
     del wanted
@@ -171,17 +171,6 @@ def propagate_entrance_exams(panel: Panel, table: ScoreTable) -> ScoreTable:
     exam[rows] = scores[at]
     del rows, at, scores, slots
     return replace(table, exam=exam)
-
-
-def _slots(
-    block: ApplicationBlock, rows: np.ndarray, n_fields: int, field_code: np.ndarray
-) -> np.ndarray:
-    """The (applicant, field) slot of each of ``rows``: applicant code
-    times ``n_fields`` plus the code of the program's field, as int64."""
-    slot = block.applicant[rows].astype(np.int64)
-    slot *= n_fields
-    slot += field_code[block.program[rows]]
-    return slot
 
 
 WEIGHT_COMPONENTS = ("gpa", "exam", "first_choice_bonus", "residual")

@@ -287,12 +287,6 @@ def _generate(cfg: SynthConfig) -> Panel:
     base_quota, extra = divmod(cfg.seats_total, cfg.n_programs)
     names = tuple((f"Polytechnic {i % 10}", f"Program {i:03d}") for i in range(cfg.n_programs))
     keys = tuple(canonical_program_key(*n) for n in names)
-    programs = dict(
-        program_keys=keys,
-        program_names=names,
-        program_field=tuple(fields[i % cfg.n_fields] for i in range(cfg.n_programs)),
-        quota=base_quota + (np.arange(cfg.n_programs) < extra),
-    )
     sampler = _ListSampler.build(cfg, keys)
 
     # Applicants are drawn in index order and coded by sorted id; from
@@ -315,17 +309,17 @@ def _generate(cfg: SynthConfig) -> Panel:
     drawn = _draw_lists(rng, cfg, sampler, with_normals())
     ability = normals[:, 0]
     grades = 4.0 + 1.5 * (0.75 * ability[:, None] + 0.66 * normals[:, 1:])
-    applicants = dict(
+    base_columns = _columns(cfg, ability, sampler, drawn, cfg.base_year)
+
+    panel = Panel(
         applicant_ids=applicant_ids,
         cohort_year=np.full(cfg.n_applicants, cfg.base_year, dtype=np.int64),
         subjects=SUBJECTS,
         grades=_rounded(np.maximum(0.0, grades)),
-    )
-    base_columns = _columns(cfg, ability, sampler, drawn, cfg.base_year)
-
-    panel = Panel(
-        **applicants,
-        **programs,
+        program_keys=keys,
+        program_names=names,
+        program_field=tuple(fields[i % cfg.n_fields] for i in range(cfg.n_programs)),
+        quota=base_quota + (np.arange(cfg.n_programs) < extra),
         applications=ApplicationBlock(applicant_ids, keys, *base_columns),
         base_year=cfg.base_year,
         field_weights=field_weights,
@@ -369,15 +363,11 @@ def _generate(cfg: SynthConfig) -> Panel:
         _columns(cfg, ability, sampler, year3, cfg.base_year + 2),
     )
 
-    return Panel(
-        **applicants,
-        **programs,
+    return dataclasses.replace(
+        panel,
         applications=ApplicationBlock(
             applicant_ids, keys, *map(np.concatenate, zip(*year_columns))
         ),
-        base_year=cfg.base_year,
-        field_weights=field_weights,
-        bonus_points=bonus_points,
         observed_assignment=observed,
     )
 

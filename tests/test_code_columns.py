@@ -108,8 +108,8 @@ def pipeline(n_applicants: int, n_programs: int) -> dict[str, np.ndarray]:
     extended = counterfactual.extend_application_lists(panel)
     out = {f"extended {name}": getattr(extended, name) for name in CODE_COLUMNS}
     for variant, block in (("base", panel.base_applications), ("extended", extended)):
-        rows = np.arange(len(block))
-        out[f"{variant} slots"] = scoring._slots(block, rows, N_FIELDS, panel.field_code)
+        slots = model.code_key(block.applicant, N_FIELDS, panel.field_code[block.program])
+        out[f"{variant} slots"] = slots
         out[f"{variant} list order"], out[f"{variant} list offsets"] = block.lists
         table = scoring.propagate_entrance_exams(panel, scoring.compute_score_table(panel, block))
         out[f"{variant} exam"] = table.exam

@@ -313,7 +313,7 @@ FIRST_BAD_CELL = {
         "programs.csv",
         [(5, {"field": "", "program_name": " "}), (7, {"quota": "1.5"})],
         EmptyName,
-        "empty name in program key: ('Polytechnic 2', ' ')",
+        "{path} row 6: empty program_name",
     ),
     "applications.csv, later check in an earlier row": (
         "applications.csv",
@@ -366,7 +366,7 @@ FIRST_BAD_CELL = {
         "observed_assignment.csv",
         [(3, {"accepted": "perhaps", "program_name": " "})],
         EmptyName,
-        "empty name in program key: ('Polytechnic 9', ' ')",
+        "{path} row 4: empty program_name",
     ),
     "observed_assignment.csv, id before seat": (
         "observed_assignment.csv",

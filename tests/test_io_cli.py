@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from oracle import (
 from polyadmit import cli, errors, reports, synth
 from polyadmit.matching import MatchInstance
 from polyadmit.metrics import RankTable
-from polyadmit.model import ApplicationBlock, Assignment, Panel
+from polyadmit.model import MAX_LISTED_RANK, ApplicationBlock, Assignment, Panel
 from polyadmit.scoring import ScoreTable
 from polyadmit.errors import EmptyName, ParseError, PolyadmitError, ValidationError
 from polyadmit.io_csv import load_panel, save_panel
@@ -589,6 +591,34 @@ class TestRun:
         assert err["error"] == "ParseError"
         assert "applicants.csv" in err["message"]
 
+    def test_empty_program_name_names_file_row_and_column(self, small_panel, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "out"
+        save_panel(small_panel, data)
+        path = data / "programs.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "Polytechnic 1,  ,field1,3"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["--input", str(data), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "EmptyName", "message": f"{path} row 3: empty program_name"
+        }
+        assert not out.exists()
+
+    def test_huge_synth_points_are_a_non_finite_result(self, tmp_path, capsys):
+        """Totals that overflow fail the run as non-finite, with no warning
+        printed first and no misleading RankDeficient."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(
+            '{"n_applicants": 400, "n_programs": 12, "n_fields": 4, "seats_total": 130,'
+            ' "seed": 7, "first_choice_bonus": 1.7e308, "other_points_value": 1.7e308}'
+        )
+        out.mkdir()
+        (out / "table1.csv").write_text("kept")
+        assert cli.main(["--synth", str(cfg), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "NonFiniteResult"
+        assert tree_bytes(out) == {"table1.csv": b"kept"}
+
     def test_console_entry_point(self, small_config_json, tmp_path):
         out = tmp_path / "out"
         proc = subprocess.run(
@@ -660,7 +690,10 @@ CELL_VALUES = {
     | st.integers(2**63 - 2, 2**66).map(str)  # 64-bit edge and beyond
     | st.integers(-(2**66), -(2**63) + 1).map(str),
     "float": st.sampled_from(
-        ["-1", "0", "-0.0", "1e-320", "1e999", "nan", "inf", "-inf", "1,5", "x", "0x10"]
+        [
+            "-1", "0", "-0.0", "1e-320", "1.7e308", "1e999", "nan", "inf", "-inf", "1,5", "x",
+            "0x10",
+        ]
     ) | st.floats().map(repr),
     "boolean": st.sampled_from(
         ["true", "false", "TRUE", " yes", "no", "1", "0", "2", "x", "tru", "none"]
@@ -694,9 +727,11 @@ class TestCorruptedCells:
     def test_run_succeeds_or_fails_by_the_contract(self, saved_cells, data):
         """1-3 cells of the saved panel rewritten, each in a column drawn by
         kind, in a uniform data row or now and then the header, and with a
-        value of that kind or CSV syntax: the run exits 0,
-        or exits 1 with one JSON line naming a PolyadmitError and leaves
-        --out as it was, with nothing written beside it."""
+        value of that kind or CSV syntax: the run exits 0 with nothing on
+        stderr and every reported number finite, or exits 1 with one JSON
+        line naming a PolyadmitError and leaves --out as it was, with
+        nothing written beside it. Row positions come from a drawn seed,
+        so a failure replays."""
         files = {name: [list(row) for row in rows] for name, rows in saved_cells.items()}
         columns = {kind: [] for kind in CELL_VALUES}
         for name, rows in sorted(files.items()):
@@ -705,9 +740,35 @@ class TestCorruptedCells:
         for _ in range(data.draw(st.integers(1, 3))):
             kind = data.draw(st.sampled_from(sorted(columns)))
             name, column = data.draw(st.sampled_from(columns[kind]))
-            rows, where = files[name], data.draw(st.randoms(use_true_random=True))
+            rows, where = files[name], random.Random(data.draw(st.integers(0, 2**32 - 1)))
             row = rows[0 if where.random() < HEADER_SHARE else where.randrange(1, len(rows))]
             row[column] = data.draw(CELL_VALUES[kind] | ANY_CELL)
+        self.run_on(files)
+
+    @pytest.mark.parametrize(
+        "name, column",
+        [
+            ("applicants.csv", "grade_math"), ("applications.csv", "exam_score"),
+            ("applications.csv", "other_points"), ("field_weights.csv", "weight"),
+            ("bonus_points.csv", "bonus"),
+        ],
+    )
+    def test_a_huge_finite_cell_is_a_non_finite_result(self, saved_cells, name, column):
+        """A finite value near the largest double in one number cell (of a
+        row with an exam, where the file has exams) overflows, and the run
+        fails with NonFiniteResult: it neither reports a NaN weight nor
+        prints a warning."""
+        files = {name: [list(row) for row in rows] for name, rows in saved_cells.items()}
+        header, *rows = files[name]
+        exam = header.index("exam_taken") if "exam_taken" in header else None
+        row = next(r for r in rows if exam is None or r[exam] == "true")
+        row[header.index(column)] = "1.7e308"
+        assert self.run_on(files) == "NonFiniteResult"
+
+    @staticmethod
+    def run_on(files: dict[str, list[list[str]]]) -> Optional[str]:
+        """Write ``files`` as a panel directory and run the CLI on it; the
+        error's name, None when the run succeeds."""
         with tempfile.TemporaryDirectory() as directory:
             panel_dir, out = Path(directory, "panel"), Path(directory, "out")
             panel_dir.mkdir()
@@ -720,13 +781,114 @@ class TestCorruptedCells:
             with contextlib.redirect_stderr(stderr):
                 status = cli.main(["--input", str(panel_dir), "--out", str(out)])
             assert sorted(os.listdir(directory)) == ["out", "panel"]
-            if status == 0:
-                return
-            assert status == 1
-            (line,) = stderr.getvalue().splitlines()
-            error = getattr(errors, json.loads(line)["error"], None)
-            assert isinstance(error, type) and issubclass(error, PolyadmitError), line
-            assert tree_bytes(out) == {"earlier.csv": b"kept\n"}
+            return assert_run_kept_the_contract(status, stderr.getvalue(), out)
+
+
+def assert_run_kept_the_contract(status: int, stderr: str, out: Path) -> Optional[str]:
+    """A run into ``out``, which held only ``earlier.csv``, either exits 0
+    with nothing on stderr, every reported number finite and no table-5
+    column whose standard errors are all zero; or exits 1 with one JSON
+    line naming a PolyadmitError, leaving ``out`` as it was. Returns the
+    error's name, None on success."""
+    if status == 0:
+        assert stderr == ""
+        assert_reported_numbers_finite(out)
+        return None
+    assert status == 1
+    (line,) = stderr.splitlines()
+    name = json.loads(line)["error"]
+    error = getattr(errors, name, None)
+    assert isinstance(error, type) and issubclass(error, PolyadmitError), line
+    assert tree_bytes(out) == {"earlier.csv": b"kept\n"}
+    return name
+
+
+def assert_reported_numbers_finite(directory: Path) -> None:
+    """Every cell of the reports in ``directory`` that reads as a number is
+    finite, and no table-5 column has only zero standard errors. The
+    assignment files hold ids, names and flags, and a name may read as a
+    number, so they are left out."""
+    for path in sorted(directory.glob("*.csv")):
+        if path.name.startswith("assignment_"):
+            continue
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        for row in rows:
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), f"{path.name}: {row}"
+        if path.name == "table5.csv":
+            errors_of = {}
+            for column, _, _, se in rows[1:]:
+                if se:
+                    errors_of.setdefault(column, []).append(float(se))
+            for column, ses in errors_of.items():
+                assert any(ses), f"table5 column {column}: every standard error is zero"
+
+
+PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+# Points now and then so large that a sum of two overflows.
+POINTS = st.sampled_from([0.0, 1.7e308]) | st.floats(0.0, 50.0)
+
+
+@st.composite
+def synth_configs(draw):
+    """Small ``SynthConfig`` fields that pass ``validate``: at most 300
+    applicants, 12 programs and 4 fields, any number of seats, and
+    probabilities at 0, between and at 1."""
+    n_applicants = draw(st.integers(1, 300))
+    n_programs = draw(st.integers(1, 12))
+    weights = draw(
+        st.lists(st.integers(0, 3), min_size=1, max_size=MAX_LISTED_RANK).filter(any)
+    )
+    return {
+        "n_applicants": n_applicants,
+        "n_programs": n_programs,
+        "n_fields": draw(st.integers(1, min(4, n_programs))),
+        "seats_total": draw(st.integers(0, n_applicants)),
+        "list_length_probs": [w / sum(weights) for w in weights],
+        "exam_prob_by_rank": draw(st.lists(PROBABILITY, min_size=1, max_size=MAX_LISTED_RANK)),
+        "first_choice_bonus": draw(POINTS),
+        "other_points_value": draw(POINTS),
+        **{
+            name: draw(PROBABILITY)
+            for name in (
+                "accept_base", "accept_no_exam_penalty", "reapply_unassigned",
+                "reapply_assigned_base", "reapply_no_exam_bonus", "reapply_third_year",
+                "other_points_prob",
+            )
+        },
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+class TestContractSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        config=synth_configs(),
+        wanted=st.none() | st.lists(st.sampled_from(cli.ALL_REPORTS), min_size=1, unique=True),
+        robust=st.booleans(),
+    )
+    def test_small_configs_succeed_or_fail_by_the_contract(self, config, wanted, robust):
+        """Every small config either writes finite reports with nothing on
+        stderr, or fails with one JSON line naming a PolyadmitError and
+        leaves --out as it was; a report subset without table5 lets a
+        config whose regressions are degenerate run."""
+        with tempfile.TemporaryDirectory() as directory:
+            cfg, out = Path(directory, "cfg.json"), Path(directory, "out")
+            cfg.write_text(json.dumps(config))
+            out.mkdir()
+            (out / "earlier.csv").write_text("kept\n")
+            args = ["--synth", str(cfg), "--out", str(out)]
+            args += ["--reports", ",".join(wanted)] if wanted else []
+            args += ["--robust-se"] if robust else []
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                status = cli.main(args)
+            assert_run_kept_the_contract(status, stderr.getvalue(), out)
 
 
 TRACED = Path(__file__).parents[1] / "perfbench" / "traced.py"

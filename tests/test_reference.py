@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import reference_io
 from polyadmit import counterfactual, econometrics, io_csv, metrics, model, scoring, synth
 from polyadmit.errors import MissingScore, ParseError, UniverseMismatch, ValidationError
-from polyadmit.model import Panel, validate_panel
+from polyadmit.model import Panel, seat_rows, validate_panel
 from conftest import build_scenario, mk_app, mk_program
 from oracle import (
     Applicant, accepted_of, adjusted_score, applicant_columns, applicants_of, assignment_of,
@@ -805,14 +805,19 @@ def shuffled(assignment, seed, outsider=True):
 
 
 def test_holds_seat_and_unassigned_mask_match_dict_readers(assignments):
+    """The rows ``seat_rows`` finds for the holders are the rows whose
+    program is the applicant's seat."""
     panel, _, observed, suite = assignments
     block = panel.base_applications
     for assignment in [observed, *suite, shuffled(suite[1], 0, outsider=False)]:
-        assert block.holds_seat(assignment).tolist() == dict_holds_seat(block, assignment).tolist()
+        rows = seat_rows(assignment, block)[assignment.holders]
+        holds_seat = np.zeros(len(block), dtype=bool)
+        holds_seat[rows[rows >= 0]] = True
+        assert holds_seat.tolist() == dict_holds_seat(block, assignment).tolist()
         unassigned = assignment.seat < 0
         assert unassigned.tolist() == [a not in assignment.seat_of for a in block.applicant_ids]
     with pytest.raises(KeyError, match="zz"):  # readers never translate
-        block.holds_seat(shuffled(suite[1], 0))
+        seat_rows(shuffled(suite[1], 0), block)
 
 
 def test_compare_assignments_matches_dict_reader(assignments):
