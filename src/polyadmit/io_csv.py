@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -58,13 +59,13 @@ def fmt(value: float) -> str:
 CHUNK_ROWS = 1024
 
 
-def _rows(path: Path) -> list[tuple[list[str], int]]:
-    """Each row and the file line it ends on; only errors need them, so
-    the file is read again for them."""
+def _rows(path: Path) -> Iterator[tuple[list[str], int]]:
+    """Each row and the file line it ends on, one at a time; only errors
+    need them, so the file is read again for them."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         next(reader)
-        return [(row, reader.line_num) for row in reader if row]
+        yield from ((row, reader.line_num) for row in reader if row)
 
 
 def _repeats(path: Path, what: str, values: Sequence) -> list[str]:
@@ -83,32 +84,29 @@ class _Coded:
     """One check's cells coded by first-seen text (a tuple of texts for a
     tuple of columns): row ``i`` holds ``texts[codes[i]]``, parsed as
     ``values[codes[i]]``. The parser runs once per distinct text, after
-    the whole file has been read."""
+    the whole file has been read, and ``failed`` is set if one fails."""
 
     def __init__(self, parse, names, at: dict[str, int]) -> None:
-        self.parse, self.names = parse, names
-        self.at = at[names] if isinstance(names, str) else [at[n] for n in names]
+        self.parse, self.names, self.failed = parse, names, False
+        self.pick = itemgetter(*map(at.__getitem__, [names] if isinstance(names, str) else names))
         self.first_row: dict = {}  # each text, and the row it is first seen in
+        self.row = itertools.count()  # numbers the rows across chunks
         self.chunks = [np.empty(0, dtype=np.intp)]
 
-    def add(self, path: Path, cells: list[tuple], start: int) -> None:
-        texts = cells[self.at] if isinstance(self.at, int) else zip(*(cells[j] for j in self.at))
-        first = map(self.first_row.setdefault, texts, itertools.count(start))
+    def add(self, cells: list[tuple]) -> None:
+        texts = self.pick(cells) if isinstance(self.names, str) else zip(*self.pick(cells))
+        first = map(self.first_row.setdefault, texts, self.row)
         self.chunks.append(np.fromiter(first, dtype=np.intp, count=len(cells[0])))
 
-    def finish(self, path: Path) -> Optional[tuple[int, object]]:
-        """Parse each distinct text; the first row and text of the first that fails."""
+    def finish(self, path: Path) -> None:
         self.texts = list(self.first_row)
         first = np.fromiter(self.first_row.values(), dtype=np.intp, count=len(self.texts))
         self.codes = np.searchsorted(first, np.concatenate(self.chunks))
         del self.first_row, self.chunks
-        self.values = []
-        for text, row in zip(self.texts, first.tolist()):
-            try:
-                self.values.append(self.parse(path, 0, self.names, text))
-            except PolyadmitError:
-                return row, text
-        return None
+        try:
+            self.values = [self.parse(path, 0, self.names, text) for text in self.texts]
+        except PolyadmitError:
+            self.failed = True
 
     def rows(self) -> list:
         return list(map(self.values.__getitem__, self.codes.tolist()))
@@ -122,36 +120,29 @@ class _Coded:
 
 
 class _Floats:
-    """One check's cells as finite floats, read a chunk at a time; an
-    empty grade cell reads as NaN, the missing mark."""
+    """One check's cells as finite floats, read a chunk at a time until
+    one fails (``failed``); an empty cell converts as its ``missing``
+    text, from ``FLOAT_MISSING``."""
 
     def __init__(self, parse, name: str, at: dict[str, int]) -> None:
-        self.parse, self.names, self.at = parse, name, at[name]
+        self.parse, self.names, self.failed = parse, name, False
+        self.pick, self.missing = itemgetter(at[name]), FLOAT_MISSING[parse]
         self.chunks = [np.empty(0)]
-        self.bad: Optional[tuple[int, str]] = None
 
-    def add(self, path: Path, cells: list[tuple], start: int) -> None:
-        if self.bad:
-            return
-        texts, missing = cells[self.at], math.nan if self.parse is _grade else ""
-        try:
-            values = np.array([float(text or missing) for text in texts])
-            if not any(texts[i] for i in np.flatnonzero(~np.isfinite(values)).tolist()):
-                self.chunks.append(values)
-                return
-        except ValueError:
-            pass
-        for i, text in enumerate(texts):  # the first bad cell, found by its parser
+    def add(self, cells: list[tuple]) -> None:
+        if not self.failed:
+            texts = self.pick(cells)
             try:
-                self.parse(path, 0, self.names, text)
-            except PolyadmitError:
-                self.bad = (start + i, text)
-                return
+                values = np.array([float(text or self.missing) for text in texts])
+            except ValueError:
+                self.failed = True
+            else:
+                self.failed = any(texts[i] for i in np.flatnonzero(~np.isfinite(values)).tolist())
+                self.chunks.append(values)
 
-    def finish(self, path: Path) -> Optional[tuple[int, str]]:
+    def finish(self, path: Path) -> None:
         self.values = np.concatenate(self.chunks)
         del self.chunks
-        return self.bad
 
     def column(self, dtype) -> np.ndarray:
         return self.values.astype(dtype, copy=False)
@@ -165,7 +156,10 @@ def _read(directory: Path, name: str, checks) -> list:
 
     Errors come in this order: a missing header; invalid UTF-8 anywhere
     in the file; the first row whose width is not the header's; and the
-    first bad cell by row, then by check, raised by its own parser.
+    first bad cell by row, then by check, raised by its own parser. The
+    readers only convert and note that they failed; only a file that
+    failed is read again, in one walk over its rows that finds the first
+    bad width or, if none was seen, parses only the failed checks' cells.
     """
     path = directory / name
     if not path.exists():
@@ -179,31 +173,30 @@ def _read(directory: Path, name: str, checks) -> list:
                     raise ParseError(f"{path}: missing required header {column!r}")
             at = {column: j for j, column in enumerate(header)}
             columns = [
-                (_Floats if parse in (_parse_float, _grade) else _Coded)(parse, names, at)
+                (_Floats if parse in FLOAT_MISSING else _Coded)(parse, names, at)
                 for parse, names in checks(header)
             ]
-            rows, start, wrong = filter(None, reader), 0, False  # blank lines skipped
+            rows, wrong = filter(None, reader), False  # blank lines skipped
             while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
                 wrong = wrong or {*map(len, chunk)} != {len(header)}  # read on, for UTF-8
                 if not wrong:
                     cells = list(zip(*chunk))
                     for column in columns:
-                        column.add(path, cells, start)
-                start += len(chunk)
+                        column.add(cells)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    for row, line in _rows(path) if wrong else ():
+    for column in columns:
+        column.finish(path)
+    failed = [] if wrong else [column for column in columns if column.failed]
+    for row, line in _rows(path) if wrong or failed else ():
         if len(row) > len(header):
             raise ParseError(f"{path} row {line}: more cells than header columns")
         if len(row) < len(header):
             raise ParseError(f"{path} row {line}: no cell for column {header[len(row)]!r}")
-    if wrong:
+        for column in failed:
+            column.parse(path, line, column.names, column.pick(row))
+    if wrong or failed:
         raise ParseError(f"{path}: changed while it was read")
-    bad = [(found[0], k, found[1]) for k, c in enumerate(columns) if (found := c.finish(path))]
-    if bad:
-        row, k, text = min(bad)
-        columns[k].parse(path, _rows(path)[row][1], columns[k].names, text)
-        raise AssertionError(f"{path}: a value failed but its cell did not")
     return columns
 
 
@@ -250,6 +243,11 @@ def _parse_float(path: Path, row_number: int, column: str, raw: str) -> float:
 def _grade(path: Path, row_number: int, column: str, raw: str) -> Optional[float]:
     """A grade cell; empty when the applicant has no grade in the subject."""
     return None if raw == "" else _parse_float(path, row_number, column, raw)
+
+
+# The float checks, which ``_Floats`` reads, and the text their empty
+# cell converts as: a grade's is NaN, the missing mark; any other fails.
+FLOAT_MISSING = {_parse_float: "", _grade: math.nan}
 
 
 INT64 = np.iinfo(np.int64)

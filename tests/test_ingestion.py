@@ -4,6 +4,7 @@ canonical rule for field labels, and integers beyond 64 bits."""
 
 import json
 import random
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -389,6 +390,47 @@ def test_first_bad_cell_in_reading_order(small_panel, tmp_path, filename, edits,
         load_panel(tmp_path)
     assert type(info.value) is error
     assert str(info.value) == message.format(path=path)
+
+
+def test_a_failing_load_peaks_no_higher_than_a_load(default_panel, tmp_path):
+    """A bad cell in the last row of the desk panel's applications is
+    found by a walk that holds one row at a time, so the failing load's
+    traced heap peak is no higher than a successful load's."""
+    for case in ("good", "bad"):
+        save_panel(default_panel, tmp_path / case)
+    edit_cells(tmp_path / "bad" / "applications.csv", -1, other_points="x")
+    try:
+        tracemalloc.start()
+        load_panel(tmp_path / "good")
+        good = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        tracemalloc.start()
+        with pytest.raises(ParseError, match=r"row \d+: bad value for 'other_points': 'x'$"):
+            load_panel(tmp_path / "bad")
+        bad = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bad <= good
+
+
+@pytest.mark.parametrize(
+    "cells", [{"other_points": "x"}, {"exam_taken": "maybe"}, {"year": "2011,extra"}],
+    ids=["float", "coded", "width"],
+)
+def test_a_file_fixed_before_the_error_walk_changed_while_read(
+    small_panel, tmp_path, monkeypatch, cells
+):
+    """The error walk reads the file again; when it finds no error there,
+    the file changed while it was read, whatever failed the first read."""
+    for case in ("fixed", "bad"):
+        save_panel(small_panel, tmp_path / case)
+    path = tmp_path / "bad" / "applications.csv"
+    edit_cells(path, 5, **cells)
+    rows = io_csv._rows
+    monkeypatch.setattr(io_csv, "_rows", lambda read: rows(tmp_path / "fixed" / read.name))
+    with pytest.raises(ParseError) as info:
+        load_panel(tmp_path / "bad")
+    assert str(info.value) == f"{path}: changed while it was read"
 
 
 # A panel whose observed rows are not in id order: the seat-without-
