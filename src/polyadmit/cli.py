@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import counterfactual, econometrics, metrics, reports, scoring, synth
+from . import counterfactual, econometrics, matching, metrics, reports, scoring, synth
 from .errors import InvalidConfig, NoObservedAssignment, NonFiniteResult
 from .io_csv import load_panel, write_assignment_csv
 from .model import Panel
@@ -116,13 +116,29 @@ def run(config: RunConfig) -> int:
         for name in names:
             os.replace(staging / name, out / name)
     except FloatingPointError as exc:
-        return _failed(NonFiniteResult(f"a computation left the finite range: {exc}"))
+        return _failed(
+            NonFiniteResult(f"a computation in {_raised_in(exc)} left the finite range: {exc}")
+        )
     except Exception as exc:
         return _failed(exc)
     finally:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
     return 0
+
+
+def _raised_in(exc: BaseException) -> str:
+    """``module.qualname`` of the innermost frame of this package that
+    ``exc`` passed through; ``run``'s own frame is always one."""
+    prefix = __spec__.name.rpartition(".")[0] + "."  # also when run as __main__
+    tb = exc.__traceback__
+    while tb is not None:
+        spec = tb.tb_frame.f_globals.get("__spec__")
+        if spec is not None and spec.name.startswith(prefix):
+            code = tb.tb_frame.f_code  # co_qualname is new in Python 3.11
+            name = f"{spec.name.removeprefix(prefix)}.{getattr(code, 'co_qualname', code.co_name)}"
+        tb = tb.tb_next
+    return name
 
 
 def _failed(exc: Exception) -> int:
@@ -134,12 +150,14 @@ def _failed(exc: Exception) -> int:
 
 def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory: Path) -> None:
     scenario_ids = tuple(sorted(set(config.scenarios) | {"S1"}))
-    suite, base_table, rank_table = counterfactual.run_scenario_suite(panel, scenario_ids)
-    by_id = {r.scenario_id: r for r in suite}
+    assignments, listed, base_table = counterfactual.run_scenario_suite(panel, scenario_ids)
+    universe = base_table.applications.listed_applicants()
+    rank_table = metrics.field_gpa_percentile_ranks(panel)  # no match runs beside it
+    baseline = assignments["S1"]
 
     # Descriptive tables use the observed assignment when present; the
     # replicated baseline otherwise.
-    descriptive = panel.observed_assignment or by_id["S1"].assignment
+    descriptive = panel.observed_assignment or baseline
 
     if "table1" in wanted:
         reports.write_weight_report(directory / "table1.csv", scoring.effective_weights(base_table))
@@ -157,7 +175,12 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory:
         )
 
     if "table4" in wanted:
-        reports.write_scenario_suite(directory / "table4.csv", suite)
+        rows = []
+        for s in scenario_ids:
+            diff = matching.compare_assignments(baseline, assignments[s], universe)
+            gain = metrics.mean_rank_improvement(rank_table, baseline, assignments[s])
+            rows.append((s, listed[s] / len(universe), diff.differently_assigned_share, gain))
+        reports.write_scenario_suite(directory / "table4.csv", rows)
 
     if "table5" in wanted:
         results = econometrics.lpm_report(
@@ -170,7 +193,7 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory:
 
     if "figure1" in wanted:
         hist = {
-            s: metrics.assigned_rank_histogram(rank_table, by_id[s].assignment)
+            s: metrics.assigned_rank_histogram(rank_table, assignments[s])
             for s in scenario_ids
         }
         panels = {"1": hist["S1"]}  # then each other scenario's net change, S2 as "2"
@@ -179,14 +202,8 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory:
         reports.write_figure_data(directory / "figure1.csv", panels)
 
     if "assignments" in wanted:
-        universe = base_table.applications.listed_applicants()
-        for scenario_id in scenario_ids:
-            write_assignment_csv(
-                directory / f"assignment_{scenario_id}.csv",
-                panel,
-                by_id[scenario_id].assignment,
-                universe,
-            )
+        for s in scenario_ids:
+            write_assignment_csv(directory / f"assignment_{s}.csv", panel, assignments[s], universe)
 
     if "calibration" in wanted:
         reports.write_calibration_report(

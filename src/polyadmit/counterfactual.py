@@ -9,8 +9,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import matching, metrics, scoring
-from .errors import UnknownScenario
+from . import matching, scoring
+from .errors import EmptySample, UnknownScenario
 from .model import ApplicationBlock, Assignment, Panel, code_key, narrowest
 
 SCORES_ORIGINAL = "original"
@@ -107,33 +107,25 @@ def scenario_tables(
         del table
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    scenario_id: str
-    assignment: Assignment
-    applications_per_applicant: float
-    diff_vs_baseline: matching.AssignmentDiff
-    rank_improvement: float
-
-
 def run_scenario_suite(
     panel: Panel, scenario_ids: Sequence[str] = SCENARIO_IDS
-) -> tuple[list[ScenarioResult], scoring.ScoreTable, metrics.RankTable]:
-    """Run program-proposing deferred acceptance on each scenario and
-    compare every assignment to the baseline S1; returns the results in
-    scenario order, S1's table (the base-year score table) and the GPA
-    rank table the rank improvements are read from.
+) -> tuple[dict[str, Assignment], dict[str, int], scoring.ScoreTable]:
+    """Run program-proposing deferred acceptance on each scenario and S1;
+    returns each scenario's assignment and number of applications, by
+    scenario id, and S1's table (the base-year score table).
 
     Each scenario is matched as soon as its table exists (see
     ``scenario_tables``: the extended lists first), so only one list
     variant's block and tables are held at a time, and S1's table, built
-    last, is the only one kept. The rank table is built after the last
-    match, so no match runs beside it. Every program admits up to its
-    own quota.
+    last, is the only one kept. Every program admits up to its own quota.
+    A base year without applications raises ``EmptySample``: no scenario
+    has an applicant to compare.
     """
     assignments, listed = {}, {}
     for scenario_id, table in scenario_tables(panel, set(scenario_ids) | {"S1"}):
         if scenario_id == "S1":
+            if not len(table.applications):
+                raise EmptySample("the base year has no applications")
             base_table = table
         instance = matching.build_instance(table.applications, table, panel.quota)
         assignments[scenario_id] = matching.deferred_acceptance(
@@ -141,27 +133,4 @@ def run_scenario_suite(
         )
         listed[scenario_id] = len(table.applications)
         del table, instance  # else they live on while the next list variant is built
-
-    rank_table = metrics.field_gpa_percentile_ranks(panel)
-    universe = base_table.applications.listed_applicants()
-    baseline = assignments["S1"]
-    results = []
-    for scenario_id in sorted(scenario_ids):
-        assignment = assignments[scenario_id]
-        diff = matching.compare_assignments(baseline, assignment, universe)
-        if len(baseline.holders) and len(assignment.holders):
-            improvement = metrics.mean_rank_improvement(rank_table, baseline, assignment)
-        else:
-            improvement = 0.0
-        results.append(
-            ScenarioResult(
-                scenario_id=scenario_id,
-                assignment=assignment,
-                applications_per_applicant=(
-                    listed[scenario_id] / len(universe) if len(universe) else 0.0
-                ),
-                diff_vs_baseline=diff,
-                rank_improvement=improvement,
-            )
-        )
-    return results, base_table, rank_table
+    return assignments, listed, base_table

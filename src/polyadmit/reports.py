@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from . import counterfactual, metrics, scoring
+from . import metrics, scoring
 from .econometrics import RegressionResult
 from .io_csv import _write_csv, fmt
 from .synth import CalibrationRow
@@ -52,18 +52,16 @@ def write_rank_stats(path: Path, rows: Sequence[metrics.RankStatsRow]) -> None:
     )
 
 
-def write_scenario_suite(path: Path, results: Sequence[counterfactual.ScenarioResult]) -> None:
+def write_scenario_suite(path: Path, rows: Sequence[tuple[str, float, float, float]]) -> None:
+    """One row per scenario: its id, applications per applicant, the share
+    of applicants assigned differently from S1 and the mean rank
+    improvement over S1."""
     _write_csv(
         path,
         ["scenario", "apps_per_applicant", "pct_differently_assigned", "rank_improvement"],
         (
-            [
-                r.scenario_id,
-                fmt(r.applications_per_applicant),
-                fmt(100.0 * r.diff_vs_baseline.differently_assigned_share),
-                fmt(r.rank_improvement),
-            ]
-            for r in results
+            [s, fmt(apps), fmt(100.0 * share), fmt(improvement)]
+            for s, apps, share, improvement in rows
         ),
     )
 

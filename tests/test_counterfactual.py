@@ -1,10 +1,11 @@
+import inspect
 import weakref
 
 import pytest
 
 from conftest import build_scenario, mk_app, mk_panel, mk_program
-from oracle import assignment_of, records, score_rows
-from polyadmit import counterfactual, matching, metrics, scoring
+from oracle import records, score_rows
+from polyadmit import cli, counterfactual, matching, metrics, scoring
 from polyadmit.counterfactual import (
     SCENARIO_IDS,
     extend_application_lists,
@@ -106,9 +107,8 @@ class TestBuildScenario:
             mk_app("y", "p::b", 2),
         ]
         panel = mk_panel(programs, apps, grades={"x": {"math": 5.0}, "y": {"math": 7.0}})
-        results, _, _ = run_scenario_suite(panel, scenario_ids=("S1", "S3"))
-        s1, s3 = (r.assignment for r in results)
-        assert s1.seat_of == s3.seat_of
+        assignments, _, _ = run_scenario_suite(panel, scenario_ids=("S1", "S3"))
+        assert assignments["S1"].seat_of == assignments["S3"].seat_of
 
     def test_s5_vs_s3_differ_only_in_propagated_exam_components(self, small_panel):
         _, t3 = build_scenario(small_panel, "S3")
@@ -146,25 +146,26 @@ class TestBuildScenario:
 
 class TestScenarioSuite:
     def test_s1_row_is_zero(self, small_panel):
-        results, _, _ = run_scenario_suite(small_panel)
-        s1 = next(r for r in results if r.scenario_id == "S1")
-        assert s1.diff_vs_baseline.differently_assigned_count == 0
-        assert s1.rank_improvement == 0.0
+        assignments, _, base_table = run_scenario_suite(small_panel)
+        s1 = assignments["S1"]
+        universe = base_table.applications.listed_applicants()
+        assert matching.compare_assignments(s1, s1, universe).differently_assigned_count == 0
+        rank_table = field_gpa_percentile_ranks(small_panel)
+        assert metrics.mean_rank_improvement(rank_table, s1, s1) == 0.0
 
     def test_every_scenario_assignment_is_stable(self, small_panel):
-        results, _, _ = run_scenario_suite(small_panel)
-        assert tuple(r.scenario_id for r in results) == SCENARIO_IDS
-        by_id = {r.scenario_id: r for r in results}
+        assignments, _, _ = run_scenario_suite(small_panel)
+        assert tuple(sorted(assignments)) == SCENARIO_IDS
         for scenario_id, table in scenario_tables(small_panel, SCENARIO_IDS):
             instance = build_instance(table.applications, table, small_panel.quota)
-            assignment = by_id[scenario_id].assignment
+            assignment = assignments[scenario_id]
             assert find_blocking_pairs(instance, assignment) == []
             assert assignment_violations(small_panel, table.applications, assignment) == []
 
     def test_extended_scenarios_report_longer_lists(self, small_panel):
-        results = {r.scenario_id: r for r in run_scenario_suite(small_panel)[0]}
+        _, listed, _ = run_scenario_suite(small_panel)
         for orig, ext in (("S1", "S2"), ("S3", "S4"), ("S5", "S6")):
-            assert results[ext].applications_per_applicant >= results[orig].applications_per_applicant
+            assert listed[ext] >= listed[orig]
 
     def test_one_list_variant_is_held_at_a_time(self, small_panel, monkeypatch):
         built = []  # a weak reference to every block and table the suite builds
@@ -199,17 +200,18 @@ class TestScenarioSuite:
             Panel, "base_applications", property(recorded_block(Panel.base_applications.fget))
         )
 
-        results, base_table, _ = run_scenario_suite(small_panel)
+        assignments, _, base_table = run_scenario_suite(small_panel)
         # the extended block, S2, S4, S6 tables, then the base block, S1, S3, S5 tables
         assert len(built) == 8
         assert (built[4](), built[5]()) == (base_table.applications, base_table)
         assert alive_when_building == [[], []]
         assert alive() == [4, 5]
-        assert len(results) == len(SCENARIO_IDS)
+        assert len(assignments) == len(SCENARIO_IDS)
 
     def test_no_rank_table_is_alive_while_lists_are_built_or_matched(
-        self, small_panel, monkeypatch
+        self, small_panel, monkeypatch, tmp_path
     ):
+        """The CLI builds one rank table, after the suite's last match."""
         rank_tables = []  # a weak reference to every rank table built
         alive = []  # how many are alive as each list variant is built and each table matched
 
@@ -235,10 +237,15 @@ class TestScenarioSuite:
         )
         monkeypatch.setattr(matching, "deferred_acceptance", counted(matching.deferred_acceptance))
 
-        results, _, rank_table = run_scenario_suite(small_panel)
+        config = cli.RunConfig(out_dir=tmp_path, synth_spec="default")
+        cli._write_reports(config, small_panel, {"table4", "figure1"}, tmp_path)
         assert alive == [0] * (2 + len(SCENARIO_IDS))
-        assert [ref() for ref in rank_tables] == [rank_table]
-        assert len(results) == len(SCENARIO_IDS)
+        assert len(rank_tables) == 1
+        assert len((tmp_path / "table4.csv").read_text().splitlines()) == 1 + len(SCENARIO_IDS)
+
+    def test_the_suite_computes_no_statistic(self):
+        modules = {v.__name__ for v in vars(counterfactual).values() if inspect.ismodule(v)}
+        assert not modules & {f"polyadmit.{m}" for m in ("metrics", "econometrics", "reports")}
 
     def test_scenario_tables_come_one_list_variant_at_a_time(self, small_panel):
         order = [scenario_id for scenario_id, _ in scenario_tables(small_panel, SCENARIO_IDS)]
@@ -246,8 +253,6 @@ class TestScenarioSuite:
 
     def test_published_suite_renders(self, tmp_path):
         # report-format fixture using the published six-row suite
-        from polyadmit.matching import AssignmentDiff
-        from polyadmit.counterfactual import ScenarioResult
         from polyadmit.reports import write_scenario_suite
 
         published = [
@@ -258,18 +263,8 @@ class TestScenarioSuite:
             ("S5", 2.77, 0.14, 3.97),
             ("S6", 3.72, 0.24, 4.59),
         ]
-        results = [
-            ScenarioResult(
-                scenario_id=sid,
-                assignment=assignment_of({}),
-                applications_per_applicant=apps,
-                diff_vs_baseline=AssignmentDiff(0, share),
-                rank_improvement=imp,
-            )
-            for sid, apps, share, imp in published
-        ]
         path = tmp_path / "table4.csv"
-        write_scenario_suite(path, results)
+        write_scenario_suite(path, published)
         lines = path.read_text().splitlines()
         assert lines[0] == "scenario,apps_per_applicant,pct_differently_assigned,rank_improvement"
         assert lines[2] == "S2,3.720000,10.000000,1.450000"

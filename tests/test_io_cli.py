@@ -619,6 +619,79 @@ class TestRun:
         assert json.loads(line)["error"] == "NonFiniteResult"
         assert tree_bytes(out) == {"table1.csv": b"kept"}
 
+    def test_huge_synth_points_name_the_score_totals(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"n_applicants": 400, "n_programs": 12, "n_fields": 4, "seats_total": 130,'
+            ' "seed": 7, "first_choice_bonus": 1.7e308, "other_points_value": 1.7e308}'
+        )
+        assert cli.main(["--synth", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NonFiniteResult"
+        assert err["message"].startswith(
+            "a computation in scoring.ScoreTable.__post_init__ left the finite range: "
+        )
+
+    def test_a_huge_exam_score_names_the_weight_decomposition(
+        self, small_panel, tmp_path, capsys
+    ):
+        data = tmp_path / "data"
+        save_panel(small_panel, data)
+        path = data / "applications.csv"
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        row = next(r for r in rows if r[header.index("exam_taken")] == "true")
+        row[header.index("exam_score")] = "1.7e308"
+        path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+        assert cli.main(["--input", str(data), "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NonFiniteResult"
+        assert err["message"].startswith(
+            "a computation in scoring.effective_weights left the finite range: "
+        )
+
+    ZERO_SEATS = (
+        '{"n_applicants": 200, "n_programs": 6, "n_fields": 2, "seats_total": 0, "seed": 3}'
+    )
+
+    def test_zero_seats_have_no_rank_improvement(self, tmp_path, capsys):
+        """Table 4's rank improvement is undefined when no one is admitted:
+        the run fails rather than print 0."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(self.ZERO_SEATS)
+        out.mkdir()
+        (out / "table4.csv").write_text("kept")
+        assert cli.main(["--synth", str(cfg), "--reports", "table4", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "EmptyAssignment"
+        assert tree_bytes(out) == {"table4.csv": b"kept"}
+
+    def test_zero_seats_without_table4_keep_their_reports(self, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(self.ZERO_SEATS)
+        args = ["--reports", "assignments,table2,table3,figure1", "--out", str(out)]
+        assert cli.main(["--synth", str(cfg), *args]) == 0
+        nobody = "a398f1231d565cae824aebf547ce0499eb7a30e2dace623939f890de3eff0e70"
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == {
+            **{f"assignment_S{k}.csv": nobody for k in range(1, 7)},
+            "figure1.csv": "9016555c66384f35498cde70b6858efa9abebd305d6616afbcc3d0590d5413e9",
+            "table2.csv": "50f54206f151c2cae51db4718f29225cc444a64e61d98618ea6741d25e8cbd64",
+            "table3.csv": "13cbf365f49050d5167a69e72623ced0d71af0e243f34e967a1b089be621986c",
+        }
+
+    @pytest.mark.parametrize(
+        "reports", [[], ["--reports", "assignments"]], ids=["default", "assignments"]
+    )
+    def test_a_base_year_without_applications_is_an_empty_sample(
+        self, small_panel, tmp_path, capsys, reports
+    ):
+        data, out = tmp_path / "data", tmp_path / "out"
+        save_panel(small_panel, data)
+        (data / "observed_assignment.csv").unlink()
+        path = data / "applications.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        assert cli.main(["--input", str(data), *reports, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "EmptySample"
+        assert not out.exists()
+
     def test_console_entry_point(self, small_config_json, tmp_path):
         out = tmp_path / "out"
         proc = subprocess.run(

@@ -398,11 +398,12 @@ def test_rank_improvement_adds_ranks_in_seat_order(panel, monkeypatch):
     ranks = dict_rank_table(panel)
     program_field = {p: prog.field for p, prog in programs_of(panel).items()}
     suite, _, _ = counterfactual.run_scenario_suite(panel)
-    base = loop_mean_rank(ranks, suite[0].assignment, program_field)
-    assert suite[0].scenario_id == "S1"
-    for result in suite:
-        expected = loop_mean_rank(ranks, result.assignment, program_field) - base
-        assert (result.scenario_id, result.rank_improvement) == (result.scenario_id, expected)
+    rank_table = metrics.field_gpa_percentile_ranks(panel)
+    base = loop_mean_rank(ranks, suite["S1"], program_field)
+    for scenario_id in SCENARIO_IDS:
+        improvement = metrics.mean_rank_improvement(rank_table, suite["S1"], suite[scenario_id])
+        expected = loop_mean_rank(ranks, suite[scenario_id], program_field) - base
+        assert (scenario_id, improvement) == (scenario_id, expected)
 
 
 def rows_then_transpose(directory, name):
@@ -786,8 +787,9 @@ def assignments(request, tmp_path_factory):
         panel = io_csv.load_panel(directory)
     else:
         panel = request.getfixturevalue(request.param)
-    suite, _, ranks = counterfactual.run_scenario_suite(panel)
-    return panel, ranks, panel.observed_assignment, [r.assignment for r in suite]
+    suite, _, _ = counterfactual.run_scenario_suite(panel)
+    ranks = metrics.field_gpa_percentile_ranks(panel)
+    return panel, ranks, panel.observed_assignment, [suite[s] for s in SCENARIO_IDS]
 
 
 def shuffled(assignment, seed, outsider=True):
