@@ -8,7 +8,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstantOutcome, EmptySample, MissingScore, RankDeficient
+from .errors import ConstantOutcome, EmptySample, MissingScore, PerfectFit, RankDeficient
 from .matching import program_thresholds
 from .model import Assignment, Panel, same_coding, seat_rows
 from .scoring import ScoreTable
@@ -47,12 +47,15 @@ def ols(
     y: np.ndarray,
     terms: Optional[Sequence[str]] = None,
     robust: bool = False,
+    outcome: str = "y",
 ) -> RegressionResult:
     """OLS via QR; raises on rank deficiency instead of dropping columns,
     naming each column that adds nothing to the ones before it. Classical
     standard errors by default, HC1 when ``robust``. Raises
     ``EmptySample`` when no residual degrees of freedom remain (n <= k),
-    where neither standard error is defined."""
+    where neither standard error is defined, and ``PerfectFit``, naming
+    ``outcome``, when the residual sum of squares is zero to rounding,
+    where every standard error would be 0."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, k = X.shape
@@ -71,6 +74,12 @@ def ols(
 
     beta = np.linalg.solve(R, Q.T @ y)
     residuals = y - X @ beta
+    # Zero to rounding: within n·eps of the outcome's spread about its mean,
+    # plus (n·eps)²·y'y, a QR fit's worst-case rounding of an outcome far
+    # from zero.
+    spread, eps = y - y.mean(), n * np.finfo(float).eps
+    if residuals @ residuals <= eps * (spread @ spread + eps * (y @ y)):
+        raise PerfectFit(f"outcome {outcome!r} is fitted exactly by {list(terms)}")
 
     XtX_inv = np.linalg.inv(X.T @ X)
     if robust:
@@ -152,7 +161,8 @@ def lpm_report(
     ``table`` scores the base-year lists row for row; each program's
     acceptance threshold is the lowest total among its admits. The admit
     columns are built once and every spec fits a column prefix of them.
-    An outcome with one value among all admits raises ``ConstantOutcome``.
+    An outcome with one value among all admits raises ``ConstantOutcome``,
+    and one that a spec fits exactly raises ``PerfectFit``.
     """
     thresholds = program_thresholds(table, assignment)
     X, terms, outcomes = _admit_columns(panel, assignment, thresholds, table)
@@ -160,6 +170,8 @@ def lpm_report(
         if (y == y[0]).all():
             raise ConstantOutcome(f"outcome {outcome!r} is {y[0]:g} for all {len(y)} admits")
     return [
-        ols(np.ascontiguousarray(X[:, :width]), outcomes[outcome], terms[:width], robust)
+        ols(
+            np.ascontiguousarray(X[:, :width]), outcomes[outcome], terms[:width], robust, outcome
+        )
         for outcome, width in REPORT_SPECS
     ]

@@ -73,6 +73,11 @@ class ConstantOutcome(PolyadmitError):
     of it would report zeros or the constant itself."""
 
 
+class PerfectFit(PolyadmitError):
+    """A regression outcome is an exact linear function of its terms, so
+    every standard error would be 0 and no fit of it says anything."""
+
+
 class InvalidConfig(PolyadmitError):
     pass
 

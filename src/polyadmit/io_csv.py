@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections import defaultdict
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -54,9 +55,15 @@ def fmt(value: float) -> str:
 
 
 # Rows read at a time. Each chunk goes straight into its columns' final
-# form, so no column of a whole file is held as text; a smaller chunk
-# costs more calls, a larger one holds more row lists at once.
-CHUNK_ROWS = 1024
+# form, so no column of a whole file is held as text. CPython's
+# generational collector runs when the container objects allocated since
+# its last run, less those freed, pass its generation-0 threshold (700 by
+# default, ``gc.get_threshold()``). A chunk allocates one list per row
+# and its transpose one iterator per row, while the previous chunk's
+# lists are freed, so a chunk below the threshold never sets it off; at
+# 1 024 rows it ran about once a chunk, walking and promoting the live
+# row lists.
+CHUNK_ROWS = 512
 
 
 def _rows(path: Path) -> Iterator[tuple[list[str], int]]:
@@ -80,33 +87,40 @@ def _repeats(path: Path, what: str, values: Sequence) -> list[str]:
     ]
 
 
+# The type of a reader's codes, which number a column's distinct texts:
+# only a file of more than 2**31 rows could hold too many for it.
+CODE = np.int32
+
+
 class _Coded:
     """One check's cells coded by first-seen text (a tuple of texts for a
     tuple of columns): row ``i`` holds ``texts[codes[i]]``, parsed as
     ``values[codes[i]]``. The parser runs once per distinct text, after
-    the whole file has been read, and ``failed`` is set if one fails."""
+    the whole file has been read, and ``failed`` is set if one fails.
+    The texts of ``known``, which the parser returns unchanged, take the
+    codes of their positions first and are never parsed."""
 
-    def __init__(self, parse, names, at: dict[str, int]) -> None:
+    def __init__(self, parse, names, at: dict[str, int], known: Sequence[str] = ()) -> None:
         self.parse, self.names, self.failed = parse, names, False
         self.pick = itemgetter(*map(at.__getitem__, [names] if isinstance(names, str) else names))
-        self.first_row: dict = {}  # each text, and the row it is first seen in
-        self.row = itertools.count()  # numbers the rows across chunks
-        self.chunks = [np.empty(0, dtype=np.intp)]
+        self.known = len(known)
+        # each text's code; a text first seen numbers on from the last
+        self.code = defaultdict(itertools.count(len(known)).__next__, zip(known, itertools.count()))
+        self.chunks = [np.empty(0, dtype=CODE)]
 
     def add(self, cells: list[tuple]) -> None:
         texts = self.pick(cells) if isinstance(self.names, str) else zip(*self.pick(cells))
-        first = map(self.first_row.setdefault, texts, self.row)
-        self.chunks.append(np.fromiter(first, dtype=np.intp, count=len(cells[0])))
+        self.chunks.append(np.fromiter(map(self.code.__getitem__, texts), CODE, len(cells[0])))
 
     def finish(self, path: Path) -> None:
-        self.texts = list(self.first_row)
-        first = np.fromiter(self.first_row.values(), dtype=np.intp, count=len(self.texts))
-        self.codes = np.searchsorted(first, np.concatenate(self.chunks))
-        del self.first_row, self.chunks
+        self.texts, self.codes = list(self.code), np.concatenate(self.chunks)
+        del self.code, self.chunks
         try:
-            self.values = [self.parse(path, 0, self.names, text) for text in self.texts]
+            parsed = [self.parse(path, 0, self.names, text) for text in self.texts[self.known:]]
         except PolyadmitError:
             self.failed = True
+        else:
+            self.values = self.texts[:self.known] + parsed
 
     def rows(self) -> list:
         return list(map(self.values.__getitem__, self.codes.tolist()))
@@ -115,14 +129,17 @@ class _Coded:
         return np.array(self.values, dtype=dtype)[self.codes]
 
     def coded(self, code: dict) -> np.ndarray:
-        """Each row's ``code`` of its value."""
-        return np.array([code[value] for value in self.values], dtype=np.intp)[self.codes]
+        """Each row's ``code`` of its value, -1 for a value ``code`` lacks.
+        ``code`` gives each known text its own position."""
+        extra = [code.get(value, -1) for value in self.values[self.known:]]
+        return np.array([*range(self.known), *extra], dtype=np.intp)[self.codes]
 
 
 class _Floats:
     """One check's cells as finite floats, read a chunk at a time until
     one fails (``failed``); an empty cell converts as its ``missing``
-    text, from ``FLOAT_MISSING``."""
+    text, from ``FLOAT_MISSING``, and only a non-empty text can be a
+    non-finite one."""
 
     def __init__(self, parse, name: str, at: dict[str, int]) -> None:
         self.parse, self.names, self.failed = parse, name, False
@@ -132,8 +149,9 @@ class _Floats:
     def add(self, cells: list[tuple]) -> None:
         if not self.failed:
             texts = self.pick(cells)
+            filled = [text or self.missing for text in texts] if "" in texts else texts
             try:
-                values = np.array([float(text or self.missing) for text in texts])
+                values = np.fromiter(map(float, filled), float, len(texts))
             except ValueError:
                 self.failed = True
             else:
@@ -152,7 +170,8 @@ def _read(directory: Path, name: str, checks) -> list:
     """Read a UTF-8 CSV file whose header names every required column,
     one chunk of rows at a time, into a ``_Floats`` or ``_Coded`` column
     per check of ``checks(header)``: a per-cell parser and a column name,
-    or a tuple of them. A repeated name reads its last column.
+    or a tuple of them, then for a coded check the texts it knows, if any
+    (see ``_Coded``). A repeated name reads its last column.
 
     Errors come in this order: a missing header; invalid UTF-8 anywhere
     in the file; the first row whose width is not the header's; and the
@@ -173,10 +192,12 @@ def _read(directory: Path, name: str, checks) -> list:
                     raise ParseError(f"{path}: missing required header {column!r}")
             at = {column: j for j, column in enumerate(header)}
             columns = [
-                (_Floats if parse in FLOAT_MISSING else _Coded)(parse, names, at)
-                for parse, names in checks(header)
+                (_Floats if parse in FLOAT_MISSING else _Coded)(parse, names, at, *known)
+                for parse, names, *known in checks(header)
             ]
             rows, wrong = filter(None, reader), False  # blank lines skipped
+            # A chunk's row lists are freed as the next chunk replaces them,
+            # which the collector counts as no net allocation (see CHUNK_ROWS).
             while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
                 wrong = wrong or {*map(len, chunk)} != {len(header)}  # read on, for UTF-8
                 if not wrong:
@@ -289,12 +310,12 @@ def _observed_seat(path: Path, row_number: int, columns, cells) -> tuple[str, in
 PROGRAM_NAMES = ("polytechnic_name", "program_name")
 
 
-def _coding(own: tuple, named: list) -> tuple[tuple, dict]:
-    """``own`` then, sorted, the ``named`` values it lacks; and each one's position."""
-    code = dict(zip(own, itertools.count()))
+def _extend(own: tuple, code: dict, named: Iterable) -> tuple:
+    """``own`` then, sorted, the ``named`` values it lacks, which ``code``,
+    each of ``own``'s position, gains the positions of."""
     extra = sorted(set(named).difference(code))
     code.update(zip(extra, itertools.count(len(own))))
-    return (own + tuple(extra) if extra else own), code
+    return own + tuple(extra) if extra else own
 
 
 def load_panel(directory: str | Path) -> Panel:
@@ -325,7 +346,8 @@ def _load(directory: Path) -> tuple[Panel, np.ndarray, Optional[np.ndarray]]:
     ))
     duplicates += _repeats(directory / APPLICANTS_CSV, "applicant_id", ids.rows())
     applicant_ids = tuple(sorted(ids.values))  # one value per distinct cell, so distinct
-    row = ids.coded(dict(zip(applicant_ids, itertools.count())))  # each file row's, by id
+    applicant_code = dict(zip(applicant_ids, itertools.count()))
+    row = ids.coded(applicant_code)  # each file row's, by id
     order = np.argsort(row)  # the file's rows in id order, read only when no id repeats
     cohort_year = cohorts.column(np.int64)[order]
     grades = np.reshape([c.values for c in grade_columns], (len(grade_columns), len(row))).T[order]
@@ -346,7 +368,7 @@ def _load(directory: Path) -> tuple[Panel, np.ndarray, Optional[np.ndarray]]:
     )
 
     listed_ids, listed_keys, *readers = _read(directory, APPLICATIONS_CSV, lambda header: (
-        (_applicant_id, "applicant_id"), (_program_key, PROGRAM_NAMES),
+        (_applicant_id, "applicant_id", applicant_ids), (_program_key, PROGRAM_NAMES),
         (_parse_int, "year"), (_parse_int, "listed_rank"), (_parse_bool, "exam_taken"),
         (_parse_float, "exam_score"), (_parse_float, "other_points"),
     ))
@@ -368,39 +390,43 @@ def _load(directory: Path) -> tuple[Panel, np.ndarray, Optional[np.ndarray]]:
     duplicates += _repeats(directory / BONUS_POINTS_CSV, "field", labels.rows())
     bonus_points = dict(zip(labels.rows(), bonuses.values.tolist()))
 
-    observed_rows = ()
+    ids = seats = None
     if (path := directory / OBSERVED_ASSIGNMENT_CSV).exists():
         ids, seats = _read(directory, OBSERVED_ASSIGNMENT_CSV, lambda header: (
-            (_applicant_id, "applicant_id"), (_observed_seat, PROGRAM_NAMES + ("accepted",))
+            (_applicant_id, "applicant_id", applicant_ids),
+            (_observed_seat, PROGRAM_NAMES + ("accepted",)),
         ))
-        observed_rows = tuple(zip(ids.rows(), seats.rows()))  # (id, (key, flag)), file order
-        del ids, seats
-        duplicates += _repeats(path, "applicant_id", [a for a, _ in observed_rows])
+        duplicates += _repeats(path, "applicant_id", ids.rows())
     if duplicates:
         raise ValidationError(duplicates)
 
     # Ids and keys are coded by their position in the panel; those the files
     # name but the panel lacks come after them, sorted, for validate_panel.
-    seated = {a: key for a, (key, _) in observed_rows if key}  # "" marks no seat
-    block_ids, applicant_code = _coding(applicant_ids, [*listed_ids.values, *seated])
-    block_keys, program_code = _coding(program_keys, [*listed_keys.values, *seated.values()])
+    named_ids, named_keys = listed_ids.values[len(applicant_ids):], listed_keys.values
+    if seats is not None:
+        seat_keys = [key for key, _ in seats.values]  # "" marks no seat
+        named_keys = [*named_keys, *filter(None, seat_keys)]
+        seated = ids.codes[np.array(list(map(bool, seat_keys)), dtype=bool)[seats.codes]]
+        named_ids += map(ids.values.__getitem__, seated[seated >= len(applicant_ids)].tolist())
+    program_code = dict(zip(program_keys, itertools.count()))
+    block_ids = _extend(applicant_ids, applicant_code, named_ids)
+    block_keys = _extend(program_keys, program_code, named_keys)
     applications = ApplicationBlock(
         block_ids, block_keys, listed_ids.coded(applicant_code), listed_keys.coded(program_code),
         *columns,
     )
-    del seated, listed_ids, listed_keys
+    del listed_ids, listed_keys
     observed = observed_order = None
-    if path.exists():  # an id the panel lacks, without a seat, says nothing
-        rows = np.array([
-            (applicant_code[a], program_code.get(key, -1), flag)
-            for a, (key, flag) in observed_rows if a in applicant_code
-        ], dtype=np.intp).reshape(-1, 3).T
-        # each column its own array, so none keeps ``rows`` alive
-        observed_order = rows[0].copy()
+    if seats is not None:  # an id the panel lacks, without a seat, says nothing
+        applicant = ids.coded(applicant_code)
+        kept = applicant >= 0
+        observed_order, rows = applicant[kept], seats.codes[kept]
         seat = np.full(len(block_ids), -1)
         accept = np.full(len(block_ids), -1, dtype=np.int8)
-        seat[observed_order], accept[observed_order] = rows[1], rows[2]
-        del rows
+        seat_code = [program_code.get(key, -1) for key in seat_keys]
+        seat[observed_order] = np.array(seat_code, dtype=np.intp)[rows]
+        accept[observed_order] = np.array([flag for _, flag in seats.values], dtype=np.int8)[rows]
+        del ids, seats, rows
         observed = Assignment(block_ids, block_keys, seat, accept)
 
     years = applications.year if len(applications) else cohort_year

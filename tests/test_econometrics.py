@@ -12,19 +12,37 @@ from polyadmit.econometrics import (
     lpm_report,
     ols,
 )
-from polyadmit.errors import ConstantOutcome, EmptySample, RankDeficient
+from polyadmit.errors import ConstantOutcome, EmptySample, PerfectFit, RankDeficient
 from polyadmit.matching import program_thresholds
 from polyadmit.scoring import compute_score_table
 
 
 class TestOls:
     def test_perfect_fit(self):
+        """An exact fit would report 0 for every standard error, so it
+        raises, naming the outcome, whichever standard errors are asked for."""
         rng = np.random.default_rng(0)
         X = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
         beta = np.array([1.0, -2.0, 0.5])
-        result = ols(X, X @ beta)
-        assert result.estimates == pytest.approx(tuple(beta), abs=1e-10)
-        assert result.standard_errors == pytest.approx((0, 0, 0), abs=1e-10)
+        for robust in (False, True):
+            with pytest.raises(PerfectFit, match=r"^outcome 'share' is fitted exactly by \['a', "):
+                ols(X, X @ beta, ("a", "b", "c"), robust, "share")
+
+    def test_an_exact_fit_far_from_zero_raises(self):
+        """An outcome a constant fits exactly raises however far from 0 it
+        lies, though its rounded residuals are not all 0."""
+        X = np.column_stack([np.ones(10_000), np.random.default_rng(3).normal(size=10_000)])
+        with pytest.raises(PerfectFit):
+            ols(X, np.full(10_000, 0.1 * 1e6 / 3))
+
+    def test_a_small_spread_far_from_zero_is_fitted(self):
+        """The exact-fit bound scales with the outcome's spread about its
+        mean, not with its distance from 0: a residual sum of squares of
+        about 1e4 around a mean of 1e6 is a fit, not an exact one."""
+        rng = np.random.default_rng(4)
+        X = np.column_stack([np.ones(10_000), rng.normal(size=10_000)])
+        result = ols(X, 1e6 + rng.normal(size=10_000))
+        assert result.standard_errors[1] == pytest.approx(0.01, rel=0.1)
 
     def test_intercept_only_equals_mean(self):
         rng = np.random.default_rng(1)

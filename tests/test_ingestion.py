@@ -2,6 +2,8 @@
 every structural rule at once, file-line numbering across blank lines, the
 canonical rule for field labels, and integers beyond 64 bits."""
 
+import csv
+import gc
 import json
 import random
 import tracemalloc
@@ -411,6 +413,37 @@ def test_a_failing_load_peaks_no_higher_than_a_load(default_panel, tmp_path):
     finally:
         tracemalloc.stop()
     assert bad <= good
+
+
+def test_a_load_sets_off_fewer_collections_than_it_reads_chunks(default_panel, tmp_path):
+    """Each chunk of rows the reader holds stays below the collector's
+    generation-0 threshold, so loading the desk panel sets off fewer
+    collections, of any generation, than it reads chunks; at 1 024 rows
+    a chunk it set off about two a chunk. The reason holds for CPython's
+    generational collector with its threshold above a chunk's rows, which
+    the test asserts first, so a collector that is off or counts otherwise
+    fails it rather than passing it trivially."""
+    assert gc.isenabled()
+    assert io_csv.CHUNK_ROWS < gc.get_threshold()[0]
+    save_panel(default_panel, tmp_path)
+    chunks = 0
+    for path in tmp_path.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = sum(1 for row in csv.reader(handle) if row) - 1
+        chunks += -(-rows // io_csv.CHUNK_ROWS)
+    load_panel(tmp_path)  # once first, so that no first-call work is counted
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        load_panel(tmp_path)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(collections) < chunks
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyadmit
@@ -938,6 +938,18 @@ def synth_configs(draw):
     }
 
 
+# A config the sweep once drew: every admit at ranks 1-3 accepts and every
+# rank-4 admit declines, so table 5 column (1) fits acceptance exactly.
+EXACT_FIT = {
+    "n_applicants": 149, "n_programs": 8, "n_fields": 4, "seats_total": 86,
+    "list_length_probs": [1 / 6, 1 / 3, 0.0, 0.5], "exam_prob_by_rank": [1.0, 0.125],
+    "first_choice_bonus": 0.0, "other_points_value": 0.0, "accept_base": 1.0,
+    "accept_no_exam_penalty": 0.0, "reapply_unassigned": 0.0, "reapply_assigned_base": 0.0,
+    "reapply_no_exam_bonus": 0.0, "reapply_third_year": 0.0, "other_points_prob": 0.0,
+    "seed": 94094,
+}
+
+
 class TestContractSweep:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -945,6 +957,7 @@ class TestContractSweep:
         wanted=st.none() | st.lists(st.sampled_from(cli.ALL_REPORTS), min_size=1, unique=True),
         robust=st.booleans(),
     )
+    @example(config=EXACT_FIT, wanted=None, robust=False)
     def test_small_configs_succeed_or_fail_by_the_contract(self, config, wanted, robust):
         """Every small config either writes finite reports with nothing on
         stderr, or fails with one JSON line naming a PolyadmitError and

@@ -15,6 +15,7 @@ import csv
 import itertools
 import math
 import random
+import shutil
 from types import SimpleNamespace
 from dataclasses import replace
 from unittest import mock
@@ -586,6 +587,76 @@ def test_later_check_in_an_earlier_chunk_comes_first(
     with pytest.raises(ParseError) as info:
         io_csv.load_panel(tmp_path)
     assert str(info.value) == f"{path} {message}"
+
+
+@pytest.fixture(scope="module")
+def chunked_panel(tmp_path_factory):
+    """A saved panel whose applicants.csv and applications.csv each span
+    more than one reader chunk."""
+    config = synth.SynthConfig(
+        n_applicants=io_csv.CHUNK_ROWS + 100, n_programs=12, n_fields=4, seats_total=200, seed=3
+    )
+    directory = tmp_path_factory.mktemp("chunked") / "panel"
+    io_csv.save_panel(synth.generate_panel(config), directory)
+    return directory
+
+
+def set_cells(path, edits):
+    """For each ``(row, column, text)``, set that cell of data row ``row``
+    (1-based), writing every other row back as it was."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    for row, column, text in edits:
+        rows[row][rows[0].index(column)] = text
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+EDGE_ROWS = (io_csv.CHUNK_ROWS - 1, io_csv.CHUNK_ROWS, io_csv.CHUNK_ROWS + 1)
+# A cell, its file and column (None: the first grade column) and the error
+# it raises at its file line (None: it loads, as a missing grade).
+FLOAT_CELLS = {
+    "empty grade": (io_csv.APPLICANTS_CSV, None, "", None),
+    "nan grade": (io_csv.APPLICANTS_CSV, None, "nan", "non-finite value for {column!r}: 'nan'"),
+    "inf grade": (io_csv.APPLICANTS_CSV, None, "inf", "non-finite value for {column!r}: 'inf'"),
+    "1e309 grade": (
+        io_csv.APPLICANTS_CSV, None, "1e309", "non-finite value for {column!r}: '1e309'"
+    ),
+    "empty exam_score": (
+        io_csv.APPLICATIONS_CSV, "exam_score", "", "bad value for {column!r}: ''"
+    ),
+}
+
+
+@pytest.mark.parametrize("row", EDGE_ROWS)
+@pytest.mark.parametrize(
+    "filename, column, text, message", FLOAT_CELLS.values(), ids=FLOAT_CELLS
+)
+def test_float_cells_at_a_chunk_boundary(
+    chunked_panel, tmp_path, row, filename, column, text, message
+):
+    """A float cell on either side of the first chunk boundary, in a
+    grade column whose two chunks also hold empty grades: an empty grade
+    is missing, and an empty exam score or a nan, inf or 1e309 grade
+    fails at its own file line, as the whole-file reference fails."""
+    directory = tmp_path / "panel"
+    shutil.copytree(chunked_panel, directory)
+    path = directory / filename
+    header = path.read_text(encoding="utf-8").split("\n", 1)[0].split(",")
+    column = column or next(c for c in header if c.startswith(io_csv.GRADE_PREFIX))
+    empty_grades = [(r, column, "") for r in (io_csv.CHUNK_ROWS - 2, io_csv.CHUNK_ROWS + 2)]
+    if filename != io_csv.APPLICANTS_CSV:
+        empty_grades = []
+    set_cells(path, empty_grades + [(row, column, text)])
+    expected = load_or_error(reference_io.load_panel, directory)
+    got = load_or_error(io_csv.load_panel, directory)
+    if message is None:
+        assert not isinstance(got, tuple) and same_panel(got, expected)
+        subject = got.subjects.index(column[len(io_csv.GRADE_PREFIX):])
+        assert np.isnan(got.grades[:, subject]).sum() >= 3
+    else:
+        error = (ParseError, f"{path} row {row + 1}: " + message.format(column=column))
+        assert got == expected == error
 
 
 # Replacement cells: bad, edge and rule-breaking values of every column kind.
