@@ -1,7 +1,8 @@
 """Golden report digests: every file of a ``--synth default`` run, pinned
 by SHA-256 for two seeds, so a refactor that changes any output byte fails
 here before it reaches a comparison run; and the benchmark's paper-match
-input panels and their reports, pinned by the digests the benchmark ships."""
+input panels and their reports, pinned by the digests the benchmark ships;
+and the seed-42 panel at the paper's own scale, saved and run."""
 
 import csv
 import hashlib
@@ -110,6 +111,43 @@ def test_input_reports_match_golden_digests(paper_shaped_input, tmp_path, robust
     if robust:
         expected["table5.csv"] = INPUT_ROBUST_TABLE5
     assert tree_digests(out) == expected
+
+
+# The paper's own scale (the counts the generator calibrates against):
+# its six input files and the 12 reports of an every-report --input run.
+# It takes a few seconds, and it is the one golden with pools of the
+# paper's size: 440 programs over 50 894 applicants.
+PAPER_SCALE = dict(n_applicants=50894, n_programs=440, seats_total=16655, seed=42)
+PAPER_SCALE_GOLDEN = {
+    "applicants.csv": "9b324a85d148db050b9dc84767f631be4b2e204d727b3d23ba4a7e65657ad962",
+    "applications.csv": "92b7a2e60c308fb5ee0e81b25b847fe623e2f2dcbfd1a5336325556d99fdd4ed",
+    "bonus_points.csv": "f127214d87bf5aab31b18b390136d19c908b985b8544633f0d26fdb0e0822757",
+    "field_weights.csv": "7f2ac3d103d234471d3eb2f62eb66975a4230987f6f03b411315e4e5015b29dd",
+    "observed_assignment.csv": "55aeaaf1e8c2c5bcc056c751352dc6aa373d516fc2f53134c4b5d709fc77fc50",
+    "programs.csv": "ae62855c254f8a1fb82b126e7fdbfad2d40b12b855250773e0c4aaa90b357c3d",
+}
+PAPER_SCALE_REPORTS_GOLDEN = {
+    "assignment_S1.csv": "232e760449e84cfa4995a9b2ac056a959d8798d3cb2c2b8e8918e0a09f6ee3d2",
+    "assignment_S2.csv": "081489aaff44a124cd3016d82dccab9e870832e9b593f7826783fe9c9cb2359b",
+    "assignment_S3.csv": "1fb43fab2399102a3be2e4f42976a0655a623aa8f58136abdbfb74593674489d",
+    "assignment_S4.csv": "5e316487d324303df7d7c496314a5c3651836478fc7d1dacf944a5362c96f6c0",
+    "assignment_S5.csv": "c70db5938040a148865bbdcbb369a680b4d8803dcc7d92c6a8ba7cc07a3d40c3",
+    "assignment_S6.csv": "d79474ad4fb9fcec6f0b8b3bb2d62eb151eaa2ed5244273d1af321275a1805a2",
+    "figure1.csv": "4a28204749ae17f99a7ab5cee79330aeeffe8ad7c6a4be11a01fed8315feacab",
+    "table1.csv": "28731dd3220214165a3f07d547bef3812283d907125452e15ce9c753f6f91d2c",
+    "table2.csv": "118f8a1b008c2809c11de826cecb691b7da796ce464bdcd897967c63f7be5157",
+    "table3.csv": "69c6b2789da7ce19c84d47b5098338873396c989433e4ebf01ed32a602605e28",
+    "table4.csv": "47636185a1512cb2236e011f7899e619fffd53a1aa3bcfe42c1ae29d2b8d1feb",
+    "table5.csv": "03d83f677a5735ee1d848cf53d718aa0b51fe4443a9e9f4096f83bfd5ee08ce2",
+}
+
+
+def test_paper_scale_panel_and_reports_match_golden_digests(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    io_csv.save_panel(synth.generate_panel(synth.SynthConfig(**PAPER_SCALE)), data)
+    assert tree_digests(data) == PAPER_SCALE_GOLDEN
+    assert cli.main(["--input", str(data), "--out", str(out)]) == 0
+    assert tree_digests(out) == PAPER_SCALE_REPORTS_GOLDEN
 
 
 # The benchmark's paper-match inputs (the paper's counts divided by eight),
