@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleAssignment, MissingScore, UniverseMismatch
+from .errors import EmptySample, InfeasibleAssignment, MissingScore, UniverseMismatch
 from .model import ApplicationBlock, Assignment, same_coding, seat_rows
 from .scoring import ScoreTable
 
@@ -243,7 +243,8 @@ def compare_assignments(
     """Count applicants whose seat (or unassigned status) differs.
 
     The share is computed over the full applicant ``universe`` (the codes
-    of the applicants matched), not only over assigned applicants.
+    of the applicants matched), not only over assigned applicants; an
+    empty universe has no share and raises ``EmptySample``.
     """
     same_coding(base, other)
     for side in (base, other):
@@ -251,10 +252,12 @@ def compare_assignments(
         if len(outside):
             extra = [side.applicant_ids[a] for a in outside[:5].tolist()]
             raise UniverseMismatch(f"assigned applicants outside universe: {extra}")
+    if not len(universe):
+        raise EmptySample("no applicants to compare assignments over")
     count = int(np.count_nonzero(base.seat != other.seat))
     return AssignmentDiff(
         differently_assigned_count=count,
-        differently_assigned_share=count / len(universe) if len(universe) else 0.0,
+        differently_assigned_share=count / len(universe),
     )
 
 

@@ -4,12 +4,11 @@ histograms."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BinMismatch, EmptyAssignment
+from .errors import BinMismatch, EmptyAssignment, EmptySample
 from .model import MAX_LISTED_RANK, Assignment, Panel, same_coding, seat_rows
 from .scoring import ScoreTable, weighted_gpa_matrix
 
@@ -19,21 +18,24 @@ CRITERION_MATRICULATION = "matriculation"
 CRITERION_ADMISSION_SCORE = "admission_score"
 
 
-def _midpoint_percentiles(values: Sequence[float]) -> list[float]:
-    """Percentile of each value by the mean-rank midpoint convention:
-    100 * (mean rank - 0.5) / N, ties sharing their mean rank."""
-    values = np.asarray(values, dtype=float)
+def _midpoint_percentiles(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Percentile of each value within its pool (``pool`` codes each value's
+    pool) by the mean-rank midpoint convention: 100 * (mean rank - 0.5) / N,
+    N the pool's size, ties within a pool sharing their mean rank."""
     n = len(values)
-    if n == 0:
-        return []
-    order = np.argsort(values, kind="stable")
-    s = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    ends = np.append(starts[1:], n) - 1
-    mean_rank = (starts + ends) / 2 + 1  # 1-based mean rank of each tie group
+    order = np.lexsort((values, pool))  # by pool, then value; equal keys keep their order
+    new_run = np.zeros(n, dtype=bool)  # where a tie run starts in sorted order: at the
+    new_run[:1] = True  # first value, and wherever the pool or the value changes
+    for key in (values[order], pool[order]):
+        new_run[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(starts, append=n)
+    size = np.bincount(pool)
+    starts -= (np.cumsum(size) - size)[pool[order[starts]]]  # now counted within each pool
     ranks = np.empty(n)
-    ranks[order] = np.repeat(mean_rank, ends - starts + 1)
-    return (100.0 * (ranks - 0.5) / n).tolist()
+    # (start + end) / 2 + 1: each run's 1-based mean rank in its pool
+    ranks[order] = np.repeat((starts + starts + lengths - 1) / 2 + 1, lengths)
+    return 100.0 * (ranks - 0.5) / size[pool]
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +54,10 @@ class RankTable:
 def field_gpa_percentile_ranks(panel: Panel) -> RankTable:
     """Rank every panel applicant by field-weighted GPA, per field."""
     gpa = weighted_gpa_matrix(panel)
+    one_pool = np.zeros(len(gpa), dtype=np.int8)
     ranks = np.empty_like(gpa)
     for j in range(len(panel.fields)):
-        ranks[:, j] = _midpoint_percentiles(gpa[:, j])
+        ranks[:, j] = _midpoint_percentiles(gpa[:, j], one_pool)
     return RankTable(panel.applicant_ids, panel.fields, ranks, panel.program_keys, panel.field_code)
 
 
@@ -70,20 +73,15 @@ def tercile_unassignment(table: ScoreTable, assignment: Assignment, criterion: s
     percentile rank across the applicant pools they entered.
 
     ``table`` scores the base-year lists: its weighted GPA column ranks by
-    matriculation, its totals by admission score.
+    matriculation, its totals by admission score. Fewer than three ranked
+    applicants have no thirds and raise ``EmptySample``.
     """
     if criterion not in (CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE):
         raise ValueError(f"unknown criterion {criterion!r}")
     values = table.gpa if criterion == CRITERION_MATRICULATION else table.totals
     apps = table.applications
     n_rows = len(apps)
-
-    # each row's percentile within its program's pool
-    pct = np.empty(n_rows)
-    by_program = np.argsort(apps.program, kind="stable")
-    bounds = np.searchsorted(apps.program[by_program], np.arange(len(apps.program_keys) + 1))
-    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        pct[by_program[start:stop]] = _midpoint_percentiles(values[by_program[start:stop]])
+    pct = _midpoint_percentiles(values, apps.program)  # each row's, in its program's pool
 
     # each applicant's mean over their pools, added from zero in order of
     # the pools' first applications (``np.add.at`` adds in index order)
@@ -96,6 +94,8 @@ def tercile_unassignment(table: ScoreTable, assignment: Assignment, criterion: s
     total = np.zeros(len(present))
     np.add.at(total, inverse, pct[order])
     mean_rank = total / counts
+    if len(present) < 3:
+        raise EmptySample(f"{len(present)} applicants ranked by {criterion}: no tercile split")
 
     ordered = np.lexsort((np.arange(len(present)), -mean_rank))  # ids ascending break ties
     same_coding(apps, assignment)
@@ -103,7 +103,7 @@ def tercile_unassignment(table: ScoreTable, assignment: Assignment, criterion: s
     thirds = np.array_split(unassigned, 3)  # the first len % 3 thirds one longer
     return TercileReport(
         criterion=criterion,
-        unassigned_fraction=tuple(np.count_nonzero(t) / len(t) if len(t) else 0.0 for t in thirds),
+        unassigned_fraction=tuple(np.count_nonzero(t) / len(t) for t in thirds),
         tercile_sizes=tuple(len(t) for t in thirds),
     )
 
@@ -119,24 +119,17 @@ class RankStatsRow:
 def application_rank_stats(panel: Panel, assignment: Assignment) -> list[RankStatsRow]:
     """Per listed rank 1..``MAX_LISTED_RANK``: application count, exam
     participation, and the share admitted to that program."""
-    rows = []
     base = panel.base_applications
+    listed = base.listed_rank
     seated = seat_rows(assignment, base)[assignment.holders]
-    admits = np.bincount(base.listed_rank[seated[seated >= 0]], minlength=MAX_LISTED_RANK + 1)
-    for rank in range(1, MAX_LISTED_RANK + 1):
-        listed = base.listed_rank == rank
-        n = int(np.count_nonzero(listed))
-        exams = int(np.count_nonzero(base.exam_taken[listed]))
-        admitted = int(admits[rank])
-        rows.append(
-            RankStatsRow(
-                listed_rank=rank,
-                n_applications=n,
-                exam_taken_share=exams / n if n else 0.0,
-                admitted_share=admitted / n if n else 0.0,
-            )
-        )
-    return rows
+    counts, exams, admits = (
+        np.bincount(ranks, minlength=MAX_LISTED_RANK + 1)[1 : MAX_LISTED_RANK + 1].tolist()
+        for ranks in (listed, listed[base.exam_taken], listed[seated[seated >= 0]])
+    )
+    return [
+        RankStatsRow(rank, n, exam / n if n else 0.0, admitted / n if n else 0.0)
+        for rank, (n, exam, admitted) in enumerate(zip(counts, exams, admits), start=1)
+    ]
 
 
 def assigned_rank_histogram(rank_table: RankTable, assignment: Assignment) -> tuple[float, ...]:

@@ -677,6 +677,19 @@ class TestRun:
             "table3.csv": "13cbf365f49050d5167a69e72623ced0d71af0e243f34e967a1b089be621986c",
         }
 
+    def test_two_applicants_have_no_table2_thirds(self, tmp_path, capsys):
+        """Table 2 splits the ranked applicants into thirds: two cannot be
+        split, so the run fails rather than print an empty third as 0."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text('{"n_applicants": 2, "n_programs": 1, "n_fields": 1, "seats_total": 1}')
+        out.mkdir()
+        (out / "table2.csv").write_text("kept")
+        assert cli.main(["--synth", str(cfg), "--reports", "table2", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "EmptySample"
+        assert "matriculation" in err["message"]
+        assert tree_bytes(out) == {"table2.csv": b"kept"}
+
     @pytest.mark.parametrize(
         "reports", [[], ["--reports", "assignments"]], ids=["default", "assignments"]
     )

@@ -18,6 +18,7 @@ from oracle import (
 )
 from polyadmit import matching
 from polyadmit.errors import (
+    EmptySample,
     InfeasibleAssignment,
     MissingScore,
     NoObservedAssignment,
@@ -266,6 +267,12 @@ class TestCompareAssignments:
         diff = compare_assignments(base, other, np.arange(5))
         assert diff.differently_assigned_count == 2
         assert diff.differently_assigned_share == pytest.approx(0.4)
+
+    def test_empty_universe_has_no_share(self):
+        """No applicant to compare over is an error, not a share of 0."""
+        nobody = assignment_of({}, over=self.CODED)
+        with pytest.raises(EmptySample):
+            compare_assignments(nobody, nobody, np.arange(0))
 
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatch, match="a5"):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import mk_app, mk_panel, mk_program
 from polyadmit import metrics
-from polyadmit.errors import BinMismatch, EmptyAssignment
+from polyadmit.errors import BinMismatch, EmptyAssignment, EmptySample
 from polyadmit.metrics import (
     CRITERION_ADMISSION_SCORE,
     CRITERION_MATRICULATION,
@@ -103,20 +103,29 @@ class TestTercileUnassignment:
             assert all(0.0 <= f <= 1.0 for f in report.unassigned_fraction)
 
     def test_admission_score_criterion_uses_totals(self):
-        # GPA order a1 < a2, but a1's exam flips the admission score order
+        # GPA order a1 < a2, but a1's exam flips the admission score order;
+        # a3 ranks last by both, so each third holds one applicant
         p = mk_program(("P", "x"), quota=1)
         apps = [
             mk_app("a1", p.program_key, 1, exam=True, exam_score=50.0),
             mk_app("a2", p.program_key, 1),
+            mk_app("a3", p.program_key, 1),
         ]
-        panel = mk_panel([p], apps, grades={"a1": {"math": 1.0}, "a2": {"math": 9.0}})
+        grades = {"a1": {"math": 1.0}, "a2": {"math": 9.0}, "a3": {"math": 0.5}}
+        panel = mk_panel([p], apps, grades=grades)
         assignment = assignment_of({"a1": p.program_key}, over=panel)
         table = base_table(panel)
         by_gpa = tercile_unassignment(table, assignment, CRITERION_MATRICULATION)
         by_score = tercile_unassignment(table, assignment, CRITERION_ADMISSION_SCORE)
         # a2 tops the GPA ranking but a1 tops the score ranking
-        assert by_gpa.unassigned_fraction[0] == 1.0
-        assert by_score.unassigned_fraction[0] == 0.0
+        assert by_gpa.unassigned_fraction == (1.0, 0.0, 1.0)
+        assert by_score.unassigned_fraction == (0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("criterion", [CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE])
+    def test_fewer_than_three_ranked_applicants_have_no_thirds(self, criterion):
+        panel = gpa_panel({"a1": {"math": 1.0}, "a2": {"math": 9.0}})
+        with pytest.raises(EmptySample, match=criterion):
+            tercile_unassignment(base_table(panel), assignment_of({}, over=panel), criterion)
 
     def test_published_table_renders(self, tmp_path):
         from polyadmit.metrics import TercileReport

@@ -27,7 +27,9 @@ from hypothesis import strategies as st
 
 import reference_io
 from polyadmit import counterfactual, econometrics, io_csv, metrics, model, scoring, synth
-from polyadmit.errors import MissingScore, ParseError, UniverseMismatch, ValidationError
+from polyadmit.errors import (
+    EmptySample, MissingScore, ParseError, UniverseMismatch, ValidationError,
+)
 from polyadmit.model import Panel, seat_rows, validate_panel
 from conftest import build_scenario, mk_app, mk_program
 from oracle import (
@@ -156,15 +158,23 @@ def loop_midpoint_percentiles(values):
 
 
 def test_midpoint_percentiles_match_loop_reference():
+    """Each pool of a grouped call ranks as that pool alone: pool codes
+    unsorted, some unused, with ties and signed zeros across pools."""
     rng = np.random.default_rng(0)
     for trial in range(300):
-        n = int(rng.integers(0, 60))
+        n = int(rng.integers(0, 60)) if trial else 0
         # few distinct values, so most inputs have ties; signed zeros tie too
         values = rng.choice([-2.5, -0.0, 0.0, 0.1, 1.0, 3.75, 40.0], size=n)
         if trial % 3 == 0:
             values = values + rng.standard_normal(n)
-        values = values.tolist()
-        assert _midpoint_percentiles(values) == loop_midpoint_percentiles(values)
+        codes = rng.choice(8, size=int(rng.integers(1, 9)), replace=False)
+        pool = rng.choice(codes, size=n).astype([np.int8, np.int16, np.intp][trial % 3])
+        got = _midpoint_percentiles(values, pool)
+        for code in range(pool.max(initial=-1) + 1):
+            members = np.flatnonzero(pool == code)
+            expected = loop_midpoint_percentiles(values[members].tolist())
+            assert got[members].tolist() == expected
+        assert len(got) == n
 
 
 def loop_design_matrix(panel, assignment, thresholds, spec):
@@ -258,9 +268,7 @@ def loop_tercile_unassignment(panel, assignment, criterion):
     n = len(ordered)
     sizes = tuple(n // 3 + (1 if i < n % 3 else 0) for i in range(3))
     groups = [ordered[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(3)]
-    fractions = tuple(
-        sum(a not in assignment.seat_of for a in g) / len(g) if g else 0.0 for g in groups
-    )
+    fractions = tuple(sum(a not in assignment.seat_of for a in g) / len(g) for g in groups)
     return TercileReport(criterion, fractions, sizes)
 
 
@@ -363,9 +371,10 @@ def dict_rank_table(panel):
     fields = sorted(panel.field_weights)
     gpa = weighted_gpa_matrix(panel)
     table = {}
+    one_pool = np.zeros(len(gpa), dtype=np.intp)
     for j, field_label in enumerate(fields):
         keys = zip(panel.applicant_ids, itertools.repeat(field_label))
-        table.update(zip(keys, _midpoint_percentiles(gpa[:, j])))
+        table.update(zip(keys, _midpoint_percentiles(gpa[:, j], one_pool).tolist()))
     return table
 
 
@@ -805,8 +814,10 @@ def dict_compare_assignments(base, other, universe):
         extra = assignment.seat_of.keys() - universe
         if extra:
             raise UniverseMismatch(f"assigned applicants outside universe: {sorted(extra)[:5]}")
+    if not universe:
+        raise EmptySample("no applicants to compare assignments over")
     count = len({a for a, _ in base.seat_of.items() ^ other.seat_of.items()})
-    return AssignmentDiff(count, count / len(universe) if universe else 0.0)
+    return AssignmentDiff(count, count / len(universe))
 
 
 def dict_admit_ranks(rank_table, assignment, program_field):
