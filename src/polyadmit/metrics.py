@@ -24,8 +24,10 @@ def _midpoint_percentiles(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
     N the pool's size, ties within a pool sharing their mean rank."""
     n = len(values)
     order = np.lexsort((values, pool))  # by pool, then value; equal keys keep their order
-    new_run = np.zeros(n, dtype=bool)  # where a tie run starts in sorted order: at the
-    new_run[:1] = True  # first value, and wherever the pool or the value changes
+    # a tie run starts at the first sorted value and wherever the pool or the
+    # value changes; the sorted copies go once compared, to keep the heap low
+    new_run = np.zeros(n, dtype=bool)
+    new_run[:1] = True
     for key in (values[order], pool[order]):
         new_run[1:] |= key[1:] != key[:-1]
     starts = np.flatnonzero(new_run)

@@ -4,12 +4,12 @@ the default synthetic panel and of its CSV round trip, the extended
 application lists, the regression design, thresholds, tercile
 unassignment, the GPA rank matrix and the scenarios' rank improvements
 on the same panels, the effective weights under a compensated ``sum``,
-the midpoint percentiles on random values with ties, the chunked CSV
-reader against a rows-then-transpose reader and ``load_panel`` against
-the whole-file loader of ``reference_io`` on corrupted panels, the
-seat-code readers of an assignment against the id-keyed readers it had
-before, and the instances' position columns and program-proposing DA
-against their ``np.repeat`` and Python-list forms."""
+the midpoint percentiles on random values with ties in random pools,
+the chunked CSV reader against a rows-then-transpose reader and
+``load_panel`` against the whole-file loader of ``reference_io`` on
+corrupted panels, the seat-code readers of an assignment against the
+id-keyed readers it had before, and the instances' position columns and
+program-proposing DA against their ``np.repeat`` and Python-list forms."""
 
 import csv
 import itertools
