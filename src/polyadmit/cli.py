@@ -149,24 +149,25 @@ def _failed(exc: Exception) -> int:
 
 
 def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory: Path) -> None:
-    scenario_ids = tuple(sorted(set(config.scenarios) | {"S1"}))
+    # Match only what the reports read: the scenario reports read every listed
+    # scenario and S1; tables 2 and 3 read S1 when nothing was observed.
+    scenario_ids = ()
+    if wanted & {"table4", "figure1", "assignments"}:
+        scenario_ids = tuple(sorted(set(config.scenarios) | {"S1"}))
+    elif wanted & {"table2", "table3"} and panel.observed_assignment is None:
+        scenario_ids = ("S1",)
     assignments, listed, base_table = counterfactual.run_scenario_suite(panel, scenario_ids)
     universe = base_table.applications.listed_applicants()
-    rank_table = metrics.field_gpa_percentile_ranks(panel)  # no match runs beside it
-    baseline = assignments["S1"]
-
-    # Descriptive tables use the observed assignment when present; the
-    # replicated baseline otherwise.
-    descriptive = panel.observed_assignment or baseline
+    if wanted & {"table4", "figure1"}:
+        rank_table = metrics.field_gpa_percentile_ranks(panel)  # no match runs beside it
+    descriptive = panel.observed_assignment or assignments.get("S1")
 
     if "table1" in wanted:
         reports.write_weight_report(directory / "table1.csv", scoring.effective_weights(base_table))
 
     if "table2" in wanted:
-        criteria = (metrics.CRITERION_MATRICULATION, metrics.CRITERION_ADMISSION_SCORE)
         reports.write_tercile_report(
-            directory / "table2.csv",
-            [metrics.tercile_unassignment(base_table, descriptive, c) for c in criteria],
+            directory / "table2.csv", metrics.tercile_unassignment(base_table, descriptive)
         )
 
     if "table3" in wanted:
@@ -177,8 +178,8 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory:
     if "table4" in wanted:
         rows = []
         for s in scenario_ids:
-            diff = matching.compare_assignments(baseline, assignments[s], universe)
-            gain = metrics.mean_rank_improvement(rank_table, baseline, assignments[s])
+            diff = matching.compare_assignments(assignments["S1"], assignments[s], universe)
+            gain = metrics.mean_rank_improvement(rank_table, assignments["S1"], assignments[s])
             rows.append((s, listed[s] / len(universe), diff.differently_assigned_share, gain))
         reports.write_scenario_suite(directory / "table4.csv", rows)
 

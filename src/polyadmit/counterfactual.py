@@ -110,16 +110,16 @@ def scenario_tables(
 def run_scenario_suite(
     panel: Panel, scenario_ids: Sequence[str] = SCENARIO_IDS
 ) -> tuple[dict[str, Assignment], dict[str, int], scoring.ScoreTable]:
-    """Run program-proposing deferred acceptance on each scenario and S1;
-    returns each scenario's assignment and number of applications, by
-    scenario id, and S1's table (the base-year score table).
+    """Run program-proposing deferred acceptance on exactly the listed
+    scenarios; returns their assignments and numbers of applications, by
+    scenario id, and S1's table (the base-year score table), listed or not.
 
     Each scenario is matched as soon as its table exists (see
     ``scenario_tables``: the extended lists first), so only one list
     variant's block and tables are held at a time, and S1's table, built
     last, is the only one kept. Every program admits up to its own quota.
     A base year without applications raises ``EmptySample``: no scenario
-    has an applicant to compare.
+    has an applicant to compare, and no report an applicant to describe.
     """
     assignments, listed = {}, {}
     for scenario_id, table in scenario_tables(panel, set(scenario_ids) | {"S1"}):
@@ -127,6 +127,8 @@ def run_scenario_suite(
             if not len(table.applications):
                 raise EmptySample("the base year has no applications")
             base_table = table
+        if scenario_id not in scenario_ids:
+            continue  # S1's table, kept unmatched
         instance = matching.build_instance(table.applications, table, panel.quota)
         assignments[scenario_id] = matching.deferred_acceptance(
             instance, matching.PROPOSING_PROGRAMS

@@ -50,8 +50,8 @@ REQUIRED_COLUMNS = {
 GRADE_PREFIX = "grade_"
 
 
-def fmt(value: float) -> str:
-    return f"{value:.6f}"
+def fmt(value: float | None) -> str:
+    return "" if value is None else f"{value:.6f}"  # None: undefined, an empty cell
 
 
 # Rows read at a time. Each chunk goes straight into its columns' final

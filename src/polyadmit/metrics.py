@@ -67,60 +67,55 @@ def field_gpa_percentile_ranks(panel: Panel) -> RankTable:
 class TercileReport:
     criterion: str
     unassigned_fraction: tuple[float, float, float]  # top, middle, bottom third
-    tercile_sizes: tuple[int, int, int]
+    tercile_sizes: tuple[int, int, int]  # the first len % 3 one longer
 
 
-def tercile_unassignment(table: ScoreTable, assignment: Assignment, criterion: str) -> TercileReport:
+def tercile_unassignment(table: ScoreTable, assignment: Assignment) -> tuple[TercileReport, ...]:
     """Fraction of applicants rejected everywhere, by tercile of their mean
-    percentile rank across the applicant pools they entered.
-
-    ``table`` scores the base-year lists: its weighted GPA column ranks by
-    matriculation, its totals by admission score. Fewer than three ranked
-    applicants have no thirds and raise ``EmptySample``.
+    percentile rank across the applicant pools they entered, by
+    matriculation (``table``'s weighted GPA column) and then by admission
+    score (its totals); ``table`` scores the base-year lists. Both rank
+    the same applicants, grouped once. Fewer than three ranked applicants
+    have no thirds and raise ``EmptySample``.
     """
-    if criterion not in (CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    values = table.gpa if criterion == CRITERION_MATRICULATION else table.totals
     apps = table.applications
     n_rows = len(apps)
-    pct = _midpoint_percentiles(values, apps.program)  # each row's, in its program's pool
-
     # each applicant's mean over their pools, added from zero in order of
-    # the pools' first applications (``np.add.at`` adds in index order)
+    # the pools' first applications (``np.bincount`` adds in index order)
     first_row = np.full(len(apps.program_keys), n_rows)
     np.minimum.at(first_row, apps.program, np.arange(n_rows))
     order = np.lexsort((first_row[apps.program], apps.applicant))
     present, inverse, counts = np.unique(
         apps.applicant[order], return_inverse=True, return_counts=True
     )
-    total = np.zeros(len(present))
-    np.add.at(total, inverse, pct[order])
-    mean_rank = total / counts
     if len(present) < 3:
-        raise EmptySample(f"{len(present)} applicants ranked by {criterion}: no tercile split")
-
-    ordered = np.lexsort((np.arange(len(present)), -mean_rank))  # ids ascending break ties
+        raise EmptySample(f"{len(present)} applicants ranked by matriculation: no tercile split")
     same_coding(apps, assignment)
-    unassigned = assignment.seat[present[ordered]] < 0
-    thirds = np.array_split(unassigned, 3)  # the first len % 3 thirds one longer
-    return TercileReport(
-        criterion=criterion,
-        unassigned_fraction=tuple(np.count_nonzero(t) / len(t) for t in thirds),
-        tercile_sizes=tuple(len(t) for t in thirds),
-    )
+    reports = []
+    for criterion, values in (
+        (CRITERION_MATRICULATION, table.gpa), (CRITERION_ADMISSION_SCORE, table.totals)
+    ):
+        pct = _midpoint_percentiles(values, apps.program)  # each row's, in its program's pool
+        mean_rank = np.bincount(inverse, weights=pct[order]) / counts
+        ordered = np.lexsort((np.arange(len(present)), -mean_rank))  # ids ascending break ties
+        thirds = np.array_split(assignment.seat[present[ordered]] < 0, 3)  # unassigned, best first
+        fractions = tuple(np.count_nonzero(t) / len(t) for t in thirds)
+        reports.append(TercileReport(criterion, fractions, tuple(map(len, thirds))))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
 class RankStatsRow:
     listed_rank: int
     n_applications: int
-    exam_taken_share: float
-    admitted_share: float
+    exam_taken_share: float | None  # None: no application has the rank
+    admitted_share: float | None
 
 
 def application_rank_stats(panel: Panel, assignment: Assignment) -> list[RankStatsRow]:
     """Per listed rank 1..``MAX_LISTED_RANK``: application count, exam
-    participation, and the share admitted to that program."""
+    participation, and the share admitted to that program; a rank that no
+    application has keeps its count of 0 and has no shares."""
     base = panel.base_applications
     listed = base.listed_rank
     seated = seat_rows(assignment, base)[assignment.holders]
@@ -129,7 +124,7 @@ def application_rank_stats(panel: Panel, assignment: Assignment) -> list[RankSta
         for ranks in (listed, listed[base.exam_taken], listed[seated[seated >= 0]])
     )
     return [
-        RankStatsRow(rank, n, exam / n if n else 0.0, admitted / n if n else 0.0)
+        RankStatsRow(rank, n, exam / n if n else None, admitted / n if n else None)
         for rank, (n, exam, admitted) in enumerate(zip(counts, exams, admits), start=1)
     ]
 

@@ -376,11 +376,11 @@ def _generate(cfg: SynthConfig) -> Panel:
 class CalibrationRow:
     name: str
     target: float
-    actual: float
+    actual: float | None  # None: nothing generated to measure
 
     @property
-    def abs_deviation(self) -> float:
-        return abs(self.target - self.actual)
+    def abs_deviation(self) -> float | None:
+        return None if self.actual is None else abs(self.target - self.actual)
 
 
 def calibration_report(panel: Panel) -> list[CalibrationRow]:

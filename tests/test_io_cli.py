@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import importlib.util
 import inspect
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +26,7 @@ from conftest import BASE_YEAR, mk_app, mk_panel, mk_program
 from oracle import (
     accepted_of, applicants_of, programs_of, records, same_panel,
 )
-from polyadmit import cli, errors, reports, synth
+from polyadmit import cli, counterfactual, errors, matching, metrics, reports, synth
 from polyadmit.matching import MatchInstance
 from polyadmit.metrics import RankTable
 from polyadmit.model import MAX_LISTED_RANK, ApplicationBlock, Assignment, Panel
@@ -691,7 +693,9 @@ class TestRun:
         assert tree_bytes(out) == {"table2.csv": b"kept"}
 
     @pytest.mark.parametrize(
-        "reports", [[], ["--reports", "assignments"]], ids=["default", "assignments"]
+        "reports",
+        [[], ["--reports", "assignments"], ["--reports", "table1"]],
+        ids=["default", "assignments", "table1"],
     )
     def test_a_base_year_without_applications_is_an_empty_sample(
         self, small_panel, tmp_path, capsys, reports
@@ -704,6 +708,28 @@ class TestRun:
         assert cli.main(["--input", str(data), *reports, "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "EmptySample"
         assert not out.exists()
+
+    def test_an_unused_listed_rank_has_no_shares(self, tmp_path, capsys):
+        """Lists of one or two programs leave ranks 3 and 4 without an
+        application: table 3 keeps their rows and counts of 0 and the
+        calibration report their targets, with empty cells where a share
+        over no applications would be, rather than a 0."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(
+            '{"n_applicants": 400, "n_programs": 12, "n_fields": 4, "seats_total": 130,'
+            ' "seed": 7, "list_length_probs": [0.5, 0.5]}'
+        )
+        out.mkdir()
+        (out / "earlier.csv").write_text("kept\n")
+        args = ["--synth", str(cfg), "--reports", "table3,calibration", "--out", str(out)]
+        status = cli.main(args)
+        assert assert_run_kept_the_contract(status, capsys.readouterr().err, out) is None
+        table3 = (out / "table3.csv").read_text().splitlines()
+        assert table3[1:] == [
+            "1,400,0.610000,0.290000", "2,190,0.436842,0.073684", "3,0,,", "4,0,,",
+        ]
+        calibration = (out / "calibration.csv").read_text().splitlines()
+        assert calibration[3:5] == ["exam_share_rank3,0.450000,,", "exam_share_rank4,0.430000,,"]
 
     def test_console_entry_point(self, small_config_json, tmp_path):
         out = tmp_path / "out"
@@ -751,6 +777,135 @@ class TestRun:
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )
         assert proc.stdout.split() == ["0", "False", "0", "False"], proc.stderr
+
+
+def count_calls(monkeypatch, *functions) -> Counter:
+    """Count the calls of each ``(module, name)`` function by its name."""
+    calls = Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in functions:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+COSTLY_INPUTS = (
+    (matching, "deferred_acceptance"),
+    (counterfactual, "extend_application_lists"),
+    (metrics, "field_gpa_percentile_ranks"),
+)
+
+# Every single report, and subsets of the reports that read no match when
+# the panel has an observed assignment.
+REPORT_SUBSETS = [(r,) for r in cli.ALL_REPORTS] + [
+    ("table2", "table3"), ("table1", "table2", "table3"), ("table1", "table2", "table3", "table5"),
+]
+
+
+@pytest.fixture(scope="module")
+def every_report_runs(small_config_json, small_panel, tmp_path_factory):
+    """Source arguments and every-report files of a synthetic panel, which
+    has an observed assignment, and of a saved panel without one."""
+    unobserved = tmp_path_factory.mktemp("unobserved")
+    save_panel(small_panel, unobserved)
+    (unobserved / "observed_assignment.csv").unlink()
+    runs = {}
+    for kind, source in (
+        ("observed", ["--synth", str(small_config_json)]),
+        ("unobserved", ["--input", str(unobserved)]),
+    ):
+        out = tmp_path_factory.mktemp(kind) / "out"
+        assert cli.main([*source, "--out", str(out)]) == 0
+        runs[kind] = source, tree_bytes(out)
+    return runs
+
+
+class TestReportSubsets:
+    """A run computes only the inputs its reports read."""
+
+    @pytest.mark.parametrize(
+        "kind, wanted",
+        [("observed", subset) for subset in REPORT_SUBSETS]
+        + [
+            ("unobserved", subset)
+            for subset in REPORT_SUBSETS
+            if not {"table5", "calibration"} & set(subset)
+        ],
+        ids=lambda value: value if isinstance(value, str) else ",".join(value),
+    )
+    def test_a_subset_writes_the_files_of_an_every_report_run(
+        self, every_report_runs, kind, wanted, tmp_path
+    ):
+        source, every = every_report_runs[kind]
+        out = tmp_path / "out"
+        assert cli.main([*source, "--reports", ",".join(wanted), "--out", str(out)]) == 0
+        written = tree_bytes(out)
+        assert len(written) == len(wanted) + 5 * ("assignments" in wanted)
+        assert written == {name: every[name] for name in written}
+
+    def test_observed_descriptive_reports_match_nothing(self, small_panel, tmp_path, monkeypatch):
+        """With an observed assignment, tables 1, 2, 3 and 5 read S1's
+        score table and the observed seats: no scenario is matched, no
+        list is extended and no GPA rank table is built."""
+        data = tmp_path / "data"
+        save_panel(small_panel, data)
+        calls = count_calls(monkeypatch, *COSTLY_INPUTS)
+        args = ["--input", str(data), "--reports", "table1,table2,table3,table5"]
+        assert cli.main([*args, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {}
+
+    def test_unobserved_table2_matches_s1_alone(self, small_panel, tmp_path, monkeypatch):
+        """Without an observed assignment, table 2 describes S1's match: one
+        deferred acceptance run, on the base-year lists."""
+        data = tmp_path / "data"
+        save_panel(small_panel, data)
+        (data / "observed_assignment.csv").unlink()
+        calls = count_calls(monkeypatch, *COSTLY_INPUTS)
+        args = ["--input", str(data), "--reports", "table2"]
+        assert cli.main([*args, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"deferred_acceptance": 1}
+
+    def test_an_extended_list_overflow_fails_only_the_runs_that_match(
+        self, small_panel, tmp_path, capsys
+    ):
+        """A later-year application whose exam score and other points add
+        past the float range overflows only the extended lists' scores.
+        Tables 1, 2, 3 and 5 never build those lists, so they succeed with
+        the bytes of the uncorrupted panel; table 4 fails as before."""
+        clean, data = tmp_path / "clean", tmp_path / "data"
+        save_panel(small_panel, clean)
+        save_panel(small_panel, data)
+        path = data / "applications.csv"
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        col = {name: i for i, name in enumerate(header)}
+        base_year = str(small_panel.base_year)
+        a, p, n = col["applicant_id"], col["polytechnic_name"], col["program_name"]
+        listed = {r[a] for r in rows if r[col["year"]] == base_year}
+        times = Counter((r[a], r[p], r[n]) for r in rows)
+        row = next(  # a program that the extended lists append to a base-year list
+            r for r in rows
+            if r[col["year"]] != base_year and r[a] in listed and times[r[a], r[p], r[n]] == 1
+        )
+        row[col["exam_taken"]] = "true"
+        row[col["exam_score"]] = row[col["other_points"]] = "1.7e308"
+        path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+        wanted = ["--reports", "table1,table2,table3,table5"]
+        assert cli.main(["--input", str(clean), *wanted, "--out", str(tmp_path / "one")]) == 0
+        assert cli.main(["--input", str(data), *wanted, "--out", str(tmp_path / "two")]) == 0
+        assert capsys.readouterr().err == ""
+        assert tree_bytes(tmp_path / "two") == tree_bytes(tmp_path / "one")
+        args = ["--input", str(data), "--reports", "table4", "--out", str(tmp_path / "three")]
+        assert cli.main(args) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NonFiniteResult"
+        assert "scoring.ScoreTable.__post_init__" in err["message"]
 
 
 @pytest.fixture(scope="module")
@@ -891,9 +1046,10 @@ def assert_run_kept_the_contract(status: int, stderr: str, out: Path) -> Optiona
 
 def assert_reported_numbers_finite(directory: Path) -> None:
     """Every cell of the reports in ``directory`` that reads as a number is
-    finite, and no table-5 column has only zero standard errors. The
-    assignment files hold ids, names and flags, and a name may read as a
-    number, so they are left out."""
+    finite, no table-3 share is printed over a rank without applications,
+    and no table-5 column has only zero standard errors. The assignment
+    files hold ids, names and flags, and a name may read as a number, so
+    they are left out."""
     for path in sorted(directory.glob("*.csv")):
         if path.name.startswith("assignment_"):
             continue
@@ -906,6 +1062,8 @@ def assert_reported_numbers_finite(directory: Path) -> None:
                 except ValueError:
                     continue
                 assert math.isfinite(value), f"{path.name}: {row}"
+        if path.name == "table3.csv":  # no share over a rank without applications
+            assert all(row[2:] == ["", ""] for row in rows[1:] if row[1] == "0"), rows
         if path.name == "table5.csv":
             errors_of = {}
             for column, _, _, se in rows[1:]:
@@ -1017,6 +1175,18 @@ class TestTracedHarness:
             fn = getattr(module, function, None)
             assert not function.startswith("_"), name
             assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+        # reports.write.s sums the spans whose names start "reports.write_":
+        # a writer renamed out of that prefix would read 0
+        writers = {
+            name for name, fn in vars(reports).items()
+            if name.startswith("write_") and inspect.isfunction(fn)
+            and fn.__module__ == reports.__name__
+        }
+        assert writers == {
+            "write_weight_report", "write_tercile_report", "write_rank_stats",
+            "write_scenario_suite", "write_lpm_report", "write_figure_data",
+            "write_calibration_report",
+        }
         assert inspect.isfunction(vars(Panel)["weighted_gpa"])
         assert isinstance(vars(Panel)["base_applications"], property)
         for owner, attr in (

@@ -76,10 +76,8 @@ class TestTercileUnassignment:
     def test_all_unassigned(self):
         grades = {f"a{i}": {"math": float(i)} for i in range(6)}
         panel = gpa_panel(grades)
-        report = tercile_unassignment(
-            base_table(panel), assignment_of({}, over=panel), CRITERION_MATRICULATION
-        )
-        assert report.unassigned_fraction == (1.0, 1.0, 1.0)
+        reports = tercile_unassignment(base_table(panel), assignment_of({}, over=panel))
+        assert [r.unassigned_fraction for r in reports] == [(1.0, 1.0, 1.0)] * 2
 
     def test_nine_applicant_hand_fixture(self):
         # single pool, GPAs 1..9; terciles: {a8,a7,a6}, {a5,a4,a3}, {a2,a1,a0}
@@ -90,15 +88,14 @@ class TestTercileUnassignment:
         panel = mk_panel([p], apps, grades=grades)
         assignment = assignment_of({"a8": p.program_key, "a4": p.program_key}, over=panel)
         table = base_table(panel)
-        report = tercile_unassignment(table, assignment, CRITERION_MATRICULATION)
+        report, _ = tercile_unassignment(table, assignment)
         assert report.tercile_sizes == (3, 3, 3)
         assert report.unassigned_fraction == pytest.approx((2 / 3, 2 / 3, 1.0))
 
     def test_sizes_differ_by_at_most_one(self, small_panel):
-        for criterion in (CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE):
-            report = tercile_unassignment(
-                base_table(small_panel), small_panel.observed_assignment, criterion
-            )
+        reports = tercile_unassignment(base_table(small_panel), small_panel.observed_assignment)
+        assert [r.criterion for r in reports] == [CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE]
+        for report in reports:
             assert max(report.tercile_sizes) - min(report.tercile_sizes) <= 1
             assert all(0.0 <= f <= 1.0 for f in report.unassigned_fraction)
 
@@ -115,17 +112,15 @@ class TestTercileUnassignment:
         panel = mk_panel([p], apps, grades=grades)
         assignment = assignment_of({"a1": p.program_key}, over=panel)
         table = base_table(panel)
-        by_gpa = tercile_unassignment(table, assignment, CRITERION_MATRICULATION)
-        by_score = tercile_unassignment(table, assignment, CRITERION_ADMISSION_SCORE)
+        by_gpa, by_score = tercile_unassignment(table, assignment)
         # a2 tops the GPA ranking but a1 tops the score ranking
         assert by_gpa.unassigned_fraction == (1.0, 0.0, 1.0)
         assert by_score.unassigned_fraction == (0.0, 1.0, 1.0)
 
-    @pytest.mark.parametrize("criterion", [CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE])
-    def test_fewer_than_three_ranked_applicants_have_no_thirds(self, criterion):
+    def test_fewer_than_three_ranked_applicants_have_no_thirds(self):
         panel = gpa_panel({"a1": {"math": 1.0}, "a2": {"math": 9.0}})
-        with pytest.raises(EmptySample, match=criterion):
-            tercile_unassignment(base_table(panel), assignment_of({}, over=panel), criterion)
+        with pytest.raises(EmptySample, match="2 applicants ranked by matriculation"):
+            tercile_unassignment(base_table(panel), assignment_of({}, over=panel))
 
     def test_published_table_renders(self, tmp_path):
         from polyadmit.metrics import TercileReport

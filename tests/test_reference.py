@@ -272,12 +272,14 @@ def loop_tercile_unassignment(panel, assignment, criterion):
     return TercileReport(criterion, fractions, sizes)
 
 
-@pytest.mark.parametrize("criterion", [CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE])
-def test_tercile_unassignment_matches_loop_reference(panel, criterion):
+def test_tercile_unassignment_matches_loop_reference(panel):
     assignment = panel.observed_assignment
     table = compute_score_table(panel, panel.base_applications)
-    expected = loop_tercile_unassignment(panel, assignment, criterion)
-    assert tercile_unassignment(table, assignment, criterion) == expected
+    expected = tuple(
+        loop_tercile_unassignment(panel, assignment, criterion)
+        for criterion in (CRITERION_MATRICULATION, CRITERION_ADMISSION_SCORE)
+    )
+    assert tercile_unassignment(table, assignment) == expected
 
 
 def loop_violations(panel):
