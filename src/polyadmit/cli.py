@@ -6,21 +6,31 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import gc
 import json
 import os
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from . import counterfactual, econometrics, matching, metrics, reports, scoring, synth
-from .errors import InvalidConfig, NoObservedAssignment, NonFiniteResult
+# synth and econometrics are imported where a run reads them: an --input
+# run without table5 never does.
+from . import counterfactual, matching, metrics, reports, scoring
+from .errors import (
+    Interrupted, InvalidConfig, NoObservedAssignment, NonFiniteResult, PolyadmitError,
+)
 from .io_csv import load_panel, write_assignment_csv
 from .model import Panel
+
+if TYPE_CHECKING:
+    from .synth import SynthConfig
 
 ALL_REPORTS = ("table1", "table2", "table3", "table4", "table5", "figure1", "assignments", "calibration")
 
@@ -50,7 +60,9 @@ class RunConfig:
         return self
 
 
-def load_synth_config(spec: str, seed: Optional[int]) -> synth.SynthConfig:
+def load_synth_config(spec: str, seed: Optional[int]) -> SynthConfig:
+    from . import synth
+
     if spec == "default":
         cfg = synth.SynthConfig()
     else:
@@ -99,6 +111,8 @@ def run(config: RunConfig) -> int:
         config.validate()
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if config.synth_spec is not None:
+                from . import synth
+
                 panel = synth.generate_panel(load_synth_config(config.synth_spec, config.seed))
             else:
                 panel = load_panel(config.input_dir)
@@ -184,6 +198,8 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory:
         reports.write_scenario_suite(directory / "table4.csv", rows)
 
     if "table5" in wanted:
+        from . import econometrics
+
         results = econometrics.lpm_report(
             panel, panel.observed_assignment, base_table, robust=config.robust_se
         )
@@ -207,6 +223,8 @@ def _write_reports(config: RunConfig, panel: Panel, wanted: set[str], directory:
             write_assignment_csv(directory / f"assignment_{s}.csv", panel, assignments[s], universe)
 
     if "calibration" in wanted:
+        from . import synth
+
         reports.write_calibration_report(
             directory / "calibration.csv", synth.calibration_report(panel)
         )
@@ -263,13 +281,35 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     )
 
 
+def _interrupt(signum: int, frame) -> None:
+    raise Interrupted(f"the run received {signal.Signals(signum).name} and stopped")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse ``argv`` and run it; returns the exit status. While it runs,
+    SIGTERM and SIGINT raise ``Interrupted``, which fails the run as any
+    other error does. Its handlers are set only in the main thread, where
+    Python allows it, and the previous ones are back when it returns."""
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        previous = {s: signal.signal(s, _interrupt) for s in (signal.SIGTERM, signal.SIGINT)}
     try:
-        config = parse_args(argv)
-    except InvalidConfig as exc:
+        return run(parse_args(argv))
+    except PolyadmitError as exc:  # InvalidConfig from parse_args, or Interrupted outside run's try
         return _failed(exc)
-    return run(config)
+    finally:
+        for s, handler in previous.items():
+            signal.signal(s, handler)
+
+
+def process_main() -> None:
+    """The process entry of ``python -m polyadmit.cli`` and the
+    ``polyadmit`` script. The modules imported so far live until exit, so
+    ``gc.freeze`` keeps every collection, the one at shutdown included,
+    from walking them. ``main`` does not freeze: it also runs in-process."""
+    gc.freeze()
+    sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

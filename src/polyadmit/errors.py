@@ -82,6 +82,11 @@ class InvalidConfig(PolyadmitError):
     pass
 
 
+class Interrupted(PolyadmitError):
+    """The CLI process received SIGTERM or SIGINT during a run; the
+    message names the signal."""
+
+
 class NonFiniteResult(PolyadmitError):
     """A floating-point operation overflowed, divided by zero or left the
     real numbers, so a report would hold an infinite or NaN value."""

@@ -97,15 +97,15 @@ class _Coded:
     tuple of columns): row ``i`` holds ``texts[codes[i]]``, parsed as
     ``values[codes[i]]``. The parser runs once per distinct text, after
     the whole file has been read, and ``failed`` is set if one fails.
-    The texts of ``known``, which the parser returns unchanged, take the
-    codes of their positions first and are never parsed."""
+    ``known`` maps texts the parser returns unchanged to their codes, its
+    positions in order; they are coded first and never parsed."""
 
-    def __init__(self, parse, names, at: dict[str, int], known: Sequence[str] = ()) -> None:
+    def __init__(self, parse, names, at: dict[str, int], known: dict[str, int] = {}) -> None:
         self.parse, self.names, self.failed = parse, names, False
         self.pick = itemgetter(*map(at.__getitem__, [names] if isinstance(names, str) else names))
         self.known = len(known)
         # each text's code; a text first seen numbers on from the last
-        self.code = defaultdict(itertools.count(len(known)).__next__, zip(known, itertools.count()))
+        self.code = defaultdict(itertools.count(len(known)).__next__, known)
         self.chunks = [np.empty(0, dtype=CODE)]
 
     def add(self, cells: list[tuple]) -> None:
@@ -170,8 +170,8 @@ def _read(directory: Path, name: str, checks) -> list:
     """Read a UTF-8 CSV file whose header names every required column,
     one chunk of rows at a time, into a ``_Floats`` or ``_Coded`` column
     per check of ``checks(header)``: a per-cell parser and a column name,
-    or a tuple of them, then for a coded check the texts it knows, if any
-    (see ``_Coded``). A repeated name reads its last column.
+    or a tuple of them, then for a coded check the codes of the texts it
+    knows, if any (see ``_Coded``). A repeated name reads its last column.
 
     Errors come in this order: a missing header; invalid UTF-8 anywhere
     in the file; the first row whose width is not the header's; and the
@@ -368,7 +368,7 @@ def _load(directory: Path) -> tuple[Panel, np.ndarray, Optional[np.ndarray]]:
     )
 
     listed_ids, listed_keys, *readers = _read(directory, APPLICATIONS_CSV, lambda header: (
-        (_applicant_id, "applicant_id", applicant_ids), (_program_key, PROGRAM_NAMES),
+        (_applicant_id, "applicant_id", applicant_code), (_program_key, PROGRAM_NAMES),
         (_parse_int, "year"), (_parse_int, "listed_rank"), (_parse_bool, "exam_taken"),
         (_parse_float, "exam_score"), (_parse_float, "other_points"),
     ))
@@ -393,7 +393,7 @@ def _load(directory: Path) -> tuple[Panel, np.ndarray, Optional[np.ndarray]]:
     ids = seats = None
     if (path := directory / OBSERVED_ASSIGNMENT_CSV).exists():
         ids, seats = _read(directory, OBSERVED_ASSIGNMENT_CSV, lambda header: (
-            (_applicant_id, "applicant_id", applicant_ids),
+            (_applicant_id, "applicant_id", applicant_code),
             (_observed_seat, PROGRAM_NAMES + ("accepted",)),
         ))
         duplicates += _repeats(path, "applicant_id", ids.rows())

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import metrics, scoring
-from .econometrics import RegressionResult
 from .io_csv import _write_csv, fmt
-from .synth import CalibrationRow
+
+if TYPE_CHECKING:  # annotations only: a run imports these modules where it reads them
+    from .econometrics import RegressionResult
+    from .synth import CalibrationRow
 
 WEIGHT_LABELS = {
     "gpa": "matriculation_gpa",

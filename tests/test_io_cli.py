@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import csv
 import functools
+import gc
 import hashlib
 import importlib.util
 import inspect
@@ -9,9 +11,11 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -777,6 +781,113 @@ class TestRun:
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )
         assert proc.stdout.split() == ["0", "False", "0", "False"], proc.stderr
+
+    def test_input_run_without_table5_imports_neither_synth_nor_econometrics(
+        self, small_config_json, small_panel, tmp_path
+    ):
+        save_panel(small_panel, tmp_path / "panel")
+        runs = [
+            ["--input", str(tmp_path / "panel"), "--reports", "table4,assignments"],
+            ["--input", str(tmp_path / "panel"), "--reports", "table1,table2,table3"],
+            ["--synth", str(small_config_json), "--reports", "table5,calibration"],
+        ]
+        code = (
+            "import sys\n"
+            "from polyadmit import cli\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    status = cli.main([*argv, '--out', {str(tmp_path)!r} + f'/out{{i}}'])\n"
+            "    print(status, *(f'polyadmit.{m}' in sys.modules for m in ('synth', 'econometrics')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.stdout.splitlines() == ["0 False False", "0 False False", "0 True True"], (
+            proc.stderr
+        )
+        assert {p.name for p in (tmp_path / "out2").iterdir()} == {"table5.csv", "calibration.csv"}
+
+
+class TestProcessEntry:
+    """``python -m polyadmit.cli`` and the ``polyadmit`` script freeze the
+    collector before the run; ``cli.main``, which also runs in-process,
+    does not. While ``main`` runs, SIGTERM and SIGINT fail the run under
+    the CLI contract."""
+
+    def test_module_main_freezes_the_collector(self, small_config_json, tmp_path):
+        argv = ["polyadmit", "--synth", str(small_config_json), "--reports", "table1",
+                "--out", str(tmp_path / "out")]
+        code = (
+            "import gc, runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('polyadmit.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.stdout.split() == ["0", "True"], proc.stderr
+        assert (tmp_path / "out" / "table1.csv").exists()
+
+    def test_script_entry_is_what_the_main_block_calls(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["polyadmit"]
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        (block,) = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [ast.unparse(statement) for statement in block.body] == [
+            f"{target.partition(':')[2]}()"
+        ]
+        assert target.partition(":")[0] == cli.__name__
+
+    def test_in_process_main_neither_freezes_nor_keeps_its_handlers(
+        self, small_config_json, tmp_path
+    ):
+        signals = (signal.SIGTERM, signal.SIGINT)
+        handlers, frozen = [signal.getsignal(s) for s in signals], gc.get_freeze_count()
+        argv = ["--synth", str(small_config_json), "--reports", "table1"]
+        assert cli.main([*argv, "--out", str(tmp_path / "main")]) == 0
+        status = []  # signal handlers can only be set in the main thread
+        worker = threading.Thread(
+            target=lambda: status.append(cli.main([*argv, "--out", str(tmp_path / "worker")]))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and status == [0]
+        assert [signal.getsignal(s) for s in signals] == handlers
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("name", ["SIGTERM", "SIGINT"])
+    def test_signal_fails_the_run_under_the_contract(self, name, small_config_json, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("before\n", encoding="utf-8")
+        argv = ["--synth", str(small_config_json), "--reports", "table1,table2", "--out", str(out)]
+        code = (  # the run signals its own process once table 1 is staged
+            "import signal, sys\n"
+            "from polyadmit import cli, reports\n"
+            "write = reports.write_weight_report\n"
+            "def write_then_signal(*args):\n"
+            "    write(*args)\n"
+            f"    signal.raise_signal(signal.{name})\n"
+            "reports.write_weight_report = write_then_signal\n"
+            f"sys.exit(cli.main({argv!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 1, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "Interrupted", "message": f"the run received {name} and stopped"
+        }
+        assert tree_bytes(out) == {"keep.txt": b"before\n"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]  # no staging directory
 
 
 def count_calls(monkeypatch, *functions) -> Counter:
